@@ -12,7 +12,9 @@ Subcommands:
 
 Config values resolve as command line > config file > defaults.  The
 config file is a flat ``key = value`` document; lists use commas.
-``SERINARR_THREADS`` caps fitting parallelism.
+Every subcommand writes its files through one artifact writer, and
+``render`` rebuilds the charts from the saved ``pool.jsonl`` and
+``selection.json`` of an earlier ``narrate --emit json,pool``.
 
 Exit codes: 0 success, 3 ingest failure, 4 fitting failure, 5 solver
 failure, 6 output failure (2 is argparse usage).
@@ -39,6 +41,7 @@ from .details import (
     SelectionResult,
     pick_summary,
     solve_details,
+    zone_errs,
 )
 from .errors import (
     FitError,
@@ -74,7 +77,6 @@ class RunConfig:
     kinds: tuple[CurveKind, ...] = DEFAULT_KINDS
     out_dir: str = "."
     emit: tuple[str, ...] = ("text",)
-    threads: int = 1
 
     def __post_init__(self):
         if self.format not in FORMATS:
@@ -148,14 +150,6 @@ def _sibling(base: Path, ext: str) -> Path:
     return base.parent / f"{base.name}.{ext}"
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("SERINARR_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 # ----------------------------------------------------------------------
 # config file and argument plumbing
 # ----------------------------------------------------------------------
@@ -179,6 +173,20 @@ def load_config_file(path: str | Path) -> dict:
     return values
 
 
+def _parse_list(raw: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in raw.split(",") if v.strip())
+
+
+def _parse_kinds(raw: str) -> tuple[CurveKind, ...]:
+    kinds = tuple(CurveKind.from_label(k) for k in _parse_list(raw))
+    if not kinds:
+        raise IngestError("at least one curve kind is required")
+    return kinds
+
+
+# RunConfig field -> converter from the config file's text.  The command
+# line flags of the same names (dashes for underscores) use the same
+# converters; penalty_eps has no flag.
 _CONFIG_KEYS = {
     "input": str,
     "format": str,
@@ -187,17 +195,10 @@ _CONFIG_KEYS = {
     "max_thr": float,
     "min_thr": float,
     "penalty_eps": float,
-    "kinds": "kinds",
+    "kinds": _parse_kinds,
     "out_dir": str,
-    "emit": "list",
+    "emit": _parse_list,
 }
-
-
-def _parse_kinds(raw: str) -> tuple[CurveKind, ...]:
-    kinds = tuple(CurveKind.from_label(k) for k in raw.split(",") if k.strip())
-    if not kinds:
-        raise IngestError("at least one curve kind is required")
-    return kinds
 
 
 def merge_config(cli_args: dict, file_values: dict) -> RunConfig:
@@ -205,14 +206,8 @@ def merge_config(cli_args: dict, file_values: dict) -> RunConfig:
     merged: dict = {}
     for key, conv in _CONFIG_KEYS.items():
         if key in file_values:
-            raw = file_values[key]
             try:
-                if conv == "kinds":
-                    merged[key] = _parse_kinds(raw)
-                elif conv == "list":
-                    merged[key] = tuple(v.strip() for v in raw.split(",") if v.strip())
-                else:
-                    merged[key] = conv(raw)
+                merged[key] = conv(file_values[key])
             except ValueError as exc:
                 raise IngestError(f"config key {key}: {exc}") from None
     for key, val in cli_args.items():
@@ -220,7 +215,6 @@ def merge_config(cli_args: dict, file_values: dict) -> RunConfig:
             merged[key] = val
     if "input" not in merged:
         raise IngestError("an input file is required (--input or config)")
-    merged.setdefault("threads", _threads_from_env())
     return RunConfig(**merged)
 
 
@@ -249,14 +243,18 @@ def _solve(
 
 def _emit_outputs(
     cfg: RunConfig,
-    series: TimeSeries,
     pool: DescriptorPool,
-    levels: list[VerbosityLevel],
-    selection: SelectionResult,
-    units,
-    text,
-    report: RunReport,
-) -> None:
+    series: TimeSeries | None = None,
+    levels: list[VerbosityLevel] | None = None,
+    selection: SelectionResult | None = None,
+    units=None,
+    text=None,
+) -> list[str]:
+    """Write every artifact named in ``cfg.emit``; returns the paths.
+
+    The one writer for all subcommands: ``fit`` passes only the pool,
+    ``render`` everything but the narration.
+    """
     base = Path(cfg.out_dir) / Path(cfg.input).stem
     wrote = []
 
@@ -276,6 +274,7 @@ def _emit_outputs(
     if "pool" in cfg.emit:
         p = _sibling(base, "pool.jsonl")
         try:
+            p.parent.mkdir(parents=True, exist_ok=True)
             dump_pool(pool, p)
         except OSError as exc:
             raise OutputError(f"cannot write {p}: {exc}") from None
@@ -289,50 +288,28 @@ def _emit_outputs(
         p = _sibling(base, "heatmap.svg")
         write_atomic(p, _heatmap(pool, levels, selection))
         wrote.append(str(p))
-    report.outputs.extend(wrote)
-
-
-def _selected_errs(pool, selection):
-    """Best selected per-zone error (summary and details)."""
-    ids = list(selection.summary) + [i for i, _ in selection.details]
-    descriptors = [pool.get(i) for i in ids]
-    errs = []
-    for z in range(pool.n_zones):
-        errs.append(min(d.err(z) for d in descriptors if d.covers(z)))
-    return errs
+    return wrote
 
 
 def _charts(series, pool, selection, max_thr):
-    summary_err = []
-    for z in range(series.n_zones):
-        d = next(pool.get(i) for i in selection.summary if pool.get(i).covers(z))
-        summary_err.append(d.err(z))
-    summary_curves = tuple(
-        CurveOverlay(pool.get(i), color="#d22", stroke_width=2.0)
-        for i in selection.summary
-    )
-    yield "summary", render_enriched(
-        PlotSpec(
-            series=series,
-            curves=summary_curves,
-            error_bar=tuple(summary_err),
-            max_thr=max_thr,
-            title="summary",
+    """Summary and details charts, each with its per-zone error bar."""
+    detail_ids = [i for i, _ in selection.details]
+    for name, ids, err_ids in (
+        ("summary", selection.summary, selection.summary),
+        ("details", detail_ids, selection.selected_ids),
+    ):
+        curves = tuple(
+            CurveOverlay(pool.get(i), color="#d22", stroke_width=2.0) for i in ids
         )
-    )
-    detail_curves = tuple(
-        CurveOverlay(pool.get(i), color="#d22", stroke_width=2.0)
-        for i, _ in selection.details
-    )
-    yield "details", render_enriched(
-        PlotSpec(
-            series=series,
-            curves=detail_curves,
-            error_bar=tuple(_selected_errs(pool, selection)),
-            max_thr=max_thr,
-            title="details",
+        yield name, render_enriched(
+            PlotSpec(
+                series=series,
+                curves=curves,
+                error_bar=tuple(zone_errs(pool, err_ids)),
+                max_thr=max_thr,
+                title=name,
+            )
         )
-    )
 
 
 def _heatmap(pool, levels, selection):
@@ -359,7 +336,7 @@ def run(cfg: RunConfig) -> RunReport:
     report.timings["ingest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pool = build_pool(series, cfg.kinds, max_workers=cfg.threads)
+    pool = build_pool(series, cfg.kinds)
     report.timings["fit"] = time.perf_counter() - t0
     report.pool_size = len(pool)
     report.n_infeasible = pool.n_infeasible
@@ -381,7 +358,7 @@ def run(cfg: RunConfig) -> RunReport:
     report.narration = text.full_text
 
     t0 = time.perf_counter()
-    _emit_outputs(cfg, series, pool, levels, selection, units, text, report)
+    report.outputs = _emit_outputs(cfg, pool, series, levels, selection, units, text)
     report.timings["emit"] = time.perf_counter() - t0
     return report
 
@@ -446,25 +423,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="comma list of curve kinds (default line,bilinear,tooth)")
     p.add_argument("--out-dir", default=None, dest="out_dir",
                    help="directory for emitted files (default .)")
-    p.add_argument("--emit", default=None,
+    p.add_argument("--emit", type=_parse_list, default=None,
                    help="comma list of outputs: text,json,svg,heatmap,pool")
     p.add_argument("--config", default=None, help="flat key=value config file")
 
 
 def _collect(args: argparse.Namespace, force_emit: tuple[str, ...] | None = None):
-    cli_values = {
-        "input": args.input,
-        "format": args.format,
-        "levels": args.levels,
-        "verbosity": args.verbosity,
-        "max_thr": args.max_thr,
-        "min_thr": args.min_thr,
-        "kinds": args.kinds,
-        "out_dir": args.out_dir,
-        "emit": tuple(e.strip() for e in args.emit.split(",") if e.strip())
-        if args.emit
-        else None,
-    }
+    cli_values = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
     file_values = load_config_file(args.config) if args.config else {}
     cfg = merge_config(cli_values, file_values)
     if force_emit is not None:
@@ -484,14 +449,8 @@ def _cmd_narrate(args) -> int:
 def _cmd_fit(args) -> int:
     cfg = _collect(args, force_emit=("pool",))
     series = normalize(load(cfg.input, cfg.format), cfg.levels)
-    pool = build_pool(series, cfg.kinds, max_workers=cfg.threads)
-    base = Path(cfg.out_dir) / Path(cfg.input).stem
-    out = _sibling(base, "pool.jsonl")
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        dump_pool(pool, out)
-    except OSError as exc:
-        raise OutputError(f"cannot write {out}: {exc}") from None
+    pool = build_pool(series, cfg.kinds)
+    (out,) = _emit_outputs(cfg, pool)
     print(
         f"pool: {len(pool)} descriptors ({pool.n_infeasible} infeasible), "
         f"wrote {out}"
@@ -511,8 +470,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _read_artifact(path: Path, parse):
+    """``parse(path)``, reporting an unreadable or damaged file as an
+    output error."""
+    try:
+        return parse(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise OutputError(f"cannot load {path}: {exc}") from None
+
+
 def _cmd_render(args) -> int:
-    cfg = _collect(args)
+    cfg = _collect(args, force_emit=("svg", "heatmap"))
     base = Path(cfg.out_dir) / Path(cfg.input).stem
     pool_path = _sibling(base, "pool.jsonl")
     sel_path = _sibling(base, "selection.json")
@@ -522,29 +490,29 @@ def _cmd_render(args) -> int:
             f"run narrate with --emit json,pool first"
         )
     series = normalize(load(cfg.input, cfg.format), cfg.levels)
-    pool = load_pool(pool_path)
-    try:
-        doc = json.loads(sel_path.read_text())
-        selection = SelectionResult(
-            s=doc["summary_level"],
-            summary=tuple(doc["summary_ids"]),
-            details=tuple((d["id"], d["level"]) for d in doc["details"]),
-            objective=doc["objective"],
-            per_zone_gain={int(k): v for k, v in doc["per_zone_gain"].items()},
-            global_rmse=doc["global_rmse"],
-            threshold_met=doc["threshold_met"],
+    pool = _read_artifact(pool_path, load_pool)
+    selection = _read_artifact(
+        sel_path, lambda p: SelectionResult.from_dict(json.loads(p.read_text()))
+    )
+    if pool.n_zones != series.n_zones:
+        raise OutputError(
+            f"{pool_path.name} has {pool.n_zones} zones but --levels {cfg.levels} "
+            f"gives {series.n_zones}; render with the --levels narrate used"
         )
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise OutputError(f"cannot load {sel_path}: {exc}") from None
+    unknown = set(selection.selected_ids) - {d.id for d in pool}
+    if unknown:
+        raise OutputError(
+            f"{sel_path.name} names descriptors {sorted(unknown)} missing "
+            f"from {pool_path.name}"
+        )
     levels = solve_cover(pool, cfg.verbosity)
-    wrote = []
-    for name, svg in _charts(series, pool, selection, cfg.max_thr):
-        p = _sibling(base, f"{name}.svg")
-        write_atomic(p, svg)
-        wrote.append(str(p))
-    p = _sibling(base, "heatmap.svg")
-    write_atomic(p, _heatmap(pool, levels, selection))
-    wrote.append(str(p))
+    if selection.s not in {lv.v for lv in levels if lv.feasible}:
+        raise OutputError(
+            f"saved summary level {selection.s} is not a feasible level at "
+            f"--verbosity {cfg.verbosity}; render with a verbosity of at least "
+            f"{selection.s}"
+        )
+    wrote = _emit_outputs(cfg, pool, series, levels, selection)
     print("wrote: " + ", ".join(wrote))
     return 0
 

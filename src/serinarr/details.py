@@ -20,7 +20,8 @@ exhaustive search with pairwise pruning is exact and instant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 from .cover import VerbosityLevel
 from .errors import SolveError
@@ -78,6 +79,36 @@ class SelectionResult:
             "global_rmse": self.global_rmse,
             "threshold_met": self.threshold_met,
         }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> SelectionResult:
+        """Inverse of ``as_dict``."""
+        return cls(
+            s=doc["summary_level"],
+            summary=tuple(doc["summary_ids"]),
+            details=tuple((d["id"], d["level"]) for d in doc["details"]),
+            objective=doc["objective"],
+            per_zone_gain={int(z): g for z, g in doc["per_zone_gain"].items()},
+            global_rmse=doc["global_rmse"],
+            threshold_met=doc["threshold_met"],
+        )
+
+    @property
+    def selected_ids(self) -> list[int]:
+        """Summary ids followed by detail ids."""
+        return list(self.summary) + [i for i, _ in self.details]
+
+
+def zone_errs(pool: DescriptorPool, ids: Iterable[int]) -> list[float]:
+    """Per-zone minimum error over the given descriptors.
+
+    The descriptors must cover every zone; a summary tiling alone does.
+    """
+    descriptors = [pool.get(i) for i in ids]
+    return [
+        min(d.err(z) for d in descriptors if d.covers(z))
+        for z in range(pool.n_zones)
+    ]
 
 
 def pick_summary(levels: list[VerbosityLevel], max_thr: float) -> tuple[int, bool]:
@@ -176,11 +207,7 @@ def solve_details(
         raise SolveError(f"summary level {s} is not a feasible verbosity")
     summary_ids = by_v[s].chosen
     summary = [pool.get(i) for i in summary_ids]
-
-    summary_err = [0.0] * pool.n_zones
-    for d in summary:
-        for z in d.zones:
-            summary_err[z] = d.err(z)
+    summary_err = zone_errs(pool, summary_ids)
 
     # Candidates: every tiling member up to the bound, minus the summary.
     # A descriptor appearing at several levels keeps its lowest level.
@@ -234,18 +261,17 @@ def solve_details(
     assert best is not None  # the empty set always visits
     obj, gains, detail_ids = best
 
-    selected = summary + [pool.get(i) for i, _ in detail_ids]
-    total = 0.0
-    for z in range(pool.n_zones):
-        total += min(d.err(z) for d in selected if d.covers(z))
-    global_rmse = total / pool.n_zones
-
-    return SelectionResult(
+    result = SelectionResult(
         s=s,
         summary=tuple(summary_ids),
         details=tuple(sorted(detail_ids)),
         objective=obj,
         per_zone_gain=gains,
-        global_rmse=global_rmse,
         threshold_met=threshold_met,
     )
+    # Left-to-right float sum: fsum, numpy and Python 3.12's compensated
+    # sum() round differently and would change selection.json.
+    total = 0.0
+    for e in zone_errs(pool, result.selected_ids):
+        total += e
+    return replace(result, global_rmse=total / pool.n_zones)

@@ -28,7 +28,6 @@ All candidate scans are vectorized with prefix sums, so a full pool at
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 from dataclasses import dataclass, replace
@@ -433,33 +432,22 @@ def fit_one(
 def build_pool(
     series: TimeSeries,
     kinds: tuple[CurveKind, ...] = DEFAULT_KINDS,
-    max_workers: int = 1,
 ) -> DescriptorPool:
     """Fit every kind over every contiguous zone range.
 
     Ids are assigned in (kind, zone_start, zone_end) order over the
-    feasible fits, so the pool is deterministic regardless of worker
-    count: parallel execution only maps the same pure fits and the
-    merge keeps task order.
+    feasible fits, so the pool is deterministic.
     """
     if not kinds:
         raise FitError("at least one curve kind is required")
     kinds = tuple(sorted(set(kinds)))
     n = series.n_zones
-    tasks = [
-        (kind, i, j)
+    results = [
+        fit_one(series, kind, i, j)
         for kind in kinds
         for i in range(n)
         for j in range(i, n)
     ]
-
-    if max_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(
-                pool.map(lambda t: fit_one(series, t[0], t[1], t[2]), tasks)
-            )
-    else:
-        results = [fit_one(series, kind, i, j) for kind, i, j in tasks]
 
     descriptors = []
     n_infeasible = 0

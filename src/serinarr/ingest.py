@@ -89,9 +89,6 @@ class TimeSeries:
         """The x interval [i/n, (j+1)/n] spanned by zones i..j."""
         return i / self.n_zones, (j + 1) / self.n_zones
 
-    def denormalize_y(self, y: float) -> float:
-        return self.y_min + y * (self.y_max - self.y_min)
-
 
 # ----------------------------------------------------------------------
 # loaders

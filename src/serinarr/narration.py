@@ -148,28 +148,50 @@ def _pos(x: float) -> float:
     return round(x, 2)
 
 
-def _line_shape(dy: float, y_end: float, x_end: float, series_avg: float,
-                x_lo: float, x_hi: float, whole: bool,
-                noun_rise: str, noun_drop: str) -> ShapeClass:
-    if abs(dy) < FLAT_DELTA:
-        return ShapeClass(
-            category="constant",
-            strength=CONSTANCY[0],
-            extent="ranged",
-            anchors={
-                "avg": series_avg, "x1": _pos(x_lo), "x2": _pos(x_hi),
-                "gavg": series_avg, "whole_span": whole,
-                "e1": _pos(x_lo), "e2": _pos(x_hi),
-            },
-            surface="trend",
-        )
-    category = "rise" if dy > 0 else "drop"
+def _ranged_anchors(d: Descriptor, gavg: float, avg: float, x1: float,
+                    x2: float, **extra) -> dict:
+    """Anchors of a ranged shape: its level ``avg`` over [x1, x2] against
+    the series average ``gavg`` over the descriptor's own span."""
+    return {
+        "avg": avg, "x1": _pos(x1), "x2": _pos(x2),
+        "gavg": gavg,
+        "whole_span": d.zone_start == 0 and d.zone_end == d.n_zones - 1,
+        "e1": _pos(d.x_lo), "e2": _pos(d.x_hi),
+        **extra,
+    }
+
+
+def _constant_trend(d: Descriptor, gavg: float, strength: str) -> ShapeClass:
+    return ShapeClass(
+        category="constant",
+        strength=strength,
+        extent="ranged",
+        anchors=_ranged_anchors(d, gavg, gavg, d.x_lo, d.x_hi),
+        surface="trend",
+    )
+
+
+def _point_shape(category: str, strength: str, value: float, x: float,
+                 surface: str) -> ShapeClass:
     return ShapeClass(
         category=category,
-        strength=quantize(min(abs(dy), 1.0), 1.0, STEEPNESS),
+        strength=strength,
         extent="point",
-        anchors={"value": _clamp01(y_end), "x": _pos(x_end)},
-        surface=noun_rise if dy > 0 else noun_drop,
+        anchors={"value": _clamp01(value), "x": _pos(x)},
+        surface=surface,
+    )
+
+
+def _line_shape(d: Descriptor, gavg: float, dy: float, y_end: float,
+                x_end: float, noun_rise: str, noun_drop: str) -> ShapeClass:
+    if abs(dy) < FLAT_DELTA:
+        return _constant_trend(d, gavg, CONSTANCY[0])
+    return _point_shape(
+        "rise" if dy > 0 else "drop",
+        quantize(min(abs(dy), 1.0), 1.0, STEEPNESS),
+        y_end,
+        x_end,
+        noun_rise if dy > 0 else noun_drop,
     )
 
 
@@ -183,7 +205,6 @@ def classify(d: Descriptor, series: TimeSeries) -> ShapeClass:
     sl = series.zone_slice(d.zone_start, d.zone_end)
     seg_y = series.ys[sl]
     x_lo, x_hi = d.x_lo, d.x_hi
-    whole = d.zone_start == 0 and d.zone_end == series.n_zones - 1
     series_avg = float(seg_y.mean())
     p = d.params
 
@@ -191,8 +212,7 @@ def classify(d: Descriptor, series: TimeSeries) -> ShapeClass:
         assert isinstance(p, LineParams)
         dy = p.b * (x_hi - x_lo)
         y_end = evaluate(CurveKind.LINE, p, x_hi)
-        return _line_shape(dy, y_end, x_hi, series_avg, x_lo, x_hi, whole,
-                           "increase", "decrease")
+        return _line_shape(d, series_avg, dy, y_end, x_hi, "increase", "decrease")
 
     if d.kind is CurveKind.BILINEAR:
         assert isinstance(p, BilinearParams)
@@ -205,37 +225,14 @@ def classify(d: Descriptor, series: TimeSeries) -> ShapeClass:
                 y0, y1, x1 = p.y_l, p.y_b, p.x_b
             else:
                 y0, y1, x1 = p.y_b, p.y_r, x_hi
-            return _line_shape(y1 - y0, y1, x1, series_avg, x_lo, x_hi, whole,
-                               "rise", "drop")
+            return _line_shape(d, series_avg, y1 - y0, y1, x1, "rise", "drop")
         normal, aperture = angles_of_bilinear(p)
         category, strength = classify_bilinear(normal, aperture, p.y_r - p.y_l)
         if category in ("valley", "peak"):
-            return ShapeClass(
-                category=category,
-                strength=strength,
-                extent="point",
-                anchors={"value": _clamp01(p.y_b), "x": _pos(p.x_b)},
-                surface=category,
-            )
+            return _point_shape(category, strength, p.y_b, p.x_b, category)
         if category == "constant":
-            return ShapeClass(
-                category=category,
-                strength=strength,
-                extent="ranged",
-                anchors={
-                    "avg": series_avg, "x1": _pos(x_lo), "x2": _pos(x_hi),
-                    "gavg": series_avg, "whole_span": whole,
-                    "e1": _pos(x_lo), "e2": _pos(x_hi),
-                },
-                surface="trend",
-            )
-        return ShapeClass(
-            category=category,
-            strength=strength,
-            extent="point",
-            anchors={"value": _clamp01(p.y_r), "x": _pos(x_hi)},
-            surface=category,
-        )
+            return _constant_trend(d, series_avg, strength)
+        return _point_shape(category, strength, p.y_r, x_hi, category)
 
     if d.kind is CurveKind.TOOTH:
         assert isinstance(p, ToothParams)
@@ -261,11 +258,7 @@ def classify(d: Descriptor, series: TimeSeries) -> ShapeClass:
             category=category,
             strength=strength,
             extent="ranged",
-            anchors={
-                "avg": _clamp01(p.y_in), "x1": _pos(p.x_s), "x2": _pos(p.x_e),
-                "gavg": series_avg, "whole_span": whole,
-                "e1": _pos(x_lo), "e2": _pos(x_hi),
-            },
+            anchors=_ranged_anchors(d, series_avg, _clamp01(p.y_in), p.x_s, p.x_e),
             surface=surface,
         )
 
@@ -276,12 +269,8 @@ def classify(d: Descriptor, series: TimeSeries) -> ShapeClass:
             category="oscillation",
             strength=quantize(min(p.amp, 0.5), 0.5, OSCILLATION),
             extent="ranged",
-            anchors={
-                "avg": _clamp01(p.mean), "x1": _pos(x_lo), "x2": _pos(x_hi),
-                "gavg": series_avg, "whole_span": whole,
-                "e1": _pos(x_lo), "e2": _pos(x_hi),
-                "amp": p.amp, "cycles": cycles,
-            },
+            anchors=_ranged_anchors(d, series_avg, _clamp01(p.mean), x_lo, x_hi,
+                                    amp=p.amp, cycles=cycles),
             surface="oscillation",
         )
 

@@ -127,10 +127,6 @@ _PARAMS_CLASS = {
 }
 
 
-def params_class(kind: CurveKind):
-    return _PARAMS_CLASS[kind]
-
-
 def evaluate(kind: CurveKind, params: CurveParams, x):
     """Model value(s) at ``x`` (scalar or ndarray).
 

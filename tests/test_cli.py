@@ -14,7 +14,6 @@ from serinarr.cli import (
     _format_sweep,
     _parse_kinds,
     _sibling,
-    _threads_from_env,
     build_parser,
     load_config_file,
     main,
@@ -64,17 +63,6 @@ def test_sibling_keeps_dotted_stems():
     base = Path("out") / "trend.2024"
     assert _sibling(base, "selection.json") == Path("out/trend.2024.selection.json")
     assert _sibling(base, "txt").name == "trend.2024.txt"
-
-
-def test_threads_from_env(monkeypatch):
-    monkeypatch.delenv("SERINARR_THREADS", raising=False)
-    assert _threads_from_env() == 1
-    monkeypatch.setenv("SERINARR_THREADS", "4")
-    assert _threads_from_env() == 4
-    monkeypatch.setenv("SERINARR_THREADS", "0")
-    assert _threads_from_env() == 1
-    monkeypatch.setenv("SERINARR_THREADS", "lots")
-    assert _threads_from_env() == 1
 
 
 def test_parse_kinds():
@@ -130,12 +118,6 @@ def test_merge_config_requires_input():
 def test_merge_config_bad_number(tmp_path):
     with pytest.raises(IngestError, match="levels"):
         merge_config({"input": "x.csv"}, {"levels": "three"})
-
-
-def test_merge_config_reads_thread_env(monkeypatch):
-    monkeypatch.setenv("SERINARR_THREADS", "3")
-    cfg = merge_config({"input": "x.csv"}, {})
-    assert cfg.threads == 3
 
 
 def test_run_config_validation():
@@ -271,6 +253,56 @@ def test_main_render_from_saved_artifacts(sample_csv, tmp_path, capsys):
     for name in ("dipper.summary.svg", "dipper.details.svg",
                  "dipper.heatmap.svg"):
         assert (out / name).exists()
+
+
+def _truncate_bytes(path):
+    path.write_bytes(path.read_bytes()[:3000])
+
+
+def _truncate_lines(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:20]))
+
+
+@pytest.mark.parametrize("render_args, damage", [
+    (["--levels", "3", "--verbosity", "1"], None),  # summary level 2 > 1
+    (["--levels", "2", "--verbosity", "4"], None),  # pool holds 8 zones
+    (["--levels", "3", "--verbosity", "4"], _truncate_bytes),
+    (["--levels", "3", "--verbosity", "4"], _truncate_lines),
+], ids=["verbosity-below-summary", "levels-mismatch", "truncated-record",
+        "truncated-at-line"])
+def test_main_render_rejects_mismatched_artifacts(
+        sample_csv, tmp_path, capsys, render_args, damage):
+    out = tmp_path / "render_out"
+    assert main([
+        "narrate", "--input", str(sample_csv), "--levels", "3",
+        "--verbosity", "4", "--out-dir", str(out), "--emit", "json,pool",
+    ]) == 0
+    if damage is not None:
+        damage(out / "dipper.pool.jsonl")
+    capsys.readouterr()
+    code = main(["render", "--input", str(sample_csv), "--out-dir", str(out)]
+                + render_args)
+    assert code == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error:")
+    assert len(err.splitlines()) == 1
+    assert not (out / "dipper.summary.svg").exists()
+
+
+def test_main_narrate_pool_into_new_dir(sample_csv, tmp_path, capsys):
+    out = tmp_path / "fresh" / "dir"
+    code = main(["narrate", "--input", str(sample_csv), "--levels", "3",
+                 "--verbosity", "4", "--out-dir", str(out), "--emit", "pool"])
+    assert code == 0
+    assert (out / "dipper.pool.jsonl").exists()
+
+
+def test_main_empty_emit_writes_nothing(sample_csv, tmp_path, capsys):
+    out = tmp_path / "quiet"
+    code = main(["narrate", "--input", str(sample_csv), "--levels", "3",
+                 "--verbosity", "4", "--out-dir", str(out), "--emit", ""])
+    assert code == 0
+    assert not out.exists()
 
 
 def test_main_render_needs_artifacts(sample_csv, tmp_path, capsys):

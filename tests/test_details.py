@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from serinarr.details import (
     check_improvement,
     pick_summary,
     solve_details,
+    zone_errs,
 )
 from serinarr.errors import SolveError
 from serinarr.fitting import DescriptorPool
@@ -345,6 +347,30 @@ def test_selection_result_as_dict():
     assert doc["details"] == [{"id": 3, "level": 3}, {"id": 4, "level": 3}]
     assert doc["threshold_met"] is True
     assert set(doc["per_zone_gain"]) <= {str(z) for z in range(8)}
+
+
+def test_selection_result_from_dict_inverts_as_dict():
+    pool, levels = build_instance()
+    cfg = SelectionConfig(max_thr=0.6, min_thr=0.02, v=3, penalty_eps=1e-4)
+    res = solve_details(pool, levels, 1, cfg)
+    doc = json.loads(json.dumps(res.as_dict()))
+    assert SelectionResult.from_dict(doc) == res
+
+
+def test_zone_errs_takes_best_covering_descriptor():
+    pool = DescriptorPool(
+        descriptors=(
+            make_descriptor(0, 0, 3, [0.4, 0.3, 0.2, 0.1], 4),
+            make_descriptor(1, 1, 2, [0.5, 0.05], 4),
+            make_descriptor(2, 3, 3, [0.1], 4),
+        ),
+        n_zones=4,
+        kinds=(CurveKind.LINE,),
+    )
+    assert zone_errs(pool, [0]) == [0.4, 0.3, 0.2, 0.1]
+    assert zone_errs(pool, [0, 1, 2]) == [0.4, 0.3, 0.05, 0.1]
+    with pytest.raises(ValueError):
+        zone_errs(pool, [1])  # zones 0 and 3 uncovered
 
 
 def test_config_validation():

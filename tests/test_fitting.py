@@ -152,14 +152,6 @@ def test_per_zone_rmse_recomputed_independently():
             assert d.err(z) == pytest.approx(want, abs=1e-12)
 
 
-def test_parallel_pool_identical_to_sequential():
-    rnd = random.Random(21)
-    s = make_series([rnd.uniform(0, 1) for _ in range(80)], levels=3)
-    seq = build_pool(s, kinds=DEFAULT_KINDS, max_workers=1)
-    par = build_pool(s, kinds=DEFAULT_KINDS, max_workers=4)
-    assert seq.descriptors == par.descriptors
-
-
 def test_dump_load_round_trip(tmp_path):
     rnd = random.Random(3)
     s = make_series([rnd.uniform(0, 1) for _ in range(48)], levels=2)

@@ -1,0 +1,61 @@
+"""Byte-for-byte goldens for the bundled fixture.
+
+``tests/data/golden/L<levels>/`` holds what ``narrate`` writes for the
+concert fixture at zone levels 3, 4 and 5 with default settings.  The
+text and json digests are the same ones the benchmark checks
+(``perfbench/goldens.json``), so the two can never drift apart.  To
+re-record after an intended output change, run ``narrate`` with the
+arguments below into each level directory and update both files.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from serinarr.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "tests" / "data" / "concert_weekly.csv"
+GOLDEN = ROOT / "tests" / "data" / "golden"
+BENCH_GOLDENS = ROOT / "perfbench" / "goldens.json"
+STEM = FIXTURE.stem
+SVGS = ("summary.svg", "details.svg", "heatmap.svg")
+SUFFIXES = ("txt", "selection.json", "narration.json") + SVGS
+
+
+def _narrate(levels, out_dir, emit="text,json,svg,heatmap"):
+    return main([
+        "narrate", "--input", str(FIXTURE), "--format", "trends_csv",
+        "--levels", str(levels), "--emit", emit, "--out-dir", str(out_dir),
+    ])
+
+
+@pytest.mark.parametrize("levels", [3, 4, 5])
+def test_fixture_narrate_matches_golden(levels, tmp_path, capsys):
+    assert _narrate(levels, tmp_path) == 0
+    want_dir = GOLDEN / f"L{levels}"
+    for suffix in SUFFIXES:
+        got = (tmp_path / f"{STEM}.{suffix}").read_bytes()
+        assert got == (want_dir / f"{STEM}.{suffix}").read_bytes(), suffix
+
+
+@pytest.mark.parametrize("levels", [3, 4, 5])
+def test_golden_digests_match_benchmark(levels):
+    digests = json.loads(BENCH_GOLDENS.read_text())["fixture-narrate"]["*"]
+    for suffix, want in digests[f"L{levels}"].items():
+        data = (GOLDEN / f"L{levels}" / f"{STEM}.{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want, suffix
+
+
+@pytest.mark.parametrize("levels", [3, 4, 5])
+def test_render_from_saved_artifacts_matches_golden(levels, tmp_path, capsys):
+    assert _narrate(levels, tmp_path, emit="json,pool") == 0
+    assert main([
+        "render", "--input", str(FIXTURE), "--format", "trends_csv",
+        "--levels", str(levels), "--out-dir", str(tmp_path),
+    ]) == 0
+    for suffix in SVGS:
+        got = (tmp_path / f"{STEM}.{suffix}").read_bytes()
+        assert got == (GOLDEN / f"L{levels}" / f"{STEM}.{suffix}").read_bytes(), suffix

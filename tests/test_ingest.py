@@ -208,23 +208,6 @@ def test_load_series_wrapper():
     assert len(s) == 261
 
 
-@settings(max_examples=60)
-@given(
-    st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=4,
-        max_size=40,
-    )
-)
-def test_denormalize_round_trip(values):
-    if max(values) == min(values):
-        values[0] = min(values) - 1.0
-    s = make_series(values, levels=1)
-    for k, v in enumerate(values):
-        back = s.denormalize_y(float(s.ys[k]))
-        assert back == pytest.approx(v, rel=1e-12, abs=1e-9)
-
-
 @settings(max_examples=40)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=9999))
 def test_zone_assignment_matches_formula(levels, seed):
