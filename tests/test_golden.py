@@ -5,7 +5,9 @@ concert fixture at zone levels 3, 4 and 5 with default settings.  The
 text and json digests are the same ones the benchmark checks
 (``perfbench/goldens.json``), so the two can never drift apart.  To
 re-record after an intended output change, run ``narrate`` with the
-arguments below into each level directory and update both files.
+arguments below into each level directory and update both files.  The
+saved descriptor pool (``--emit pool``, about 0.7 MB at level 5) is
+pinned by its sha256 only.
 """
 
 import hashlib
@@ -23,6 +25,11 @@ BENCH_GOLDENS = ROOT / "perfbench" / "goldens.json"
 STEM = FIXTURE.stem
 SVGS = ("summary.svg", "details.svg", "heatmap.svg")
 SUFFIXES = ("txt", "selection.json", "narration.json") + SVGS
+POOL_SHA256 = {
+    3: "974e879e8da6b6f9b8e31973c48e252081fb8e1acbf87e859a33ad35452b437b",
+    4: "29bce2dc4afcd22b74e9a438fea2fdee8b955e1bf9942b95178a7a2ff31a6db2",
+    5: "f7e2d614ba68ee67db46f13a4d4d96d461ef661fc6b025a016fdb707b9c2183b",
+}
 
 
 def _narrate(levels, out_dir, emit="text,json,svg,heatmap"):
@@ -47,6 +54,13 @@ def test_golden_digests_match_benchmark(levels):
     for suffix, want in digests[f"L{levels}"].items():
         data = (GOLDEN / f"L{levels}" / f"{STEM}.{suffix}").read_bytes()
         assert hashlib.sha256(data).hexdigest() == want, suffix
+
+
+@pytest.mark.parametrize("levels", [3, 4, 5])
+def test_fixture_pool_matches_digest(levels, tmp_path, capsys):
+    assert _narrate(levels, tmp_path, emit="pool") == 0
+    data = (tmp_path / f"{STEM}.pool.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == POOL_SHA256[levels]
 
 
 @pytest.mark.parametrize("levels", [3, 4, 5])
