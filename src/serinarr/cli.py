@@ -12,9 +12,12 @@ Subcommands:
 
 Config values resolve as command line > config file > defaults.  The
 config file is a flat ``key = value`` document; lists use commas.
-Every subcommand writes its files through one artifact writer, and
-``render`` rebuilds the charts from the saved ``pool.jsonl`` and
-``selection.json`` of an earlier ``narrate --emit json,pool``.
+``RunConfig`` checks every value, thresholds included, when it is
+built, so a bad value fails before any input is read.  Every artifact
+lands at ``out_dir/<stem>.<suffix>`` and is written atomically by
+``write_atomic``; ``render`` rebuilds the charts from the saved
+``pool.jsonl`` and ``selection.json`` of an earlier
+``narrate --emit json,pool``.
 
 Exit codes: 0 success, 3 ingest failure, 4 fitting failure, 5 solver
 failure, 6 output failure (2 is argparse usage).
@@ -24,11 +27,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__
@@ -41,7 +43,6 @@ from .details import (
     SelectionResult,
     pick_summary,
     solve_details,
-    zone_errs,
 )
 from .errors import (
     FitError,
@@ -50,8 +51,15 @@ from .errors import (
     SerinarrError,
     SolveError,
 )
-from .fitting import DEFAULT_KINDS, DescriptorPool, build_pool, dump_pool, load_pool
-from .ingest import FORMATS, TimeSeries, load, normalize
+from .fitting import (
+    DEFAULT_KINDS,
+    DescriptorPool,
+    build_pool,
+    dump_pool,
+    load_pool,
+    write_atomic,
+)
+from .ingest import FORMATS, TimeSeries, load_series
 from .narration import build_narration, narration_structure
 from .prototypes import CurveKind
 from .render import CurveOverlay, PlotSpec, render_enriched, render_heatmap
@@ -88,6 +96,20 @@ class RunConfig:
         for e in self.emit:
             if e not in EMIT_CHOICES:
                 raise OutputError(f"unknown emit target {e!r}")
+        try:
+            self.selection_config
+        except ValueError as exc:
+            raise IngestError(str(exc)) from None
+
+    @cached_property
+    def selection_config(self) -> SelectionConfig:
+        """The detail search settings; built, and so checked, on construction."""
+        return SelectionConfig(
+            max_thr=self.max_thr,
+            min_thr=self.min_thr,
+            v=self.verbosity,
+            penalty_eps=self.penalty_eps,
+        )
 
 
 @dataclass
@@ -126,28 +148,9 @@ class RunReport:
         return out
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see
-    a half-written artifact."""
-    tmp = None
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        raise OutputError(f"cannot write {path}: {exc}") from None
-
-
-def _sibling(base: Path, ext: str) -> Path:
-    """out/<stem>.<ext>; plain concatenation so dotted stems survive."""
-    return base.parent / f"{base.name}.{ext}"
+def _artifact(cfg: RunConfig, suffix: str) -> Path:
+    """out_dir/<stem>.<suffix>; plain concatenation so dotted stems survive."""
+    return Path(cfg.out_dir) / f"{Path(cfg.input).stem}.{suffix}"
 
 
 # ----------------------------------------------------------------------
@@ -228,14 +231,10 @@ def _solve(
 ) -> tuple[list[VerbosityLevel], SelectionResult]:
     levels = solve_cover(pool, cfg.verbosity)
     s, met = pick_summary(levels, cfg.max_thr)
-    sel_cfg = SelectionConfig(
-        max_thr=cfg.max_thr,
-        min_thr=cfg.min_thr,
-        v=cfg.verbosity,
-        penalty_eps=cfg.penalty_eps,
-    )
     try:
-        selection = solve_details(pool, levels, s, sel_cfg, threshold_met=met)
+        selection = solve_details(
+            pool, levels, s, cfg.selection_config, threshold_met=met
+        )
     except ValueError as exc:
         raise SolveError(str(exc)) from None
     return levels, selection
@@ -255,37 +254,32 @@ def _emit_outputs(
     The one writer for all subcommands: ``fit`` passes only the pool,
     ``render`` everything but the narration.
     """
-    base = Path(cfg.out_dir) / Path(cfg.input).stem
     wrote = []
 
     if "text" in cfg.emit:
-        p = _sibling(base, "txt")
+        p = _artifact(cfg, "txt")
         write_atomic(p, text.full_text + "\n")
         wrote.append(str(p))
     if "json" in cfg.emit:
-        p = _sibling(base, "selection.json")
+        p = _artifact(cfg, "selection.json")
         write_atomic(p, json.dumps(selection.as_dict(), indent=2, sort_keys=True) + "\n")
         wrote.append(str(p))
-        p = _sibling(base, "narration.json")
+        p = _artifact(cfg, "narration.json")
         write_atomic(
             p, json.dumps(narration_structure(units), indent=2, sort_keys=True) + "\n"
         )
         wrote.append(str(p))
     if "pool" in cfg.emit:
-        p = _sibling(base, "pool.jsonl")
-        try:
-            p.parent.mkdir(parents=True, exist_ok=True)
-            dump_pool(pool, p)
-        except OSError as exc:
-            raise OutputError(f"cannot write {p}: {exc}") from None
+        p = _artifact(cfg, "pool.jsonl")
+        dump_pool(pool, p)
         wrote.append(str(p))
     if "svg" in cfg.emit:
         for name, svg in _charts(series, pool, selection, cfg.max_thr):
-            p = _sibling(base, f"{name}.svg")
+            p = _artifact(cfg, f"{name}.svg")
             write_atomic(p, svg)
             wrote.append(str(p))
     if "heatmap" in cfg.emit:
-        p = _sibling(base, "heatmap.svg")
+        p = _artifact(cfg, "heatmap.svg")
         write_atomic(p, _heatmap(pool, levels, selection))
         wrote.append(str(p))
     return wrote
@@ -305,7 +299,7 @@ def _charts(series, pool, selection, max_thr):
             PlotSpec(
                 series=series,
                 curves=curves,
-                error_bar=tuple(zone_errs(pool, err_ids)),
+                error_bar=tuple(pool.zone_errs(err_ids)),
                 max_thr=max_thr,
                 title=name,
             )
@@ -315,15 +309,11 @@ def _charts(series, pool, selection, max_thr):
 def _heatmap(pool, levels, selection):
     labels, matrix = level_error_matrix(levels, pool)
     row_of = {v: r for r, v in enumerate(labels)}
+    shown = [(i, selection.s) for i in selection.summary] + list(selection.details)
     selected = set()
-    for id_ in selection.summary:
-        d = pool.get(id_)
-        for z in d.zones:
-            selected.add((row_of[selection.s], z))
-    for id_, lv in selection.details:
+    for id_, lv in shown:
         if lv in row_of:
-            d = pool.get(id_)
-            for z in d.zones:
+            for z in pool.get(id_).zones:
                 selected.add((row_of[lv], z))
     return render_heatmap(matrix, selected, row_labels=labels)
 
@@ -332,7 +322,7 @@ def run(cfg: RunConfig) -> RunReport:
     """Full pipeline for one series; returns the run report."""
     report = RunReport()
     t0 = time.perf_counter()
-    series = normalize(load(cfg.input, cfg.format), cfg.levels)
+    series = load_series(cfg.input, cfg.format, cfg.levels)
     report.timings["ingest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -372,14 +362,13 @@ def sweep(cfg: RunConfig, levels_list: list[int]) -> list[dict]:
     for lv in levels_list:
         row: dict = {"levels": lv}
         try:
-            t0 = time.perf_counter()
             report = run(replace(cfg, levels=lv, emit=()))
             row.update(
                 pool=report.pool_size,
                 summary_level=report.summary_level,
                 n_details=len(report.details),
                 global_rmse=report.global_rmse,
-                wall_s=time.perf_counter() - t0,
+                wall_s=sum(report.timings.values()),
             )
         except SerinarrError as exc:
             row["error"] = str(exc)
@@ -448,7 +437,7 @@ def _cmd_narrate(args) -> int:
 
 def _cmd_fit(args) -> int:
     cfg = _collect(args, force_emit=("pool",))
-    series = normalize(load(cfg.input, cfg.format), cfg.levels)
+    series = load_series(cfg.input, cfg.format, cfg.levels)
     pool = build_pool(series, cfg.kinds)
     (out,) = _emit_outputs(cfg, pool)
     print(
@@ -459,12 +448,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _collect(args, force_emit=())
+    cfg = _collect(args)
     levels_list = [int(v) for v in args.levels_list.split(",") if v.strip()]
     rows = sweep(cfg, levels_list)
     print(_format_sweep(rows))
-    if args.emit and "json" in args.emit:
-        out = Path(cfg.out_dir) / (Path(cfg.input).stem + ".sweep.json")
+    if "json" in cfg.emit:
+        out = _artifact(cfg, "sweep.json")
         write_atomic(out, json.dumps(rows, indent=2, sort_keys=True) + "\n")
         print(f"wrote: {out}")
     return 0
@@ -481,15 +470,14 @@ def _read_artifact(path: Path, parse):
 
 def _cmd_render(args) -> int:
     cfg = _collect(args, force_emit=("svg", "heatmap"))
-    base = Path(cfg.out_dir) / Path(cfg.input).stem
-    pool_path = _sibling(base, "pool.jsonl")
-    sel_path = _sibling(base, "selection.json")
+    pool_path = _artifact(cfg, "pool.jsonl")
+    sel_path = _artifact(cfg, "selection.json")
     if not pool_path.exists() or not sel_path.exists():
         raise OutputError(
             f"render needs {pool_path.name} and {sel_path.name} in {cfg.out_dir}; "
             f"run narrate with --emit json,pool first"
         )
-    series = normalize(load(cfg.input, cfg.format), cfg.levels)
+    series = load_series(cfg.input, cfg.format, cfg.levels)
     pool = _read_artifact(pool_path, load_pool)
     selection = _read_artifact(
         sel_path, lambda p: SelectionResult.from_dict(json.loads(p.read_text()))

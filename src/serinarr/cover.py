@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolveError
-from .fitting import Descriptor, DescriptorPool
+from .fitting import DescriptorPool
 
 _INF = float("inf")
 
@@ -117,10 +117,10 @@ def solve_cover(pool: DescriptorPool, v_max: int) -> list[VerbosityLevel]:
             k = m
         segments.reverse()
         ids = tuple(table[seg][1] for seg in segments)
-        max_err = max(pool.get(i).max_err for i in ids)
         levels.append(
             VerbosityLevel(
-                v=v, chosen=ids, cost=dp[v][n], feasible=True, max_zone_err=max_err
+                v=v, chosen=ids, cost=dp[v][n], feasible=True,
+                max_zone_err=max(pool.zone_errs(ids)),
             )
         )
     return levels
@@ -134,17 +134,8 @@ def level_error_matrix(
     Returns the row labels (verbosity values) and a rectangular matrix
     of shape (len(labels), n_zones).
     """
-    rows = []
-    labels = []
-    for level in levels:
-        if not level.feasible:
-            continue
-        row = np.empty(pool.n_zones)
-        for id_ in level.chosen:
-            d = pool.get(id_)
-            row[d.zone_start : d.zone_end + 1] = d.zone_errs
-        labels.append(level.v)
-        rows.append(row)
-    if not rows:
+    feasible = [level for level in levels if level.feasible]
+    if not feasible:
         raise SolveError("no feasible verbosity level")
-    return labels, np.vstack(rows)
+    matrix = np.array([pool.zone_errs(level.chosen) for level in feasible])
+    return [level.v for level in feasible], matrix

@@ -21,7 +21,6 @@ exhaustive search with pairwise pruning is exact and instant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 from .cover import VerbosityLevel
 from .errors import SolveError
@@ -97,18 +96,6 @@ class SelectionResult:
     def selected_ids(self) -> list[int]:
         """Summary ids followed by detail ids."""
         return list(self.summary) + [i for i, _ in self.details]
-
-
-def zone_errs(pool: DescriptorPool, ids: Iterable[int]) -> list[float]:
-    """Per-zone minimum error over the given descriptors.
-
-    The descriptors must cover every zone; a summary tiling alone does.
-    """
-    descriptors = [pool.get(i) for i in ids]
-    return [
-        min(d.err(z) for d in descriptors if d.covers(z))
-        for z in range(pool.n_zones)
-    ]
 
 
 def pick_summary(levels: list[VerbosityLevel], max_thr: float) -> tuple[int, bool]:
@@ -207,7 +194,7 @@ def solve_details(
         raise SolveError(f"summary level {s} is not a feasible verbosity")
     summary_ids = by_v[s].chosen
     summary = [pool.get(i) for i in summary_ids]
-    summary_err = zone_errs(pool, summary_ids)
+    summary_err = pool.zone_errs(summary_ids)
 
     # Candidates: every tiling member up to the bound, minus the summary.
     # A descriptor appearing at several levels keeps its lowest level.
@@ -272,6 +259,6 @@ def solve_details(
     # Left-to-right float sum: fsum, numpy and Python 3.12's compensated
     # sum() round differently and would change selection.json.
     total = 0.0
-    for e in zone_errs(pool, result.selected_ids):
+    for e in pool.zone_errs(result.selected_ids):
         total += e
     return replace(result, global_rmse=total / pool.n_zones)

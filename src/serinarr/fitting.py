@@ -24,19 +24,27 @@ Fitting strategy per kind:
 
 All candidate scans are vectorized with prefix sums, so a full pool at
 32 zones builds in well under a minute.
+
+The pool owns the per-zone error of any set of its descriptors
+(``DescriptorPool.zone_errs``); cover, detail search and the charts all
+read it from there.  ``write_atomic`` is the package's one file writer:
+``dump_pool`` and every CLI artifact go through it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, OutputError
 from .ingest import TimeSeries
 from .prototypes import (
     PARAM_COUNTS,
@@ -107,10 +115,6 @@ class Descriptor:
     def total_err(self) -> float:
         return float(sum(self.zone_errs))
 
-    @property
-    def max_err(self) -> float:
-        return float(max(self.zone_errs))
-
 
 @dataclass(frozen=True)
 class DescriptorPool:
@@ -137,15 +141,20 @@ class DescriptorPool:
     def _by_id(self) -> dict[int, Descriptor]:
         return {d.id: d for d in self.descriptors}
 
-    @cached_property
-    def _by_range(self) -> dict[tuple[int, int], tuple[Descriptor, ...]]:
-        out: dict[tuple[int, int], list[Descriptor]] = {}
-        for d in self.descriptors:
-            out.setdefault((d.zone_start, d.zone_end), []).append(d)
-        return {k: tuple(v) for k, v in out.items()}
+    def zone_errs(self, ids: Iterable[int]) -> list[float]:
+        """Per-zone minimum error over the given descriptors.
 
-    def by_range(self, i: int, j: int) -> tuple[Descriptor, ...]:
-        return self._by_range.get((i, j), ())
+        The descriptors must cover every zone (a tiling alone does);
+        an uncovered zone raises ``ValueError``.
+        """
+        errs: list[float | None] = [None] * self.n_zones
+        for d in map(self.get, ids):
+            for z, e in zip(d.zones, d.zone_errs):
+                if errs[z] is None or e < errs[z]:
+                    errs[z] = e
+        if None in errs:
+            raise ValueError(f"zone {errs.index(None)} is not covered")
+        return errs
 
     @property
     def expected_size(self) -> int:
@@ -467,8 +476,27 @@ def build_pool(
 
 
 # ----------------------------------------------------------------------
-# pool dump / reload
+# file writing, pool dump / reload
 # ----------------------------------------------------------------------
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write via a sibling temp file and rename, so readers never see
+    a half-written artifact.  The one place the package writes a file."""
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        raise OutputError(f"cannot write {path}: {exc}") from None
 
 
 def dump_pool(pool: DescriptorPool, path: str | Path) -> None:
@@ -496,13 +524,15 @@ def dump_pool(pool: DescriptorPool, path: str | Path) -> None:
         },
         sort_keys=True,
     )
-    Path(path).write_text("\n".join([header] + lines) + "\n")
+    write_atomic(Path(path), "\n".join([header] + lines) + "\n")
 
 
 def load_pool(path: str | Path) -> DescriptorPool:
+    """Inverse of ``dump_pool``.  An empty file raises ``ValueError``,
+    as a line that is not json does."""
     lines = Path(path).read_text().splitlines()
     if not lines:
-        raise FitError(f"empty pool dump {path}")
+        raise ValueError(f"empty pool dump {path}")
     header = json.loads(lines[0])
     descriptors = []
     for line in lines[1:]:

@@ -11,9 +11,9 @@ from serinarr.cli import (
     EXIT_OUTPUT,
     EXIT_SOLVE,
     RunConfig,
+    _artifact,
     _format_sweep,
     _parse_kinds,
-    _sibling,
     build_parser,
     load_config_file,
     main,
@@ -22,6 +22,7 @@ from serinarr.cli import (
     sweep,
     write_atomic,
 )
+from serinarr.details import SelectionConfig
 from serinarr.errors import IngestError, OutputError
 from serinarr.prototypes import CurveKind
 
@@ -59,10 +60,10 @@ def test_write_atomic_blocked_by_file(tmp_path):
         write_atomic(blocker / "x.txt", "data")
 
 
-def test_sibling_keeps_dotted_stems():
-    base = Path("out") / "trend.2024"
-    assert _sibling(base, "selection.json") == Path("out/trend.2024.selection.json")
-    assert _sibling(base, "txt").name == "trend.2024.txt"
+def test_artifact_keeps_dotted_stems():
+    cfg = RunConfig(input="data/trend.2024.csv", out_dir="out")
+    assert _artifact(cfg, "selection.json") == Path("out/trend.2024.selection.json")
+    assert _artifact(cfg, "txt").name == "trend.2024.txt"
 
 
 def test_parse_kinds():
@@ -129,6 +130,14 @@ def test_run_config_validation():
         RunConfig(input="x", verbosity=0)
     with pytest.raises(OutputError):
         RunConfig(input="x", emit=("text", "pdf"))
+    with pytest.raises(IngestError, match="max_thr > min_thr"):
+        RunConfig(input="x", max_thr=0.01)  # below the default min_thr
+    with pytest.raises(IngestError, match="max_thr > min_thr"):
+        RunConfig(input="x", max_thr=0.0)
+    with pytest.raises(IngestError, match="penalty_eps"):
+        RunConfig(input="x", penalty_eps=0.0)
+    cfg = RunConfig(input="x", verbosity=3, max_thr=0.2)
+    assert cfg.selection_config == SelectionConfig(max_thr=0.2, v=3)
 
 
 # ------------------------------------------------------------- pipeline
@@ -240,6 +249,21 @@ def test_main_sweep_prints_table(sample_csv, capsys):
     assert len(out.splitlines()) == 3
 
 
+def test_main_sweep_honours_config_emit(sample_csv, tmp_path, capsys):
+    out = tmp_path / "sweep_out"
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(
+        f"input = {sample_csv}\n"
+        "verbosity = 4\n"
+        f"out_dir = {out}\n"
+        "emit = json\n"
+    )
+    assert main(["sweep", "--config", str(conf), "--levels-list", "3"]) == 0
+    assert [p.name for p in out.iterdir()] == ["dipper.sweep.json"]
+    rows = json.loads((out / "dipper.sweep.json").read_text())
+    assert [row["levels"] for row in rows] == [3]
+
+
 def test_main_render_from_saved_artifacts(sample_csv, tmp_path, capsys):
     out = tmp_path / "render_out"
     assert main([
@@ -263,13 +287,18 @@ def _truncate_lines(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:20]))
 
 
+def _empty(path):
+    path.write_text("")
+
+
 @pytest.mark.parametrize("render_args, damage", [
     (["--levels", "3", "--verbosity", "1"], None),  # summary level 2 > 1
     (["--levels", "2", "--verbosity", "4"], None),  # pool holds 8 zones
     (["--levels", "3", "--verbosity", "4"], _truncate_bytes),
     (["--levels", "3", "--verbosity", "4"], _truncate_lines),
+    (["--levels", "3", "--verbosity", "4"], _empty),
 ], ids=["verbosity-below-summary", "levels-mismatch", "truncated-record",
-        "truncated-at-line"])
+        "truncated-at-line", "empty-file"])
 def test_main_render_rejects_mismatched_artifacts(
         sample_csv, tmp_path, capsys, render_args, damage):
     out = tmp_path / "render_out"
@@ -316,6 +345,28 @@ def test_main_exit_ingest(tmp_path, capsys):
     code = main(["narrate", "--input", str(tmp_path / "nope.csv")])
     assert code == EXIT_INGEST
     assert "ingest error:" in capsys.readouterr().err
+
+
+def test_main_bad_thresholds_fail_before_reading(
+        sample_csv, tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a bad threshold must fail before any input is read")
+
+    monkeypatch.setattr("serinarr.cli.load_series", unreachable)
+    conf = tmp_path / "c.conf"
+    conf.write_text("penalty_eps = 0\n")
+    out = tmp_path / "out"
+    for argv in (
+        ["narrate", "--max-thr", "0.01"],
+        ["narrate", "--config", str(conf)],
+        ["render", "--max-thr", "0"],
+    ):
+        code = main(argv + ["--input", str(sample_csv), "--out-dir", str(out)])
+        assert code == EXIT_INGEST, argv
+        err = capsys.readouterr().err
+        assert err.startswith("ingest error:"), argv
+        assert len(err.splitlines()) == 1, argv
+    assert not out.exists()
 
 
 def test_main_exit_fit(tmp_path, capsys):

@@ -22,7 +22,7 @@ from serinarr.prototypes import BilinearParams, CurveKind, evaluate
 
 
 def best_descriptor(pool, i, j):
-    cands = pool.by_range(i, j)
+    cands = [d for d in pool if (d.zone_start, d.zone_end) == (i, j)]
     if not cands:
         return None
     return min(cands, key=lambda d: (d.total_err, int(d.kind), d.id))
@@ -198,5 +198,5 @@ def test_max_zone_err_matches_chosen():
     rnd = random.Random(11)
     pool = full_random_pool(rnd, 8)
     for level in solve_cover(pool, 4):
-        want = max(pool.get(i).max_err for i in level.chosen)
+        want = max(max(pool.get(i).zone_errs) for i in level.chosen)
         assert level.max_zone_err == want

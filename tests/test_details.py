@@ -14,7 +14,6 @@ from serinarr.details import (
     check_improvement,
     pick_summary,
     solve_details,
-    zone_errs,
 )
 from serinarr.errors import SolveError
 from serinarr.fitting import DescriptorPool
@@ -26,7 +25,7 @@ def level_of(v, ids, pool):
     cost = sum(e for d in ds for e in d.zone_errs)
     return VerbosityLevel(
         v=v, chosen=tuple(ids), cost=cost, feasible=True,
-        max_zone_err=max(d.max_err for d in ds),
+        max_zone_err=max(max(d.zone_errs) for d in ds),
     )
 
 
@@ -355,22 +354,6 @@ def test_selection_result_from_dict_inverts_as_dict():
     res = solve_details(pool, levels, 1, cfg)
     doc = json.loads(json.dumps(res.as_dict()))
     assert SelectionResult.from_dict(doc) == res
-
-
-def test_zone_errs_takes_best_covering_descriptor():
-    pool = DescriptorPool(
-        descriptors=(
-            make_descriptor(0, 0, 3, [0.4, 0.3, 0.2, 0.1], 4),
-            make_descriptor(1, 1, 2, [0.5, 0.05], 4),
-            make_descriptor(2, 3, 3, [0.1], 4),
-        ),
-        n_zones=4,
-        kinds=(CurveKind.LINE,),
-    )
-    assert zone_errs(pool, [0]) == [0.4, 0.3, 0.2, 0.1]
-    assert zone_errs(pool, [0, 1, 2]) == [0.4, 0.3, 0.05, 0.1]
-    with pytest.raises(ValueError):
-        zone_errs(pool, [1])  # zones 0 and 3 uncovered
 
 
 def test_config_validation():

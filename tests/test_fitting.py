@@ -5,11 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import make_series, series_exact
+from conftest import make_descriptor, make_series, series_exact
 from serinarr.errors import FitError
 from serinarr.fitting import (
     DEFAULT_KINDS,
     Descriptor,
+    DescriptorPool,
     build_pool,
     dump_pool,
     fit_one,
@@ -173,16 +174,31 @@ def test_dump_load_round_trip(tmp_path):
 def test_descriptor_accessors():
     s = make_series([1.0, 2.0, 1.0, 3.0, 2.0, 4.0, 1.0, 5.0], levels=2)
     pool = build_pool(s, kinds=(CurveKind.LINE,))
-    d = pool.by_range(1, 2)[0]
+    (d,) = [d for d in pool if (d.zone_start, d.zone_end) == (1, 2)]
     assert d.zones == range(1, 3)
     assert d.width == 2
     assert d.covers(1) and d.covers(2) and not d.covers(0)
     assert d.x_lo == pytest.approx(0.25)
     assert d.x_hi == pytest.approx(0.75)
     assert d.total_err == pytest.approx(sum(d.zone_errs))
-    assert d.max_err == pytest.approx(max(d.zone_errs))
     with pytest.raises(KeyError):
         pool.get(10 ** 9)
+
+
+def test_zone_errs_takes_best_covering_descriptor():
+    pool = DescriptorPool(
+        descriptors=(
+            make_descriptor(0, 0, 3, [0.4, 0.3, 0.2, 0.1], 4),
+            make_descriptor(1, 1, 2, [0.5, 0.05], 4),
+            make_descriptor(2, 3, 3, [0.1], 4),
+        ),
+        n_zones=4,
+        kinds=(CurveKind.LINE,),
+    )
+    assert pool.zone_errs([0]) == [0.4, 0.3, 0.2, 0.1]
+    assert pool.zone_errs([0, 1, 2]) == [0.4, 0.3, 0.05, 0.1]
+    with pytest.raises(ValueError):
+        pool.zone_errs([1])  # zones 0 and 3 uncovered
 
 
 def test_descriptor_rejects_bad_ranges():

@@ -94,6 +94,9 @@ def test_json_points_form(tmp_path):
     p.write_text('{"points": [{"t": 0, "v": 1}, {"t": 2, "v": 5}]}')
     raw = load(p, "json")
     assert raw.points == ((0.0, 1.0), (2.0, 5.0))
+    # the example given in README.md
+    p.write_text('{"points": [{"t": 0, "v": 1.5}, {"t": 7, "v": 2.25}]}')
+    assert load(p, "json").points == ((0.0, 1.5), (7.0, 2.25))
 
 
 def test_json_values_form(tmp_path):
