@@ -12,7 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from serinarr.cli import RunConfig, _format_sweep, sweep
+from serinarr.cli import RunConfig, _format_sweep, parse_levels_list, sweep
+from serinarr.errors import IngestError
 
 FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "data" / "concert_weekly.csv"
 
@@ -26,8 +27,12 @@ def main():
     args = ap.parse_args()
 
     fmt = args.format or ("trends_csv" if args.path == str(FIXTURE) else "csv")
-    cfg = RunConfig(input=args.path, format=fmt, verbosity=args.verbosity)
-    rows = sweep(cfg, [int(v) for v in args.levels_list.split(",") if v.strip()])
+    try:
+        levels_list = parse_levels_list(args.levels_list)
+        cfg = RunConfig(input=args.path, format=fmt, verbosity=args.verbosity)
+    except IngestError as exc:
+        ap.error(str(exc))
+    rows = sweep(cfg, levels_list)
     print(_format_sweep(rows))
 
 

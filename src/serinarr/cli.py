@@ -62,7 +62,7 @@ from .fitting import (
 from .ingest import FORMATS, TimeSeries, load_series
 from .narration import build_narration, narration_structure
 from .prototypes import CurveKind
-from .render import CurveOverlay, PlotSpec, render_enriched, render_heatmap
+from .render import PlotSpec, render_enriched, render_heatmap
 from .textgen import realize
 
 EXIT_INGEST = 3
@@ -180,6 +180,19 @@ def _parse_list(raw: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in raw.split(",") if v.strip())
 
 
+def parse_levels_list(raw: str) -> list[int]:
+    """The zone level counts of ``--levels-list``, a comma list."""
+    try:
+        levels = [int(v) for v in _parse_list(raw)]
+    except ValueError:
+        levels = []
+    if not levels:
+        raise IngestError(
+            f"--levels-list must be a comma list of integers, got {raw!r}"
+        )
+    return levels
+
+
 def _parse_kinds(raw: str) -> tuple[CurveKind, ...]:
     kinds = tuple(CurveKind.from_label(k) for k in _parse_list(raw))
     if not kinds:
@@ -292,13 +305,10 @@ def _charts(series, pool, selection, max_thr):
         ("summary", selection.summary, selection.summary),
         ("details", detail_ids, selection.selected_ids),
     ):
-        curves = tuple(
-            CurveOverlay(pool.get(i), color="#d22", stroke_width=2.0) for i in ids
-        )
         yield name, render_enriched(
             PlotSpec(
                 series=series,
-                curves=curves,
+                curves=tuple(pool.get(i) for i in ids),
                 error_bar=tuple(pool.zone_errs(err_ids)),
                 max_thr=max_thr,
                 title=name,
@@ -449,8 +459,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _collect(args)
-    levels_list = [int(v) for v in args.levels_list.split(",") if v.strip()]
-    rows = sweep(cfg, levels_list)
+    rows = sweep(cfg, parse_levels_list(args.levels_list))
     print(_format_sweep(rows))
     if "json" in cfg.emit:
         out = _artifact(cfg, "sweep.json")

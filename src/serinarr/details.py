@@ -14,13 +14,18 @@ bound, minus the summary's own descriptors.  A feasible detail set
 Among feasible sets of at most ``v`` details the solver maximizes the
 summed per-zone spread between the worst and best selected error,
 minus a tiny penalty per covered zone that discourages redundant
-overlap.  Candidate counts stay small (a handful per level), so an
-exhaustive search with pairwise pruning is exact and instant.
+overlap.  An exhaustive depth-first search keeps the choice exact.
+Each candidate fact is computed once, before the search: a
+candidate's zones as an int bitmask, and a bitmask of the candidates
+it may coexist with.  Extending a set is then one AND, the redundancy
+rule one mask test, and a set's objective is read from its
+descriptors' own per-zone errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 from .cover import VerbosityLevel
 from .errors import SolveError
@@ -141,43 +146,28 @@ def _pair_ok(a: Descriptor, lv_a: int, b: Descriptor, lv_b: int, min_thr: float)
 
 def _objective(
     summary_err: list[float],
-    chosen: list[tuple[Descriptor, int]],
+    chosen: list[Descriptor],
     penalty_eps: float,
 ) -> tuple[float, dict[int, float]]:
     """Summed per-zone spread minus the overlap penalty, zones ascending."""
+    lo = list(summary_err)
+    hi = list(summary_err)
+    covered = [0] * len(summary_err)
+    for d in chosen:
+        for z, e in zip(d.zones, d.zone_errs):
+            covered[z] += 1
+            if e < lo[z]:
+                lo[z] = e
+            if e > hi[z]:
+                hi[z] = e
     gains: dict[int, float] = {}
     total = 0.0
-    cover_count = 0
-    n = len(summary_err)
-    for z in range(n):
-        lo = hi = summary_err[z]
-        covered = 0
-        for d, _ in chosen:
-            if d.covers(z):
-                covered += 1
-                e = d.err(z)
-                if e < lo:
-                    lo = e
-                if e > hi:
-                    hi = e
-        if covered:
-            gain = hi - lo
+    for z, count in enumerate(covered):
+        if count:
+            gain = hi[z] - lo[z]
             gains[z] = gain
             total += gain
-            cover_count += covered
-    return total - penalty_eps * cover_count, gains
-
-
-def _redundancy_free(chosen: list[tuple[Descriptor, int]]) -> bool:
-    """No detail may be fully covered by details from higher levels."""
-    for d, lv in chosen:
-        covered = set()
-        for other, lv_o in chosen:
-            if lv_o > lv:
-                covered.update(other.zones)
-        if all(z in covered for z in d.zones):
-            return False
-    return True
+    return total - penalty_eps * sum(covered), gains
 
 
 def solve_details(
@@ -197,61 +187,65 @@ def solve_details(
     summary_err = pool.zone_errs(summary_ids)
 
     # Candidates: every tiling member up to the bound, minus the summary.
-    # A descriptor appearing at several levels keeps its lowest level.
-    source_level: dict[int, int] = {}
-    for v in range(1, cfg.v + 1):
-        lv = by_v.get(v)
-        if lv is None:
-            continue
-        for id_ in lv.chosen:
-            if id_ not in summary_ids and id_ not in source_level:
-                source_level[id_] = v
+    # A descriptor appearing at several levels keeps its lowest level:
+    # levels run downward, so the lowest one is written last.
+    source_level = {
+        id_: v
+        for v in sorted(by_v, reverse=True) if v <= cfg.v
+        for id_ in by_v[v].chosen if id_ not in summary_ids
+    }
+    # In id order; one that cannot coexist with the summary never enters a set.
+    candidates = []
+    for id_, lv in sorted(source_level.items()):
+        d = pool.get(id_)
+        if all(_pair_ok(d, lv, sd, s, cfg.min_thr) for sd in summary):
+            candidates.append((d, lv))
 
-    candidates = [
-        (pool.get(id_), lv) for id_, lv in sorted(source_level.items())
-    ]
-    # A candidate that cannot coexist with the summary never enters a set.
-    candidates = [
-        (d, lv)
-        for d, lv in candidates
-        if all(_pair_ok(d, lv, sd, s, cfg.min_thr) for sd in summary)
-    ]
+    # Each candidate fact is computed once: its zones as a bitmask, and a
+    # bitmask of the candidates it may coexist with (_pair_ok is symmetric).
+    zones = [((1 << d.width) - 1) << d.zone_start for d, _ in candidates]
+    compat = [0] * len(candidates)
+    for k, m in combinations(range(len(candidates)), 2):
+        if _pair_ok(*candidates[k], *candidates[m], cfg.min_thr):
+            compat[k] |= 1 << m
+            compat[m] |= 1 << k
 
-    best_key: tuple | None = None
-    best: tuple[float, dict[int, float], list[tuple[int, int]]] | None = None
+    best: tuple | None = None  # (tie-break key, candidate indices)
 
-    chosen: list[tuple[Descriptor, int]] = []
+    def visit(chosen: tuple[int, ...]):
+        nonlocal best
+        # No detail may be fully covered by details from higher levels.
+        for k in chosen:
+            higher = 0
+            for m in chosen:
+                if candidates[m][1] > candidates[k][1]:
+                    higher |= zones[m]
+            if zones[k] & ~higher == 0:
+                return
+        ds = [candidates[k][0] for k in chosen]
+        obj, _ = _objective(summary_err, ds, cfg.penalty_eps)
+        # Candidates are in id order and indices ascend, so the ids do too.
+        key = (-obj, len(ds), tuple(d.id for d in ds))
+        if best is None or key < best[0]:
+            best = key, chosen
 
-    def visit():
-        nonlocal best_key, best
-        if not _redundancy_free(chosen):
-            return
-        obj, gains = _objective(summary_err, chosen, cfg.penalty_eps)
-        ids = sorted(d.id for d, _ in chosen)
-        key = (-obj, len(chosen), tuple(ids))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (obj, gains, [(d.id, lv) for d, lv in chosen])
-
-    def search(start: int):
-        visit()
+    def search(start: int, chosen: tuple[int, ...], bits: int):
+        """``bits`` has bit k set for each chosen candidate index k."""
+        visit(chosen)
         if len(chosen) >= cfg.v:
             return
         for idx in range(start, len(candidates)):
-            d, lv = candidates[idx]
-            if all(_pair_ok(d, lv, e, lv_e, cfg.min_thr) for e, lv_e in chosen):
-                chosen.append((d, lv))
-                search(idx + 1)
-                chosen.pop()
+            if compat[idx] & bits == bits:
+                search(idx + 1, chosen + (idx,), bits | 1 << idx)
 
-    search(0)
-    assert best is not None  # the empty set always visits
-    obj, gains, detail_ids = best
+    search(0, (), 0)
+    winners = [candidates[k] for k in best[1]]
+    obj, gains = _objective(summary_err, [d for d, _ in winners], cfg.penalty_eps)
 
     result = SelectionResult(
         s=s,
         summary=tuple(summary_ids),
-        details=tuple(sorted(detail_ids)),
+        details=tuple((d.id, lv) for d, lv in winners),
         objective=obj,
         per_zone_gain=gains,
         threshold_met=threshold_met,

@@ -11,7 +11,7 @@ black/red/yellow ramp with the selected cells painted green.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,10 @@ from .ingest import TimeSeries
 from .prototypes import evaluate
 
 CURVE_SAMPLES = 160
+CURVE_COLOR = "#d22"
+CURVE_STROKE_WIDTH = 2.0
+CHART_WIDTH = 720
+CHART_HEIGHT = 400
 
 _GREEN = (0, 150, 0)
 _RED = (208, 28, 28)
@@ -27,20 +31,11 @@ _SELECTED = (40, 168, 72)
 
 
 @dataclass(frozen=True)
-class CurveOverlay:
-    descriptor: Descriptor
-    color: str = "#d22"
-    stroke_width: float = 2.0
-
-
-@dataclass(frozen=True)
 class PlotSpec:
     series: TimeSeries
-    curves: tuple[CurveOverlay, ...] = ()
+    curves: tuple[Descriptor, ...] = ()
     error_bar: tuple[float, ...] = ()
     max_thr: float = 0.15
-    width: int = 720
-    height: int = 400
     title: str = ""
 
     def __post_init__(self):
@@ -49,8 +44,6 @@ class PlotSpec:
                 f"error bar has {len(self.error_bar)} cells for "
                 f"{self.series.n_zones} zones"
             )
-        if self.width < 100 or self.height < 100:
-            raise ValueError("plot size too small")
 
 
 def _hex(rgb: tuple[int, int, int]) -> str:
@@ -86,7 +79,7 @@ def _f(v: float) -> str:
 
 def render_enriched(spec: PlotSpec) -> str:
     """SVG document for one enriched chart."""
-    w, h = spec.width, spec.height
+    w, h = CHART_WIDTH, CHART_HEIGHT
     margin = 12.0
     bar_h = 16.0 if spec.error_bar else 0.0
     bar_gap = 6.0 if spec.error_bar else 0.0
@@ -123,14 +116,13 @@ def render_enriched(spec: PlotSpec) -> str:
         f'<polyline points="{pts}" fill="none" stroke="#4477aa" stroke-width="1.2"/>'
     )
 
-    for overlay in spec.curves:
-        d = overlay.descriptor
+    for d in spec.curves:
         xs = np.linspace(d.x_lo, d.x_hi, CURVE_SAMPLES)
         ys = np.asarray(evaluate(d.kind, d.params, xs), dtype=float)
         cpts = " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in zip(xs, ys))
         parts.append(
-            f'<polyline points="{cpts}" fill="none" stroke="{overlay.color}" '
-            f'stroke-width="{_f(overlay.stroke_width)}"/>'
+            f'<polyline points="{cpts}" fill="none" stroke="{CURVE_COLOR}" '
+            f'stroke-width="{_f(CURVE_STROKE_WIDTH)}"/>'
         )
 
     if spec.error_bar:

@@ -249,6 +249,15 @@ def test_main_sweep_prints_table(sample_csv, capsys):
     assert len(out.splitlines()) == 3
 
 
+@pytest.mark.parametrize("raw", ["3,x", ","])
+def test_main_sweep_rejects_bad_levels_list(raw, sample_csv, capsys):
+    code = main(["sweep", "--input", str(sample_csv), "--levels-list", raw])
+    assert code == EXIT_INGEST
+    err = capsys.readouterr().err
+    assert err.startswith("ingest error: --levels-list")
+    assert len(err.splitlines()) == 1
+
+
 def test_main_sweep_honours_config_emit(sample_csv, tmp_path, capsys):
     out = tmp_path / "sweep_out"
     conf = tmp_path / "sweep.conf"

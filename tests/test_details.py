@@ -289,17 +289,22 @@ def test_min_thr_strictness_through_solver():
     assert res2.details == ((1, 2),)
 
 
-def test_matches_naive_enumerator_on_50_instances():
+@pytest.mark.parametrize(
+    "n_zones, v, cases, seed0, min_nonempty",
+    [(8, 5, 50, 4000, 10), (16, 8, 30, 9000, 20)],
+    ids=["8-zones-v5", "16-zones-v8"],
+)
+def test_matches_naive_enumerator(n_zones, v, cases, seed0, min_nonempty):
     checked_nonempty = 0
-    for case in range(50):
-        rnd = random.Random(4000 + case)
-        pool = full_random_pool(rnd, 8)
-        levels = solve_cover(pool, 5)
+    for case in range(cases):
+        rnd = random.Random(seed0 + case)
+        pool = full_random_pool(rnd, n_zones)
+        levels = solve_cover(pool, v)
         max_thr = rnd.uniform(0.15, 0.45)
         min_thr = rnd.uniform(0.02, 0.08)
         s, met = pick_summary(levels, max_thr)
         cfg = SelectionConfig(
-            max_thr=max_thr, min_thr=min_thr, v=5, penalty_eps=1e-5)
+            max_thr=max_thr, min_thr=min_thr, v=v, penalty_eps=1e-5)
         res = solve_details(pool, levels, s, cfg, threshold_met=met)
         want_obj, want_details = naive_details(pool, levels, s, cfg)
         assert res.objective == want_obj
@@ -320,7 +325,7 @@ def test_matches_naive_enumerator_on_50_instances():
             pool.get(i).err(z) for i in res.summary
             for z in pool.get(i).zones) / pool.n_zones
         assert res.global_rmse <= summary_only + 1e-15
-    assert checked_nonempty >= 10
+    assert checked_nonempty >= min_nonempty
 
 
 def test_global_rmse_uses_best_cover():

@@ -7,11 +7,14 @@ text and json digests are the same ones the benchmark checks
 re-record after an intended output change, run ``narrate`` with the
 arguments below into each level directory and update both files.  The
 saved descriptor pool (``--emit pool``, about 0.7 MB at level 5) is
-pinned by its sha256 only.
+pinned by its sha256 only.  The benchmark's deep-details inputs, whose
+cost is the detail search, are checked against its digests directly.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +76,29 @@ def test_render_from_saved_artifacts_matches_golden(levels, tmp_path, capsys):
     for suffix in SVGS:
         got = (tmp_path / f"{STEM}.{suffix}").read_bytes()
         assert got == (GOLDEN / f"L{levels}" / f"{STEM}.{suffix}").read_bytes(), suffix
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_deep_details_match_benchmark_goldens(tmp_path, capsys):
+    """The first noise draw of each deep-details shape (level 5,
+    verbosity 8, penalty_eps 1e-5) at the benchmark's held-out seed: the
+    only inputs where the exhaustive detail search dominates the run."""
+    workloads = _load_workloads()
+    plan = workloads.plan("deep-details", 7919, tmp_path)
+    workloads.write_inputs(plan)
+    want = json.loads(BENCH_GOLDENS.read_text())["deep-details"]["7919"]
+    ops = {op.input: op for op in plan.ops}
+    for k in range(len(workloads.WAVE_SHAPES)):
+        op = ops[f"wave-{k}"]
+        assert main(list(op.argv)) == 0, op.input
+        for suffix, digest in want[op.input].items():
+            data = op.file(suffix).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, (op.input, suffix)

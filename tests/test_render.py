@@ -3,7 +3,6 @@ import pytest
 from conftest import make_descriptor, make_series
 
 from serinarr.render import (
-    CurveOverlay,
     PlotSpec,
     error_color,
     heat_color,
@@ -50,7 +49,7 @@ def test_heat_color_degenerate_scale_is_black():
 
 def base_spec(**kw):
     series = make_series([0.0, 0.3, 0.9, 0.4, 0.1, 0.6, 0.8, 0.2], levels=2)
-    curve = CurveOverlay(make_descriptor(0, 0, 3, [0.01] * 4, 4))
+    curve = make_descriptor(0, 0, 3, [0.01] * 4, 4)
     defaults = dict(series=series, curves=(curve,),
                     error_bar=(0.0, 0.05, 0.1, 0.2), max_thr=0.15)
     defaults.update(kw)
@@ -103,8 +102,6 @@ def test_plot_spec_validation():
     series = make_series([0.0, 1.0, 0.5, 0.2], levels=1)
     with pytest.raises(ValueError, match="error bar"):
         PlotSpec(series=series, error_bar=(0.1,) * 3)
-    with pytest.raises(ValueError, match="size"):
-        PlotSpec(series=series, width=80)
 
 
 # ---------------------------------------------------------------- heatmap

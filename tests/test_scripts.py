@@ -33,3 +33,11 @@ def test_zone_sweep_runs_on_fixture(tmp_path):
     assert lines[0].split() == [
         "levels", "zones", "pool", "s", "details", "global_rmse", "wall_s"]
     assert [line.split()[0] for line in lines[1:]] == ["2", "3"]
+
+
+def test_zone_sweep_rejects_bad_arguments(tmp_path):
+    for args in (["--levels-list", "3,x"], ["--levels-list", ","], ["--format", "bogus"]):
+        proc = _run_script("zone_sweep.py", *args, cwd=tmp_path)
+        assert proc.returncode == 2, args
+        assert "Traceback" not in proc.stderr, args
+        assert proc.stderr.splitlines()[-1].startswith("zone_sweep.py: error:"), args
