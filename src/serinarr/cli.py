@@ -287,7 +287,7 @@ def _emit_outputs(
         dump_pool(pool, p)
         wrote.append(str(p))
     if "svg" in cfg.emit:
-        for name, svg in _charts(series, pool, selection, cfg.max_thr):
+        for name, svg in _charts(series, pool, levels, selection, cfg.max_thr):
             p = _artifact(cfg, f"{name}.svg")
             write_atomic(p, svg)
             wrote.append(str(p))
@@ -298,18 +298,19 @@ def _emit_outputs(
     return wrote
 
 
-def _charts(series, pool, selection, max_thr):
+def _charts(series, pool, levels, selection, max_thr):
     """Summary and details charts, each with its per-zone error bar."""
+    summary = next(lv for lv in levels if lv.v == selection.s)
     detail_ids = [i for i, _ in selection.details]
-    for name, ids, err_ids in (
-        ("summary", selection.summary, selection.summary),
-        ("details", detail_ids, selection.selected_ids),
+    for name, ids, errs in (
+        ("summary", selection.summary, summary.zone_errs),
+        ("details", detail_ids, tuple(pool.zone_errs(selection.selected_ids))),
     ):
         yield name, render_enriched(
             PlotSpec(
                 series=series,
                 curves=tuple(pool.get(i) for i in ids),
-                error_bar=tuple(pool.zone_errs(err_ids)),
+                error_bar=errs,
                 max_thr=max_thr,
                 title=name,
             )
@@ -317,7 +318,7 @@ def _charts(series, pool, selection, max_thr):
 
 
 def _heatmap(pool, levels, selection):
-    labels, matrix = level_error_matrix(levels, pool)
+    labels, matrix = level_error_matrix(levels)
     row_of = {v: r for r, v in enumerate(labels)}
     shown = [(i, selection.s) for i in selection.summary] + list(selection.details)
     selected = set()
@@ -325,7 +326,7 @@ def _heatmap(pool, levels, selection):
         if lv in row_of:
             for z in pool.get(id_).zones:
                 selected.add((row_of[lv], z))
-    return render_heatmap(matrix, selected, row_labels=labels)
+    return render_heatmap(matrix, labels, selected)
 
 
 def run(cfg: RunConfig) -> RunReport:
@@ -545,8 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # Inside the try: a flag's converter (--kinds) may raise IngestError.
+        args = parser.parse_args(argv)
         return args.func(args)
     except IngestError as exc:
         print(f"ingest error: {exc}", file=sys.stderr)

@@ -24,17 +24,27 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class VerbosityLevel:
-    """Optimal tiling of the zone axis by exactly ``v`` descriptors."""
+    """Optimal tiling of the zone axis by exactly ``v`` descriptors.
+
+    ``zone_errs`` holds each zone's error under the tiling, computed
+    once by ``solve_cover``; the summary choice, the detail search and
+    the heatmap all read it.  An infeasible level has none.
+    """
 
     v: int
     chosen: tuple[int, ...]  # descriptor ids ordered by zone_start
     cost: float
     feasible: bool
-    max_zone_err: float  # largest per-zone error among the chosen fits
+    zone_errs: tuple[float, ...]  # per-zone error of the covering fit
 
     def __post_init__(self):
         if self.feasible and len(self.chosen) != self.v:
             raise ValueError(f"level v={self.v} holds {len(self.chosen)} descriptors")
+
+    @property
+    def max_zone_err(self) -> float:
+        """Largest per-zone error among the chosen fits."""
+        return max(self.zone_errs, default=_INF)
 
 
 def min_segment_zones(n_zones: int, v: int) -> int:
@@ -76,13 +86,6 @@ def solve_cover(pool: DescriptorPool, v_max: int) -> list[VerbosityLevel]:
     levels = []
     for v in range(1, v_max + 1):
         min_len = min_segment_zones(n, v)
-        if v * min_len > n:
-            levels.append(
-                VerbosityLevel(v=v, chosen=(), cost=_INF, feasible=False,
-                               max_zone_err=_INF)
-            )
-            continue
-
         # dp[p][k]: best cost covering zones [0, k) with p segments
         dp = [[_INF] * (n + 1) for _ in range(v + 1)]
         cut = [[-1] * (n + 1) for _ in range(v + 1)]
@@ -105,7 +108,7 @@ def solve_cover(pool: DescriptorPool, v_max: int) -> list[VerbosityLevel]:
         if dp[v][n] == _INF:
             levels.append(
                 VerbosityLevel(v=v, chosen=(), cost=_INF, feasible=False,
-                               max_zone_err=_INF)
+                               zone_errs=())
             )
             continue
 
@@ -120,15 +123,13 @@ def solve_cover(pool: DescriptorPool, v_max: int) -> list[VerbosityLevel]:
         levels.append(
             VerbosityLevel(
                 v=v, chosen=ids, cost=dp[v][n], feasible=True,
-                max_zone_err=max(pool.zone_errs(ids)),
+                zone_errs=tuple(pool.zone_errs(ids)),
             )
         )
     return levels
 
 
-def level_error_matrix(
-    levels: list[VerbosityLevel], pool: DescriptorPool
-) -> tuple[list[int], np.ndarray]:
+def level_error_matrix(levels: list[VerbosityLevel]) -> tuple[list[int], np.ndarray]:
     """Per-zone error of the covering descriptor, one row per feasible level.
 
     Returns the row labels (verbosity values) and a rectangular matrix
@@ -137,5 +138,5 @@ def level_error_matrix(
     feasible = [level for level in levels if level.feasible]
     if not feasible:
         raise SolveError("no feasible verbosity level")
-    matrix = np.array([pool.zone_errs(level.chosen) for level in feasible])
+    matrix = np.array([level.zone_errs for level in feasible])
     return [level.v for level in feasible], matrix

@@ -15,16 +15,17 @@ Among feasible sets of at most ``v`` details the solver maximizes the
 summed per-zone spread between the worst and best selected error,
 minus a tiny penalty per covered zone that discourages redundant
 overlap.  An exhaustive depth-first search keeps the choice exact.
-Each candidate fact is computed once, before the search: a
-candidate's zones as an int bitmask, and a bitmask of the candidates
-it may coexist with.  Extending a set is then one AND, the redundancy
-rule one mask test, and a set's objective is read from its
-descriptors' own per-zone errors.
+Each candidate fact is computed once, before the search: its zones as
+an int bitmask, and a bitmask of the candidates it may coexist with.
+A search node extends its parent's per-zone least and greatest error,
+covered-zone mask and summed width by one descriptor.  A new set must
+pass one AND and the redundancy mask test; a redundant set is neither
+scored nor extended, as all its supersets are redundant too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .cover import VerbosityLevel
@@ -144,32 +145,6 @@ def _pair_ok(a: Descriptor, lv_a: int, b: Descriptor, lv_b: int, min_thr: float)
     return check_improvement(b, a, min_thr)
 
 
-def _objective(
-    summary_err: list[float],
-    chosen: list[Descriptor],
-    penalty_eps: float,
-) -> tuple[float, dict[int, float]]:
-    """Summed per-zone spread minus the overlap penalty, zones ascending."""
-    lo = list(summary_err)
-    hi = list(summary_err)
-    covered = [0] * len(summary_err)
-    for d in chosen:
-        for z, e in zip(d.zones, d.zone_errs):
-            covered[z] += 1
-            if e < lo[z]:
-                lo[z] = e
-            if e > hi[z]:
-                hi[z] = e
-    gains: dict[int, float] = {}
-    total = 0.0
-    for z, count in enumerate(covered):
-        if count:
-            gain = hi[z] - lo[z]
-            gains[z] = gain
-            total += gain
-    return total - penalty_eps * sum(covered), gains
-
-
 def solve_details(
     pool: DescriptorPool,
     levels: list[VerbosityLevel],
@@ -184,7 +159,6 @@ def solve_details(
         raise SolveError(f"summary level {s} is not a feasible verbosity")
     summary_ids = by_v[s].chosen
     summary = [pool.get(i) for i in summary_ids]
-    summary_err = pool.zone_errs(summary_ids)
 
     # Candidates: every tiling member up to the bound, minus the summary.
     # A descriptor appearing at several levels keeps its lowest level:
@@ -210,49 +184,66 @@ def solve_details(
             compat[k] |= 1 << m
             compat[m] |= 1 << k
 
-    best: tuple | None = None  # (tie-break key, candidate indices)
-
-    def visit(chosen: tuple[int, ...]):
-        nonlocal best
-        # No detail may be fully covered by details from higher levels.
+    def redundant(chosen: tuple[int, ...]) -> bool:
+        """Some detail is fully covered by details from higher levels."""
         for k in chosen:
             higher = 0
             for m in chosen:
                 if candidates[m][1] > candidates[k][1]:
                     higher |= zones[m]
             if zones[k] & ~higher == 0:
-                return
-        ds = [candidates[k][0] for k in chosen]
-        obj, _ = _objective(summary_err, ds, cfg.penalty_eps)
-        # Candidates are in id order and indices ascend, so the ids do too.
-        key = (-obj, len(ds), tuple(d.id for d in ds))
-        if best is None or key < best[0]:
-            best = key, chosen
+                return True
+        return False
 
-    def search(start: int, chosen: tuple[int, ...], bits: int):
+    all_zones = range(pool.n_zones)
+    best: tuple | None = None  # (tie-break key, lo, per-zone gains)
+
+    def search(chosen: tuple[int, ...], bits: int, lo: list[float],
+               hi: list[float], covered: int, count: int):
         """``bits`` has bit k set for each chosen candidate index k."""
-        visit(chosen)
+        nonlocal best
+        # Covered zones ascending, left to right, as the gains are reported.
+        total = 0.0
+        for z in all_zones:
+            if covered >> z & 1:
+                total += hi[z] - lo[z]
+        obj = total - cfg.penalty_eps * count
+        # Candidates are in id order and indices ascend, so the ids do too.
+        key = (-obj, len(chosen), chosen)
+        if best is None or key < best[0]:
+            gains = {z: hi[z] - lo[z] for z in all_zones if covered >> z & 1}
+            best = key, lo, gains
         if len(chosen) >= cfg.v:
             return
-        for idx in range(start, len(candidates)):
-            if compat[idx] & bits == bits:
-                search(idx + 1, chosen + (idx,), bits | 1 << idx)
+        for idx in range(chosen[-1] + 1 if chosen else 0, len(candidates)):
+            grown = chosen + (idx,)
+            if compat[idx] & bits != bits or redundant(grown):
+                continue
+            d = candidates[idx][0]
+            lo2, hi2 = lo[:], hi[:]
+            for z, e in zip(d.zones, d.zone_errs):
+                if e < lo2[z]:
+                    lo2[z] = e
+                if e > hi2[z]:
+                    hi2[z] = e
+            search(grown, bits | 1 << idx, lo2, hi2,
+                   covered | zones[idx], count + d.width)
 
-    search(0, (), 0)
-    winners = [candidates[k] for k in best[1]]
-    obj, gains = _objective(summary_err, [d for d, _ in winners], cfg.penalty_eps)
-
-    result = SelectionResult(
-        s=s,
-        summary=tuple(summary_ids),
-        details=tuple((d.id, lv) for d, lv in winners),
-        objective=obj,
-        per_zone_gain=gains,
-        threshold_met=threshold_met,
-    )
+    summary_err = list(by_v[s].zone_errs)
+    search((), 0, summary_err, summary_err, 0, 0)
+    (neg_obj, _, chosen), lo, gains = best
+    # lo is the selected set's per-zone error: the summary tiles each zone once.
     # Left-to-right float sum: fsum, numpy and Python 3.12's compensated
     # sum() round differently and would change selection.json.
     total = 0.0
-    for e in pool.zone_errs(result.selected_ids):
+    for e in lo:
         total += e
-    return replace(result, global_rmse=total / pool.n_zones)
+    return SelectionResult(
+        s=s,
+        summary=tuple(summary_ids),
+        details=tuple((candidates[k][0].id, candidates[k][1]) for k in chosen),
+        objective=-neg_obj,
+        per_zone_gain=gains,
+        global_rmse=total / pool.n_zones,
+        threshold_met=threshold_met,
+    )

@@ -26,9 +26,10 @@ All candidate scans are vectorized with prefix sums, so a full pool at
 32 zones builds in well under a minute.
 
 The pool owns the per-zone error of any set of its descriptors
-(``DescriptorPool.zone_errs``); cover, detail search and the charts all
-read it from there.  ``write_atomic`` is the package's one file writer:
-``dump_pool`` and every CLI artifact go through it.
+(``DescriptorPool.zone_errs``): the cover keeps each tiling's errors
+from it, and the details chart reads the selected set's.
+``write_atomic`` is the package's one file writer: ``dump_pool`` and
+every CLI artifact go through it.
 """
 
 from __future__ import annotations

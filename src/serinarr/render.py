@@ -24,6 +24,7 @@ CURVE_COLOR = "#d22"
 CURVE_STROKE_WIDTH = 2.0
 CHART_WIDTH = 720
 CHART_HEIGHT = 400
+HEATMAP_CELL = 26
 
 _GREEN = (0, 150, 0)
 _RED = (208, 28, 28)
@@ -143,21 +144,21 @@ def render_enriched(spec: PlotSpec) -> str:
 
 def render_heatmap(
     matrix: np.ndarray,
+    row_labels: list[int],
     selected: set[tuple[int, int]] = frozenset(),
-    row_labels: list[int] | None = None,
-    cell: int = 26,
 ) -> str:
     """SVG heatmap of per-level zone errors.
 
     ``matrix`` has one row per verbosity level and one column per
-    zone.  ``selected`` holds (row, zone) cells to paint green
-    regardless of their value.
+    zone; ``row_labels`` names each row.  ``selected`` holds (row,
+    zone) cells to paint green regardless of their value.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError("heatmap needs a 2d matrix")
     rows, cols = matrix.shape
-    label_w = 28 if row_labels is not None else 0
+    cell = HEATMAP_CELL
+    label_w = 28
     margin = 8
     w = label_w + cols * cell + 2 * margin
     h = rows * cell + 2 * margin
@@ -169,13 +170,12 @@ def render_heatmap(
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="#ffffff"/>',
     ]
     for r in range(rows):
-        if row_labels is not None:
-            parts.append(
-                f'<text x="{margin + label_w - 8}" '
-                f'y="{margin + r * cell + cell * 0.68:.2f}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="12" fill="#333333">'
-                f"{row_labels[r]}</text>"
-            )
+        parts.append(
+            f'<text x="{margin + label_w - 8}" '
+            f'y="{margin + r * cell + cell * 0.68:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="12" fill="#333333">'
+            f"{row_labels[r]}</text>"
+        )
         for c in range(cols):
             if (r, c) in selected:
                 color = _hex(_SELECTED)

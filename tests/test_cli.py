@@ -249,6 +249,17 @@ def test_main_sweep_prints_table(sample_csv, capsys):
     assert len(out.splitlines()) == 3
 
 
+@pytest.mark.parametrize("raw", [",", ""])
+def test_main_rejects_empty_kinds(raw, sample_csv, capsys):
+    code = main(["narrate", "--input", str(sample_csv), "--kinds", raw])
+    assert code == EXIT_INGEST
+    assert capsys.readouterr().err == (
+        "ingest error: at least one curve kind is required\n")
+    with pytest.raises(SystemExit) as exc:  # an unknown kind stays a usage error
+        main(["narrate", "--input", str(sample_csv), "--kinds", "spline"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("raw", ["3,x", ","])
 def test_main_sweep_rejects_bad_levels_list(raw, sample_csv, capsys):
     code = main(["sweep", "--input", str(sample_csv), "--levels-list", raw])

@@ -25,7 +25,7 @@ def level_of(v, ids, pool):
     cost = sum(e for d in ds for e in d.zone_errs)
     return VerbosityLevel(
         v=v, chosen=tuple(ids), cost=cost, feasible=True,
-        max_zone_err=max(max(d.zone_errs) for d in ds),
+        zone_errs=tuple(e for d in ds for e in d.zone_errs),
     )
 
 
@@ -112,7 +112,7 @@ def naive_details(pool, levels, s, cfg):
 def fake_levels(maxima):
     return [
         VerbosityLevel(v=k + 1, chosen=tuple(range(k + 1)), cost=1.0,
-                       feasible=True, max_zone_err=m)
+                       feasible=True, zone_errs=(m,))
         for k, m in enumerate(maxima)
     ]
 
@@ -141,7 +141,7 @@ def test_pick_summary_skips_infeasible():
     levels = fake_levels([0.2, 0.1])
     levels.insert(0, VerbosityLevel(
         v=0, chosen=(), cost=float("inf"), feasible=False,
-        max_zone_err=float("inf")))
+        zone_errs=()))
     with pytest.raises(SolveError):
         pick_summary([levels[0]], 0.15)
 
@@ -325,6 +325,10 @@ def test_matches_naive_enumerator(n_zones, v, cases, seed0, min_nonempty):
             pool.get(i).err(z) for i in res.summary
             for z in pool.get(i).zones) / pool.n_zones
         assert res.global_rmse <= summary_only + 1e-15
+        total = 0.0
+        for e in pool.zone_errs(res.selected_ids):
+            total += e
+        assert res.global_rmse == total / pool.n_zones
     assert checked_nonempty >= min_nonempty
 
 

@@ -8,11 +8,13 @@ re-record after an intended output change, run ``narrate`` with the
 arguments below into each level directory and update both files.  The
 saved descriptor pool (``--emit pool``, about 0.7 MB at level 5) is
 pinned by its sha256 only.  The benchmark's deep-details inputs, whose
-cost is the detail search, are checked against its digests directly.
+cost is the detail search, are checked against its digests directly,
+and the functions its tracer wraps must still exist.
 """
 
 import hashlib
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from serinarr.cli import main
+from serinarr.details import solve_details
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "data" / "concert_weekly.csv"
@@ -78,20 +81,31 @@ def test_render_from_saved_artifacts_matches_golden(levels, tmp_path, capsys):
         assert got == (GOLDEN / f"L{levels}" / f"{STEM}.{suffix}").read_bytes(), suffix
 
 
-def _load_workloads():
+def _load_perfbench(name):
+    """A benchmark module, loaded by path; the benchmark is not a package."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
+def test_benchmark_spans_resolve():
+    """The functions the benchmark's tracer wraps, and the arguments its
+    details counter reads, exist; otherwise ``--trace 1`` runs fail."""
+    tracing = _load_perfbench("tracing")
+    for mod, fn, name, _ in tracing.LAYERS:
+        assert callable(getattr(importlib.import_module(f"serinarr.{mod}"), fn)), name
+    params = list(inspect.signature(solve_details).parameters)
+    assert params[:4] == ["pool", "levels", "s", "cfg"]
+
+
 def test_deep_details_match_benchmark_goldens(tmp_path, capsys):
     """The first noise draw of each deep-details shape (level 5,
     verbosity 8, penalty_eps 1e-5) at the benchmark's held-out seed: the
     only inputs where the exhaustive detail search dominates the run."""
-    workloads = _load_workloads()
+    workloads = _load_perfbench("workloads")
     plan = workloads.plan("deep-details", 7919, tmp_path)
     workloads.write_inputs(plan)
     want = json.loads(BENCH_GOLDENS.read_text())["deep-details"]["7919"]

@@ -109,7 +109,7 @@ def test_plot_spec_validation():
 
 def test_heatmap_cells_and_selection():
     matrix = np.array([[0.0, 0.1, 0.2, 0.4], [0.4, 0.3, 0.0, 0.1]])
-    svg = render_heatmap(matrix, selected={(0, 1)})
+    svg = render_heatmap(matrix, [1, 2], selected={(0, 1)})
     assert svg.count("<rect") == 1 + 8
     assert svg.count('fill="#28a848"') == 1
     assert svg.endswith("</svg>\n")
@@ -117,7 +117,7 @@ def test_heatmap_cells_and_selection():
 
 def test_heatmap_scales_to_matrix_peak():
     matrix = np.array([[0.0, 0.2], [0.1, 0.4]])
-    svg = render_heatmap(matrix)
+    svg = render_heatmap(matrix, [1, 2])
     assert 'fill="#000000"' in svg
     assert 'fill="#ffff00"' in svg
     assert 'fill="#ff0000"' in svg
@@ -125,27 +125,25 @@ def test_heatmap_scales_to_matrix_peak():
 
 def test_heatmap_row_labels_widen_canvas():
     matrix = np.zeros((2, 4))
-    plain = render_heatmap(matrix)
-    labeled = render_heatmap(matrix, row_labels=[1, 2])
+    labeled = render_heatmap(matrix, [1, 2])
     assert labeled.count("<text") == 2
     assert 'width="148"' in labeled
-    assert 'width="120"' in plain
     assert ">1</text>" in labeled and ">2</text>" in labeled
 
 
 def test_heatmap_all_zero_matrix_is_black():
-    svg = render_heatmap(np.zeros((2, 3)))
+    svg = render_heatmap(np.zeros((2, 3)), [1, 2])
     assert svg.count('fill="#000000"') == 6
 
 
 def test_heatmap_rejects_wrong_rank():
     with pytest.raises(ValueError):
-        render_heatmap(np.zeros(5))
+        render_heatmap(np.zeros(5), [1])
     with pytest.raises(ValueError):
-        render_heatmap(np.zeros((2, 2, 2)))
+        render_heatmap(np.zeros((2, 2, 2)), [1, 2])
 
 
 def test_heatmap_is_deterministic():
     matrix = np.array([[0.0, 0.1], [0.2, 0.3]])
-    assert render_heatmap(matrix, selected={(1, 0)}) == render_heatmap(
-        matrix, selected={(1, 0)})
+    assert render_heatmap(matrix, [1, 2], selected={(1, 0)}) == render_heatmap(
+        matrix, [1, 2], selected={(1, 0)})
