@@ -19,8 +19,10 @@ Each candidate fact is computed once, before the search: its zones as
 an int bitmask, and a bitmask of the candidates it may coexist with.
 A search node extends its parent's per-zone least and greatest error,
 covered-zone mask and summed width by one descriptor.  A new set must
-pass one AND and the redundancy mask test; a redundant set is neither
-scored nor extended, as all its supersets are redundant too.
+pass one AND and the redundancy test: each chosen member carries its
+residue, its zones minus those of members from strictly higher levels,
+and a set with an empty residue is redundant.  It is neither scored
+nor extended, as all its supersets are redundant too.
 """
 
 from __future__ import annotations
@@ -178,29 +180,39 @@ def solve_details(
     # Each candidate fact is computed once: its zones as a bitmask, and a
     # bitmask of the candidates it may coexist with (_pair_ok is symmetric).
     zones = [((1 << d.width) - 1) << d.zone_start for d, _ in candidates]
+    levels_of = [lv for _, lv in candidates]
     compat = [0] * len(candidates)
     for k, m in combinations(range(len(candidates)), 2):
         if _pair_ok(*candidates[k], *candidates[m], cfg.min_thr):
             compat[k] |= 1 << m
             compat[m] |= 1 << k
 
-    def redundant(chosen: tuple[int, ...]) -> bool:
-        """Some detail is fully covered by details from higher levels."""
-        for k in chosen:
-            higher = 0
-            for m in chosen:
-                if candidates[m][1] > candidates[k][1]:
-                    higher |= zones[m]
-            if zones[k] & ~higher == 0:
-                return True
-        return False
+    def grow(chosen: tuple[int, ...], resid: tuple[int, ...], idx: int):
+        """Residues after adding ``idx``, or None if one empties.  Only
+        the added detail and the members below its level change."""
+        level = levels_of[idx]
+        own = zones[idx]
+        out = []
+        for m, r in zip(chosen, resid):
+            if levels_of[m] > level:
+                own &= ~zones[m]
+            elif levels_of[m] < level:
+                r &= ~zones[idx]
+                if not r:
+                    return None
+            out.append(r)
+        if not own:
+            return None
+        out.append(own)
+        return tuple(out)
 
     all_zones = range(pool.n_zones)
     best: tuple | None = None  # (tie-break key, lo, per-zone gains)
 
-    def search(chosen: tuple[int, ...], bits: int, lo: list[float],
-               hi: list[float], covered: int, count: int):
-        """``bits`` has bit k set for each chosen candidate index k."""
+    def search(chosen: tuple[int, ...], resid: tuple[int, ...], bits: int,
+               lo: list[float], hi: list[float], covered: int, count: int):
+        """``bits`` has bit k set for each chosen candidate index k;
+        ``resid`` holds the chosen members' residues, as ``grow`` keeps them."""
         nonlocal best
         # Covered zones ascending, left to right, as the gains are reported.
         total = 0.0
@@ -216,8 +228,10 @@ def solve_details(
         if len(chosen) >= cfg.v:
             return
         for idx in range(chosen[-1] + 1 if chosen else 0, len(candidates)):
-            grown = chosen + (idx,)
-            if compat[idx] & bits != bits or redundant(grown):
+            if compat[idx] & bits != bits:
+                continue
+            resid2 = grow(chosen, resid, idx)
+            if resid2 is None:
                 continue
             d = candidates[idx][0]
             lo2, hi2 = lo[:], hi[:]
@@ -226,11 +240,11 @@ def solve_details(
                     lo2[z] = e
                 if e > hi2[z]:
                     hi2[z] = e
-            search(grown, bits | 1 << idx, lo2, hi2,
+            search(chosen + (idx,), resid2, bits | 1 << idx, lo2, hi2,
                    covered | zones[idx], count + d.width)
 
     summary_err = list(by_v[s].zone_errs)
-    search((), 0, summary_err, summary_err, 0, 0)
+    search((), (), 0, summary_err, summary_err, 0, 0)
     (neg_obj, _, chosen), lo, gains = best
     # lo is the selected set's per-zone error: the summary tiles each zone once.
     # Left-to-right float sum: fsum, numpy and Python 3.12's compensated

@@ -14,16 +14,23 @@ Fitting strategy per kind:
   continuous.  Ties prefer the smaller breakpoint.
 * tooth: plateau edges are searched over the zone boundaries inside
   the range, plus the sample positions when the range spans at most 4
-  zones; the three levels are segment means.  Ties prefer the wider
-  plateau.
+  zones; the three levels are segment means.  Every (start, end) edge
+  pair is scored from prefix sums as one start x end table, evaluated
+  in blocks of start rows of at most ``_TOOTH_BLOCK_CELLS`` cells, so
+  memory stays bounded on dense ranges.  Ties prefer the wider
+  plateau, then the earlier start.
 * sinusoid: frequency scanned over a geometric grid of 0.5..8 cycles
   per range width (32 steps), amplitude and phase by a linear solve in
   the sin/cos basis, then the best frequency is refined by golden
-  section search to relative tolerance 1e-3.  The offset is pinned to
-  the sample mean of the range.
+  section search to relative tolerance 1e-3.  The grid is one
+  (frequency, sample) pass.  The offset is pinned to the sample mean
+  of the range.
 
-All candidate scans are vectorized with prefix sums, so a full pool at
-32 zones builds in well under a minute.
+Every candidate scan is whole-array numpy work.  Elementwise steps are
+batched freely, but a sum is batched only over rows of equal length,
+each reduced on its own: numpy sums pairwise, so each row then rounds
+exactly as the one-candidate-at-a-time sum would, and the fits are
+bit-identical to it.
 
 The pool owns the per-zone error of any set of its descriptors
 (``DescriptorPool.zone_errs``): the cover keeps each tiling's errors
@@ -66,6 +73,7 @@ _SIN_GRID_LO = 0.5  # cycles per range width
 _SIN_GRID_HI = 8.0
 _SIN_GRID_STEPS = 32
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_TOOTH_BLOCK_CELLS = 1 << 20  # plateau (start, end) cells scored at once
 
 
 @dataclass(frozen=True)
@@ -108,9 +116,6 @@ class Descriptor:
     def err(self, zone: int) -> float:
         """Per-zone RMSE; zone must lie inside the descriptor's range."""
         return self.zone_errs[zone - self.zone_start]
-
-    def covers(self, zone: int) -> bool:
-        return self.zone_start <= zone <= self.zone_end
 
     @property
     def total_err(self) -> float:
@@ -248,6 +253,24 @@ def _fit_bilinear(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
     return params, evaluate(CurveKind.BILINEAR, params, x)
 
 
+def _tooth_positions(x: np.ndarray, x_lo: float, x_hi: float,
+                     boundaries: np.ndarray, add_samples: bool) -> np.ndarray:
+    """Candidate plateau edges: the zone boundaries inside the range,
+    plus the sample positions when ``add_samples`` is set."""
+    positions = boundaries
+    if add_samples:
+        positions = np.unique(np.concatenate([boundaries, x]))
+    return positions[(positions >= x_lo) & (positions <= x_hi)]
+
+
+def _seg_sse(cnt: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """Squared error of a segment mean from its count, sum and sum of
+    squares; an empty segment costs nothing."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = ss - np.where(cnt > 0, s * s / np.where(cnt > 0, cnt, 1.0), 0.0)
+    return np.maximum(out, 0.0)
+
+
 def _fit_tooth(
     x: np.ndarray,
     y: np.ndarray,
@@ -257,11 +280,9 @@ def _fit_tooth(
     add_samples: bool,
 ):
     n = len(x)
-    positions = boundaries
-    if add_samples:
-        positions = np.unique(np.concatenate([boundaries, x]))
-    positions = positions[(positions >= x_lo) & (positions <= x_hi)]
-    if len(positions) < 2:
+    positions = _tooth_positions(x, x_lo, x_hi, boundaries, add_samples)
+    n_pos = len(positions)
+    if n_pos < 2:
         return None
 
     lo_idx = np.searchsorted(x, positions, side="left")
@@ -269,42 +290,58 @@ def _fit_tooth(
 
     py = np.concatenate(([0.0], np.cumsum(y)))
     pyy = np.concatenate(([0.0], np.cumsum(y * y)))
+    s_lo, s_hi = py[lo_idx], py[hi_idx]
+    ss_lo, ss_hi = pyy[lo_idx], pyy[hi_idx]
+    # Outer segments per edge position; py[0] and pyy[0] are 0.0, so
+    # these equal the per-pair differences exactly.
+    left = _seg_sse(lo_idx.astype(float), s_lo, ss_lo)
+    right = _seg_sse((n - hi_idx).astype(float), py[n] - s_hi, pyy[n] - ss_hi)
 
-    a, b = np.triu_indices(len(positions), k=1)  # all pairs x_s < x_e
-    start, stop = lo_idx[a], hi_idx[b]  # plateau sample index range
-    n_p = (stop - start).astype(float)
-    valid = n_p > 0
-    if not valid.any():
-        return None
-
-    def seg_sse(lo, hi):
-        cnt = (hi - lo).astype(float)
-        s = py[hi] - py[lo]
-        ss = pyy[hi] - pyy[lo]
+    # The plateau spans rows (start edge) by columns (end edge).  Rows
+    # are scored in blocks of at most _TOOTH_BLOCK_CELLS cells, so memory
+    # stays bounded.  Ties prefer the wider plateau, then the earlier
+    # start: blocks run in start order, and a later block replaces the
+    # best only with a strictly smaller (sse, -width).
+    cols = np.arange(n_pos)
+    step = max(1, _TOOTH_BLOCK_CELLS // n_pos)
+    best_key = best_cell = None  # (sse, -width), (row, col)
+    for r0 in range(0, n_pos - 1, step):
+        rows = np.arange(r0, min(r0 + step, n_pos - 1))
+        cnt = hi_idx[None, :] - lo_idx[rows, None]
+        # _seg_sse's arithmetic in place; cells with cnt <= 0 are masked below.
+        s = s_hi[None, :] - s_lo[rows, None]
+        s *= s
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = ss - np.where(cnt > 0, s * s / np.where(cnt > 0, cnt, 1.0), 0.0)
-        return np.maximum(out, 0.0)
-
-    zeros = np.zeros_like(start)
-    ns = np.full_like(start, n)
-    sse = seg_sse(zeros, start) + seg_sse(start, stop) + seg_sse(stop, ns)
-    sse = np.where(valid, sse, np.inf)
-
-    width = positions[b] - positions[a]
-    order = np.lexsort((positions[a], -width, sse))
-    best = int(order[0])
-    if not np.isfinite(sse[best]):
+            s /= cnt
+        sse = ss_hi[None, :] - ss_lo[rows, None]
+        sse -= s
+        np.maximum(sse, 0.0, out=sse)
+        sse = left[rows, None] + sse
+        sse += right[None, :]
+        sse[(cols[None, :] <= rows[:, None]) | (cnt <= 0)] = np.inf
+        m = float(sse.min())
+        if m == np.inf:
+            continue
+        tr, tc = np.nonzero(sse == m)
+        tr = rows[tr]
+        width = positions[tc] - positions[tr]
+        k = int(np.lexsort((positions[tr], -width))[0])
+        key = (m, float(-width[k]))
+        if best_key is None or key < best_key:
+            best_key, best_cell = key, (int(tr[k]), int(tc[k]))
+    if best_cell is None:
         return None
 
-    s_i, e_i = int(start[best]), int(stop[best])
+    row, col = best_cell
+    s_i, e_i = int(lo_idx[row]), int(hi_idx[col])
     y_in = float((py[e_i] - py[s_i]) / (e_i - s_i))
     y_out_l = float(py[s_i] / s_i) if s_i > 0 else y_in
     y_out_r = float((py[n] - py[e_i]) / (n - e_i)) if e_i < n else y_in
     params = ToothParams(
         y_out_l=y_out_l,
         y_out_r=y_out_r,
-        x_s=float(positions[a[best]]),
-        x_e=float(positions[b[best]]),
+        x_s=float(positions[row]),
+        x_e=float(positions[col]),
         y_in=y_in,
     )
     return params, evaluate(CurveKind.TOOTH, params, x)
@@ -329,17 +366,33 @@ def _sin_solve(x, r, freq):
     return a, b, max(sse, 0.0)
 
 
+def _sin_grid_sses(x: np.ndarray, r: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """``_sin_solve``'s SSE at every frequency in one (freqs, samples)
+    pass, inf where the basis is degenerate.  Each row is reduced on its
+    own, in the same order as the one-frequency solve."""
+    arg = (2 * math.pi * freqs)[:, None] * x
+    s = np.sin(arg)
+    co = np.cos(arg)
+    m00 = (s * s).sum(axis=1)
+    m01 = (s * co).sum(axis=1)
+    m11 = (co * co).sum(axis=1)
+    b0 = (s * r).sum(axis=1)
+    b1 = (co * r).sum(axis=1)
+    det = m00 * m11 - m01 * m01
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = (m11 * b0 - m01 * b1) / det
+        b = (m00 * b1 - m01 * b0) / det
+    sse = np.maximum(float((r * r).sum()) - (a * b0 + b * b1), 0.0)
+    return np.where(np.abs(det) < 1e-14, np.inf, sse)
+
+
 def _fit_sinusoid(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
     width = x_hi - x_lo
     mean = float(y.mean())
     r = y - mean
 
     grid = np.geomspace(_SIN_GRID_LO, _SIN_GRID_HI, _SIN_GRID_STEPS)
-    sses = np.full(len(grid), np.inf)
-    for idx, f_range in enumerate(grid):
-        sol = _sin_solve(x, r, f_range / width)
-        if sol is not None:
-            sses[idx] = sol[2]
+    sses = _sin_grid_sses(x, r, grid / width)
     if not np.isfinite(sses).any():
         return None
     k = int(np.argmin(sses))

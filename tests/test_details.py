@@ -58,7 +58,7 @@ def _score(summary_err, combo, eps):
     total = 0.0
     covers = 0
     for z in range(len(summary_err)):
-        errs = [d.err(z) for d, _ in combo if d.covers(z)]
+        errs = [d.err(z) for d, _ in combo if d.zone_start <= z <= d.zone_end]
         if not errs:
             continue
         errs.append(summary_err[z])
@@ -228,6 +228,36 @@ def test_redundancy_rule_excludes_covered_detail():
     assert res.objective == allowed
 
 
+@pytest.mark.parametrize("coarse, fine", [(1, (3, 5)), (3, (1, 5)), (5, (1, 3))])
+def test_redundancy_rule_in_any_id_order(coarse, fine):
+    """build_instance with relabelled ids.  The level-2 detail over zones
+    0-3 turns redundant once both level-3 details over 0-1 and 2-3 join.
+    The search adds candidates in id order, so its id decides whether it
+    joins first (its residue empties when the second level-3 detail
+    joins), between them, or last (it arrives already covered)."""
+    n = 8
+    descs = [
+        make_descriptor(0, 0, 7, [0.5] * 8, n),
+        make_descriptor(coarse, 0, 3, [0.1, 0.005, 0.02, 0.1], n),
+        make_descriptor(2, 4, 7, [0.49] * 4, n),
+        make_descriptor(fine[0], 0, 1, [0.05, 0.01], n),
+        make_descriptor(fine[1], 2, 3, [0.01, 0.05], n),
+        make_descriptor(4, 4, 7, [0.49] * 4, n),
+    ]
+    pool = DescriptorPool(
+        descriptors=tuple(sorted(descs, key=lambda d: d.id)), n_zones=n,
+        kinds=(CurveKind.LINE,), n_infeasible=0)
+    levels = [
+        level_of(1, (0,), pool),
+        level_of(2, (coarse, 2), pool),
+        level_of(3, fine + (4,), pool),
+    ]
+    cfg = SelectionConfig(max_thr=0.6, min_thr=0.02, v=3, penalty_eps=1e-4)
+    res = solve_details(pool, levels, 1, cfg)
+    assert res.details == ((fine[0], 3), (fine[1], 3))
+    assert (res.objective, res.details) == naive_details(pool, levels, 1, cfg)
+
+
 def test_empty_selection_when_nothing_improves():
     n = 4
     descs = [
@@ -339,7 +369,7 @@ def test_global_rmse_uses_best_cover():
     picked = [pool.get(i) for i in res.summary]
     picked += [pool.get(i) for i, _ in res.details]
     want = sum(
-        min(d.err(z) for d in picked if d.covers(z))
+        min(d.err(z) for d in picked if d.zone_start <= z <= d.zone_end)
         for z in range(pool.n_zones)
     ) / pool.n_zones
     assert res.global_rmse == pytest.approx(want, abs=0)

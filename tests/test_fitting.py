@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import make_descriptor, make_series, series_exact
+from serinarr import fitting
 from serinarr.errors import FitError
 from serinarr.fitting import (
+    _SIN_GRID_HI,
+    _SIN_GRID_LO,
+    _SIN_GRID_STEPS,
+    _TOOTH_BLOCK_CELLS,
     DEFAULT_KINDS,
     Descriptor,
     DescriptorPool,
+    _fit_tooth,
+    _sin_grid_sses,
+    _sin_solve,
     build_pool,
     dump_pool,
     fit_one,
@@ -177,7 +185,7 @@ def test_descriptor_accessors():
     (d,) = [d for d in pool if (d.zone_start, d.zone_end) == (1, 2)]
     assert d.zones == range(1, 3)
     assert d.width == 2
-    assert d.covers(1) and d.covers(2) and not d.covers(0)
+    assert [z for z in range(4) if d.zone_start <= z <= d.zone_end] == [1, 2]
     assert d.x_lo == pytest.approx(0.25)
     assert d.x_hi == pytest.approx(0.75)
     assert d.total_err == pytest.approx(sum(d.zone_errs))
@@ -276,3 +284,104 @@ def test_fit_beats_64_random_perturbations(kind):
     for _ in range(64):
         q = _perturb(rnd, kind, d.params)
         assert fitted <= _sse(s, kind, q, sl) + 1e-12
+
+
+# ------------------------------------------ batched scans against loops
+
+
+def _reference_tooth(x, y, x_lo, x_hi, boundaries, add_samples):
+    """The tooth search as one pass over every (x_s, x_e) pair: prefix
+    sums gathered per pair, then a full (sse, -width, x_s) lexsort."""
+    n = len(x)
+    positions = boundaries
+    if add_samples:
+        positions = np.unique(np.concatenate([boundaries, x]))
+    positions = positions[(positions >= x_lo) & (positions <= x_hi)]
+    if len(positions) < 2:
+        return None
+    lo_idx = np.searchsorted(x, positions, side="left")
+    hi_idx = np.searchsorted(x, positions, side="right")
+    py = np.concatenate(([0.0], np.cumsum(y)))
+    pyy = np.concatenate(([0.0], np.cumsum(y * y)))
+    a, b = np.triu_indices(len(positions), k=1)
+    start, stop = lo_idx[a], hi_idx[b]
+    valid = (stop - start) > 0
+    if not valid.any():
+        return None
+
+    def seg_sse(lo, hi):
+        cnt = (hi - lo).astype(float)
+        s = py[hi] - py[lo]
+        ss = pyy[hi] - pyy[lo]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = ss - np.where(cnt > 0, s * s / np.where(cnt > 0, cnt, 1.0), 0.0)
+        return np.maximum(out, 0.0)
+
+    sse = (seg_sse(np.zeros_like(start), start) + seg_sse(start, stop)
+           + seg_sse(stop, np.full_like(start, n)))
+    sse = np.where(valid, sse, np.inf)
+    width = positions[b] - positions[a]
+    best = int(np.lexsort((positions[a], -width, sse))[0])
+    if not np.isfinite(sse[best]):
+        return None
+    s_i, e_i = int(start[best]), int(stop[best])
+    y_in = float((py[e_i] - py[s_i]) / (e_i - s_i))
+    return ToothParams(
+        y_out_l=float(py[s_i] / s_i) if s_i > 0 else y_in,
+        y_out_r=float((py[n] - py[e_i]) / (n - e_i)) if e_i < n else y_in,
+        x_s=float(positions[a[best]]),
+        x_e=float(positions[b[best]]),
+        y_in=y_in,
+    )
+
+
+def _random_ranges(rnd, count):
+    """(series, i, j) over random series with many exact ties: constant,
+    integer-rounded and noisy values, at 2..4 zone levels."""
+    for case in range(count):
+        levels = rnd.randint(1, 3)
+        n = rnd.randint(2 ** levels, 90)
+        shape = case % 3
+        if shape == 0:
+            ys = [0.375] * n
+        elif shape == 1:
+            ys = [float(rnd.randint(0, 2)) for _ in range(n)]
+        else:
+            ys = [rnd.gauss(0.5, 0.2) for _ in range(n)]
+        s = series_exact(ys, levels)
+        i = rnd.randrange(s.n_zones)
+        yield s, i, rnd.randrange(i, s.n_zones)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, _TOOTH_BLOCK_CELLS])
+def test_tooth_blocks_match_pair_lexsort(monkeypatch, cells):
+    """The blocked start x end table picks the plateau the full pair
+    lexsort picks, ties included, whatever the block size."""
+    monkeypatch.setattr(fitting, "_TOOTH_BLOCK_CELLS", cells)
+    rnd = random.Random(6100)
+    for s, i, j in _random_ranges(rnd, 240):
+        sl = s.zone_slice(i, j)
+        x, y = s.xs[sl], s.ys[sl]
+        x_lo, x_hi = s.zone_x_range(i, j)
+        boundaries = np.arange(i, j + 2, dtype=float) / s.n_zones
+        add = rnd.random() < 0.7
+        want = _reference_tooth(x, y, x_lo, x_hi, boundaries, add)
+        got = _fit_tooth(x, y, x_lo, x_hi, boundaries, add)
+        assert (got and got[0]) == want, (i, j, add)
+
+
+def test_sinusoid_grid_matches_per_frequency_solve():
+    """One (frequency, sample) pass gives bit-identical grid SSEs."""
+    rnd = random.Random(6200)
+    grid = np.geomspace(_SIN_GRID_LO, _SIN_GRID_HI, _SIN_GRID_STEPS)
+    for s, i, j in _random_ranges(rnd, 120):
+        sl = s.zone_slice(i, j)
+        x, y = s.xs[sl], s.ys[sl]
+        x_lo, x_hi = s.zone_x_range(i, j)
+        r = y - float(y.mean())
+        width = x_hi - x_lo
+        want = []
+        for f in grid:
+            sol = _sin_solve(x, r, f / width)
+            want.append(np.inf if sol is None else sol[2])
+        assert np.array_equal(_sin_grid_sses(x, r, grid / width), want), (i, j)

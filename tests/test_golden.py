@@ -9,7 +9,8 @@ arguments below into each level directory and update both files.  The
 saved descriptor pool (``--emit pool``, about 0.7 MB at level 5) is
 pinned by its sha256 only.  The benchmark's deep-details inputs, whose
 cost is the detail search, are checked against its digests directly,
-and the functions its tracer wraps must still exist.
+the functions its tracer wraps must still exist, and its own count of
+tooth plateau pairs must match what the fitter scores.
 """
 
 import hashlib
@@ -19,10 +20,15 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import make_series
+from serinarr import fitting
 from serinarr.cli import main
 from serinarr.details import solve_details
+from serinarr.ingest import load_series
+from serinarr.prototypes import CurveKind
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "data" / "concert_weekly.csv"
@@ -99,6 +105,27 @@ def test_benchmark_spans_resolve():
         assert callable(getattr(importlib.import_module(f"serinarr.{mod}"), fn)), name
     params = list(inspect.signature(solve_details).parameters)
     assert params[:4] == ["pool", "levels", "s", "cfg"]
+
+
+def test_benchmark_tooth_pairs_follow_the_fitter(monkeypatch):
+    """``fitting.tooth_pairs``, which the benchmark computes from the
+    series on its own, counts the plateau-edge pairs the fitter scores."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the worker prepends
+    worker = _load_perfbench("worker")
+    walk = worker.workloads.random_walk(np.random.default_rng(7919))
+    assert len(walk) == 2048
+    positions = fitting._tooth_positions
+    for series in (load_series(FIXTURE, "trends_csv", 4), make_series(walk, 4)):
+        counts = []
+
+        def counted(*args):
+            out = positions(*args)
+            counts.append(len(out))
+            return out
+
+        monkeypatch.setattr(fitting, "_tooth_positions", counted)
+        fitting.build_pool(series, (CurveKind.TOOTH,))
+        assert sum(p * (p - 1) // 2 for p in counts) == worker.tooth_pairs(series)
 
 
 def test_deep_details_match_benchmark_goldens(tmp_path, capsys):
