@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -63,7 +63,7 @@ from .ingest import FORMATS, TimeSeries, load_series
 from .narration import build_narration, narration_structure
 from .prototypes import CurveKind
 from .render import PlotSpec, render_enriched, render_heatmap
-from .textgen import realize
+from .textgen import NarrationText, realize
 
 EXIT_INGEST = 3
 EXIT_FIT = 4
@@ -112,34 +112,33 @@ class RunConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
-    pool_size: int = 0
-    n_infeasible: int = 0
-    level_costs: list[tuple[int, float, bool]] = field(default_factory=list)
-    summary_level: int = 0
-    threshold_met: bool = True
-    details: list[tuple[int, int]] = field(default_factory=list)
-    objective: float = 0.0
-    global_rmse: float = 0.0
-    narration: str = ""
-    timings: dict[str, float] = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
+    """One run's results, each held once, plus its timings and outputs."""
+
+    pool: DescriptorPool
+    levels: list[VerbosityLevel]
+    selection: SelectionResult
+    text: NarrationText
+    timings: dict[str, float]
+    outputs: list[str]
 
     def lines(self) -> list[str]:
+        sel = self.selection
         out = [
-            f"pool: {self.pool_size} descriptors ({self.n_infeasible} infeasible ranges skipped)",
+            f"pool: {len(self.pool)} descriptors "
+            f"({self.pool.n_infeasible} infeasible ranges skipped)",
             "cover: "
             + ", ".join(
-                f"v={v} cost={cost:.4f}" if ok else f"v={v} infeasible"
-                for v, cost, ok in self.level_costs
+                f"v={lv.v} cost={lv.cost:.4f}" if lv.feasible else f"v={lv.v} infeasible"
+                for lv in self.levels
             ),
-            f"summary: level {self.summary_level}"
-            + ("" if self.threshold_met else " (threshold unmet)"),
-            f"details: {len(self.details)} selected "
-            + str([i for i, _ in self.details]),
-            f"objective: {self.objective:.6f}",
-            f"global_rmse: {self.global_rmse:.6f}",
+            f"summary: level {sel.s}"
+            + ("" if sel.threshold_met else " (threshold unmet)"),
+            f"details: {len(sel.details)} selected "
+            + str([i for i, _ in sel.details]),
+            f"objective: {sel.objective:.6f}",
+            f"global_rmse: {sel.global_rmse:.6f}",
             "timings: "
             + ", ".join(f"{k}={v * 1e3:.1f}ms" for k, v in self.timings.items()),
         ]
@@ -180,7 +179,7 @@ def _parse_list(raw: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in raw.split(",") if v.strip())
 
 
-def parse_levels_list(raw: str) -> list[int]:
+def _parse_levels_list(raw: str) -> list[int]:
     """The zone level counts of ``--levels-list``, a comma list."""
     try:
         levels = [int(v) for v in _parse_list(raw)]
@@ -331,37 +330,28 @@ def _heatmap(pool, levels, selection):
 
 def run(cfg: RunConfig) -> RunReport:
     """Full pipeline for one series; returns the run report."""
-    report = RunReport()
+    timings = {}
     t0 = time.perf_counter()
     series = load_series(cfg.input, cfg.format, cfg.levels)
-    report.timings["ingest"] = time.perf_counter() - t0
+    timings["ingest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     pool = build_pool(series, cfg.kinds)
-    report.timings["fit"] = time.perf_counter() - t0
-    report.pool_size = len(pool)
-    report.n_infeasible = pool.n_infeasible
+    timings["fit"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     levels, selection = _solve(pool, cfg)
-    report.timings["solve"] = time.perf_counter() - t0
-    report.level_costs = [(lv.v, lv.cost, lv.feasible) for lv in levels]
-    report.summary_level = selection.s
-    report.threshold_met = selection.threshold_met
-    report.details = list(selection.details)
-    report.objective = selection.objective
-    report.global_rmse = selection.global_rmse
+    timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     units = build_narration(selection, pool, series)
     text = realize(units, threshold_met=selection.threshold_met)
-    report.timings["narrate"] = time.perf_counter() - t0
-    report.narration = text.full_text
+    timings["narrate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report.outputs = _emit_outputs(cfg, pool, series, levels, selection, units, text)
-    report.timings["emit"] = time.perf_counter() - t0
-    return report
+    outputs = _emit_outputs(cfg, pool, series, levels, selection, units, text)
+    timings["emit"] = time.perf_counter() - t0
+    return RunReport(pool, levels, selection, text, timings, outputs)
 
 
 def sweep(cfg: RunConfig, levels_list: list[int]) -> list[dict]:
@@ -375,10 +365,10 @@ def sweep(cfg: RunConfig, levels_list: list[int]) -> list[dict]:
         try:
             report = run(replace(cfg, levels=lv, emit=()))
             row.update(
-                pool=report.pool_size,
-                summary_level=report.summary_level,
-                n_details=len(report.details),
-                global_rmse=report.global_rmse,
+                pool=len(report.pool),
+                summary_level=report.selection.s,
+                n_details=len(report.selection.details),
+                global_rmse=report.selection.global_rmse,
                 wall_s=sum(report.timings.values()),
             )
         except SerinarrError as exc:
@@ -440,7 +430,7 @@ def _collect(args: argparse.Namespace, force_emit: tuple[str, ...] | None = None
 def _cmd_narrate(args) -> int:
     cfg = _collect(args)
     report = run(cfg)
-    print(report.narration)
+    print(report.text.full_text)
     for line in report.lines():
         print(line)
     return 0
@@ -460,7 +450,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _collect(args)
-    rows = sweep(cfg, parse_levels_list(args.levels_list))
+    rows = sweep(cfg, _parse_levels_list(args.levels_list))
     print(_format_sweep(rows))
     if "json" in cfg.emit:
         out = _artifact(cfg, "sweep.json")

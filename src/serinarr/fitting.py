@@ -169,7 +169,8 @@ class DescriptorPool:
 
 
 # ----------------------------------------------------------------------
-# per-kind fitters; each returns (params, predicted values) or None
+# per-kind fitters; each returns the fitted params, or None when the
+# range admits no fit (``fit_one`` evaluates the curve)
 # ----------------------------------------------------------------------
 
 
@@ -184,7 +185,7 @@ def _fit_line(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
         return None
     b = (n * sxy - sx * sy) / denom
     a = (sy - b * sx) / n
-    return LineParams(a=a, b=b), a + b * x
+    return LineParams(a=a, b=b)
 
 
 def _fit_bilinear(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
@@ -247,10 +248,9 @@ def _fit_bilinear(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
     if not np.isfinite(sse[best]):
         return None
     y_l, y_b, y_r = (float(v) for v in theta[best])
-    params = BilinearParams(
+    return BilinearParams(
         x_b=float(c[best]), y_l=y_l, y_b=y_b, y_r=y_r, x_lo=x_lo, x_hi=x_hi
     )
-    return params, evaluate(CurveKind.BILINEAR, params, x)
 
 
 def _tooth_positions(x: np.ndarray, x_lo: float, x_hi: float,
@@ -337,14 +337,13 @@ def _fit_tooth(
     y_in = float((py[e_i] - py[s_i]) / (e_i - s_i))
     y_out_l = float(py[s_i] / s_i) if s_i > 0 else y_in
     y_out_r = float((py[n] - py[e_i]) / (n - e_i)) if e_i < n else y_in
-    params = ToothParams(
+    return ToothParams(
         y_out_l=y_out_l,
         y_out_r=y_out_r,
         x_s=float(positions[row]),
         x_e=float(positions[col]),
         y_in=y_in,
     )
-    return params, evaluate(CurveKind.TOOTH, params, x)
 
 
 def _sin_solve(x, r, freq):
@@ -366,10 +365,11 @@ def _sin_solve(x, r, freq):
     return a, b, max(sse, 0.0)
 
 
-def _sin_grid_sses(x: np.ndarray, r: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """``_sin_solve``'s SSE at every frequency in one (freqs, samples)
-    pass, inf where the basis is degenerate.  Each row is reduced on its
-    own, in the same order as the one-frequency solve."""
+def _sin_grid(x: np.ndarray, r: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """``_sin_solve``'s (a, b, sse) at every frequency, one row each, in
+    one (freqs, samples) pass; the sse is inf where the basis is
+    degenerate.  Each row is reduced on its own, in the same order as the
+    one-frequency solve."""
     arg = (2 * math.pi * freqs)[:, None] * x
     s = np.sin(arg)
     co = np.cos(arg)
@@ -383,7 +383,7 @@ def _sin_grid_sses(x: np.ndarray, r: np.ndarray, freqs: np.ndarray) -> np.ndarra
         a = (m11 * b0 - m01 * b1) / det
         b = (m00 * b1 - m01 * b0) / det
     sse = np.maximum(float((r * r).sum()) - (a * b0 + b * b1), 0.0)
-    return np.where(np.abs(det) < 1e-14, np.inf, sse)
+    return np.stack([a, b, np.where(np.abs(det) < 1e-14, np.inf, sse)], axis=1)
 
 
 def _fit_sinusoid(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
@@ -392,10 +392,12 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
     r = y - mean
 
     grid = np.geomspace(_SIN_GRID_LO, _SIN_GRID_HI, _SIN_GRID_STEPS)
-    sses = _sin_grid_sses(x, r, grid / width)
-    if not np.isfinite(sses).any():
+    rows = _sin_grid(x, r, grid / width)
+    if not np.isfinite(rows[:, 2]).any():
         return None
-    k = int(np.argmin(sses))
+    k = int(np.argmin(rows[:, 2]))
+    a, b, sse = rows[k]
+    freq = grid[k] / width
 
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
@@ -418,21 +420,17 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
             c2 = lo + _GOLDEN * (hi - lo)
             f2 = sse_at(c2)
 
-    best_range = min(
-        [grid[k], 0.5 * (lo + hi)],
-        key=lambda fr: sse_at(fr),
-    )
-    freq = best_range / width
-    sol = _sin_solve(x, r, freq)
-    if sol is None:
-        return None
-    a, b, _ = sol
+    # The refined frequency replaces the grid winner only if strictly better.
+    mid = 0.5 * (lo + hi) / width
+    sol = _sin_solve(x, r, mid)
+    if sol is not None and sol[2] < sse:
+        a, b, _ = sol
+        freq = mid
     amp = math.hypot(a, b)
     phase = math.atan2(b, a) % (2 * math.pi)
     if phase >= 2 * math.pi:
         phase = 0.0
-    params = SinusoidParams(amp=amp, freq=freq, phase=phase, mean=mean)
-    return params, evaluate(CurveKind.SINUSOID, params, x)
+    return SinusoidParams(amp=amp, freq=freq, phase=phase, mean=mean)
 
 
 _FITTERS = {
@@ -468,14 +466,13 @@ def fit_one(
 
     if kind is CurveKind.TOOTH:
         boundaries = np.arange(i, j + 2, dtype=float) / series.n_zones
-        fit = _fit_tooth(x, y, x_lo, x_hi, boundaries, add_samples=(j - i + 1) <= 4)
+        params = _fit_tooth(x, y, x_lo, x_hi, boundaries, add_samples=(j - i + 1) <= 4)
     else:
-        fit = _FITTERS[kind](x, y, x_lo, x_hi)
-    if fit is None:
+        params = _FITTERS[kind](x, y, x_lo, x_hi)
+    if params is None:
         return None
-    params, predicted = fit
 
-    res_sq = np.square(y - predicted)
+    res_sq = np.square(y - evaluate(kind, params, x))
     offset = sl.start
     errs = []
     for z in range(i, j + 1):
@@ -505,20 +502,16 @@ def build_pool(
         raise FitError("at least one curve kind is required")
     kinds = tuple(sorted(set(kinds)))
     n = series.n_zones
-    results = [
-        fit_one(series, kind, i, j)
-        for kind in kinds
-        for i in range(n)
-        for j in range(i, n)
-    ]
-
     descriptors = []
     n_infeasible = 0
-    for fitted in results:
-        if fitted is None:
-            n_infeasible += 1
-        else:
-            descriptors.append(replace(fitted, id=len(descriptors)))
+    for kind in kinds:
+        for i in range(n):
+            for j in range(i, n):
+                fitted = fit_one(series, kind, i, j)
+                if fitted is None:
+                    n_infeasible += 1
+                else:
+                    descriptors.append(replace(fitted, id=len(descriptors)))
     if not descriptors:
         raise FitError("no feasible descriptors; series too sparse for the zone grid")
     return DescriptorPool(

@@ -63,19 +63,14 @@ class RawSeries:
 class TimeSeries:
     """A normalized series on the unit square plus its zone grid.
 
-    ``xs`` and ``ys`` live in [0, 1].  ``y_min``/``y_max`` keep the raw
-    value range so outputs can be mapped back.  ``zone_of[k]`` is the
-    zone index of sample k; ``zone_bounds[z]`` is the half-open sample
-    index range of zone z, so slicing a contiguous zone range never
-    rescans the series.
+    ``xs`` and ``ys`` live in [0, 1].  ``zone_bounds[z]`` is the
+    half-open sample index range of zone z, so slicing a contiguous zone
+    range never rescans the series.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    y_min: float
-    y_max: float
     n_zones: int
-    zone_of: np.ndarray
     zone_bounds: tuple[tuple[int, int], ...] = field(repr=False)
 
     def __len__(self) -> int:
@@ -238,15 +233,12 @@ def normalize(raw: RawSeries, levels: int) -> TimeSeries:
         bounds.append((start, end))
         start = end
 
-    for arr in (xs, ys, zone_of):
+    for arr in (xs, ys):
         arr.flags.writeable = False
     return TimeSeries(
         xs=xs,
         ys=ys,
-        y_min=y_min,
-        y_max=y_max,
         n_zones=n_zones,
-        zone_of=zone_of,
         zone_bounds=tuple(bounds),
     )
 

@@ -44,15 +44,12 @@ def series_exact(ys, levels):
         assert end > start, f"zone {z} empty; pick a finer sampling"
         bounds.append((start, end))
         start = end
-    for arr in (xs, ys, zone_of):
+    for arr in (xs, ys):
         arr.flags.writeable = False
     return TimeSeries(
         xs=xs,
         ys=ys,
-        y_min=0.0,
-        y_max=1.0,
         n_zones=n_zones,
-        zone_of=zone_of,
         zone_bounds=tuple(bounds),
     )
 

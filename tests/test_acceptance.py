@@ -225,13 +225,13 @@ def test_criterion_09_text_conformance(capsys, tmp_path):
         cfg = RunConfig(input=str(src), levels=3, verbosity=4,
                         out_dir=str(tmp_path), emit=("text",))
         report = run(cfg)
-        assert report.summary_level == 1
-        assert len(report.details) == 4
+        assert report.selection.s == 1
+        assert len(report.selection.details) == 4
         assert re.fullmatch(
             r"In general, the series presents .*\. In detail, "
             r".* occurs at .*; followed by .*; then by .*; and finally by .*\.",
-            report.narration, re.S)
-        for num in re.findall(r"\d+\.\d+", report.narration):
+            report.text.full_text, re.S)
+        for num in re.findall(r"\d+\.\d+", report.text.full_text):
             assert len(num.split(".")[1]) <= 2
 
 
@@ -277,4 +277,4 @@ def test_criterion_12_end_to_end_runtime(capsys, tmp_path):
         report = run(cfg)
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0
-        assert report.narration.startswith("In general, the series presents")
+        assert report.text.full_text.startswith("In general, the series presents")

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,15 +164,15 @@ def test_run_emits_every_artifact(sample_csv, tmp_path):
         "dipper.txt",
     ]
     assert len(report.outputs) == 7
-    assert report.pool_size > 0
-    assert report.summary_level >= 1
+    assert len(report.pool) > 0
+    assert report.selection.s >= 1
     text = (out / "dipper.txt").read_text()
     assert re.fullmatch(
         r"In general, the series presents .*\.( In detail, .*\.)?\n", text, re.S)
-    assert text.rstrip("\n") == report.narration
+    assert text.rstrip("\n") == report.text.full_text
 
     doc = json.loads((out / "dipper.selection.json").read_text())
-    assert doc["summary_level"] == report.summary_level
+    assert doc["summary_level"] == report.selection.s
     assert [tuple(d.values()) for d in doc["details"]] or doc["details"] == []
     narr = json.loads((out / "dipper.narration.json").read_text())
     assert narr[0]["role"] == "summary"
@@ -258,6 +261,25 @@ def test_main_rejects_empty_kinds(raw, sample_csv, capsys):
     with pytest.raises(SystemExit) as exc:  # an unknown kind stays a usage error
         main(["narrate", "--input", str(sample_csv), "--kinds", "spline"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["narrate", "sweep"])
+def test_main_bad_format_is_a_usage_error(command, sample_csv):
+    """An unknown --format ends in argparse's usage message and exit 2,
+    with no traceback, when run as ``python -m serinarr``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "serinarr", command, "--input", str(sample_csv),
+         "--format", "bogus"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    err = proc.stderr.splitlines()
+    assert err[0].startswith(f"usage: serinarr {command}")
+    assert err[-1].startswith(f"serinarr {command}: error: argument --format")
 
 
 @pytest.mark.parametrize("raw", ["3,x", ","])

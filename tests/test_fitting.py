@@ -17,7 +17,7 @@ from serinarr.fitting import (
     Descriptor,
     DescriptorPool,
     _fit_tooth,
-    _sin_grid_sses,
+    _sin_grid,
     _sin_solve,
     build_pool,
     dump_pool,
@@ -367,11 +367,12 @@ def test_tooth_blocks_match_pair_lexsort(monkeypatch, cells):
         add = rnd.random() < 0.7
         want = _reference_tooth(x, y, x_lo, x_hi, boundaries, add)
         got = _fit_tooth(x, y, x_lo, x_hi, boundaries, add)
-        assert (got and got[0]) == want, (i, j, add)
+        assert got == want, (i, j, add)
 
 
 def test_sinusoid_grid_matches_per_frequency_solve():
-    """One (frequency, sample) pass gives bit-identical grid SSEs."""
+    """One (frequency, sample) pass gives bit-identical grid rows: the
+    same a, b and SSE as the one-frequency solve."""
     rnd = random.Random(6200)
     grid = np.geomspace(_SIN_GRID_LO, _SIN_GRID_HI, _SIN_GRID_STEPS)
     for s, i, j in _random_ranges(rnd, 120):
@@ -380,8 +381,10 @@ def test_sinusoid_grid_matches_per_frequency_solve():
         x_lo, x_hi = s.zone_x_range(i, j)
         r = y - float(y.mean())
         width = x_hi - x_lo
-        want = []
-        for f in grid:
+        rows = _sin_grid(x, r, grid / width)
+        for f, (a, b, sse) in zip(grid, rows):
             sol = _sin_solve(x, r, f / width)
-            want.append(np.inf if sol is None else sol[2])
-        assert np.array_equal(_sin_grid_sses(x, r, grid / width), want), (i, j)
+            if sol is None:
+                assert sse == np.inf, (i, j, f)
+            else:
+                assert (a, b, sse) == sol, (i, j, f)

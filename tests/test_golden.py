@@ -8,9 +8,10 @@ re-record after an intended output change, run ``narrate`` with the
 arguments below into each level directory and update both files.  The
 saved descriptor pool (``--emit pool``, about 0.7 MB at level 5) is
 pinned by its sha256 only.  The benchmark's deep-details inputs, whose
-cost is the detail search, are checked against its digests directly,
-the functions its tracer wraps must still exist, and its own count of
-tooth plateau pairs must match what the fitter scores.
+cost is the detail search, and its dense walks, the only inputs fitted
+with every kind, sinusoid included, are checked against its digests
+directly; the functions its tracer wraps must still exist, and its own
+count of tooth plateau pairs must match what the fitter scores.
 """
 
 import hashlib
@@ -128,18 +129,31 @@ def test_benchmark_tooth_pairs_follow_the_fitter(monkeypatch):
         assert sum(p * (p - 1) // 2 for p in counts) == worker.tooth_pairs(series)
 
 
+def _match_benchmark_goldens(workload, inputs, work):
+    """Run the named ops of ``workload``'s seed-7919 pass and check their
+    output bytes against the benchmark's digests."""
+    workloads = _load_perfbench("workloads")
+    plan = workloads.plan(workload, 7919, work)
+    workloads.write_inputs(plan)
+    want = json.loads(BENCH_GOLDENS.read_text())[workload]["7919"]
+    ops = {op.input: op for op in plan.ops}
+    for name in inputs:
+        op = ops[name]
+        assert main(list(op.argv)) == 0, name
+        for suffix, digest in want[name].items():
+            data = op.file(suffix).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, (name, suffix)
+
+
 def test_deep_details_match_benchmark_goldens(tmp_path, capsys):
     """The first noise draw of each deep-details shape (level 5,
     verbosity 8, penalty_eps 1e-5) at the benchmark's held-out seed: the
     only inputs where the exhaustive detail search dominates the run."""
-    workloads = _load_perfbench("workloads")
-    plan = workloads.plan("deep-details", 7919, tmp_path)
-    workloads.write_inputs(plan)
-    want = json.loads(BENCH_GOLDENS.read_text())["deep-details"]["7919"]
-    ops = {op.input: op for op in plan.ops}
-    for k in range(len(workloads.WAVE_SHAPES)):
-        op = ops[f"wave-{k}"]
-        assert main(list(op.argv)) == 0, op.input
-        for suffix, digest in want[op.input].items():
-            data = op.file(suffix).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == digest, (op.input, suffix)
+    shapes = len(_load_perfbench("workloads").WAVE_SHAPES)
+    _match_benchmark_goldens("deep-details", [f"wave-{k}" for k in range(shapes)], tmp_path)
+
+
+def test_dense_walk_matches_benchmark_goldens(tmp_path, capsys):
+    """Both 2048-point walks of the benchmark's held-out seed, fitted
+    with all four kinds: the only golden that pins sinusoid fits."""
+    _match_benchmark_goldens("dense-walk", ["walk-0", "walk-1"], tmp_path)
