@@ -11,7 +11,10 @@ pinned by its sha256 only.  The benchmark's deep-details inputs, whose
 cost is the detail search, and its dense walks, the only inputs fitted
 with every kind, sinusoid included, are checked against its digests
 directly; the functions its tracer wraps must still exist, and its own
-count of tooth plateau pairs must match what the fitter scores.
+count of tooth plateau pairs must match what the fitter scores.  One
+input of each, deep-details wave-0 and dense-walk walk-0, also has its
+saved pool pinned by sha256, so every zone error of those fits is
+checked, not only what the narration shows of them.
 """
 
 import hashlib
@@ -42,6 +45,10 @@ POOL_SHA256 = {
     3: "974e879e8da6b6f9b8e31973c48e252081fb8e1acbf87e859a33ad35452b437b",
     4: "29bce2dc4afcd22b74e9a438fea2fdee8b955e1bf9942b95178a7a2ff31a6db2",
     5: "f7e2d614ba68ee67db46f13a4d4d96d461ef661fc6b025a016fdb707b9c2183b",
+}
+BENCH_POOL_SHA256 = {
+    ("deep-details", "wave-0"): "5a38a85e367da919d8028fcae2daa1837c773d87ff853ce5c6d9cbcd7e6c4221",
+    ("dense-walk", "walk-0"): "da5ff8dbc205e632ffd438d3e083646f9a73f1b4b9962a2448693bff6675db24",
 }
 
 
@@ -157,3 +164,18 @@ def test_dense_walk_matches_benchmark_goldens(tmp_path, capsys):
     """Both 2048-point walks of the benchmark's held-out seed, fitted
     with all four kinds: the only golden that pins sinusoid fits."""
     _match_benchmark_goldens("dense-walk", ["walk-0", "walk-1"], tmp_path)
+
+
+@pytest.mark.parametrize("workload,name", sorted(BENCH_POOL_SHA256))
+def test_benchmark_pool_matches_digest(workload, name, tmp_path, capsys):
+    """The saved pool of one seed-7919 input per fitted benchmark
+    workload, with that op's levels, kinds and config."""
+    workloads = _load_perfbench("workloads")
+    plan = workloads.plan(workload, 7919, tmp_path)
+    workloads.write_inputs(plan)
+    op = next(op for op in plan.ops if op.input == name)
+    argv = list(op.argv)
+    argv[argv.index("--emit") + 1] = "pool"
+    assert main(argv) == 0
+    data = op.file("pool.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == BENCH_POOL_SHA256[workload, name]
