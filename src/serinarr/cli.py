@@ -334,6 +334,11 @@ def run(cfg: RunConfig) -> RunReport:
     t0 = time.perf_counter()
     series = load_series(cfg.input, cfg.format, cfg.levels)
     timings["ingest"] = time.perf_counter() - t0
+    # The penalty bound needs only the zone count: fail before the fit.
+    try:
+        cfg.selection_config.check_penalty(series.n_zones)
+    except ValueError as exc:
+        raise SolveError(str(exc)) from None
 
     t0 = time.perf_counter()
     pool = build_pool(series, cfg.kinds)

@@ -11,7 +11,8 @@ Fitting strategy per kind:
 * bilinear: the breakpoint is searched over the sample x positions
   strictly inside the range (range midpoint if there are none); the
   three y values follow from a linear solve that keeps the polyline
-  continuous.  Ties prefer the smaller breakpoint.
+  continuous.  Ties prefer the smaller breakpoint.  The candidates of
+  every range that shares a start zone are solved as one batch.
 * tooth: plateau edges are searched over the zone boundaries inside
   the range, plus the sample positions when the range spans at most 4
   zones; the three levels are segment means.  Every (start, end) edge
@@ -30,7 +31,12 @@ Every candidate scan is whole-array numpy work.  Elementwise steps are
 batched freely, but a sum is batched only over rows of equal length,
 each reduced on its own: numpy sums pairwise, so each row then rounds
 exactly as the one-candidate-at-a-time sum would, and the fits are
-bit-identical to it.
+bit-identical to it.  A prefix sum is shared across the ranges that
+share a start: ``np.cumsum`` adds in sequence, so a range's prefix sums
+are exactly a prefix of the longest range's.  So ``_fit_from`` takes
+all ranges [i, j] of one start zone i at once, and scores their
+per-zone errors in one pass, one row per (range, zone) segment, batched
+by segment length.
 
 The pool owns the per-zone error of any set of its descriptors
 (``DescriptorPool.zone_errs``): the cover keeps each tiling's errors
@@ -41,14 +47,15 @@ every CLI artifact go through it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -170,7 +177,7 @@ class DescriptorPool:
 
 # ----------------------------------------------------------------------
 # per-kind fitters; each returns the fitted params, or None when the
-# range admits no fit (``fit_one`` evaluates the curve)
+# range admits no fit (``_fit_from`` evaluates the curve)
 # ----------------------------------------------------------------------
 
 
@@ -188,27 +195,41 @@ def _fit_line(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
     return LineParams(a=a, b=b)
 
 
-def _fit_bilinear(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
-    n = len(x)
-    inside = np.nonzero((x > x_lo) & (x < x_hi))[0]
-    if inside.size == 0:
-        cands = np.array([0.5 * (x_lo + x_hi)])
-        left_counts = np.array([int(np.searchsorted(x, cands[0], side="right"))])
-    else:
-        cands = x[inside]
-        left_counts = inside + 1  # samples 0..k have x <= x[k]
+def _fit_bilinears(x: np.ndarray, y: np.ndarray, x_lo: float,
+                   ranges: list[tuple[int, float]]) -> list[BilinearParams | None]:
+    """Bilinear fits of the ranges ``x[:n]``, one per ``(n, x_hi)`` in
+    ``ranges``, all starting at ``x_lo``: the params per range, or None
+    where no breakpoint gives a regular system.
 
-    # prefix sums over the sorted samples
-    p1 = np.arange(n + 1, dtype=float)
+    Every range's breakpoint candidates go through one batch of 3x3
+    solves; the prefix sums of a range are a prefix of the shared ones.
+    """
+    above = x > x_lo
+    cands, lefts = [], []
+    for size, x_end in ranges:
+        inside = np.flatnonzero(above[:size] & (x[:size] < x_end))
+        if inside.size == 0:
+            mid = 0.5 * (x_lo + x_end)
+            cands.append(np.array([mid]))
+            lefts.append(np.array([np.searchsorted(x[:size], mid, side="right")]))
+        else:
+            cands.append(x[inside])
+            lefts.append(inside + 1)  # samples 0..k have x <= x[k]
+    n_cands = [len(cd) for cd in cands]
+    c = np.concatenate(cands)
+    k = np.concatenate(lefts)
+    n = np.repeat([size for size, _ in ranges], n_cands)
+    x_hi = np.repeat([x_end for _, x_end in ranges], n_cands)
+
+    # prefix sums over the sorted samples; np.cumsum adds in sequence
     px = np.concatenate(([0.0], np.cumsum(x)))
     pxx = np.concatenate(([0.0], np.cumsum(x * x)))
     py = np.concatenate(([0.0], np.cumsum(y)))
     pxy = np.concatenate(([0.0], np.cumsum(x * y)))
-    syy = float((y * y).sum())
+    yy = y * y
+    syy = np.repeat([yy[:size].sum() for size, _ in ranges], n_cands)
 
-    k = left_counts
-    c = cands
-    n_l, sx_l, sxx_l = p1[k], px[k], pxx[k]
+    n_l, sx_l, sxx_l = k.astype(float), px[k], pxx[k]
     sy_l, sxy_l = py[k], pxy[k]
     n_r, sx_r, sxx_r = n - n_l, px[n] - sx_l, pxx[n] - sxx_l
     sy_r, sxy_r = py[n] - sy_l, pxy[n] - sxy_l
@@ -233,10 +254,7 @@ def _fit_bilinear(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
     m[:, 1, 0] = m[:, 0, 1]
     m[:, 2, 1] = m[:, 1, 2]
 
-    dets = np.linalg.det(m)
-    ok = np.abs(dets) > 1e-12
-    if not ok.any():
-        return None
+    ok = np.abs(np.linalg.det(m)) > 1e-12
     theta = np.full((len(c), 3), np.nan)
     theta[ok] = np.linalg.solve(m[ok], rhs[ok][..., None])[..., 0]
     sse = syy - 2 * np.einsum("ki,ki->k", theta, rhs) + np.einsum(
@@ -244,13 +262,20 @@ def _fit_bilinear(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
     )
     sse = np.where(ok, np.maximum(sse, 0.0), np.inf)
 
-    best = int(np.argmin(sse))  # first index wins ties: smallest breakpoint
-    if not np.isfinite(sse[best]):
-        return None
-    y_l, y_b, y_r = (float(v) for v in theta[best])
-    return BilinearParams(
-        x_b=float(c[best]), y_l=y_l, y_b=y_b, y_r=y_r, x_lo=x_lo, x_hi=x_hi
-    )
+    out = []
+    lo = 0
+    for (_, x_end), count in zip(ranges, n_cands):
+        # first index wins ties: smallest breakpoint
+        best = lo + int(np.argmin(sse[lo : lo + count]))
+        lo += count
+        if not np.isfinite(sse[best]):
+            out.append(None)
+            continue
+        y_l, y_b, y_r = (float(v) for v in theta[best])
+        out.append(BilinearParams(
+            x_b=float(c[best]), y_l=y_l, y_b=y_b, y_r=y_r, x_lo=x_lo, x_hi=x_end
+        ))
+    return out
 
 
 def _tooth_positions(x: np.ndarray, x_lo: float, x_hi: float,
@@ -433,17 +458,84 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
     return SinusoidParams(amp=amp, freq=freq, phase=phase, mean=mean)
 
 
-_FITTERS = {
-    CurveKind.LINE: _fit_line,
-    CurveKind.BILINEAR: _fit_bilinear,
-    CurveKind.TOOTH: _fit_tooth,
-    CurveKind.SINUSOID: _fit_sinusoid,
-}
-
-
 # ----------------------------------------------------------------------
 # public fitting entry points
 # ----------------------------------------------------------------------
+
+
+def _fit_from(
+    series: TimeSeries,
+    kind: CurveKind,
+    i: int,
+    ends: Sequence[int],
+    ids: Iterator[int] = itertools.repeat(-1),
+) -> list[Descriptor | None]:
+    """Fit one prototype over every range [i, j] with j in ``ends``
+    (ascending): the descriptor per end, or None where the range holds
+    fewer samples than the kind has free parameters or admits no fit.
+
+    The ranges share zone i's first sample, so they are slices of one
+    array, fitted and scored together.  Descriptors take their ids from
+    ``ids`` in end order.
+    """
+    sl = series.zone_slice(i, ends[-1])
+    first = sl.start
+    x, y = series.xs[sl], series.ys[sl]
+    x_lo = series.zone_x_range(i, i)[0]
+    todo = [
+        (j, n, series.zone_x_range(i, j)[1])
+        for j in ends
+        if (n := series.zone_bounds[j][1] - first) >= PARAM_COUNTS[kind]
+    ]
+    if not todo:
+        return [None] * len(ends)
+    if kind is CurveKind.BILINEAR:
+        params = _fit_bilinears(x, y, x_lo, [(n, x_hi) for _, n, x_hi in todo])
+    elif kind is CurveKind.TOOTH:
+        params = [
+            _fit_tooth(x[:n], y[:n], x_lo, x_hi,
+                       np.arange(i, j + 2, dtype=float) / series.n_zones,
+                       add_samples=(j - i + 1) <= 4)
+            for j, n, x_hi in todo
+        ]
+    else:
+        fitter = _fit_line if kind is CurveKind.LINE else _fit_sinusoid
+        params = [fitter(x[:n], y[:n], x_lo, x_hi) for _, n, x_hi in todo]
+    fits = [(j, n, p) for (j, n, _), p in zip(todo, params) if p is not None]
+    if not fits:
+        return [None] * len(ends)
+
+    # Per-zone RMSE: every fit's squared residuals in one array, and each
+    # (fit, zone) segment of it averaged as one row of the segments of
+    # its sample count, so each row sums as the segment alone would.
+    res = np.concatenate(
+        [np.square(y[:n] - evaluate(kind, p, x[:n])) for _, n, p in fits]
+    )
+    bounds = np.array(series.zone_bounds[i : fits[-1][0] + 1]) - first
+    zone_lo, zone_len = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+    widths = [j - i + 1 for j, _, _ in fits]
+    offsets = np.cumsum([0] + [n for _, n, _ in fits[:-1]])
+    seg_lo = np.concatenate([off + zone_lo[:w] for off, w in zip(offsets, widths)])
+    seg_len = np.concatenate([zone_len[:w] for w in widths])
+    errs = np.empty(len(seg_lo))
+    for count in np.unique(seg_len):
+        rows = np.flatnonzero(seg_len == count)
+        errs[rows] = np.sqrt(res[seg_lo[rows, None] + np.arange(count)].mean(axis=1))
+
+    by_end = {}
+    at = 0
+    for (j, _, p), width in zip(fits, widths):
+        by_end[j] = Descriptor(
+            id=next(ids),
+            kind=kind,
+            params=p,
+            zone_start=i,
+            zone_end=j,
+            zone_errs=tuple(errs[at : at + width].tolist()),
+            n_zones=series.n_zones,
+        )
+        at += width
+    return [by_end.get(j) for j in ends]
 
 
 def fit_one(
@@ -457,36 +549,7 @@ def fit_one(
     """
     if not (0 <= i <= j < series.n_zones):
         raise FitError(f"bad zone range [{i}, {j}] for {series.n_zones} zones")
-    sl = series.zone_slice(i, j)
-    x = series.xs[sl]
-    y = series.ys[sl]
-    if len(x) < PARAM_COUNTS[kind]:
-        return None
-    x_lo, x_hi = series.zone_x_range(i, j)
-
-    if kind is CurveKind.TOOTH:
-        boundaries = np.arange(i, j + 2, dtype=float) / series.n_zones
-        params = _fit_tooth(x, y, x_lo, x_hi, boundaries, add_samples=(j - i + 1) <= 4)
-    else:
-        params = _FITTERS[kind](x, y, x_lo, x_hi)
-    if params is None:
-        return None
-
-    res_sq = np.square(y - evaluate(kind, params, x))
-    offset = sl.start
-    errs = []
-    for z in range(i, j + 1):
-        z_lo, z_hi = series.zone_bounds[z]
-        errs.append(float(np.sqrt(res_sq[z_lo - offset : z_hi - offset].mean())))
-    return Descriptor(
-        id=-1,
-        kind=kind,
-        params=params,
-        zone_start=i,
-        zone_end=j,
-        zone_errs=tuple(errs),
-        n_zones=series.n_zones,
-    )
+    return _fit_from(series, kind, i, (j,))[0]
 
 
 def build_pool(
@@ -504,14 +567,13 @@ def build_pool(
     n = series.n_zones
     descriptors = []
     n_infeasible = 0
+    ids = itertools.count()
     for kind in kinds:
         for i in range(n):
-            for j in range(i, n):
-                fitted = fit_one(series, kind, i, j)
-                if fitted is None:
-                    n_infeasible += 1
-                else:
-                    descriptors.append(replace(fitted, id=len(descriptors)))
+            fits = _fit_from(series, kind, i, range(i, n), ids)
+            kept = [d for d in fits if d is not None]
+            descriptors += kept
+            n_infeasible += len(fits) - len(kept)
     if not descriptors:
         raise FitError("no feasible descriptors; series too sparse for the zone grid")
     return DescriptorPool(

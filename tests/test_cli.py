@@ -427,6 +427,23 @@ def test_main_exit_solve(sample_csv, capsys):
     assert "solve error:" in capsys.readouterr().err
 
 
+def test_penalty_bound_fails_before_the_fit(sample_csv, tmp_path, capsys, monkeypatch):
+    """A zone count that breaks the penalty bound (penalty_eps * v *
+    n_zones >= min_thr) exits 5 before any fitting, in every sweep row too."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_pool reached")
+
+    monkeypatch.setattr("serinarr.cli.build_pool", unreachable)
+    for extra in (["--levels", "6"], ["--levels", "5", "--verbosity", "8"]):
+        code = main(["narrate", "--input", str(sample_csv),
+                     "--out-dir", str(tmp_path)] + extra)
+        assert code == EXIT_SOLVE
+        assert "solve error: penalty_eps * v * n_zones" in capsys.readouterr().err
+    rows = sweep(RunConfig(input=str(sample_csv), verbosity=8), [5, 6])
+    assert [row["levels"] for row in rows] == [5, 6]
+    assert all(row["error"].startswith("penalty_eps * v * n_zones") for row in rows)
+
+
 def test_main_exit_output(sample_csv, tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from serinarr.fitting import (
     DEFAULT_KINDS,
     Descriptor,
     DescriptorPool,
+    _fit_from,
+    _fit_line,
+    _fit_sinusoid,
     _fit_tooth,
     _sin_grid,
     _sin_solve,
@@ -24,7 +28,9 @@ from serinarr.fitting import (
     fit_one,
     load_pool,
 )
+from serinarr.ingest import TimeSeries
 from serinarr.prototypes import (
+    PARAM_COUNTS,
     BilinearParams,
     CurveKind,
     LineParams,
@@ -388,3 +394,175 @@ def test_sinusoid_grid_matches_per_frequency_solve():
                 assert sse == np.inf, (i, j, f)
             else:
                 assert (a, b, sse) == sol, (i, j, f)
+
+
+def _reference_bilinear(x, y, x_lo, x_hi, seen):
+    """The bilinear fit of one range on its own: its own prefix sums and
+    its own batch of candidate solves.  Adds "midpoint" to ``seen`` when
+    no sample lies strictly inside the range, "singular" when a
+    candidate's system is rejected."""
+    n = len(x)
+    inside = np.nonzero((x > x_lo) & (x < x_hi))[0]
+    if inside.size == 0:
+        seen.add("midpoint")
+        cands = np.array([0.5 * (x_lo + x_hi)])
+        left_counts = np.array([int(np.searchsorted(x, cands[0], side="right"))])
+    else:
+        cands = x[inside]
+        left_counts = inside + 1  # samples 0..k have x <= x[k]
+
+    p1 = np.arange(n + 1, dtype=float)
+    px = np.concatenate(([0.0], np.cumsum(x)))
+    pxx = np.concatenate(([0.0], np.cumsum(x * x)))
+    py = np.concatenate(([0.0], np.cumsum(y)))
+    pxy = np.concatenate(([0.0], np.cumsum(x * y)))
+    syy = float((y * y).sum())
+
+    k = left_counts
+    c = cands
+    n_l, sx_l, sxx_l = p1[k], px[k], pxx[k]
+    sy_l, sxy_l = py[k], pxy[k]
+    n_r, sx_r, sxx_r = n - n_l, px[n] - sx_l, pxx[n] - sxx_l
+    sy_r, sxy_r = py[n] - sy_l, pxy[n] - sxy_l
+
+    dl = c - x_lo
+    dr = x_hi - c
+
+    m = np.zeros((len(c), 3, 3))
+    rhs = np.zeros((len(c), 3))
+    m[:, 0, 0] = (c * c * n_l - 2 * c * sx_l + sxx_l) / (dl * dl)
+    m[:, 0, 1] = ((c + x_lo) * sx_l - c * x_lo * n_l - sxx_l) / (dl * dl)
+    m[:, 1, 1] = (sxx_l - 2 * x_lo * sx_l + x_lo * x_lo * n_l) / (dl * dl)
+    rhs[:, 0] = (c * sy_l - sxy_l) / dl
+    rhs[:, 1] = (sxy_l - x_lo * sy_l) / dl
+    m[:, 1, 1] += (x_hi * x_hi * n_r - 2 * x_hi * sx_r + sxx_r) / (dr * dr)
+    m[:, 1, 2] = ((x_hi + c) * sx_r - x_hi * c * n_r - sxx_r) / (dr * dr)
+    m[:, 2, 2] = (sxx_r - 2 * c * sx_r + c * c * n_r) / (dr * dr)
+    rhs[:, 1] += (x_hi * sy_r - sxy_r) / dr
+    rhs[:, 2] = (sxy_r - c * sy_r) / dr
+    m[:, 1, 0] = m[:, 0, 1]
+    m[:, 2, 1] = m[:, 1, 2]
+
+    dets = np.linalg.det(m)
+    ok = np.abs(dets) > 1e-12
+    if not ok.all():
+        seen.add("singular")
+    if not ok.any():
+        return None
+    theta = np.full((len(c), 3), np.nan)
+    theta[ok] = np.linalg.solve(m[ok], rhs[ok][..., None])[..., 0]
+    sse = syy - 2 * np.einsum("ki,ki->k", theta, rhs) + np.einsum(
+        "ki,kij,kj->k", theta, m, theta
+    )
+    sse = np.where(ok, np.maximum(sse, 0.0), np.inf)
+
+    best = int(np.argmin(sse))
+    if not np.isfinite(sse[best]):
+        return None
+    y_l, y_b, y_r = (float(v) for v in theta[best])
+    return BilinearParams(
+        x_b=float(c[best]), y_l=y_l, y_b=y_b, y_r=y_r, x_lo=x_lo, x_hi=x_hi
+    )
+
+
+def _edge_series(ys, n_zones):
+    """Every sample on its zone's left edge, the same count per zone: no
+    sample lies strictly inside a one-zone range."""
+    per = len(ys) // n_zones
+    xs = np.repeat(np.arange(n_zones) / n_zones, per)
+    bounds = tuple((z * per, (z + 1) * per) for z in range(n_zones))
+    return TimeSeries(xs=xs, ys=np.asarray(ys, dtype=float)[: len(xs)],
+                      n_zones=n_zones, zone_bounds=bounds)
+
+
+def _oracle_series(rng, count):
+    """Random walks, integer-rounded walks and noisy sines at levels 1..5,
+    from one sample per zone up to a few, plus two edge-sampled series."""
+    for case in range(count):
+        levels = 1 + case % 5
+        n_zones = 2 ** levels
+        n = int(rng.integers(n_zones + 1, 4 * n_zones + 2))
+        shape = case % 3
+        if shape == 0:
+            ys = np.cumsum(rng.standard_normal(n))
+        elif shape == 1:
+            ys = np.round(np.cumsum(rng.standard_normal(n)))
+        else:
+            ys = np.sin(np.linspace(0.0, 9.0, n)) + 0.2 * rng.standard_normal(n)
+        yield series_exact(ys, levels)
+    yield _edge_series(rng.standard_normal(32), 4)
+    yield _edge_series(np.round(rng.standard_normal(40)), 8)
+
+
+def test_bilinear_batch_matches_per_range_fit():
+    """The fits of all ranges that share a start, solved as one batch,
+    equal each range fitted on its own, bit for bit."""
+    seen = set()
+    for s in _oracle_series(np.random.default_rng(6300), 45):
+        for i in range(s.n_zones):
+            ends = range(i, s.n_zones)
+            for j, d in zip(ends, _fit_from(s, CurveKind.BILINEAR, i, ends)):
+                sl = s.zone_slice(i, j)
+                x, y = s.xs[sl], s.ys[sl]
+                want = None
+                if len(x) >= PARAM_COUNTS[CurveKind.BILINEAR]:
+                    want = _reference_bilinear(x, y, *s.zone_x_range(i, j), seen)
+                assert (d and d.params) == want, (i, j)
+    assert seen == {"midpoint", "singular"}
+
+
+def _reference_pool(series, kinds):
+    """``build_pool`` one range at a time, with one mean per zone."""
+    kinds = tuple(sorted(set(kinds)))
+    n = series.n_zones
+    descriptors = []
+    n_infeasible = 0
+    for kind in kinds:
+        for i in range(n):
+            for j in range(i, n):
+                sl = series.zone_slice(i, j)
+                x, y = series.xs[sl], series.ys[sl]
+                x_lo, x_hi = series.zone_x_range(i, j)
+                params = None
+                if len(x) < PARAM_COUNTS[kind]:
+                    pass
+                elif kind is CurveKind.BILINEAR:
+                    params = _reference_bilinear(x, y, x_lo, x_hi, set())
+                elif kind is CurveKind.TOOTH:
+                    boundaries = np.arange(i, j + 2, dtype=float) / n
+                    params = _fit_tooth(x, y, x_lo, x_hi, boundaries, (j - i + 1) <= 4)
+                elif kind is CurveKind.LINE:
+                    params = _fit_line(x, y, x_lo, x_hi)
+                else:
+                    params = _fit_sinusoid(x, y, x_lo, x_hi)
+                if params is None:
+                    n_infeasible += 1
+                    continue
+                res_sq = np.square(y - evaluate(kind, params, x))
+                errs = tuple(
+                    float(np.sqrt(res_sq[lo - sl.start : hi - sl.start].mean()))
+                    for lo, hi in series.zone_bounds[i : j + 1]
+                )
+                descriptors.append(
+                    Descriptor(len(descriptors), kind, params, i, j, errs, n))
+    return DescriptorPool(tuple(descriptors), n, kinds, n_infeasible)
+
+
+def test_pool_matches_per_range_reference():
+    """Pools built a start zone at a time equal the per-range build, ids,
+    zone errors and infeasible count included, for every kind; and
+    ``fit_one`` returns each descriptor with id -1."""
+    rng = np.random.default_rng(6400)
+    n_infeasible = 0
+    for case, s in enumerate(_oracle_series(rng, 12)):
+        if s.n_zones > 16:
+            continue
+        # The sin/cos basis is degenerate on repeated sample positions.
+        distinct = len(np.unique(s.xs)) == len(s.xs)
+        kinds = tuple(CurveKind) if case % 2 and distinct else DEFAULT_KINDS
+        pool = build_pool(s, kinds)
+        assert pool == _reference_pool(s, kinds), case
+        n_infeasible += pool.n_infeasible
+        for d in pool:
+            assert fit_one(s, d.kind, d.zone_start, d.zone_end) == replace(d, id=-1)
+    assert n_infeasible > 0
