@@ -11,9 +11,10 @@ Subcommands:
   pool and selection files.
 
 Config values resolve as command line > config file > defaults.  The
-config file is a flat ``key = value`` document; lists use commas.
-``RunConfig`` checks every value, thresholds included, when it is
-built, so a bad value fails before any input is read.  Every artifact
+config file is a flat ``key = value`` document; lists use commas, and
+a key that names no option is an error.  ``RunConfig`` checks every
+value, thresholds included, when it is built, so a bad value fails
+before any input is read.  Every artifact
 lands at ``out_dir/<stem>.<suffix>`` and is written atomically by
 ``write_atomic``; ``render`` rebuilds the charts from the saved
 ``pool.jsonl`` and ``selection.json`` of an earlier
@@ -217,7 +218,13 @@ _CONFIG_KEYS = {
 
 
 def merge_config(cli_args: dict, file_values: dict) -> RunConfig:
-    """Command line beats the config file beats the defaults."""
+    """Command line beats the config file beats the defaults.  A file
+    key that names no ``RunConfig`` field is an error."""
+    for key in file_values:
+        if key not in _CONFIG_KEYS:
+            raise IngestError(
+                f"config key {key}: unknown, expected one of {', '.join(_CONFIG_KEYS)}"
+            )
     merged: dict = {}
     for key, conv in _CONFIG_KEYS.items():
         if key in file_values:
@@ -236,20 +243,6 @@ def merge_config(cli_args: dict, file_values: dict) -> RunConfig:
 # ----------------------------------------------------------------------
 # pipeline
 # ----------------------------------------------------------------------
-
-
-def _solve(
-    pool: DescriptorPool, cfg: RunConfig
-) -> tuple[list[VerbosityLevel], SelectionResult]:
-    levels = solve_cover(pool, cfg.verbosity)
-    s, met = pick_summary(levels, cfg.max_thr)
-    try:
-        selection = solve_details(
-            pool, levels, s, cfg.selection_config, threshold_met=met
-        )
-    except ValueError as exc:
-        raise SolveError(str(exc)) from None
-    return levels, selection
 
 
 def _emit_outputs(
@@ -345,7 +338,9 @@ def run(cfg: RunConfig) -> RunReport:
     timings["fit"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    levels, selection = _solve(pool, cfg)
+    levels = solve_cover(pool, cfg.verbosity)
+    s, met = pick_summary(levels, cfg.max_thr)
+    selection = solve_details(pool, levels, s, cfg.selection_config, threshold_met=met)
     timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

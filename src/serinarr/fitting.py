@@ -9,17 +9,17 @@ Fitting strategy per kind:
 
 * line: closed-form ordinary least squares.
 * bilinear: the breakpoint is searched over the sample x positions
-  strictly inside the range (range midpoint if there are none); the
-  three y values follow from a linear solve that keeps the polyline
-  continuous.  Ties prefer the smaller breakpoint.  The candidates of
-  every range that shares a start zone are solved as one batch.
+  strictly inside the range; the three y values follow from a linear
+  solve that keeps the polyline continuous.  Ties prefer the smaller
+  breakpoint.  The candidates of every range that shares a start zone
+  are solved as one batch.
 * tooth: plateau edges are searched over the zone boundaries inside
   the range, plus the sample positions when the range spans at most 4
   zones; the three levels are segment means.  Every (start, end) edge
-  pair is scored from prefix sums as one start x end table, evaluated
-  in blocks of start rows of at most ``_TOOTH_BLOCK_CELLS`` cells, so
-  memory stays bounded on dense ranges.  Ties prefer the wider
-  plateau, then the earlier start.
+  pair is scored from the start zone's shared y and y^2 prefix sums as
+  one start x end table, evaluated in blocks of start rows of at most
+  ``_TOOTH_BLOCK_CELLS`` cells, so memory stays bounded on dense
+  ranges.  Ties prefer the wider plateau, then the earlier start.
 * sinusoid: frequency scanned over a geometric grid of 0.5..8 cycles
   per range width (32 steps), amplitude and phase by a linear solve in
   the sin/cos basis, then the best frequency is refined by golden
@@ -76,9 +76,7 @@ from .prototypes import (
 
 DEFAULT_KINDS = (CurveKind.LINE, CurveKind.BILINEAR, CurveKind.TOOTH)
 
-_SIN_GRID_LO = 0.5  # cycles per range width
-_SIN_GRID_HI = 8.0
-_SIN_GRID_STEPS = 32
+_SIN_GRID = np.geomspace(0.5, 8.0, 32)  # cycles per range width
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TOOTH_BLOCK_CELLS = 1 << 20  # plateau (start, end) cells scored at once
 
@@ -203,21 +201,15 @@ def _fit_bilinears(x: np.ndarray, y: np.ndarray, x_lo: float,
 
     Every range's breakpoint candidates go through one batch of 3x3
     solves; the prefix sums of a range are a prefix of the shared ones.
+    A range's candidates are the samples strictly inside (x_lo, x_hi),
+    one run of ``x``: the samples past the range lie at or beyond x_hi.
     """
-    above = x > x_lo
-    cands, lefts = [], []
-    for size, x_end in ranges:
-        inside = np.flatnonzero(above[:size] & (x[:size] < x_end))
-        if inside.size == 0:
-            mid = 0.5 * (x_lo + x_end)
-            cands.append(np.array([mid]))
-            lefts.append(np.array([np.searchsorted(x[:size], mid, side="right")]))
-        else:
-            cands.append(x[inside])
-            lefts.append(inside + 1)  # samples 0..k have x <= x[k]
-    n_cands = [len(cd) for cd in cands]
-    c = np.concatenate(cands)
-    k = np.concatenate(lefts)
+    first = int(np.searchsorted(x, x_lo, side="right"))
+    stops = np.searchsorted(x, [x_end for _, x_end in ranges], side="left")
+    n_cands = np.maximum(stops - first, 0)
+    # samples 0..k-1 have x <= c = x[k-1]
+    k = np.concatenate([np.arange(first + 1, stop + 1) for stop in stops])
+    c = x[k - 1]
     n = np.repeat([size for size, _ in ranges], n_cands)
     x_hi = np.repeat([x_end for _, x_end in ranges], n_cands)
 
@@ -266,9 +258,9 @@ def _fit_bilinears(x: np.ndarray, y: np.ndarray, x_lo: float,
     lo = 0
     for (_, x_end), count in zip(ranges, n_cands):
         # first index wins ties: smallest breakpoint
-        best = lo + int(np.argmin(sse[lo : lo + count]))
+        best = lo + int(np.argmin(sse[lo : lo + count])) if count else None
         lo += count
-        if not np.isfinite(sse[best]):
+        if best is None or not np.isfinite(sse[best]):
             out.append(None)
             continue
         y_l, y_b, y_r = (float(v) for v in theta[best])
@@ -278,43 +270,39 @@ def _fit_bilinears(x: np.ndarray, y: np.ndarray, x_lo: float,
     return out
 
 
-def _tooth_positions(x: np.ndarray, x_lo: float, x_hi: float,
-                     boundaries: np.ndarray, add_samples: bool) -> np.ndarray:
-    """Candidate plateau edges: the zone boundaries inside the range,
-    plus the sample positions when ``add_samples`` is set."""
-    positions = boundaries
+def _tooth_positions(x: np.ndarray, boundaries: np.ndarray,
+                     add_samples: bool) -> np.ndarray:
+    """Candidate plateau edges: the range's zone boundaries, plus the
+    sample positions when ``add_samples`` is set."""
     if add_samples:
-        positions = np.unique(np.concatenate([boundaries, x]))
-    return positions[(positions >= x_lo) & (positions <= x_hi)]
+        return np.unique(np.concatenate([boundaries, x]))
+    return boundaries
 
 
 def _seg_sse(cnt: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
     """Squared error of a segment mean from its count, sum and sum of
     squares; an empty segment costs nothing."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = ss - np.where(cnt > 0, s * s / np.where(cnt > 0, cnt, 1.0), 0.0)
+    out = ss - np.where(cnt > 0, s * s / np.where(cnt > 0, cnt, 1.0), 0.0)
     return np.maximum(out, 0.0)
 
 
 def _fit_tooth(
     x: np.ndarray,
-    y: np.ndarray,
-    x_lo: float,
-    x_hi: float,
+    py: np.ndarray,
+    pyy: np.ndarray,
     boundaries: np.ndarray,
     add_samples: bool,
 ):
+    """Tooth fit of the range ``x`` from prefix sums of y and y^2 that
+    may run past it.  Each zone of the range holds a sample, so every
+    (start, end) cell with end > start counts at least one."""
     n = len(x)
-    positions = _tooth_positions(x, x_lo, x_hi, boundaries, add_samples)
+    positions = _tooth_positions(x, boundaries, add_samples)
     n_pos = len(positions)
-    if n_pos < 2:
-        return None
 
     lo_idx = np.searchsorted(x, positions, side="left")
     hi_idx = np.searchsorted(x, positions, side="right")
 
-    py = np.concatenate(([0.0], np.cumsum(y)))
-    pyy = np.concatenate(([0.0], np.cumsum(y * y)))
     s_lo, s_hi = py[lo_idx], py[hi_idx]
     ss_lo, ss_hi = pyy[lo_idx], pyy[hi_idx]
     # Outer segments per edge position; py[0] and pyy[0] are 0.0, so
@@ -345,8 +333,6 @@ def _fit_tooth(
         sse += right[None, :]
         sse[(cols[None, :] <= rows[:, None]) | (cnt <= 0)] = np.inf
         m = float(sse.min())
-        if m == np.inf:
-            continue
         tr, tc = np.nonzero(sse == m)
         tr = rows[tr]
         width = positions[tc] - positions[tr]
@@ -354,8 +340,6 @@ def _fit_tooth(
         key = (m, float(-width[k]))
         if best_key is None or key < best_key:
             best_key, best_cell = key, (int(tr[k]), int(tc[k]))
-    if best_cell is None:
-        return None
 
     row, col = best_cell
     s_i, e_i = int(lo_idx[row]), int(hi_idx[col])
@@ -416,16 +400,15 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
     mean = float(y.mean())
     r = y - mean
 
-    grid = np.geomspace(_SIN_GRID_LO, _SIN_GRID_HI, _SIN_GRID_STEPS)
-    rows = _sin_grid(x, r, grid / width)
+    rows = _sin_grid(x, r, _SIN_GRID / width)
     if not np.isfinite(rows[:, 2]).any():
         return None
     k = int(np.argmin(rows[:, 2]))
     a, b, sse = rows[k]
-    freq = grid[k] / width
+    freq = _SIN_GRID[k] / width
 
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
+    lo = _SIN_GRID[max(k - 1, 0)]
+    hi = _SIN_GRID[min(k + 1, len(_SIN_GRID) - 1)]
     # golden section on the bracket around the best grid frequency
     c1 = hi - _GOLDEN * (hi - lo)
     c2 = lo + _GOLDEN * (hi - lo)
@@ -492,11 +475,13 @@ def _fit_from(
     if kind is CurveKind.BILINEAR:
         params = _fit_bilinears(x, y, x_lo, [(n, x_hi) for _, n, x_hi in todo])
     elif kind is CurveKind.TOOTH:
+        py = np.concatenate(([0.0], np.cumsum(y)))
+        pyy = np.concatenate(([0.0], np.cumsum(y * y)))
         params = [
-            _fit_tooth(x[:n], y[:n], x_lo, x_hi,
+            _fit_tooth(x[:n], py, pyy,
                        np.arange(i, j + 2, dtype=float) / series.n_zones,
                        add_samples=(j - i + 1) <= 4)
-            for j, n, x_hi in todo
+            for j, n, _ in todo
         ]
     else:
         fitter = _fit_line if kind is CurveKind.LINE else _fit_sinusoid

@@ -411,6 +411,54 @@ def test_main_bad_thresholds_fail_before_reading(
     assert not out.exists()
 
 
+def test_main_unknown_config_key_fails_before_reading(
+        sample_csv, tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("an unknown config key must fail before any input is read")
+
+    monkeypatch.setattr("serinarr.cli.load_series", unreachable)
+    conf = tmp_path / "c.conf"
+    conf.write_text("max-thr = 0.01\nverbosty = 99\n")
+    code = main(["narrate", "--config", str(conf), "--input", str(sample_csv),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_INGEST
+    err = capsys.readouterr().err
+    assert err.startswith("ingest error: config key max-thr: unknown")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fmt, text, reason", [
+    ("csv", "t,y\n", "no data rows found in csv input"),
+    ("trends_csv", "Category: All\n\nWeek,x\n2024-01-07\n", "expected date,value"),
+    ("trends_csv", "Category: All\n\nWeek,x\n2024-01-07,lots\n", "bad value"),
+    ("trends_csv", "Category: All\n\nWeek,x\n\n", "no data rows found in trends_csv"),
+    ("json", '{"points": [{"t": 0, "v": 1}, {"t": 1}]}', 'json "points" entries'),
+    ("json", '{"values": [1, "many"]}', 'json "values" must be'),
+])
+def test_main_rejects_bad_input_rows(fmt, text, reason, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code = main(["narrate", "--input", str(bad), "--format", fmt,
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_INGEST
+    err = capsys.readouterr().err
+    assert err.startswith("ingest error:") and reason in err
+    assert len(err.splitlines()) == 1
+
+
+def test_main_skips_blank_csv_lines(tmp_path, capsys):
+    rows = [f"{t},{(t * 7) % 5}" for t in range(8)]
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text("\n".join(rows) + "\n")
+    spaced.write_text("\n\n".join(rows) + "\n  \n")
+    for path in (plain, spaced):
+        assert main(["fit", "--input", str(path), "--levels", "2",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert ((tmp_path / "plain.pool.jsonl").read_bytes()
+            == (tmp_path / "spaced.pool.jsonl").read_bytes())
+
+
 def test_main_exit_fit(tmp_path, capsys):
     tiny = tmp_path / "tiny.csv"
     tiny.write_text("0,1\n1,2\n")
@@ -451,6 +499,19 @@ def test_main_exit_output(sample_csv, tmp_path, capsys):
                  "--verbosity", "4", "--out-dir", str(blocker)])
     assert code == EXIT_OUTPUT
     assert "output error:" in capsys.readouterr().err
+
+
+def test_main_failed_rename_leaves_no_temp_file(sample_csv, tmp_path, capsys):
+    """An artifact path taken by a directory exits 6, and the temp file
+    written beside it is removed."""
+    (tmp_path / "dipper.txt").mkdir()
+    code = main(["narrate", "--input", str(sample_csv), "--levels", "3",
+                 "--verbosity", "4", "--out-dir", str(tmp_path)])
+    assert code == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error:")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.glob(".dipper.txt.*")) == []
 
 
 def test_parser_rejects_unknown_subcommand(capsys):

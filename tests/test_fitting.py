@@ -10,9 +10,7 @@ from conftest import make_descriptor, make_series, series_exact
 from serinarr import fitting
 from serinarr.errors import FitError
 from serinarr.fitting import (
-    _SIN_GRID_HI,
-    _SIN_GRID_LO,
-    _SIN_GRID_STEPS,
+    _SIN_GRID,
     _TOOTH_BLOCK_CELLS,
     DEFAULT_KINDS,
     Descriptor,
@@ -295,6 +293,13 @@ def test_fit_beats_64_random_perturbations(kind):
 # ------------------------------------------ batched scans against loops
 
 
+def _prefix_sums(y):
+    """One range's own y and y^2 prefix sums, for ``_fit_tooth``, which
+    is given its start zone's shared ones inside ``_fit_from``."""
+    return (np.concatenate(([0.0], np.cumsum(y))),
+            np.concatenate(([0.0], np.cumsum(y * y))))
+
+
 def _reference_tooth(x, y, x_lo, x_hi, boundaries, add_samples):
     """The tooth search as one pass over every (x_s, x_e) pair: prefix
     sums gathered per pair, then a full (sse, -width, x_s) lexsort."""
@@ -372,7 +377,7 @@ def test_tooth_blocks_match_pair_lexsort(monkeypatch, cells):
         boundaries = np.arange(i, j + 2, dtype=float) / s.n_zones
         add = rnd.random() < 0.7
         want = _reference_tooth(x, y, x_lo, x_hi, boundaries, add)
-        got = _fit_tooth(x, y, x_lo, x_hi, boundaries, add)
+        got = _fit_tooth(x, *_prefix_sums(y), boundaries, add)
         assert got == want, (i, j, add)
 
 
@@ -380,7 +385,7 @@ def test_sinusoid_grid_matches_per_frequency_solve():
     """One (frequency, sample) pass gives bit-identical grid rows: the
     same a, b and SSE as the one-frequency solve."""
     rnd = random.Random(6200)
-    grid = np.geomspace(_SIN_GRID_LO, _SIN_GRID_HI, _SIN_GRID_STEPS)
+    grid = _SIN_GRID
     for s, i, j in _random_ranges(rnd, 120):
         sl = s.zone_slice(i, j)
         x, y = s.xs[sl], s.ys[sl]
@@ -530,7 +535,7 @@ def _reference_pool(series, kinds):
                     params = _reference_bilinear(x, y, x_lo, x_hi, set())
                 elif kind is CurveKind.TOOTH:
                     boundaries = np.arange(i, j + 2, dtype=float) / n
-                    params = _fit_tooth(x, y, x_lo, x_hi, boundaries, (j - i + 1) <= 4)
+                    params = _fit_tooth(x, *_prefix_sums(y), boundaries, (j - i + 1) <= 4)
                 elif kind is CurveKind.LINE:
                     params = _fit_line(x, y, x_lo, x_hi)
                 else:

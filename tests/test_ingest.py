@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_series, raw_series
 from serinarr.errors import EmptyZoneError, IngestError
 from serinarr.ingest import (
+    FORMATS,
     RawSeries,
     _parse_value,
     load,
@@ -124,6 +126,44 @@ def test_unknown_format_rejected():
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(IngestError):
         load(tmp_path / "nope.csv", "csv")
+
+
+def _write_points(path, fmt, points):
+    """Write (t, v) pairs in ``fmt``; trends rows carry the values only."""
+    if fmt == "csv":
+        text = "".join(f"{t!r},{v!r}\n" for t, v in points)
+    elif fmt == "trends_csv":
+        text = "Category: All\n\nWeek,x\n" + "".join(
+            f"2024-01-{k + 1:02d},{v!r}\n" for k, (_, v) in enumerate(points))
+    else:
+        text = json.dumps({"points": [{"t": t, "v": v} for t, v in points]})
+    path.write_text(text)
+
+
+@settings(max_examples=60)
+@given(fmt=st.sampled_from(FORMATS),
+       values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       data=st.data())
+def test_non_finite_values_rejected(tmp_path_factory, fmt, values, bad, data):
+    k = data.draw(st.integers(0, len(values)))
+    values = values[:k] + [bad] + values[k:]
+    path = tmp_path_factory.mktemp("nonfinite") / "s.txt"
+    _write_points(path, fmt, [(float(t), v) for t, v in enumerate(values)])
+    with pytest.raises(IngestError, match="non-finite"):
+        load(path, fmt)
+
+
+@settings(max_examples=40)
+@given(fmt=st.sampled_from(["csv", "json"]), n=st.integers(2, 8), data=st.data())
+def test_non_increasing_time_rejected(tmp_path_factory, fmt, n, data):
+    ts = [float(t) for t in range(n)]
+    k = data.draw(st.integers(1, n - 1))
+    ts[k] = ts[k - 1] - data.draw(st.floats(0.0, 100.0))
+    path = tmp_path_factory.mktemp("unordered") / "s.txt"
+    _write_points(path, fmt, [(t, 1.0) for t in ts])
+    with pytest.raises(IngestError, match="strictly increasing"):
+        load(path, fmt)
 
 
 # ---------------------------------------------------------------- RawSeries
