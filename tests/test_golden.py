@@ -153,11 +153,12 @@ def _match_benchmark_goldens(workload, inputs, work):
 
 
 def test_deep_details_match_benchmark_goldens(tmp_path, capsys):
-    """The first noise draw of each deep-details shape (level 5,
-    verbosity 8, penalty_eps 1e-5) at the benchmark's held-out seed: the
-    only inputs where the exhaustive detail search dominates the run."""
-    shapes = len(_load_perfbench("workloads").WAVE_SHAPES)
-    _match_benchmark_goldens("deep-details", [f"wave-{k}" for k in range(shapes)], tmp_path)
+    """Every deep-details op (level 5, verbosity 8, penalty_eps 1e-5) at
+    the benchmark's held-out seed, as its goldens name them: the only
+    inputs where the detail search is a large share of the run."""
+    names = sorted(json.loads(BENCH_GOLDENS.read_text())["deep-details"]["7919"])
+    assert len(names) == 12
+    _match_benchmark_goldens("deep-details", names, tmp_path)
 
 
 def test_dense_walk_matches_benchmark_goldens(tmp_path, capsys):
