@@ -14,21 +14,36 @@ bound, minus the summary's own descriptors.  A feasible detail set
 Among feasible sets of at most ``v`` details the solver maximizes the
 summed per-zone spread between the worst and best selected error,
 minus a tiny penalty per covered zone that discourages redundant
-overlap.  An exhaustive depth-first search keeps the choice exact.
-Each candidate fact is computed once, before the search: its zones as
-an int bitmask, and a bitmask of the candidates it may coexist with.
-A search node extends its parent's per-zone least and greatest error,
-covered-zone mask and summed width by one descriptor.  A new set must
-pass one AND and the redundancy test: each chosen member carries its
-residue, its zones minus those of members from strictly higher levels,
-and a set with an empty residue is redundant.  It is neither scored
-nor extended, as all its supersets are redundant too.
+overlap.  A depth-first branch-and-bound search (Land & Doig 1960)
+keeps the choice exact.  Each candidate fact is computed once, before
+the search: its zones as an int bitmask, and a bitmask of the
+candidates it may coexist with.  A search node extends its parent's
+per-zone least and greatest error, covered-zone mask and summed width
+by one descriptor.  A new set must pass one AND and the redundancy
+test: each chosen member carries its residue, its zones minus those of
+members from strictly higher levels, and a set with an empty residue
+is redundant.  It is neither scored nor extended, as all its supersets
+are redundant too.
+
+The bound reads suffix tables: for each candidate index t, every
+zone's greatest and least error among candidates t and later.  Before
+a node adds candidate t, it sums, zone by zone from left to right,
+``max(hi, suffix max) - min(lo, suffix min)`` and subtracts the
+penalty of one more zone.  No set that adds only candidates t.. can
+score more: ``max`` and ``min`` are exact, and IEEE ``+``, ``-`` and
+``*`` round monotonically, so the float bound is never below such a
+set's float objective, for any ``penalty_eps > 0`` and with no slack
+constant.  When the bound is strictly below the best objective so
+far, the node stops extending.  Ties are never pruned, so the
+``(-objective, size, ids)`` tie-break picks the set an exhaustive
+search would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import inf
 
 from .cover import VerbosityLevel
 from .errors import SolveError
@@ -75,6 +90,10 @@ class SelectionResult:
     per_zone_gain: dict[int, float] = field(repr=False)
     global_rmse: float = 0.0
     threshold_met: bool = True
+    # Search work: sets scored, and sets whose extensions the bound cut
+    # off.  Not part of the saved selection.
+    nodes_expanded: int = field(default=0, compare=False, repr=False)
+    nodes_pruned: int = field(default=0, compare=False, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -206,19 +225,36 @@ def solve_details(
         out.append(own)
         return tuple(out)
 
+    # Suffix tables for the bound: suf_hi[t][z] and suf_lo[t][z] are the
+    # greatest and least error on zone z of candidates t.. (-inf and inf
+    # where none of them covers z).
     all_zones = range(pool.n_zones)
+    suf_hi = [[-inf] * pool.n_zones]
+    suf_lo = [[inf] * pool.n_zones]
+    for d, _ in reversed(candidates):
+        hi_t, lo_t = suf_hi[-1][:], suf_lo[-1][:]
+        for z, e in zip(d.zones, d.zone_errs):
+            hi_t[z] = max(hi_t[z], e)
+            lo_t[z] = min(lo_t[z], e)
+        suf_hi.append(hi_t)
+        suf_lo.append(lo_t)
+    suf_hi.reverse()
+    suf_lo.reverse()
+
     best: tuple | None = None  # (tie-break key, lo, per-zone gains)
+    expanded = pruned = 0
 
     def search(chosen: tuple[int, ...], resid: tuple[int, ...], bits: int,
                lo: list[float], hi: list[float], covered: int, count: int):
         """``bits`` has bit k set for each chosen candidate index k;
         ``resid`` holds the chosen members' residues, as ``grow`` keeps them."""
-        nonlocal best
-        # Covered zones ascending, left to right, as the gains are reported.
+        nonlocal best, expanded, pruned
+        expanded += 1
+        # Zones ascending, left to right, as the gains are reported; an
+        # uncovered zone has hi == lo and adds an exact 0.0.
         total = 0.0
-        for z in all_zones:
-            if covered >> z & 1:
-                total += hi[z] - lo[z]
+        for h, l in zip(hi, lo):
+            total += h - l
         obj = total - cfg.penalty_eps * count
         # Candidates are in id order and indices ascend, so the ids do too.
         key = (-obj, len(chosen), chosen)
@@ -227,12 +263,23 @@ def solve_details(
             best = key, lo, gains
         if len(chosen) >= cfg.v:
             return
+        # Child idx, later children and their descendants add candidates
+        # idx.. only, to a summed width of at least count + 1: ub - pen
+        # bounds their float objectives (module docstring).  Strictly
+        # below the best, none of them can win or tie.
+        pen = cfg.penalty_eps * (count + 1)
         for idx in range(chosen[-1] + 1 if chosen else 0, len(candidates)):
             if compat[idx] & bits != bits:
                 continue
             resid2 = grow(chosen, resid, idx)
             if resid2 is None:
                 continue
+            ub = 0.0
+            for h, l, sh, sl in zip(hi, lo, suf_hi[idx], suf_lo[idx]):
+                ub += (h if h > sh else sh) - (l if l < sl else sl)
+            if ub - pen < -best[0][0]:
+                pruned += 1
+                return
             d = candidates[idx][0]
             lo2, hi2 = lo[:], hi[:]
             for z, e in zip(d.zones, d.zone_errs):
@@ -260,4 +307,6 @@ def solve_details(
         per_zone_gain=gains,
         global_rmse=total / pool.n_zones,
         threshold_met=threshold_met,
+        nodes_expanded=expanded,
+        nodes_pruned=pruned,
     )

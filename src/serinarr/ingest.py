@@ -15,7 +15,8 @@ Supported input formats:
 
 ``json``
     Either ``{"points": [{"t": ..., "v": ...}, ...]}`` or
-    ``{"values": [...]}``.
+    ``{"values": [...]}``.  Both must be json lists, and json booleans
+    are not numbers.
 
 After loading, :func:`normalize` min-max scales both axes into the unit
 square and attaches the zone grid used by every later stage.
@@ -146,22 +147,34 @@ def _load_trends_csv(text: str) -> RawSeries:
     return RawSeries(tuple(points))
 
 
+def _json_number(value) -> float:
+    # float() takes True and False as 1.0 and 0.0; json booleans are not numbers.
+    if isinstance(value, bool):
+        raise TypeError("boolean")
+    return float(value)
+
+
 def _load_json(text: str) -> RawSeries:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise IngestError(f"invalid json: {exc}") from None
     if isinstance(doc, dict) and "points" in doc:
+        if not isinstance(doc["points"], list):
+            raise IngestError('json "points" must be a list')
         try:
             points = tuple(
-                (float(p["t"]), float(p["v"])) for p in doc["points"]
+                (_json_number(p["t"]), _json_number(p["v"])) for p in doc["points"]
             )
         except (TypeError, KeyError, ValueError):
             raise IngestError('json "points" entries need numeric "t" and "v"') from None
     elif isinstance(doc, dict) and "values" in doc:
+        # A json string is iterable too: without this check "314" loads as 3, 1, 4.
+        if not isinstance(doc["values"], list):
+            raise IngestError('json "values" must be a list of numbers')
         try:
             points = tuple(
-                (float(k), float(v)) for k, v in enumerate(doc["values"])
+                (float(k), _json_number(v)) for k, v in enumerate(doc["values"])
             )
         except (TypeError, ValueError):
             raise IngestError('json "values" must be a list of numbers') from None

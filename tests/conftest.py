@@ -68,14 +68,17 @@ def make_descriptor(id_, i, j, errs, n_zones, kind=CurveKind.LINE, params=None):
     )
 
 
-def full_random_pool(rng, n_zones, kinds=(CurveKind.LINE,), err_scale=0.5):
-    """One descriptor per (kind, range) with random per-zone errors."""
+def full_random_pool(rng, n_zones, kinds=(CurveKind.LINE,), err_scale=0.5, quantum=None):
+    """One descriptor per (kind, range) with random per-zone errors,
+    rounded to multiples of ``quantum`` when one is given."""
     descriptors = []
     next_id = 0
     for kind in kinds:
         for i in range(n_zones):
             for j in range(i, n_zones):
                 errs = [rng.uniform(0.0, err_scale) for _ in range(j - i + 1)]
+                if quantum:
+                    errs = [round(e / quantum) * quantum for e in errs]
                 descriptors.append(
                     make_descriptor(next_id, i, j, errs, n_zones, kind=kind)
                 )

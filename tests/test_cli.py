@@ -435,6 +435,11 @@ def test_main_unknown_config_key_fails_before_reading(
     ("trends_csv", "Category: All\n\nWeek,x\n\n", "no data rows found in trends_csv"),
     ("json", '{"points": [{"t": 0, "v": 1}, {"t": 1}]}', 'json "points" entries'),
     ("json", '{"values": [1, "many"]}', 'json "values" must be'),
+    ("json", '{"values": "31415926"}', 'json "values" must be a list'),
+    ("json", '{"values": [true, false, 3]}', 'json "values" must be a list'),
+    ("json", '{"points": "t,v"}', 'json "points" must be a list'),
+    ("json", '{"points": [{"t": 0, "v": 1}, {"t": true, "v": 2}]}', 'json "points" entries'),
+    ("json", '{"points": [{"t": 0, "v": false}, {"t": 1, "v": 2}]}', 'json "points" entries'),
 ])
 def test_main_rejects_bad_input_rows(fmt, text, reason, tmp_path, capsys):
     bad = tmp_path / "bad.txt"

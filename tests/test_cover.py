@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import full_random_pool, make_descriptor, series_exact
 from serinarr.cover import (
@@ -199,3 +201,35 @@ def test_max_zone_err_matches_chosen():
         want = max(max(pool.get(i).zone_errs) for i in level.chosen)
         assert level.max_zone_err == want
         assert level.zone_errs == tuple(pool.zone_errs(level.chosen))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=0.0, max_value=0.7),
+    st.sampled_from([None, 1 / 8, 1 / 64]),
+    st.randoms(use_true_random=False),
+)
+def test_feasible_levels_tile_every_zone_once(zone_levels, v, drop, quantum, rnd):
+    """Pools with ranges missing and, on a coarse error grid, tied costs:
+    every feasible level's ranges run in zone_start order, each starting
+    where the last ended, from zone 0 to the last zone, and its zone
+    errors are that tiling's."""
+    n = 2 ** zone_levels
+    full = full_random_pool(
+        rnd, n, kinds=(CurveKind.LINE, CurveKind.TOOTH), quantum=quantum)
+    kept = tuple(d for d in full if rnd.random() >= drop)
+    pool = DescriptorPool(descriptors=kept, n_zones=n, kinds=full.kinds,
+                          n_infeasible=len(full) - len(kept))
+    for level in solve_cover(pool, v):
+        if not level.feasible:
+            assert level.chosen == () and level.zone_errs == ()
+            continue
+        ds = [pool.get(i) for i in level.chosen]
+        assert ds[0].zone_start == 0 and ds[-1].zone_end == n - 1
+        for a, b in zip(ds, ds[1:]):
+            assert b.zone_start == a.zone_end + 1
+        check_tiling(pool, level, n)
+        assert list(level.zone_errs) == pool.zone_errs(level.chosen)
+        assert level.zone_errs == tuple(e for d in ds for e in d.zone_errs)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from serinarr.cover import VerbosityLevel, solve_cover
 from serinarr.details import (
     SelectionConfig,
     SelectionResult,
+    _pair_ok,
     check_improvement,
     pick_summary,
     solve_details,
@@ -104,6 +106,126 @@ def naive_details(pool, levels, s, cfg):
                 best_key = key
                 best = (obj, tuple(sorted((d.id, lv) for d, lv in combo)))
     return best
+
+
+# ------------------------------------------------------- unbounded search
+
+
+def _reference_solve_details(
+    pool: DescriptorPool,
+    levels: list[VerbosityLevel],
+    s: int,
+    cfg: SelectionConfig,
+    threshold_met: bool = True,
+) -> SelectionResult:
+    """The detail search with no bound: every admissible set up to
+    ``cfg.v`` details is scored.  The oracle for the bounded search."""
+    cfg.check_penalty(pool.n_zones)
+    by_v = {lv.v: lv for lv in levels if lv.feasible}
+    if s not in by_v:
+        raise SolveError(f"summary level {s} is not a feasible verbosity")
+    summary_ids = by_v[s].chosen
+    summary = [pool.get(i) for i in summary_ids]
+
+    # Candidates: every tiling member up to the bound, minus the summary.
+    # A descriptor appearing at several levels keeps its lowest level:
+    # levels run downward, so the lowest one is written last.
+    source_level = {
+        id_: v
+        for v in sorted(by_v, reverse=True) if v <= cfg.v
+        for id_ in by_v[v].chosen if id_ not in summary_ids
+    }
+    # In id order; one that cannot coexist with the summary never enters a set.
+    candidates = []
+    for id_, lv in sorted(source_level.items()):
+        d = pool.get(id_)
+        if all(_pair_ok(d, lv, sd, s, cfg.min_thr) for sd in summary):
+            candidates.append((d, lv))
+
+    # Each candidate fact is computed once: its zones as a bitmask, and a
+    # bitmask of the candidates it may coexist with (_pair_ok is symmetric).
+    zones = [((1 << d.width) - 1) << d.zone_start for d, _ in candidates]
+    levels_of = [lv for _, lv in candidates]
+    compat = [0] * len(candidates)
+    for k, m in combinations(range(len(candidates)), 2):
+        if _pair_ok(*candidates[k], *candidates[m], cfg.min_thr):
+            compat[k] |= 1 << m
+            compat[m] |= 1 << k
+
+    def grow(chosen: tuple[int, ...], resid: tuple[int, ...], idx: int):
+        """Residues after adding ``idx``, or None if one empties.  Only
+        the added detail and the members below its level change."""
+        level = levels_of[idx]
+        own = zones[idx]
+        out = []
+        for m, r in zip(chosen, resid):
+            if levels_of[m] > level:
+                own &= ~zones[m]
+            elif levels_of[m] < level:
+                r &= ~zones[idx]
+                if not r:
+                    return None
+            out.append(r)
+        if not own:
+            return None
+        out.append(own)
+        return tuple(out)
+
+    all_zones = range(pool.n_zones)
+    best: tuple | None = None  # (tie-break key, lo, per-zone gains)
+
+    def search(chosen: tuple[int, ...], resid: tuple[int, ...], bits: int,
+               lo: list[float], hi: list[float], covered: int, count: int):
+        """``bits`` has bit k set for each chosen candidate index k;
+        ``resid`` holds the chosen members' residues, as ``grow`` keeps them."""
+        nonlocal best
+        # Covered zones ascending, left to right, as the gains are reported.
+        total = 0.0
+        for z in all_zones:
+            if covered >> z & 1:
+                total += hi[z] - lo[z]
+        obj = total - cfg.penalty_eps * count
+        # Candidates are in id order and indices ascend, so the ids do too.
+        key = (-obj, len(chosen), chosen)
+        if best is None or key < best[0]:
+            gains = {z: hi[z] - lo[z] for z in all_zones if covered >> z & 1}
+            best = key, lo, gains
+        if len(chosen) >= cfg.v:
+            return
+        for idx in range(chosen[-1] + 1 if chosen else 0, len(candidates)):
+            if compat[idx] & bits != bits:
+                continue
+            resid2 = grow(chosen, resid, idx)
+            if resid2 is None:
+                continue
+            d = candidates[idx][0]
+            lo2, hi2 = lo[:], hi[:]
+            for z, e in zip(d.zones, d.zone_errs):
+                if e < lo2[z]:
+                    lo2[z] = e
+                if e > hi2[z]:
+                    hi2[z] = e
+            search(chosen + (idx,), resid2, bits | 1 << idx, lo2, hi2,
+                   covered | zones[idx], count + d.width)
+
+    summary_err = list(by_v[s].zone_errs)
+    search((), (), 0, summary_err, summary_err, 0, 0)
+    (neg_obj, _, chosen), lo, gains = best
+    # lo is the selected set's per-zone error: the summary tiles each zone once.
+    # Left-to-right float sum: fsum, numpy and Python 3.12's compensated
+    # sum() round differently and would change selection.json.
+    total = 0.0
+    for e in lo:
+        total += e
+    return SelectionResult(
+        s=s,
+        summary=tuple(summary_ids),
+        details=tuple((candidates[k][0].id, candidates[k][1]) for k in chosen),
+        objective=-neg_obj,
+        per_zone_gain=gains,
+        global_rmse=total / pool.n_zones,
+        threshold_met=threshold_met,
+    )
 
 
 # ------------------------------------------------------------ pick_summary
@@ -412,3 +534,31 @@ def test_unknown_summary_level_rejected():
     cfg = SelectionConfig(max_thr=0.6, min_thr=0.02, v=3, penalty_eps=1e-4)
     with pytest.raises(SolveError):
         solve_details(pool, levels, 9, cfg)
+
+
+@pytest.mark.parametrize("n_zones, v, cases", [
+    (8, 3, 60), (8, 5, 60), (8, 8, 40),
+    (16, 3, 30), (16, 5, 30), (16, 8, 20),
+    (32, 3, 10), (32, 5, 8), (32, 8, 6),
+])
+def test_bound_matches_unbounded_search(n_zones, v, cases):
+    """The bounded search returns what scoring every admissible set
+    returns.  Errors on a coarse dyadic grid make objectives tie, so the
+    tie-break is exercised, and a penalty of 1e-300 leaves the bound no
+    float slack."""
+    pruned = 0
+    for case in range(cases):
+        rnd = random.Random(n_zones * 1000 + v * 100 + case)
+        quantum = rnd.choice((1 / 8, 1 / 16, 1 / 32, 1 / 64))
+        pool = full_random_pool(rnd, n_zones, quantum=quantum)
+        levels = solve_cover(pool, v)
+        max_thr = rnd.uniform(0.15, 0.45)
+        s, met = pick_summary(levels, max_thr)
+        cfg = SelectionConfig(
+            max_thr=max_thr, min_thr=rnd.uniform(0.02, 0.08), v=v,
+            penalty_eps=rnd.choice((1e-5, 1e-9, 1e-300)))
+        got = solve_details(pool, levels, s, cfg, threshold_met=met)
+        want = _reference_solve_details(pool, levels, s, cfg, threshold_met=met)
+        assert got == want, case
+        pruned += got.nodes_pruned
+    assert pruned > 0

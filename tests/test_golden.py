@@ -161,6 +161,27 @@ def test_deep_details_match_benchmark_goldens(tmp_path, capsys):
     _match_benchmark_goldens("deep-details", names, tmp_path)
 
 
+def test_deep_details_search_is_bounded(tmp_path, monkeypatch, capsys):
+    """The first draw of each deep-details shape at the held-out seed:
+    the bound prunes, and the search scores at most 2000 sets."""
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(solve_details(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr("serinarr.cli.solve_details", recorded)
+    workloads = _load_perfbench("workloads")
+    plan = workloads.plan("deep-details", 7919, tmp_path)
+    workloads.write_inputs(plan)
+    ops = {op.input: op for op in plan.ops}
+    for k in range(len(workloads.WAVE_SHAPES)):
+        assert main(list(ops[f"wave-{k}"].argv)) == 0
+        res = results.pop()
+        assert res.nodes_pruned > 0, k
+        assert res.nodes_expanded <= 2000, k
+
+
 def test_dense_walk_matches_benchmark_goldens(tmp_path, capsys):
     """Both 2048-point walks of the benchmark's held-out seed, fitted
     with all four kinds: the only golden that pins sinusoid fits."""
