@@ -11,15 +11,12 @@ Fitting strategy per kind:
 * bilinear: the breakpoint is searched over the sample x positions
   strictly inside the range; the three y values follow from a linear
   solve that keeps the polyline continuous.  Ties prefer the smaller
-  breakpoint.  The candidates of every range that shares a start zone
-  are solved as one batch.
+  breakpoint.
 * tooth: plateau edges are searched over the zone boundaries inside
   the range, plus the sample positions when the range spans at most 4
   zones; the three levels are segment means.  Every (start, end) edge
-  pair is scored from the start zone's shared y and y^2 prefix sums as
-  one start x end table, evaluated in blocks of start rows of at most
-  ``_TOOTH_BLOCK_CELLS`` cells, so memory stays bounded on dense
-  ranges.  Ties prefer the wider plateau, then the earlier start.
+  pair is scored from y and y^2 prefix sums as one start x end table.
+  Ties prefer the wider plateau, then the earlier start.
 * sinusoid: frequency scanned over a geometric grid of 0.5..8 cycles
   per range width (32 steps), amplitude and phase by a linear solve in
   the sin/cos basis, then the best frequency is refined by golden
@@ -30,13 +27,15 @@ Fitting strategy per kind:
 Every candidate scan is whole-array numpy work.  Elementwise steps are
 batched freely, but a sum is batched only over rows of equal length,
 each reduced on its own: numpy sums pairwise, so each row then rounds
-exactly as the one-candidate-at-a-time sum would, and the fits are
-bit-identical to it.  A prefix sum is shared across the ranges that
-share a start: ``np.cumsum`` adds in sequence, so a range's prefix sums
-are exactly a prefix of the longest range's.  So ``_fit_from`` takes
-all ranges [i, j] of one start zone i at once, and scores their
-per-zone errors in one pass, one row per (range, zone) segment, batched
-by segment length.
+exactly as the one-range-at-a-time sum would, and the fits are
+bit-identical to it.  So ``_fit_ranges`` fits a kind's ranges in groups
+of equal sample count (tooth: and equal plateau edge count), each as
+``(m, n)`` stacks of samples, one row per range; ``np.cumsum(axis=1)``
+adds in sequence, so a row's prefix sums are exactly the range's own.
+Residuals take one ``evaluate`` per group, and the per-zone errors one
+pass per kind, batched by segment length.  One budget, ``_CHUNK_CELLS``,
+bounds memory on dense input: tooth tables are scored in (range, start
+row) blocks, and bilinear candidates and error segments in runs of rows.
 
 The pool owns the per-zone error of any set of its descriptors
 (``DescriptorPool.zone_errs``): the cover keeps each tiling's errors
@@ -47,6 +46,7 @@ every CLI artifact go through it.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -63,12 +63,10 @@ from .errors import FitError, OutputError
 from .ingest import TimeSeries
 from .prototypes import (
     PARAM_COUNTS,
-    BilinearParams,
+    PARAMS_CLASS,
     CurveKind,
     CurveParams,
-    LineParams,
     SinusoidParams,
-    ToothParams,
     evaluate,
     params_from_dict,
     params_to_dict,
@@ -78,7 +76,7 @@ DEFAULT_KINDS = (CurveKind.LINE, CurveKind.BILINEAR, CurveKind.TOOTH)
 
 _SIN_GRID = np.geomspace(0.5, 8.0, 32)  # cycles per range width
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_TOOTH_BLOCK_CELLS = 1 << 20  # plateau (start, end) cells scored at once
+_CHUNK_CELLS = 1 << 18  # tooth cells scored, or error samples gathered, at once
 
 
 @dataclass(frozen=True)
@@ -174,100 +172,101 @@ class DescriptorPool:
 
 
 # ----------------------------------------------------------------------
-# per-kind fitters; each returns the fitted params, or None when the
-# range admits no fit (``_fit_from`` evaluates the curve)
+# batch fitters: the (m, n) sample rows of one group in, the params as
+# columns in field order out, with a mask of the rows that admit a fit
 # ----------------------------------------------------------------------
 
 
-def _fit_line(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
-    n = len(x)
-    sx = float(x.sum())
-    sy = float(y.sum())
-    sxx = float((x * x).sum())
-    sxy = float((x * y).sum())
-    denom = n * sxx - sx * sx
-    if denom <= 0:
-        return None
-    b = (n * sxy - sx * sy) / denom
-    a = (sy - b * sx) / n
-    return LineParams(a=a, b=b)
-
-
-def _fit_bilinears(x: np.ndarray, y: np.ndarray, x_lo: float,
-                   ranges: list[tuple[int, float]]) -> list[BilinearParams | None]:
-    """Bilinear fits of the ranges ``x[:n]``, one per ``(n, x_hi)`` in
-    ``ranges``, all starting at ``x_lo``: the params per range, or None
-    where no breakpoint gives a regular system.
-
-    Every range's breakpoint candidates go through one batch of 3x3
-    solves; the prefix sums of a range are a prefix of the shared ones.
-    A range's candidates are the samples strictly inside (x_lo, x_hi),
-    one run of ``x``: the samples past the range lie at or beyond x_hi.
-    """
-    first = int(np.searchsorted(x, x_lo, side="right"))
-    stops = np.searchsorted(x, [x_end for _, x_end in ranges], side="left")
-    n_cands = np.maximum(stops - first, 0)
-    # samples 0..k-1 have x <= c = x[k-1]
-    k = np.concatenate([np.arange(first + 1, stop + 1) for stop in stops])
-    c = x[k - 1]
-    n = np.repeat([size for size, _ in ranges], n_cands)
-    x_hi = np.repeat([x_end for _, x_end in ranges], n_cands)
-
-    # prefix sums over the sorted samples; np.cumsum adds in sequence
-    px = np.concatenate(([0.0], np.cumsum(x)))
-    pxx = np.concatenate(([0.0], np.cumsum(x * x)))
-    py = np.concatenate(([0.0], np.cumsum(y)))
-    pxy = np.concatenate(([0.0], np.cumsum(x * y)))
-    yy = y * y
-    syy = np.repeat([yy[:size].sum() for size, _ in ranges], n_cands)
-
-    n_l, sx_l, sxx_l = k.astype(float), px[k], pxx[k]
-    sy_l, sxy_l = py[k], pxy[k]
-    n_r, sx_r, sxx_r = n - n_l, px[n] - sx_l, pxx[n] - sxx_l
-    sy_r, sxy_r = py[n] - sy_l, pxy[n] - sxy_l
-
-    dl = c - x_lo
-    dr = x_hi - c
-
-    m = np.zeros((len(c), 3, 3))
-    rhs = np.zeros((len(c), 3))
-    # left segment: y_l weight (c - x)/dl, y_b weight (x - x_lo)/dl
-    m[:, 0, 0] = (c * c * n_l - 2 * c * sx_l + sxx_l) / (dl * dl)
-    m[:, 0, 1] = ((c + x_lo) * sx_l - c * x_lo * n_l - sxx_l) / (dl * dl)
-    m[:, 1, 1] = (sxx_l - 2 * x_lo * sx_l + x_lo * x_lo * n_l) / (dl * dl)
-    rhs[:, 0] = (c * sy_l - sxy_l) / dl
-    rhs[:, 1] = (sxy_l - x_lo * sy_l) / dl
-    # right segment: y_b weight (x_hi - x)/dr, y_r weight (x - c)/dr
-    m[:, 1, 1] += (x_hi * x_hi * n_r - 2 * x_hi * sx_r + sxx_r) / (dr * dr)
-    m[:, 1, 2] = ((x_hi + c) * sx_r - x_hi * c * n_r - sxx_r) / (dr * dr)
-    m[:, 2, 2] = (sxx_r - 2 * c * sx_r + c * c * n_r) / (dr * dr)
-    rhs[:, 1] += (x_hi * sy_r - sxy_r) / dr
-    rhs[:, 2] = (sxy_r - c * sy_r) / dr
-    m[:, 1, 0] = m[:, 0, 1]
-    m[:, 2, 1] = m[:, 1, 2]
-
-    ok = np.abs(np.linalg.det(m)) > 1e-12
-    theta = np.full((len(c), 3), np.nan)
-    theta[ok] = np.linalg.solve(m[ok], rhs[ok][..., None])[..., 0]
-    sse = syy - 2 * np.einsum("ki,ki->k", theta, rhs) + np.einsum(
-        "ki,kij,kj->k", theta, m, theta
-    )
-    sse = np.where(ok, np.maximum(sse, 0.0), np.inf)
-
-    out = []
-    lo = 0
-    for (_, x_end), count in zip(ranges, n_cands):
-        # first index wins ties: smallest breakpoint
-        best = lo + int(np.argmin(sse[lo : lo + count])) if count else None
-        lo += count
-        if best is None or not np.isfinite(sse[best]):
-            out.append(None)
-            continue
-        y_l, y_b, y_r = (float(v) for v in theta[best])
-        out.append(BilinearParams(
-            x_b=float(c[best]), y_l=y_l, y_b=y_b, y_r=y_r, x_lo=x_lo, x_hi=x_end
-        ))
+def _prefix(a: np.ndarray) -> np.ndarray:
+    """Per-row prefix sums with a leading 0.0."""
+    out = np.zeros((a.shape[0], a.shape[1] + 1))
+    np.cumsum(a, axis=1, out=out[:, 1:])
     return out
+
+
+def _fit_lines(x, y, x_lo, x_hi):
+    n = x.shape[1]
+    sx = x.sum(axis=1)
+    sy = y.sum(axis=1)
+    sxx = (x * x).sum(axis=1)
+    sxy = (x * y).sum(axis=1)
+    denom = n * sxx - sx * sx
+    with np.errstate(invalid="ignore", divide="ignore"):
+        b = (n * sxy - sx * sy) / denom
+    a = (sy - b * sx) / n
+    return (a, b), denom > 0
+
+
+def _fit_bilinears(x, y, x_lo, x_hi):
+    """A row's breakpoint candidates are its samples strictly inside
+    (x_lo, x_hi), one run of the row.  They are solved in chunks of whole
+    rows of about ``_CHUNK_CELLS // 32`` candidates: a candidate holds as
+    much memory as some 32 tooth table cells."""
+    m, n = x.shape
+    first = (x <= x_lo[:, None]).sum(axis=1)
+    n_cands = np.maximum((x < x_hi[:, None]).sum(axis=1) - first, 0)
+    px, pxx, py, pxy = (_prefix(a) for a in (x, x * x, y, x * y))
+    syy = (y * y).sum(axis=1)
+    cols = np.full((6, m), np.nan)  # x_b, y_l, y_b, y_r, x_lo, x_hi
+    cols[4], cols[5] = x_lo, x_hi
+    ends = np.cumsum(n_cands)
+    r1 = 0
+    while r1 < m:
+        r0 = r1
+        r1 = max(r0 + 1, int(np.searchsorted(
+            ends, ends[r0] - n_cands[r0] + _CHUNK_CELLS // 32, side="right")))
+        counts = n_cands[r0:r1]
+        rows = np.repeat(np.arange(r0, r1), counts)
+        if not len(rows):
+            continue
+        # samples 0..k-1 have x <= c = x[k-1]
+        seg = np.cumsum(counts) - counts
+        k = np.arange(len(rows)) - np.repeat(seg, counts) + first[rows] + 1
+        c = x[rows, k - 1]
+        lo, hi = x_lo[rows], x_hi[rows]
+
+        n_l, sx_l, sxx_l = k.astype(float), px[rows, k], pxx[rows, k]
+        sy_l, sxy_l = py[rows, k], pxy[rows, k]
+        n_r, sx_r, sxx_r = n - n_l, px[rows, n] - sx_l, pxx[rows, n] - sxx_l
+        sy_r, sxy_r = py[rows, n] - sy_l, pxy[rows, n] - sxy_l
+
+        dl = c - lo
+        dr = hi - c
+
+        mat = np.zeros((len(c), 3, 3))
+        rhs = np.zeros((len(c), 3))
+        # left segment: y_l weight (c - x)/dl, y_b weight (x - x_lo)/dl
+        mat[:, 0, 0] = (c * c * n_l - 2 * c * sx_l + sxx_l) / (dl * dl)
+        mat[:, 0, 1] = ((c + lo) * sx_l - c * lo * n_l - sxx_l) / (dl * dl)
+        mat[:, 1, 1] = (sxx_l - 2 * lo * sx_l + lo * lo * n_l) / (dl * dl)
+        rhs[:, 0] = (c * sy_l - sxy_l) / dl
+        rhs[:, 1] = (sxy_l - lo * sy_l) / dl
+        # right segment: y_b weight (x_hi - x)/dr, y_r weight (x - c)/dr
+        mat[:, 1, 1] += (hi * hi * n_r - 2 * hi * sx_r + sxx_r) / (dr * dr)
+        mat[:, 1, 2] = ((hi + c) * sx_r - hi * c * n_r - sxx_r) / (dr * dr)
+        mat[:, 2, 2] = (sxx_r - 2 * c * sx_r + c * c * n_r) / (dr * dr)
+        rhs[:, 1] += (hi * sy_r - sxy_r) / dr
+        rhs[:, 2] = (sxy_r - c * sy_r) / dr
+        mat[:, 1, 0] = mat[:, 0, 1]
+        mat[:, 2, 1] = mat[:, 1, 2]
+
+        ok = np.abs(np.linalg.det(mat)) > 1e-12
+        theta = np.full((len(c), 3), np.nan)
+        theta[ok] = np.linalg.solve(mat[ok], rhs[ok][..., None])[..., 0]
+        sse = syy[rows] - 2 * np.einsum("ki,ki->k", theta, rhs) + np.einsum(
+            "ki,kij,kj->k", theta, mat, theta
+        )
+        sse = np.where(ok, np.maximum(sse, 0.0), np.inf)
+
+        # Each row's first least sse, as argmin picks it: the smallest
+        # breakpoint.  A row whose least sse is not finite gets no fit.
+        low = np.full(m, np.nan)
+        low[r0:r1][counts > 0] = np.minimum.reduceat(sse, seg[counts > 0])
+        hit = np.flatnonzero((sse == low[rows]) & np.isfinite(sse))
+        best = hit[np.diff(rows[hit], prepend=-1) != 0]
+        cols[0, rows[best]] = c[best]
+        cols[1:4, rows[best]] = theta[best].T
+    return cols, ~np.isnan(cols[0])
 
 
 def _tooth_positions(x: np.ndarray, boundaries: np.ndarray,
@@ -286,73 +285,72 @@ def _seg_sse(cnt: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def _fit_tooth(
-    x: np.ndarray,
-    py: np.ndarray,
-    pyy: np.ndarray,
-    boundaries: np.ndarray,
-    add_samples: bool,
-):
-    """Tooth fit of the range ``x`` from prefix sums of y and y^2 that
-    may run past it.  Each zone of the range holds a sample, so every
-    (start, end) cell with end > start counts at least one."""
-    n = len(x)
-    positions = _tooth_positions(x, boundaries, add_samples)
-    n_pos = len(positions)
-
-    lo_idx = np.searchsorted(x, positions, side="left")
-    hi_idx = np.searchsorted(x, positions, side="right")
-
-    s_lo, s_hi = py[lo_idx], py[hi_idx]
-    ss_lo, ss_hi = pyy[lo_idx], pyy[hi_idx]
-    # Outer segments per edge position; py[0] and pyy[0] are 0.0, so
-    # these equal the per-pair differences exactly.
+def _fit_teeth(y, positions, lo_idx, hi_idx):
+    """Tooth fits of the rows of ``y``, each over its own sorted plateau
+    edge ``positions``, with the number of the row's samples before
+    (``lo_idx``) and up to (``hi_idx``) each edge.  Each zone of a row
+    holds a sample, so every (start, end) cell with end > start counts
+    at least one."""
+    m, n = y.shape
+    n_pos = positions.shape[1]
+    py, pyy = _prefix(y), _prefix(y * y)
+    s_lo, s_hi = np.take_along_axis(py, lo_idx, 1), np.take_along_axis(py, hi_idx, 1)
+    ss_lo, ss_hi = np.take_along_axis(pyy, lo_idx, 1), np.take_along_axis(pyy, hi_idx, 1)
+    # Outer segments per edge position; py[:, 0] and pyy[:, 0] are 0.0,
+    # so these equal the per-pair differences exactly.
     left = _seg_sse(lo_idx.astype(float), s_lo, ss_lo)
-    right = _seg_sse((n - hi_idx).astype(float), py[n] - s_hi, pyy[n] - ss_hi)
+    right = _seg_sse((n - hi_idx).astype(float), py[:, n, None] - s_hi,
+                     pyy[:, n, None] - ss_hi)
 
-    # The plateau spans rows (start edge) by columns (end edge).  Rows
-    # are scored in blocks of at most _TOOTH_BLOCK_CELLS cells, so memory
-    # stays bounded.  Ties prefer the wider plateau, then the earlier
-    # start: blocks run in start order, and a later block replaces the
-    # best only with a strictly smaller (sse, -width).
+    # The plateau spans start rows by end columns.  Cells are scored in
+    # blocks of at most _CHUNK_CELLS: whole tables while they fit, else
+    # runs of one table's start rows.  Ties prefer the wider plateau,
+    # then the earlier start: a table's blocks run in start order, and a
+    # later block replaces its best only with a smaller (sse, -width).
+    n_rows = n_pos - 1
+    per_block = max(1, _CHUNK_CELLS // n_pos)  # start rows
+    if per_block >= n_rows:
+        step = per_block // n_rows
+        blocks = [(r, min(r + step, m), 0, n_rows) for r in range(0, m, step)]
+    else:
+        blocks = [(r, r + 1, s, min(s + per_block, n_rows))
+                  for r in range(m) for s in range(0, n_rows, per_block)]
+    best = np.full((4, m), np.inf)  # sse, -width, start row, end column
     cols = np.arange(n_pos)
-    step = max(1, _TOOTH_BLOCK_CELLS // n_pos)
-    best_key = best_cell = None  # (sse, -width), (row, col)
-    for r0 in range(0, n_pos - 1, step):
-        rows = np.arange(r0, min(r0 + step, n_pos - 1))
-        cnt = hi_idx[None, :] - lo_idx[rows, None]
+    for r0, r1, s0, s1 in blocks:
+        rs, ss = slice(r0, r1), slice(s0, s1)
+        cnt = hi_idx[rs, None, :] - lo_idx[rs, ss, None]
         # _seg_sse's arithmetic in place; cells with cnt <= 0 are masked below.
-        s = s_hi[None, :] - s_lo[rows, None]
+        s = s_hi[rs, None, :] - s_lo[rs, ss, None]
         s *= s
         with np.errstate(invalid="ignore", divide="ignore"):
             s /= cnt
-        sse = ss_hi[None, :] - ss_lo[rows, None]
+        sse = ss_hi[rs, None, :] - ss_lo[rs, ss, None]
         sse -= s
         np.maximum(sse, 0.0, out=sse)
-        sse = left[rows, None] + sse
-        sse += right[None, :]
-        sse[(cols[None, :] <= rows[:, None]) | (cnt <= 0)] = np.inf
-        m = float(sse.min())
-        tr, tc = np.nonzero(sse == m)
-        tr = rows[tr]
-        width = positions[tc] - positions[tr]
-        k = int(np.lexsort((positions[tr], -width))[0])
-        key = (m, float(-width[k]))
-        if best_key is None or key < best_key:
-            best_key, best_cell = key, (int(tr[k]), int(tc[k]))
+        sse = left[rs, ss, None] + sse
+        sse += right[rs, None, :]
+        sse[(cols <= np.arange(s0, s1)[:, None]) | (cnt <= 0)] = np.inf
+        # Only the cells tied at their table's least sse are ranked.
+        low = sse.min(axis=(1, 2))
+        tk, tr, tc = np.nonzero(sse == low[:, None, None])
+        tr += s0
+        x_s = positions[tk + r0, tr]
+        width = positions[tk + r0, tc] - x_s
+        order = np.lexsort((x_s, -width, tk))
+        top = order[np.diff(tk[order], prepend=-1) != 0]  # one per table
+        new = np.stack([low, -width[top], tr[top], tc[top]])
+        win = (new[0] < best[0, rs]) | ((new[0] == best[0, rs]) & (new[1] < best[1, rs]))
+        best[:, rs] = np.where(win, new, best[:, rs])
 
-    row, col = best_cell
-    s_i, e_i = int(lo_idx[row]), int(hi_idx[col])
-    y_in = float((py[e_i] - py[s_i]) / (e_i - s_i))
-    y_out_l = float(py[s_i] / s_i) if s_i > 0 else y_in
-    y_out_r = float((py[n] - py[e_i]) / (n - e_i)) if e_i < n else y_in
-    return ToothParams(
-        y_out_l=y_out_l,
-        y_out_r=y_out_r,
-        x_s=float(positions[row]),
-        x_e=float(positions[col]),
-        y_in=y_in,
-    )
+    at = np.arange(m)
+    row, col = best[2].astype(int), best[3].astype(int)
+    s_i, e_i = lo_idx[at, row], hi_idx[at, col]
+    p_s, p_e = py[at, s_i], py[at, e_i]
+    y_in = (p_e - p_s) / (e_i - s_i)
+    y_out_l = np.where(s_i > 0, p_s / np.maximum(s_i, 1), y_in)
+    y_out_r = np.where(e_i < n, (py[:, n] - p_e) / np.maximum(n - e_i, 1), y_in)
+    return (y_out_l, y_out_r, positions[at, row], positions[at, col], y_in), np.ones(m, bool)
 
 
 def _sin_solve(x, r, freq):
@@ -441,91 +439,109 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
     return SinusoidParams(amp=amp, freq=freq, phase=phase, mean=mean)
 
 
+def _fit_sinusoids(x, y, x_lo, x_hi):
+    fits = [_fit_sinusoid(*row) for row in zip(x, y, x_lo.tolist(), x_hi.tolist())]
+    cols = [tuple(p.__dict__.values()) if p else (math.nan,) * 4 for p in fits]
+    return np.array(cols).T, np.array([p is not None for p in fits])
+
+
+_FITTERS = {
+    CurveKind.LINE: _fit_lines,
+    CurveKind.BILINEAR: _fit_bilinears,
+    CurveKind.SINUSOID: _fit_sinusoids,
+}
+
+
 # ----------------------------------------------------------------------
 # public fitting entry points
 # ----------------------------------------------------------------------
 
 
-def _fit_from(
-    series: TimeSeries,
-    kind: CurveKind,
-    i: int,
-    ends: Sequence[int],
-    ids: Iterator[int] = itertools.repeat(-1),
-) -> list[Descriptor | None]:
-    """Fit one prototype over every range [i, j] with j in ``ends``
-    (ascending): the descriptor per end, or None where the range holds
-    fewer samples than the kind has free parameters or admits no fit.
-
-    The ranges share zone i's first sample, so they are slices of one
-    array, fitted and scored together.  Descriptors take their ids from
-    ``ids`` in end order.
-    """
-    sl = series.zone_slice(i, ends[-1])
-    first = sl.start
-    x, y = series.xs[sl], series.ys[sl]
-    x_lo = series.zone_x_range(i, i)[0]
-    todo = [
-        (j, n, series.zone_x_range(i, j)[1])
-        for j in ends
-        if (n := series.zone_bounds[j][1] - first) >= PARAM_COUNTS[kind]
-    ]
-    if not todo:
-        return [None] * len(ends)
-    if kind is CurveKind.BILINEAR:
-        params = _fit_bilinears(x, y, x_lo, [(n, x_hi) for _, n, x_hi in todo])
-    elif kind is CurveKind.TOOTH:
-        py = np.concatenate(([0.0], np.cumsum(y)))
-        pyy = np.concatenate(([0.0], np.cumsum(y * y)))
-        params = [
-            _fit_tooth(x[:n], py, pyy,
-                       np.arange(i, j + 2, dtype=float) / series.n_zones,
-                       add_samples=(j - i + 1) <= 4)
-            for j, n, _ in todo
-        ]
-    else:
-        fitter = _fit_line if kind is CurveKind.LINE else _fit_sinusoid
-        params = [fitter(x[:n], y[:n], x_lo, x_hi) for _, n, x_hi in todo]
-    fits = [(j, n, p) for (j, n, _), p in zip(todo, params) if p is not None]
-    if not fits:
-        return [None] * len(ends)
-
-    # Per-zone RMSE: every fit's squared residuals in one array, and each
-    # (fit, zone) segment of it averaged as one row of the segments of
-    # its sample count, so each row sums as the segment alone would.
-    res = np.concatenate(
-        [np.square(y[:n] - evaluate(kind, p, x[:n])) for _, n, p in fits]
-    )
-    bounds = np.array(series.zone_bounds[i : fits[-1][0] + 1]) - first
-    zone_lo, zone_len = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
-    widths = [j - i + 1 for j, _, _ in fits]
-    offsets = np.cumsum([0] + [n for _, n, _ in fits[:-1]])
-    seg_lo = np.concatenate([off + zone_lo[:w] for off, w in zip(offsets, widths)])
-    seg_len = np.concatenate([zone_len[:w] for w in widths])
+def _zone_errs(series: TimeSeries, spans: np.ndarray, res: np.ndarray) -> list[float]:
+    """Per-zone RMSE, flat, of the ranges whose ``spans`` rows are (i,
+    j, first sample, offset of the squared residuals in ``res``).  Each
+    (range, zone) segment is one row of the segments of its length, so
+    it sums as the segment alone would."""
+    bounds = np.array(series.zone_bounds)
+    i, j, first, off = spans.T
+    widths = j - i + 1
+    rid = np.repeat(np.arange(len(spans)), widths)
+    zone = np.arange(len(rid)) - np.repeat(np.cumsum(widths) - widths, widths) + i[rid]
+    seg_lo = off[rid] + bounds[zone, 0] - first[rid]
+    seg_len = bounds[zone, 1] - bounds[zone, 0]
     errs = np.empty(len(seg_lo))
     for count in np.unique(seg_len):
         rows = np.flatnonzero(seg_len == count)
-        errs[rows] = np.sqrt(res[seg_lo[rows, None] + np.arange(count)].mean(axis=1))
+        step = max(1, _CHUNK_CELLS // count)
+        for sel in (rows[at : at + step] for at in range(0, len(rows), step)):
+            errs[sel] = np.sqrt(res[seg_lo[sel, None] + np.arange(count)].mean(axis=1))
+    return errs.tolist()
 
-    by_end = {}
+
+def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int, int]],
+                ids: Iterator[int] = itertools.repeat(-1)) -> list[Descriptor | None]:
+    """Fit one prototype over every zone range (i, j) in ``ranges``: the
+    descriptor per range, or None where the range holds fewer samples
+    than the kind has free parameters or admits no fit.  Descriptors
+    take their ids from ``ids`` in ``ranges`` order."""
+    xs, nz = series.xs, series.n_zones
+    bounds = np.array(series.zone_bounds)
+    span_i, span_j = np.array(ranges).reshape(-1, 2).T
+    first = bounds[span_i, 0]
+    sizes = bounds[span_j, 1] - first
+    feasible = np.flatnonzero(sizes >= PARAM_COUNTS[kind]).tolist()
+    groups: dict = {}
+    edges = {}  # tooth: range -> plateau edge positions
+    for r in feasible:
+        key = int(sizes[r])
+        if kind is CurveKind.TOOTH:
+            i, j = int(span_i[r]), int(span_j[r])
+            edges[r] = _tooth_positions(xs[first[r] : first[r] + key],
+                                        np.arange(i, j + 2, dtype=float) / nz, j - i < 4)
+            key = key, len(edges[r])
+        groups.setdefault(key, []).append(r)
+
+    res = np.empty(int(sizes[feasible].sum()))  # squared residuals, a row per range
+    names = [f.name for f in dataclasses.fields(PARAMS_CLASS[kind])]
+    fitted = {}  # range -> (param values, offset in res)
     at = 0
-    for (j, _, p), width in zip(fits, widths):
-        by_end[j] = Descriptor(
-            id=next(ids),
-            kind=kind,
-            params=p,
-            zone_start=i,
-            zone_end=j,
-            zone_errs=tuple(errs[at : at + width].tolist()),
-            n_zones=series.n_zones,
-        )
-        at += width
-    return [by_end.get(j) for j in ends]
+    for g in groups.values():
+        n = int(sizes[g[0]])
+        idx = first[g, None] + np.arange(n)
+        x, y = xs[idx], series.ys[idx]
+        if kind is CurveKind.TOOTH:
+            # Samples before a range lie below its first edge, and those
+            # after it at or past its last, so the range's own counts
+            # follow from the whole series'.
+            pos = np.array([edges[r] for r in g])
+            lo_idx = np.searchsorted(xs, pos, side="left") - first[g, None]
+            hi_idx = np.minimum(np.searchsorted(xs, pos, side="right") - first[g, None], n)
+            cols, ok = _fit_teeth(y, pos, lo_idx, hi_idx)
+        else:
+            cols, ok = _FITTERS[kind](x, y, span_i[g] / nz, (span_j[g] + 1) / nz)
+        res[at : at + len(g) * n].reshape(len(g), n)[ok] = np.square(y[ok] - evaluate(
+            kind, {f: c[ok, None] for f, c in zip(names, cols)}, x[ok]))
+        for k, (r, vals) in enumerate(zip(g, np.transpose(cols).tolist())):
+            if ok[k]:
+                fitted[r] = vals, at + k * n
+        at += len(g) * n
+
+    out: list[Descriptor | None] = [None] * len(ranges)
+    if not fitted:
+        return out
+    order = sorted(fitted)
+    spans = np.column_stack([span_i[order], span_j[order], first[order],
+                             [fitted[r][1] for r in order]])
+    errs = _zone_errs(series, spans, res)
+    at = 0
+    for r, i, j in zip(order, span_i[order].tolist(), span_j[order].tolist()):
+        params = PARAMS_CLASS[kind](*fitted[r][0])
+        out[r] = Descriptor(next(ids), kind, params, i, j, tuple(errs[at : at + j - i + 1]), nz)
+        at += j - i + 1
+    return out
 
 
-def fit_one(
-    series: TimeSeries, kind: CurveKind, i: int, j: int
-) -> Descriptor | None:
+def fit_one(series: TimeSeries, kind: CurveKind, i: int, j: int) -> Descriptor | None:
     """Fit one prototype over zones [i, j].
 
     Returns None when the range holds fewer samples than the kind has
@@ -534,7 +550,7 @@ def fit_one(
     """
     if not (0 <= i <= j < series.n_zones):
         raise FitError(f"bad zone range [{i}, {j}] for {series.n_zones} zones")
-    return _fit_from(series, kind, i, (j,))[0]
+    return _fit_ranges(series, kind, [(i, j)])[0]
 
 
 def build_pool(
@@ -550,15 +566,15 @@ def build_pool(
         raise FitError("at least one curve kind is required")
     kinds = tuple(sorted(set(kinds)))
     n = series.n_zones
+    ranges = [(i, j) for i in range(n) for j in range(i, n)]
     descriptors = []
     n_infeasible = 0
     ids = itertools.count()
     for kind in kinds:
-        for i in range(n):
-            fits = _fit_from(series, kind, i, range(i, n), ids)
-            kept = [d for d in fits if d is not None]
-            descriptors += kept
-            n_infeasible += len(fits) - len(kept)
+        fits = _fit_ranges(series, kind, ranges, ids)
+        kept = [d for d in fits if d is not None]
+        descriptors += kept
+        n_infeasible += len(fits) - len(kept)
     if not descriptors:
         raise FitError("no feasible descriptors; series too sparse for the zone grid")
     return DescriptorPool(
@@ -594,31 +610,15 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 def dump_pool(pool: DescriptorPool, path: str | Path) -> None:
-    """Write one json record per descriptor, line delimited."""
-    lines = []
-    for d in pool:
-        lines.append(
-            json.dumps(
-                {
-                    "id": d.id,
-                    "kind": d.kind.label,
-                    "zone_start": d.zone_start,
-                    "zone_end": d.zone_end,
-                    "params": params_to_dict(d.params),
-                    "zone_errs": list(d.zone_errs),
-                },
-                sort_keys=True,
-            )
-        )
-    header = json.dumps(
-        {
-            "n_zones": pool.n_zones,
-            "kinds": [k.label for k in pool.kinds],
-            "n_infeasible": pool.n_infeasible,
-        },
-        sort_keys=True,
-    )
-    write_atomic(Path(path), "\n".join([header] + lines) + "\n")
+    """Write a header record, then one json record per descriptor, line
+    delimited."""
+    header = {"n_zones": pool.n_zones, "kinds": [k.label for k in pool.kinds],
+              "n_infeasible": pool.n_infeasible}
+    records = [{"id": d.id, "kind": d.kind.label, "zone_start": d.zone_start,
+                "zone_end": d.zone_end, "params": params_to_dict(d.params),
+                "zone_errs": list(d.zone_errs)} for d in pool]
+    lines = [json.dumps(rec, sort_keys=True) for rec in [header] + records]
+    write_atomic(Path(path), "\n".join(lines) + "\n")
 
 
 def load_pool(path: str | Path) -> DescriptorPool:

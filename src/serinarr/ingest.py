@@ -15,8 +15,8 @@ Supported input formats:
 
 ``json``
     Either ``{"points": [{"t": ..., "v": ...}, ...]}`` or
-    ``{"values": [...]}``.  Both must be json lists, and json booleans
-    are not numbers.
+    ``{"values": [...]}``.  Both must be json lists of json numbers:
+    strings and booleans are rejected.
 
 After loading, :func:`normalize` min-max scales both axes into the unit
 square and attaches the zone grid used by every later stage.
@@ -148,9 +148,11 @@ def _load_trends_csv(text: str) -> RawSeries:
 
 
 def _json_number(value) -> float:
-    # float() takes True and False as 1.0 and 0.0; json booleans are not numbers.
-    if isinstance(value, bool):
-        raise TypeError("boolean")
+    # float() also takes strings such as " 3 ", and True and False as 1.0
+    # and 0.0; only json ints and floats are numbers.  An int past the
+    # float range raises OverflowError.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
     return float(value)
 
 
@@ -166,7 +168,7 @@ def _load_json(text: str) -> RawSeries:
             points = tuple(
                 (_json_number(p["t"]), _json_number(p["v"])) for p in doc["points"]
             )
-        except (TypeError, KeyError, ValueError):
+        except (TypeError, KeyError, ValueError, OverflowError):
             raise IngestError('json "points" entries need numeric "t" and "v"') from None
     elif isinstance(doc, dict) and "values" in doc:
         # A json string is iterable too: without this check "314" loads as 3, 1, 4.
@@ -176,7 +178,7 @@ def _load_json(text: str) -> RawSeries:
             points = tuple(
                 (float(k), _json_number(v)) for k, v in enumerate(doc["values"])
             )
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise IngestError('json "values" must be a list of numbers') from None
     else:
         raise IngestError('json input needs a "points" or "values" key')

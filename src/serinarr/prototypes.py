@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
@@ -119,7 +120,7 @@ class SinusoidParams:
 
 CurveParams = Union[LineParams, BilinearParams, ToothParams, SinusoidParams]
 
-_PARAMS_CLASS = {
+PARAMS_CLASS = {
     CurveKind.LINE: LineParams,
     CurveKind.BILINEAR: BilinearParams,
     CurveKind.TOOTH: ToothParams,
@@ -127,12 +128,17 @@ _PARAMS_CLASS = {
 }
 
 
-def evaluate(kind: CurveKind, params: CurveParams, x):
+def evaluate(kind: CurveKind, params, x):
     """Model value(s) at ``x`` (scalar or ndarray).
 
-    Bilinear curves are only defined on their fitted range.
+    ``params`` is the kind's params, or a dict of its field names to
+    columns of shape ``(m, 1)``: then ``x`` has shape ``(m, n)`` and row
+    k is evaluated with the k-th value of every field, by the same
+    formula.  Bilinear curves are only defined on their fitted range.
     """
-    if not isinstance(params, _PARAMS_CLASS[kind]):
+    if isinstance(params, dict):
+        params = SimpleNamespace(**params)
+    elif not isinstance(params, PARAMS_CLASS[kind]):
         raise TypeError(
             f"params of type {type(params).__name__} do not match kind {kind.label}"
         )
@@ -180,4 +186,4 @@ def params_to_dict(params: CurveParams) -> dict:
 
 
 def params_from_dict(kind: CurveKind, d: dict) -> CurveParams:
-    return _PARAMS_CLASS[kind](**d)
+    return PARAMS_CLASS[kind](**d)

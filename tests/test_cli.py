@@ -440,6 +440,11 @@ def test_main_unknown_config_key_fails_before_reading(
     ("json", '{"points": "t,v"}', 'json "points" must be a list'),
     ("json", '{"points": [{"t": 0, "v": 1}, {"t": true, "v": 2}]}', 'json "points" entries'),
     ("json", '{"points": [{"t": 0, "v": false}, {"t": 1, "v": 2}]}', 'json "points" entries'),
+    ("json", '{"values": ["1", "2.5", " 3 ", "4"]}', 'json "values" must be a list'),
+    ("json", '{"points": [{"t": 0, "v": 1}, {"t": "1", "v": 2}]}', 'json "points" entries'),
+    ("json", '{"points": [{"t": 0, "v": 1}, {"t": 1, "v": "2"}]}', 'json "points" entries'),
+    pytest.param("json", '{"values": [1, 1%s, 3]}' % ("0" * 400),
+                 'json "values" must be a list', id="json-int-past-float-range"),
 ])
 def test_main_rejects_bad_input_rows(fmt, text, reason, tmp_path, capsys):
     bad = tmp_path / "bad.txt"

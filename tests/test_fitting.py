@@ -1,24 +1,24 @@
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_descriptor, make_series, series_exact
 from serinarr import fitting
 from serinarr.errors import FitError
 from serinarr.fitting import (
+    _CHUNK_CELLS,
     _SIN_GRID,
-    _TOOTH_BLOCK_CELLS,
     DEFAULT_KINDS,
     Descriptor,
     DescriptorPool,
-    _fit_from,
-    _fit_line,
-    _fit_sinusoid,
-    _fit_tooth,
+    _fit_ranges,
     _sin_grid,
     _sin_solve,
     build_pool,
@@ -293,14 +293,7 @@ def test_fit_beats_64_random_perturbations(kind):
 # ------------------------------------------ batched scans against loops
 
 
-def _prefix_sums(y):
-    """One range's own y and y^2 prefix sums, for ``_fit_tooth``, which
-    is given its start zone's shared ones inside ``_fit_from``."""
-    return (np.concatenate(([0.0], np.cumsum(y))),
-            np.concatenate(([0.0], np.cumsum(y * y))))
-
-
-def _reference_tooth(x, y, x_lo, x_hi, boundaries, add_samples):
+def _pair_lexsort_tooth(x, y, x_lo, x_hi, boundaries, add_samples):
     """The tooth search as one pass over every (x_s, x_e) pair: prefix
     sums gathered per pair, then a full (sse, -width, x_s) lexsort."""
     n = len(x)
@@ -364,21 +357,24 @@ def _random_ranges(rnd, count):
         yield s, i, rnd.randrange(i, s.n_zones)
 
 
-@pytest.mark.parametrize("cells", [1, 7, 64, _TOOTH_BLOCK_CELLS])
+@pytest.mark.parametrize("cells", [1, 7, 64, _CHUNK_CELLS])
 def test_tooth_blocks_match_pair_lexsort(monkeypatch, cells):
-    """The blocked start x end table picks the plateau the full pair
-    lexsort picks, ties included, whatever the block size."""
-    monkeypatch.setattr(fitting, "_TOOTH_BLOCK_CELLS", cells)
+    """The blocked (range, start, end) tables pick the plateau the full
+    pair lexsort picks, ties included, whatever the block size: blocks of
+    many ranges, of one whole range, or of a few of its start rows."""
+    monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
     rnd = random.Random(6100)
-    for s, i, j in _random_ranges(rnd, 240):
-        sl = s.zone_slice(i, j)
-        x, y = s.xs[sl], s.ys[sl]
-        x_lo, x_hi = s.zone_x_range(i, j)
-        boundaries = np.arange(i, j + 2, dtype=float) / s.n_zones
-        add = rnd.random() < 0.7
-        want = _reference_tooth(x, y, x_lo, x_hi, boundaries, add)
-        got = _fit_tooth(x, *_prefix_sums(y), boundaries, add)
-        assert got == want, (i, j, add)
+    for s, _, _ in _random_ranges(rnd, 60):
+        ranges = [(i, j) for i in range(s.n_zones) for j in range(i, s.n_zones)]
+        for (i, j), d in zip(ranges, _fit_ranges(s, CurveKind.TOOTH, ranges)):
+            sl = s.zone_slice(i, j)
+            x, y = s.xs[sl], s.ys[sl]
+            boundaries = np.arange(i, j + 2, dtype=float) / s.n_zones
+            want = None
+            if len(x) >= PARAM_COUNTS[CurveKind.TOOTH]:
+                want = _pair_lexsort_tooth(x, y, *s.zone_x_range(i, j), boundaries,
+                                           (j - i + 1) <= 4)
+            assert (d and d.params) == want, (i, j)
 
 
 def test_sinusoid_grid_matches_per_frequency_solve():
@@ -499,21 +495,182 @@ def _oracle_series(rng, count):
     yield _edge_series(np.round(rng.standard_normal(40)), 8)
 
 
-def test_bilinear_batch_matches_per_range_fit():
-    """The fits of all ranges that share a start, solved as one batch,
-    equal each range fitted on its own, bit for bit."""
+def test_bilinear_batch_matches_per_range_fit(monkeypatch):
+    """The fits of every range, solved as one batch per sample count, in
+    chunks of whole ranges, equal each range fitted on its own, bit for
+    bit, with the default chunk budget and with one of about 3 candidates."""
     seen = set()
-    for s in _oracle_series(np.random.default_rng(6300), 45):
-        for i in range(s.n_zones):
-            ends = range(i, s.n_zones)
-            for j, d in zip(ends, _fit_from(s, CurveKind.BILINEAR, i, ends)):
+    for cells in (_CHUNK_CELLS, 96):
+        monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
+        for s in _oracle_series(np.random.default_rng(6300), 45):
+            ranges = [(i, j) for i in range(s.n_zones) for j in range(i, s.n_zones)]
+            for (i, j), d in zip(ranges, _fit_ranges(s, CurveKind.BILINEAR, ranges)):
                 sl = s.zone_slice(i, j)
                 x, y = s.xs[sl], s.ys[sl]
                 want = None
                 if len(x) >= PARAM_COUNTS[CurveKind.BILINEAR]:
                     want = _reference_bilinear(x, y, *s.zone_x_range(i, j), seen)
-                assert (d and d.params) == want, (i, j)
+                assert (d and d.params) == want, (cells, i, j)
     assert seen == {"midpoint", "singular"}
+
+
+# Per-range fitters, one range at a time with their own helpers, as
+# oracles for the batch fitters: the pool oracle below calls no fitting
+# code.
+
+
+def _reference_line(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
+    n = len(x)
+    sx = float(x.sum())
+    sy = float(y.sum())
+    sxx = float((x * x).sum())
+    sxy = float((x * y).sum())
+    denom = n * sxx - sx * sx
+    if denom <= 0:
+        return None
+    b = (n * sxy - sx * sy) / denom
+    a = (sy - b * sx) / n
+    return LineParams(a=a, b=b)
+
+
+def _seg_sse(cnt: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    out = ss - np.where(cnt > 0, s * s / np.where(cnt > 0, cnt, 1.0), 0.0)
+    return np.maximum(out, 0.0)
+
+
+_TOOTH_BLOCK_CELLS = 1 << 20
+
+
+def _reference_tooth(
+    x: np.ndarray,
+    py: np.ndarray,
+    pyy: np.ndarray,
+    boundaries: np.ndarray,
+    add_samples: bool,
+):
+    """Tooth fit of the range ``x`` from prefix sums of y and y^2 that
+    may run past it.  Each zone of the range holds a sample, so every
+    (start, end) cell with end > start counts at least one."""
+    n = len(x)
+    positions = np.unique(np.concatenate([boundaries, x])) if add_samples else boundaries
+    n_pos = len(positions)
+
+    lo_idx = np.searchsorted(x, positions, side="left")
+    hi_idx = np.searchsorted(x, positions, side="right")
+
+    s_lo, s_hi = py[lo_idx], py[hi_idx]
+    ss_lo, ss_hi = pyy[lo_idx], pyy[hi_idx]
+    # Outer segments per edge position; py[0] and pyy[0] are 0.0, so
+    # these equal the per-pair differences exactly.
+    left = _seg_sse(lo_idx.astype(float), s_lo, ss_lo)
+    right = _seg_sse((n - hi_idx).astype(float), py[n] - s_hi, pyy[n] - ss_hi)
+
+    # The plateau spans rows (start edge) by columns (end edge).  Rows
+    # are scored in blocks of at most _TOOTH_BLOCK_CELLS cells, so memory
+    # stays bounded.  Ties prefer the wider plateau, then the earlier
+    # start: blocks run in start order, and a later block replaces the
+    # best only with a strictly smaller (sse, -width).
+    cols = np.arange(n_pos)
+    step = max(1, _TOOTH_BLOCK_CELLS // n_pos)
+    best_key = best_cell = None  # (sse, -width), (row, col)
+    for r0 in range(0, n_pos - 1, step):
+        rows = np.arange(r0, min(r0 + step, n_pos - 1))
+        cnt = hi_idx[None, :] - lo_idx[rows, None]
+        # _seg_sse's arithmetic in place; cells with cnt <= 0 are masked below.
+        s = s_hi[None, :] - s_lo[rows, None]
+        s *= s
+        with np.errstate(invalid="ignore", divide="ignore"):
+            s /= cnt
+        sse = ss_hi[None, :] - ss_lo[rows, None]
+        sse -= s
+        np.maximum(sse, 0.0, out=sse)
+        sse = left[rows, None] + sse
+        sse += right[None, :]
+        sse[(cols[None, :] <= rows[:, None]) | (cnt <= 0)] = np.inf
+        m = float(sse.min())
+        tr, tc = np.nonzero(sse == m)
+        tr = rows[tr]
+        width = positions[tc] - positions[tr]
+        k = int(np.lexsort((positions[tr], -width))[0])
+        key = (m, float(-width[k]))
+        if best_key is None or key < best_key:
+            best_key, best_cell = key, (int(tr[k]), int(tc[k]))
+
+    row, col = best_cell
+    s_i, e_i = int(lo_idx[row]), int(hi_idx[col])
+    y_in = float((py[e_i] - py[s_i]) / (e_i - s_i))
+    y_out_l = float(py[s_i] / s_i) if s_i > 0 else y_in
+    y_out_r = float((py[n] - py[e_i]) / (n - e_i)) if e_i < n else y_in
+    return ToothParams(
+        y_out_l=y_out_l,
+        y_out_r=y_out_r,
+        x_s=float(positions[row]),
+        x_e=float(positions[col]),
+        y_in=y_in,
+    )
+
+
+def _reference_sin_solve(x, r, freq):
+    arg = 2 * math.pi * freq * x
+    s = np.sin(arg)
+    co = np.cos(arg)
+    m00 = float((s * s).sum())
+    m01 = float((s * co).sum())
+    m11 = float((co * co).sum())
+    b0 = float((s * r).sum())
+    b1 = float((co * r).sum())
+    det = m00 * m11 - m01 * m01
+    if abs(det) < 1e-14:
+        return None
+    a = (m11 * b0 - m01 * b1) / det
+    b = (m00 * b1 - m01 * b0) / det
+    sse = float((r * r).sum()) - (a * b0 + b * b1)
+    return a, b, max(sse, 0.0)
+
+
+def _reference_sinusoid(x, y, x_lo, x_hi):
+    """The sinusoid fit with its grid scanned one frequency at a time."""
+    grid = np.geomspace(0.5, 8.0, 32)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    width = x_hi - x_lo
+    mean = float(y.mean())
+    r = y - mean
+
+    def sse_at(f_range):
+        sol = _reference_sin_solve(x, r, f_range / width)
+        return sol[2] if sol is not None else np.inf
+
+    sols = [_reference_sin_solve(x, r, f / width) for f in grid]
+    sses = [sol[2] if sol is not None else np.inf for sol in sols]
+    if not np.isfinite(sses).any():
+        return None
+    k = int(np.argmin(sses))
+    a, b, sse = sols[k]
+    freq = grid[k] / width
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    c1 = hi - golden * (hi - lo)
+    c2 = lo + golden * (hi - lo)
+    f1, f2 = sse_at(c1), sse_at(c2)
+    while (hi - lo) > 1e-3 * (0.5 * (hi + lo)):
+        if f1 <= f2:
+            hi, c2, f2 = c2, c1, f1
+            c1 = hi - golden * (hi - lo)
+            f1 = sse_at(c1)
+        else:
+            lo, c1, f1 = c1, c2, f2
+            c2 = lo + golden * (hi - lo)
+            f2 = sse_at(c2)
+    mid = 0.5 * (lo + hi) / width
+    sol = _reference_sin_solve(x, r, mid)
+    if sol is not None and sol[2] < sse:
+        a, b, _ = sol
+        freq = mid
+    amp = math.hypot(a, b)
+    phase = math.atan2(b, a) % (2 * math.pi)
+    if phase >= 2 * math.pi:
+        phase = 0.0
+    return SinusoidParams(amp=amp, freq=freq, phase=phase, mean=mean)
 
 
 def _reference_pool(series, kinds):
@@ -535,11 +692,14 @@ def _reference_pool(series, kinds):
                     params = _reference_bilinear(x, y, x_lo, x_hi, set())
                 elif kind is CurveKind.TOOTH:
                     boundaries = np.arange(i, j + 2, dtype=float) / n
-                    params = _fit_tooth(x, *_prefix_sums(y), boundaries, (j - i + 1) <= 4)
+                    params = _reference_tooth(
+                        x, np.concatenate(([0.0], np.cumsum(y))),
+                        np.concatenate(([0.0], np.cumsum(y * y))),
+                        boundaries, (j - i + 1) <= 4)
                 elif kind is CurveKind.LINE:
-                    params = _fit_line(x, y, x_lo, x_hi)
+                    params = _reference_line(x, y, x_lo, x_hi)
                 else:
-                    params = _fit_sinusoid(x, y, x_lo, x_hi)
+                    params = _reference_sinusoid(x, y, x_lo, x_hi)
                 if params is None:
                     n_infeasible += 1
                     continue
@@ -554,7 +714,7 @@ def _reference_pool(series, kinds):
 
 
 def test_pool_matches_per_range_reference():
-    """Pools built a start zone at a time equal the per-range build, ids,
+    """Pools built a sample count at a time equal the per-range build, ids,
     zone errors and infeasible count included, for every kind; and
     ``fit_one`` returns each descriptor with id -1."""
     rng = np.random.default_rng(6400)
@@ -571,3 +731,61 @@ def test_pool_matches_per_range_reference():
         for d in pool:
             assert fit_one(s, d.kind, d.zone_start, d.zone_end) == replace(d, id=-1)
     assert n_infeasible > 0
+
+
+def _uneven_series(xs, ys, levels):
+    """A series on the given sorted positions in [0, 1], each zone holding
+    one at least, with the zone grid ``normalize`` builds."""
+    xs = np.asarray(xs, dtype=float)
+    n_zones = 2 ** levels
+    zone_of = np.minimum(np.floor(xs * n_zones).astype(int), n_zones - 1)
+    ends = np.searchsorted(zone_of, np.arange(n_zones), side="right")
+    bounds = tuple(zip([0] + ends[:-1].tolist(), ends.tolist()))
+    return TimeSeries(xs=xs, ys=np.asarray(ys, dtype=float), n_zones=n_zones,
+                      zone_bounds=bounds)
+
+
+@settings(max_examples=20, deadline=None)
+@given(levels=st.integers(1, 4), data=st.data())
+def test_pool_matches_reference_on_uneven_zones(levels, data):
+    """Unevenly spaced samples put unequal counts in the zones, so the
+    groups of one sample count mix ranges of different widths and starts,
+    and tooth groups mix plateau edge counts.  Every kind's pool equals
+    the per-range build, and ``fit_one`` each of its descriptors."""
+    n_zones = 2 ** levels
+    xs = []
+    for z in range(n_zones):
+        # Offsets on a 1/1000 grid: the bilinear fitter warns on gaps that
+        # square to 0 (below ~1e-154), a fault this property does not cover.
+        offsets = data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=7,
+                                     unique=True))
+        xs += sorted((z + u / 1000) / n_zones for u in offsets)
+    xs[0], xs[-1] = 0.0, 1.0
+    ys = data.draw(st.lists(st.integers(0, 4).map(float) | st.floats(0.0, 1.0),
+                            min_size=len(xs), max_size=len(xs)))
+    s = _uneven_series(xs, ys, levels)
+    pool = build_pool(s, tuple(CurveKind))
+    assert pool == _reference_pool(s, tuple(CurveKind))
+    for d in pool:
+        assert fit_one(s, d.kind, d.zone_start, d.zone_end) == replace(d, id=-1)
+
+
+@pytest.mark.parametrize("points, levels, kind, limit_mib", [
+    (16384, 4, CurveKind.BILINEAR, 16),
+    (2048, 1, CurveKind.TOOTH, 37),
+], ids=["bilinear-16384-points-L4", "tooth-2048-points-L1"])
+def test_build_pool_memory_is_bounded(points, levels, kind, limit_mib):
+    """Dense input: bilinear candidates and tooth tables are processed in
+    chunks, so a pool build's traced peak stays small.  Solving every
+    bilinear candidate of the 16,384-point walk at once takes about
+    51 MiB; scoring the 2048-point walk's largest tooth table unblocked,
+    about 128 MiB."""
+    walk = np.cumsum(np.random.default_rng(7919).standard_normal(points))
+    s = make_series(walk, levels)
+    tracemalloc.start()
+    try:
+        build_pool(s, (kind,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2 ** 20

@@ -53,6 +53,33 @@ def test_evaluate_vectorized_matches_scalar():
         assert y == pytest.approx(evaluate(CurveKind.SINUSOID, p, float(x)))
 
 
+def test_evaluate_columns_match_rows():
+    """Params given as columns evaluate each row exactly as that row's
+    params alone do."""
+    rows = {
+        CurveKind.LINE: [LineParams(0.2, 0.5), LineParams(-1.0, 3.0)],
+        CurveKind.BILINEAR: [
+            BilinearParams(x_b=0.3, y_l=0.1, y_b=0.9, y_r=0.4, x_lo=0.0, x_hi=1.0),
+            BilinearParams(x_b=0.6, y_l=0.5, y_b=0.2, y_r=0.8, x_lo=0.0, x_hi=1.0),
+        ],
+        CurveKind.TOOTH: [
+            ToothParams(y_out_l=0.4, y_out_r=0.3, x_s=0.25, x_e=0.5, y_in=0.9),
+            ToothParams(y_out_l=0.1, y_out_r=0.6, x_s=0.5, x_e=0.875, y_in=0.2),
+        ],
+        CurveKind.SINUSOID: [
+            SinusoidParams(amp=0.2, freq=2.0, phase=1.0, mean=0.4),
+            SinusoidParams(amp=0.7, freq=5.5, phase=0.0, mean=0.1),
+        ],
+    }
+    x = np.linspace(0.0, 1.0, 17)
+    for kind, ps in rows.items():
+        cols = {f: np.array([[params_to_dict(p)[f]] for p in ps])
+                for f in params_to_dict(ps[0])}
+        got = evaluate(kind, cols, np.stack([x] * len(ps)))
+        for k, p in enumerate(ps):
+            assert got[k].tolist() == evaluate(kind, p, x).tolist(), kind
+
+
 def test_bilinear_degenerate_constant():
     p = BilinearParams(x_b=0.3, y_l=0.7, y_b=0.7, y_r=0.7, x_lo=0.0, x_hi=1.0)
     xs = np.linspace(0.0, 1.0, 11)
