@@ -4,9 +4,16 @@ For each verbosity v the solver picks exactly v non-overlapping
 descriptors whose ranges cover all zones, each spanning at least
 ceil(n / 2**v) zones, minimizing the summed per-zone error.  The
 search is an exact dynamic program over cut positions, so the result
-is provably optimal, and all tie-breaks are fixed (cheapest segment
-first by kind order then id; among equal-cost partitions the earliest
-cuts win), which makes the output independent of pool ordering.
+is provably optimal.  With ``cost[m, k]`` the cheapest descriptor over
+zones m..k-1 (inf where there is none or the span is too short), the
+least cost of every prefix [0, k) in p segments is the column minimum
+of ``best[:, None] + cost``, ``best`` being that of p - 1 segments.
+Tie-breaks are fixed, so the output does not depend on pool order:
+the cheapest segment goes first by kind order, then id; each prefix
+keeps the earliest start of its last segment, and the tiling is read
+back from the last zone.  So among equal-cost partitions the last cut
+is the earliest, then the one before it, and so on, which is not
+always the lexicographically first partition.
 """
 
 from __future__ import annotations
@@ -82,50 +89,36 @@ def solve_cover(pool: DescriptorPool, v_max: int) -> list[VerbosityLevel]:
         raise SolveError(f"verbosity bound must be >= 1, got {v_max}")
     n = pool.n_zones
     table = segment_table(pool)
+    # cost[m, k], ids[m, k]: the cheapest descriptor over zones m..k-1
+    cost = np.full((n + 1, n + 1), _INF)
+    ids = np.full((n + 1, n + 1), -1)
+    for (i, j), (c, id_) in table.items():
+        cost[i, j + 1], ids[i, j + 1] = c, id_
+    span = np.arange(n + 1) - np.arange(n + 1)[:, None]
 
     levels = []
     for v in range(1, v_max + 1):
-        min_len = min_segment_zones(n, v)
-        # dp[p][k]: best cost covering zones [0, k) with p segments
-        dp = [[_INF] * (n + 1) for _ in range(v + 1)]
-        cut = [[-1] * (n + 1) for _ in range(v + 1)]
-        dp[0][0] = 0.0
-        for p in range(1, v + 1):
-            for k in range(p * min_len, n + 1):
-                best, best_m = _INF, -1
-                for m in range((p - 1) * min_len, k - min_len + 1):
-                    if dp[p - 1][m] == _INF:
-                        continue
-                    seg = table.get((m, k - 1))
-                    if seg is None:
-                        continue
-                    cand = dp[p - 1][m] + seg[0]
-                    if cand < best:
-                        best, best_m = cand, m
-                dp[p][k] = best
-                cut[p][k] = best_m
+        seg_cost = np.where(span >= min_segment_zones(n, v), cost, _INF)
+        # best[k]: least cost of zones [0, k) in p segments; cuts[p - 1][k]:
+        # the first start of the last segment that reaches it
+        best = np.full(n + 1, _INF)
+        best[0] = 0.0
+        cuts = []
+        for _ in range(v):
+            total = best[:, None] + seg_cost
+            cuts.append(total.argmin(axis=0))
+            best = total.min(axis=0)
 
-        if dp[v][n] == _INF:
-            levels.append(
-                VerbosityLevel(v=v, chosen=(), cost=_INF, feasible=False,
-                               zone_errs=())
-            )
+        if best[n] == _INF:
+            levels.append(VerbosityLevel(v=v, chosen=(), cost=_INF, feasible=False,
+                                         zone_errs=()))
             continue
-
-        segments = []
-        k = n
-        for p in range(v, 0, -1):
-            m = cut[p][k]
-            segments.append((m, k - 1))
-            k = m
-        segments.reverse()
-        ids = tuple(table[seg][1] for seg in segments)
-        levels.append(
-            VerbosityLevel(
-                v=v, chosen=ids, cost=dp[v][n], feasible=True,
-                zone_errs=tuple(pool.zone_errs(ids)),
-            )
-        )
+        chosen, k = [], n
+        for cut in reversed(cuts):
+            chosen.insert(0, int(ids[cut[k], k]))
+            k = cut[k]
+        levels.append(VerbosityLevel(v=v, chosen=tuple(chosen), cost=float(best[n]),
+                                     feasible=True, zone_errs=tuple(pool.zone_errs(chosen))))
     return levels
 
 

@@ -241,7 +241,7 @@ def solve_details(
     suf_hi.reverse()
     suf_lo.reverse()
 
-    best: tuple | None = None  # (tie-break key, lo, per-zone gains)
+    best: tuple | None = None  # (tie-break key, per-zone gains)
     expanded = pruned = 0
 
     def search(chosen: tuple[int, ...], resid: tuple[int, ...], bits: int,
@@ -260,7 +260,7 @@ def solve_details(
         key = (-obj, len(chosen), chosen)
         if best is None or key < best[0]:
             gains = {z: hi[z] - lo[z] for z in all_zones if covered >> z & 1}
-            best = key, lo, gains
+            best = key, gains
         if len(chosen) >= cfg.v:
             return
         # Child idx, later children and their descendants add candidates
@@ -292,17 +292,17 @@ def solve_details(
 
     summary_err = list(by_v[s].zone_errs)
     search((), (), 0, summary_err, summary_err, 0, 0)
-    (neg_obj, _, chosen), lo, gains = best
-    # lo is the selected set's per-zone error: the summary tiles each zone once.
+    (neg_obj, _, chosen), gains = best
+    details = tuple((candidates[k][0].id, candidates[k][1]) for k in chosen)
     # Left-to-right float sum: fsum, numpy and Python 3.12's compensated
     # sum() round differently and would change selection.json.
     total = 0.0
-    for e in lo:
+    for e in pool.zone_errs(list(summary_ids) + [i for i, _ in details]):
         total += e
     return SelectionResult(
         s=s,
         summary=tuple(summary_ids),
-        details=tuple((candidates[k][0].id, candidates[k][1]) for k in chosen),
+        details=details,
         objective=-neg_obj,
         per_zone_gain=gains,
         global_rmse=total / pool.n_zones,

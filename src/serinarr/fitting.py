@@ -8,10 +8,11 @@ the kind's parameter count are skipped and only counted.
 Fitting strategy per kind:
 
 * line: closed-form ordinary least squares.
-* bilinear: the breakpoint is searched over the sample x positions
-  strictly inside the range; the three y values follow from a linear
-  solve that keeps the polyline continuous.  Ties prefer the smaller
-  breakpoint.
+* bilinear: every sample of the range is a breakpoint candidate, with
+  the samples up to it on the left; those strictly inside the range
+  whose edge gaps square above 0 are scored.  The three y values follow
+  from a linear solve that keeps the polyline continuous.  Ties prefer
+  the smaller breakpoint.
 * tooth: plateau edges are searched over the zone boundaries inside
   the range, plus the sample positions when the range spans at most 4
   zones; the three levels are segment means.  Every (start, end) edge
@@ -198,74 +199,61 @@ def _fit_lines(x, y, x_lo, x_hi):
 
 
 def _fit_bilinears(x, y, x_lo, x_hi):
-    """A row's breakpoint candidates are its samples strictly inside
-    (x_lo, x_hi), one run of the row.  They are solved in chunks of whole
-    rows of about ``_CHUNK_CELLS // 32`` candidates: a candidate holds as
-    much memory as some 32 tooth table cells."""
+    """Column p of a row's candidate grid takes sample p as the breakpoint,
+    samples 0..p on the left.  The grid is solved in runs of whole rows of
+    about ``_CHUNK_CELLS // 32`` cells: a candidate holds as much memory as
+    some 32 tooth table cells."""
     m, n = x.shape
-    first = (x <= x_lo[:, None]).sum(axis=1)
-    n_cands = np.maximum((x < x_hi[:, None]).sum(axis=1) - first, 0)
     px, pxx, py, pxy = (_prefix(a) for a in (x, x * x, y, x * y))
     syy = (y * y).sum(axis=1)
     cols = np.full((6, m), np.nan)  # x_b, y_l, y_b, y_r, x_lo, x_hi
     cols[4], cols[5] = x_lo, x_hi
-    ends = np.cumsum(n_cands)
-    r1 = 0
-    while r1 < m:
-        r0 = r1
-        r1 = max(r0 + 1, int(np.searchsorted(
-            ends, ends[r0] - n_cands[r0] + _CHUNK_CELLS // 32, side="right")))
-        counts = n_cands[r0:r1]
-        rows = np.repeat(np.arange(r0, r1), counts)
-        if not len(rows):
-            continue
-        # samples 0..k-1 have x <= c = x[k-1]
-        seg = np.cumsum(counts) - counts
-        k = np.arange(len(rows)) - np.repeat(seg, counts) + first[rows] + 1
-        c = x[rows, k - 1]
-        lo, hi = x_lo[rows], x_hi[rows]
+    n_l = np.arange(1.0, n + 1)
+    n_r = n - n_l
+    step = max(1, _CHUNK_CELLS // 32 // n)
+    for r0 in range(0, m, step):
+        rs = slice(r0, r0 + step)
+        c, lo, hi = x[rs], x_lo[rs, None], x_hi[rs, None]
+        sx_l, sxx_l, sy_l, sxy_l = px[rs, 1:], pxx[rs, 1:], py[rs, 1:], pxy[rs, 1:]
+        sx_r, sxx_r = px[rs, n:] - sx_l, pxx[rs, n:] - sxx_l
+        sy_r, sxy_r = py[rs, n:] - sy_l, pxy[rs, n:] - sxy_l
 
-        n_l, sx_l, sxx_l = k.astype(float), px[rows, k], pxx[rows, k]
-        sy_l, sxy_l = py[rows, k], pxy[rows, k]
-        n_r, sx_r, sxx_r = n - n_l, px[rows, n] - sx_l, pxx[rows, n] - sxx_l
-        sy_r, sxy_r = py[rows, n] - sy_l, pxy[rows, n] - sxy_l
+        # Masked cells divide by 1, not by a gap that squares to 0.
+        dl, dr = c - lo, hi - c
+        gap = np.minimum(dl, dr)
+        keep = (gap > 0) & (gap * gap > 0)
+        dl, dr = np.where(keep, dl, 1.0), np.where(keep, dr, 1.0)
 
-        dl = c - lo
-        dr = hi - c
-
-        mat = np.zeros((len(c), 3, 3))
-        rhs = np.zeros((len(c), 3))
+        mat = np.zeros(c.shape + (3, 3))
+        rhs = np.zeros(c.shape + (3,))
         # left segment: y_l weight (c - x)/dl, y_b weight (x - x_lo)/dl
-        mat[:, 0, 0] = (c * c * n_l - 2 * c * sx_l + sxx_l) / (dl * dl)
-        mat[:, 0, 1] = ((c + lo) * sx_l - c * lo * n_l - sxx_l) / (dl * dl)
-        mat[:, 1, 1] = (sxx_l - 2 * lo * sx_l + lo * lo * n_l) / (dl * dl)
-        rhs[:, 0] = (c * sy_l - sxy_l) / dl
-        rhs[:, 1] = (sxy_l - lo * sy_l) / dl
+        mat[..., 0, 0] = (c * c * n_l - 2 * c * sx_l + sxx_l) / (dl * dl)
+        mat[..., 0, 1] = ((c + lo) * sx_l - c * lo * n_l - sxx_l) / (dl * dl)
+        mat[..., 1, 1] = (sxx_l - 2 * lo * sx_l + lo * lo * n_l) / (dl * dl)
+        rhs[..., 0] = (c * sy_l - sxy_l) / dl
+        rhs[..., 1] = (sxy_l - lo * sy_l) / dl
         # right segment: y_b weight (x_hi - x)/dr, y_r weight (x - c)/dr
-        mat[:, 1, 1] += (hi * hi * n_r - 2 * hi * sx_r + sxx_r) / (dr * dr)
-        mat[:, 1, 2] = ((hi + c) * sx_r - hi * c * n_r - sxx_r) / (dr * dr)
-        mat[:, 2, 2] = (sxx_r - 2 * c * sx_r + c * c * n_r) / (dr * dr)
-        rhs[:, 1] += (hi * sy_r - sxy_r) / dr
-        rhs[:, 2] = (sxy_r - c * sy_r) / dr
-        mat[:, 1, 0] = mat[:, 0, 1]
-        mat[:, 2, 1] = mat[:, 1, 2]
+        mat[..., 1, 1] += (hi * hi * n_r - 2 * hi * sx_r + sxx_r) / (dr * dr)
+        mat[..., 1, 2] = ((hi + c) * sx_r - hi * c * n_r - sxx_r) / (dr * dr)
+        mat[..., 2, 2] = (sxx_r - 2 * c * sx_r + c * c * n_r) / (dr * dr)
+        rhs[..., 1] += (hi * sy_r - sxy_r) / dr
+        rhs[..., 2] = (sxy_r - c * sy_r) / dr
+        mat[..., 1, 0] = mat[..., 0, 1]
+        mat[..., 2, 1] = mat[..., 1, 2]
 
-        ok = np.abs(np.linalg.det(mat)) > 1e-12
-        theta = np.full((len(c), 3), np.nan)
+        mat, rhs = mat.reshape(-1, 3, 3), rhs.reshape(-1, 3)
+        ok = keep.ravel() & (np.abs(np.linalg.det(mat)) > 1e-12)
+        theta = np.full(rhs.shape, np.nan)
         theta[ok] = np.linalg.solve(mat[ok], rhs[ok][..., None])[..., 0]
-        sse = syy[rows] - 2 * np.einsum("ki,ki->k", theta, rhs) + np.einsum(
-            "ki,kij,kj->k", theta, mat, theta
-        )
-        sse = np.where(ok, np.maximum(sse, 0.0), np.inf)
+        sse = syy[rs, None] - 2 * np.einsum("ki,ki->k", theta, rhs).reshape(c.shape) + (
+            np.einsum("ki,kij,kj->k", theta, mat, theta).reshape(c.shape))
+        sse = np.where(ok.reshape(c.shape), np.maximum(sse, 0.0), np.inf)
 
-        # Each row's first least sse, as argmin picks it: the smallest
-        # breakpoint.  A row whose least sse is not finite gets no fit.
-        low = np.full(m, np.nan)
-        low[r0:r1][counts > 0] = np.minimum.reduceat(sse, seg[counts > 0])
-        hit = np.flatnonzero((sse == low[rows]) & np.isfinite(sse))
-        best = hit[np.diff(rows[hit], prepend=-1) != 0]
-        cols[0, rows[best]] = c[best]
-        cols[1:4, rows[best]] = theta[best].T
+        # Each row's first least sse: the smallest breakpoint.  A row whose
+        # least sse is not finite gets no fit.
+        at, best = np.arange(len(c)), sse.argmin(axis=1)
+        fit = np.vstack([c[at, best], theta.reshape(c.shape + (3,))[at, best].T])
+        cols[:4, rs] = np.where(np.isfinite(sse[at, best]), fit, np.nan)
     return cols, ~np.isnan(cols[0])
 
 
@@ -570,11 +558,14 @@ def build_pool(
     descriptors = []
     n_infeasible = 0
     ids = itertools.count()
-    for kind in kinds:
-        fits = _fit_ranges(series, kind, ranges, ids)
-        kept = [d for d in fits if d is not None]
-        descriptors += kept
-        n_infeasible += len(fits) - len(kept)
+    try:
+        for kind in kinds:
+            fits = _fit_ranges(series, kind, ranges, ids)
+            kept = [d for d in fits if d is not None]
+            descriptors += kept
+            n_infeasible += len(fits) - len(kept)
+    except MemoryError:
+        raise FitError(f"out of memory fitting {len(series.xs)} samples") from None
     if not descriptors:
         raise FitError("no feasible descriptors; series too sparse for the zone grid")
     return DescriptorPool(

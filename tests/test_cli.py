@@ -282,6 +282,27 @@ def test_main_bad_format_is_a_usage_error(command, sample_csv):
     assert err[-1].startswith(f"serinarr {command}: error: argument --format")
 
 
+def test_narrate_near_edge_sample_writes_no_warnings(tmp_path):
+    """A sample 1e-200 past a zone edge narrates with an empty stderr:
+    the bilinear fitter drops the breakpoint whose edge gap squares to 0
+    instead of dividing by it."""
+    ts = (0.0, 1e-200, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 1.0)
+    vs = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3)
+    csv = tmp_path / "edge.csv"
+    csv.write_text("".join(f"{t!r},{v}\n" for t, v in zip(ts, vs)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "serinarr", "narrate", "--input", str(csv),
+         "--levels", "1", "--verbosity", "2", "--emit", ""],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "In general, the series presents" in proc.stdout
+
+
 @pytest.mark.parametrize("raw", ["3,x", ","])
 def test_main_sweep_rejects_bad_levels_list(raw, sample_csv, capsys):
     code = main(["sweep", "--input", str(sample_csv), "--levels-list", raw])
@@ -476,6 +497,23 @@ def test_main_exit_fit(tmp_path, capsys):
                  "--kinds", "tooth"])
     assert code == EXIT_FIT
     assert "fit error:" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_a_fit_error(sample_csv, tmp_path, capsys, monkeypatch):
+    """A ``MemoryError`` while fitting exits 4 with one ``fit error:``
+    line and no traceback, and fails only its own sweep row."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("serinarr.fitting._fit_ranges", exhausted)
+    for command in ("narrate", "fit"):
+        code = main([command, "--input", str(sample_csv), "--levels", "3",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_FIT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fit error: out of memory")
+    rows = sweep(RunConfig(input=str(sample_csv), verbosity=4), [3, 4])
+    assert [row["error"] for row in rows] == [err[0].removeprefix("fit error: ")] * 2
 
 
 def test_main_exit_solve(sample_csv, capsys):

@@ -22,6 +22,8 @@ from serinarr.prototypes import BilinearParams, CurveKind, evaluate
 
 # --------------------------------------------------------------- oracle
 
+_INF = float("inf")
+
 
 def best_descriptor(pool, i, j):
     cands = [d for d in pool if (d.zone_start, d.zone_end) == (i, j)]
@@ -49,6 +51,59 @@ def brute_force_cover(pool, v):
         if best_cost is None or cost < best_cost:
             best_cost, best_ids = cost, tuple(d.id for d in ds)
     return best_cost, best_ids
+
+
+def _reference_cover(pool, v_max):
+    """``solve_cover`` as a triple loop over (segments, prefix end, cut)."""
+    if v_max < 1:
+        raise SolveError(f"verbosity bound must be >= 1, got {v_max}")
+    n = pool.n_zones
+    table = segment_table(pool)
+
+    levels = []
+    for v in range(1, v_max + 1):
+        min_len = min_segment_zones(n, v)
+        # dp[p][k]: best cost covering zones [0, k) with p segments
+        dp = [[_INF] * (n + 1) for _ in range(v + 1)]
+        cut = [[-1] * (n + 1) for _ in range(v + 1)]
+        dp[0][0] = 0.0
+        for p in range(1, v + 1):
+            for k in range(p * min_len, n + 1):
+                best, best_m = _INF, -1
+                for m in range((p - 1) * min_len, k - min_len + 1):
+                    if dp[p - 1][m] == _INF:
+                        continue
+                    seg = table.get((m, k - 1))
+                    if seg is None:
+                        continue
+                    cand = dp[p - 1][m] + seg[0]
+                    if cand < best:
+                        best, best_m = cand, m
+                dp[p][k] = best
+                cut[p][k] = best_m
+
+        if dp[v][n] == _INF:
+            levels.append(
+                VerbosityLevel(v=v, chosen=(), cost=_INF, feasible=False,
+                               zone_errs=())
+            )
+            continue
+
+        segments = []
+        k = n
+        for p in range(v, 0, -1):
+            m = cut[p][k]
+            segments.append((m, k - 1))
+            k = m
+        segments.reverse()
+        ids = tuple(table[seg][1] for seg in segments)
+        levels.append(
+            VerbosityLevel(
+                v=v, chosen=ids, cost=dp[v][n], feasible=True,
+                zone_errs=tuple(pool.zone_errs(ids)),
+            )
+        )
+    return levels
 
 
 def check_tiling(pool, level, n):
@@ -233,3 +288,44 @@ def test_feasible_levels_tile_every_zone_once(zone_levels, v, drop, quantum, rnd
         check_tiling(pool, level, n)
         assert list(level.zone_errs) == pool.zone_errs(level.chosen)
         assert level.zone_errs == tuple(e for d in ds for e in d.zone_errs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=0.0, max_value=0.4),
+    st.sampled_from([1 / 8, 1 / 64]),
+    st.randoms(use_true_random=False),
+)
+def test_matches_reference_dp_on_tied_pools(n, v, drop, quantum, rnd):
+    """On a coarse error grid many partitions tie; with ranges missing,
+    the solver picks the tiling, cost and zone errors of the loop DP at
+    every level, infeasible ones included."""
+    full = full_random_pool(
+        rnd, n, kinds=(CurveKind.LINE, CurveKind.TOOTH), quantum=quantum)
+    kept = tuple(d for d in full if rnd.random() >= drop)
+    pool = DescriptorPool(descriptors=kept, n_zones=n, kinds=full.kinds,
+                          n_infeasible=len(full) - len(kept))
+    for got, want in zip(solve_cover(pool, v), _reference_cover(pool, v), strict=True):
+        assert (got.v, got.chosen, got.cost, got.feasible, got.zone_errs) == (
+            want.v, want.chosen, want.cost, want.feasible, want.zone_errs)
+
+
+def test_tie_keeps_the_earliest_last_cut():
+    """Two partitions of 5 zones into 3 cost 0.625 each; every other
+    costs more.  The solver keeps the earliest last cut, (0-1)(2)(3-4),
+    not the lexicographically first partition, (0)(1-3)(4), that the
+    brute force keeps."""
+    cheap = {(0, 0), (1, 3), (4, 4), (0, 1), (2, 2), (3, 4)}
+    ranges = [(i, j) for i in range(5) for j in range(i, 5)]
+    pool = DescriptorPool(
+        descriptors=tuple(
+            make_descriptor(k, i, j, [0.125 if (i, j) in cheap else 1.0] * (j - i + 1), 5)
+            for k, (i, j) in enumerate(ranges)),
+        n_zones=5, kinds=(CurveKind.LINE,))
+    ids = {r: k for k, r in enumerate(ranges)}
+    level = solve_cover(pool, 3)[2]
+    assert level.cost == 0.625
+    assert level.chosen == (ids[0, 1], ids[2, 2], ids[3, 4])
+    assert brute_force_cover(pool, 3) == (0.625, (ids[0, 0], ids[1, 3], ids[4, 4]))

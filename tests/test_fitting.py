@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import random
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_descriptor, make_series, series_exact
+from conftest import make_descriptor, make_series, raw_series, series_exact
 from serinarr import fitting
 from serinarr.errors import FitError
 from serinarr.fitting import (
@@ -26,7 +28,7 @@ from serinarr.fitting import (
     fit_one,
     load_pool,
 )
-from serinarr.ingest import TimeSeries
+from serinarr.ingest import TimeSeries, normalize
 from serinarr.prototypes import (
     PARAM_COUNTS,
     BilinearParams,
@@ -498,9 +500,10 @@ def _oracle_series(rng, count):
 def test_bilinear_batch_matches_per_range_fit(monkeypatch):
     """The fits of every range, solved as one batch per sample count, in
     chunks of whole ranges, equal each range fitted on its own, bit for
-    bit, with the default chunk budget and with one of about 3 candidates."""
+    bit, with the default chunk budget, with one of about 3 candidates
+    (one range a chunk) and with one of 24 (several short ranges a chunk)."""
     seen = set()
-    for cells in (_CHUNK_CELLS, 96):
+    for cells in (_CHUNK_CELLS, 96, 32 * 24):
         monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
         for s in _oracle_series(np.random.default_rng(6300), 45):
             ranges = [(i, j) for i in range(s.n_zones) for j in range(i, s.n_zones)]
@@ -755,19 +758,43 @@ def test_pool_matches_reference_on_uneven_zones(levels, data):
     n_zones = 2 ** levels
     xs = []
     for z in range(n_zones):
-        # Offsets on a 1/1000 grid: the bilinear fitter warns on gaps that
-        # square to 0 (below ~1e-154), a fault this property does not cover.
-        offsets = data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=7,
-                                     unique=True))
-        xs += sorted((z + u / 1000) / n_zones for u in offsets)
+        # Offsets on a 1/1000 grid, or below 1e-150: in zone 0 such a
+        # sample's gap to the range edge squares to 0 or nearly.
+        offsets = data.draw(st.lists(
+            st.integers(0, 999).map(lambda u: u / 1000) | st.floats(0.0, 1e-150),
+            min_size=1, max_size=7))
+        xs += sorted({(z + u) / n_zones for u in offsets})
     xs[0], xs[-1] = 0.0, 1.0
     ys = data.draw(st.lists(st.integers(0, 4).map(float) | st.floats(0.0, 1.0),
                             min_size=len(xs), max_size=len(xs)))
     s = _uneven_series(xs, ys, levels)
     pool = build_pool(s, tuple(CurveKind))
-    assert pool == _reference_pool(s, tuple(CurveKind))
+    # The per-range bilinear oracle divides by those squared gaps.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert pool == _reference_pool(s, tuple(CurveKind))
     for d in pool:
         assert fit_one(s, d.kind, d.zone_start, d.zone_end) == replace(d, id=-1)
+
+
+# A sample 1e-200 past the left edge of zone 0 (normalized x = t).
+NEAR_EDGE_TS = (0.0, 1e-200, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 1.0)
+NEAR_EDGE_VS = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3)
+NEAR_EDGE_POOL_SHA256 = "5c3c788eb43b4b406bdb204f6eb50cfdb4b02117e9c647feece52b948c761d4f"
+
+
+def test_near_edge_breakpoint_builds_without_warnings(tmp_path):
+    """A breakpoint candidate whose gap to its range edge squares to 0 is
+    not scored, so nothing divides by 0 and no RuntimeWarning is raised.
+    Scoring it only ever rejected it as singular, so every kind's pool
+    keeps the bytes pinned from then."""
+    s = normalize(raw_series(NEAR_EDGE_VS, NEAR_EDGE_TS), 1)
+    assert 0.0 < s.xs[1] and s.xs[1] ** 2 == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pool = build_pool(s, tuple(CurveKind))
+    dump_pool(pool, tmp_path / "pool.jsonl")
+    data = (tmp_path / "pool.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == NEAR_EDGE_POOL_SHA256
 
 
 @pytest.mark.parametrize("points, levels, kind, limit_mib", [
