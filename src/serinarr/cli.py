@@ -82,7 +82,7 @@ class RunConfig:
     verbosity: int = 5
     max_thr: float = DEFAULT_MAX_THR
     min_thr: float = DEFAULT_MIN_THR
-    penalty_eps: float = DEFAULT_PENALTY_EPS
+    penalty_eps: float | None = None  # None: derived from the zone grid
     kinds: tuple[CurveKind, ...] = DEFAULT_KINDS
     out_dir: str = "."
     emit: tuple[str, ...] = ("text",)
@@ -104,12 +104,22 @@ class RunConfig:
 
     @cached_property
     def selection_config(self) -> SelectionConfig:
-        """The detail search settings; built, and so checked, on construction."""
+        """The detail search settings; built, and so checked, on construction.
+
+        An unset ``penalty_eps`` is ``DEFAULT_PENALTY_EPS`` while that keeps
+        ``penalty_eps * v * 2**levels`` under ``min_thr``, else half the
+        largest value that does.
+        """
+        eps = self.penalty_eps
+        if eps is None:
+            eps = DEFAULT_PENALTY_EPS
+            if eps * self.verbosity * 2 ** self.levels >= self.min_thr:
+                eps = self.min_thr / (2 * self.verbosity * 2 ** self.levels)
         return SelectionConfig(
             max_thr=self.max_thr,
             min_thr=self.min_thr,
             v=self.verbosity,
-            penalty_eps=self.penalty_eps,
+            penalty_eps=eps,
         )
 
 

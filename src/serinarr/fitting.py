@@ -16,14 +16,19 @@ Fitting strategy per kind:
 * tooth: plateau edges are searched over the zone boundaries inside
   the range, plus the sample positions when the range spans at most 4
   zones; the three levels are segment means.  Every (start, end) edge
-  pair is scored from y and y^2 prefix sums as one start x end table.
-  Ties prefer the wider plateau, then the earlier start.
+  pair is a cell of one start x end table, scored from y and y^2 prefix
+  sums.  No cell is below its row's left-segment SSE or its column's
+  right-segment SSE, in floats too, so a table of 64 edges or more is
+  first scored on a sub-table of every (n_pos // 32)-th edge, and then
+  only where those are at most the sub-table's least cell.  Ties prefer
+  the wider plateau, then the earlier start.
 * sinusoid: frequency scanned over a geometric grid of 0.5..8 cycles
   per range width (32 steps), amplitude and phase by a linear solve in
   the sin/cos basis, then the best frequency is refined by golden
-  section search to relative tolerance 1e-3.  The grid is one
-  (frequency, sample) pass.  The offset is pinned to the sample mean
-  of the range.
+  section search to relative tolerance 1e-3.  Ranges of one zone count
+  have bit-equal widths, so they share the grid's sin/cos basis, computed
+  once over the samples they span.  The offset is pinned to the sample
+  mean of the range.
 
 Every candidate scan is whole-array numpy work.  Elementwise steps are
 batched freely, but a sum is batched only over rows of equal length,
@@ -273,6 +278,26 @@ def _seg_sse(cnt: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
+def _tooth_cells(t, rs, ss, cs):
+    """SSE of tables ``rs``' cells, start rows ``ss`` by end columns ``cs``,
+    from the per-edge arrays ``t``; inf where end <= start.  Elementwise,
+    so a cell scores the same in any block."""
+    lo_idx, hi_idx, s_lo, s_hi, ss_lo, ss_hi, left, right = t
+    cnt = hi_idx[rs, None, cs] - lo_idx[rs, ss, None]
+    s = s_hi[rs, None, cs] - s_lo[rs, ss, None]
+    s *= s
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s /= cnt
+    sse = ss_hi[rs, None, cs] - ss_lo[rs, ss, None]
+    sse -= s
+    np.maximum(sse, 0.0, out=sse)
+    sse = left[rs, ss, None] + sse
+    sse += right[rs, None, cs]
+    edge = np.arange(lo_idx.shape[1])
+    sse[(edge[cs] <= edge[ss][:, None]) | (cnt <= 0)] = np.inf
+    return sse
+
+
 def _fit_teeth(y, positions, lo_idx, hi_idx):
     """Tooth fits of the rows of ``y``, each over its own sorted plateau
     edge ``positions``, with the number of the row's samples before
@@ -289,13 +314,29 @@ def _fit_teeth(y, positions, lo_idx, hi_idx):
     left = _seg_sse(lo_idx.astype(float), s_lo, ss_lo)
     right = _seg_sse((n - hi_idx).astype(float), py[:, n, None] - s_hi,
                      pyy[:, n, None] - ss_hi)
+    t = lo_idx, hi_idx, s_lo, s_hi, ss_lo, ss_hi, left, right
+
+    # A cell is fl(fl(left + plateau) + right), all three >= 0, so it is at
+    # least its row's left and its column's right.  A large table's least
+    # cell is at most ``inc``, its sub-table's least cell, so rows with
+    # left > inc and columns with right > inc hold no least cell nor a tie
+    # of one: only rows [0, rmax) by columns [cmin, n_pos) are scored.
+    n_rows = n_pos - 1
+    rmax, cmin = np.full(m, n_rows), np.zeros(m, int)
+    if n_pos >= 64:
+        sub = np.unique(np.r_[0:n_pos:n_pos // 32, n_rows])
+        step = max(1, _CHUNK_CELLS // len(sub) ** 2)
+        inc = np.concatenate([_tooth_cells(t, slice(r, r + step), sub, sub).min(axis=(1, 2))
+                              for r in range(0, m, step)])[:, None]
+        rmax = np.minimum(n_pos - (left <= inc)[:, ::-1].argmax(axis=1), n_rows)
+        cmin = (right <= inc).argmax(axis=1)
 
     # The plateau spans start rows by end columns.  Cells are scored in
     # blocks of at most _CHUNK_CELLS: whole tables while they fit, else
-    # runs of one table's start rows.  Ties prefer the wider plateau,
-    # then the earlier start: a table's blocks run in start order, and a
-    # later block replaces its best only with a smaller (sse, -width).
-    n_rows = n_pos - 1
+    # runs of one table's start rows; a block scores the union of its
+    # tables' boxes.  Ties prefer the wider plateau, then the earlier
+    # start: a table's blocks run in start order, and a later block
+    # replaces its best only with a smaller (sse, -width).
     per_block = max(1, _CHUNK_CELLS // n_pos)  # start rows
     if per_block >= n_rows:
         step = per_block // n_rows
@@ -304,25 +345,17 @@ def _fit_teeth(y, positions, lo_idx, hi_idx):
         blocks = [(r, r + 1, s, min(s + per_block, n_rows))
                   for r in range(m) for s in range(0, n_rows, per_block)]
     best = np.full((4, m), np.inf)  # sse, -width, start row, end column
-    cols = np.arange(n_pos)
     for r0, r1, s0, s1 in blocks:
-        rs, ss = slice(r0, r1), slice(s0, s1)
-        cnt = hi_idx[rs, None, :] - lo_idx[rs, ss, None]
-        # _seg_sse's arithmetic in place; cells with cnt <= 0 are masked below.
-        s = s_hi[rs, None, :] - s_lo[rs, ss, None]
-        s *= s
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s /= cnt
-        sse = ss_hi[rs, None, :] - ss_lo[rs, ss, None]
-        sse -= s
-        np.maximum(sse, 0.0, out=sse)
-        sse = left[rs, ss, None] + sse
-        sse += right[rs, None, :]
-        sse[(cols <= np.arange(s0, s1)[:, None]) | (cnt <= 0)] = np.inf
+        rs = slice(r0, r1)
+        s1, c0 = min(s1, rmax[rs].max()), cmin[rs].min()
+        if s0 >= s1:
+            continue
+        sse = _tooth_cells(t, rs, slice(s0, s1), slice(c0, n_pos))
         # Only the cells tied at their table's least sse are ranked.
         low = sse.min(axis=(1, 2))
         tk, tr, tc = np.nonzero(sse == low[:, None, None])
         tr += s0
+        tc += c0
         x_s = positions[tk + r0, tr]
         width = positions[tk + r0, tc] - x_s
         order = np.lexsort((x_s, -width, tk))
@@ -360,14 +393,16 @@ def _sin_solve(x, r, freq):
     return a, b, max(sse, 0.0)
 
 
-def _sin_grid(x: np.ndarray, r: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """``_sin_solve``'s (a, b, sse) at every frequency, one row each, in
-    one (freqs, samples) pass; the sse is inf where the basis is
-    degenerate.  Each row is reduced on its own, in the same order as the
-    one-frequency solve."""
+def _sin_basis(x: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of 2 pi f x at every (frequency, sample)."""
     arg = (2 * math.pi * freqs)[:, None] * x
-    s = np.sin(arg)
-    co = np.cos(arg)
+    return np.sin(arg), np.cos(arg, out=arg)
+
+
+def _sin_grid(s: np.ndarray, co: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``_sin_solve``'s (a, b, sse) at each frequency row of the basis
+    ``s``, ``co``, inf sse where it is degenerate; each row is reduced on
+    its own, in the one-frequency solve's order."""
     m00 = (s * s).sum(axis=1)
     m01 = (s * co).sum(axis=1)
     m11 = (co * co).sum(axis=1)
@@ -381,12 +416,11 @@ def _sin_grid(x: np.ndarray, r: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return np.stack([a, b, np.where(np.abs(det) < 1e-14, np.inf, sse)], axis=1)
 
 
-def _fit_sinusoid(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
-    width = x_hi - x_lo
+def _fit_sinusoid(x: np.ndarray, y: np.ndarray, width: float, basis):
     mean = float(y.mean())
     r = y - mean
 
-    rows = _sin_grid(x, r, _SIN_GRID / width)
+    rows = _sin_grid(*basis, r)
     if not np.isfinite(rows[:, 2]).any():
         return None
     k = int(np.argmin(rows[:, 2]))
@@ -427,17 +461,25 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, x_lo: float, x_hi: float):
     return SinusoidParams(amp=amp, freq=freq, phase=phase, mean=mean)
 
 
-def _fit_sinusoids(x, y, x_lo, x_hi):
-    fits = [_fit_sinusoid(*row) for row in zip(x, y, x_lo.tolist(), x_hi.tolist())]
+def _fit_sinusoids(xs, first, y, width):
+    """Sinusoid fits of the rows of ``y``, the samples of ``xs`` from each
+    row's ``first`` on.  Rows of one ``width`` share a grid, so a run of
+    them spanning at most ``_CHUNK_CELLS`` (frequency, sample) cells
+    shares one basis, and each row reads its own columns."""
+    n, span = y.shape[1], _CHUNK_CELLS // len(_SIN_GRID)
+    fits = [None] * len(y)
+    for w in np.unique(width):
+        rows, f0, end = np.flatnonzero(width == w), 0, -1
+        for k in rows:
+            f = first[k]
+            if f < f0 or f + n > end:  # a new basis: this row and those ending within span of it
+                f0 = f
+                end = first[rows][first[rows] + n <= f0 + span].max(initial=f0) + n
+                basis = _sin_basis(xs[f0:end], _SIN_GRID / w)
+            fits[k] = _fit_sinusoid(xs[f : f + n], y[k], float(w),
+                                    [b[:, f - f0 : f - f0 + n] for b in basis])
     cols = [tuple(p.__dict__.values()) if p else (math.nan,) * 4 for p in fits]
     return np.array(cols).T, np.array([p is not None for p in fits])
-
-
-_FITTERS = {
-    CurveKind.LINE: _fit_lines,
-    CurveKind.BILINEAR: _fit_bilinears,
-    CurveKind.SINUSOID: _fit_sinusoids,
-}
 
 
 # ----------------------------------------------------------------------
@@ -505,8 +547,11 @@ def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int,
             lo_idx = np.searchsorted(xs, pos, side="left") - first[g, None]
             hi_idx = np.minimum(np.searchsorted(xs, pos, side="right") - first[g, None], n)
             cols, ok = _fit_teeth(y, pos, lo_idx, hi_idx)
+        elif kind is CurveKind.SINUSOID:
+            cols, ok = _fit_sinusoids(xs, first[g], y, (span_j[g] + 1 - span_i[g]) / nz)
         else:
-            cols, ok = _FITTERS[kind](x, y, span_i[g] / nz, (span_j[g] + 1) / nz)
+            fit = _fit_lines if kind is CurveKind.LINE else _fit_bilinears
+            cols, ok = fit(x, y, span_i[g] / nz, (span_j[g] + 1) / nz)
         res[at : at + len(g) * n].reshape(len(g), n)[ok] = np.square(y[ok] - evaluate(
             kind, {f: c[ok, None] for f, c in zip(names, cols)}, x[ok]))
         for k, (r, vals) in enumerate(zip(g, np.transpose(cols).tolist())):

@@ -4,9 +4,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serinarr.cli import (
     EXIT_FIT,
@@ -516,8 +519,10 @@ def test_out_of_memory_is_a_fit_error(sample_csv, tmp_path, capsys, monkeypatch)
     assert [row["error"] for row in rows] == [err[0].removeprefix("fit error: ")] * 2
 
 
-def test_main_exit_solve(sample_csv, capsys):
-    code = main(["narrate", "--input", str(sample_csv), "--levels", "3",
+def test_main_exit_solve(sample_csv, tmp_path, capsys):
+    conf = tmp_path / "eps.conf"
+    conf.write_text("penalty_eps = 1e-4\n")
+    code = main(["narrate", "--input", str(sample_csv), "--levels", "3", "--config", str(conf),
                  "--min-thr", "1e-9", "--out-dir", "/tmp/unused"])
     assert code == EXIT_SOLVE
     assert "solve error:" in capsys.readouterr().err
@@ -525,19 +530,69 @@ def test_main_exit_solve(sample_csv, capsys):
 
 def test_penalty_bound_fails_before_the_fit(sample_csv, tmp_path, capsys, monkeypatch):
     """A zone count that breaks the penalty bound (penalty_eps * v *
-    n_zones >= min_thr) exits 5 before any fitting, in every sweep row too."""
+    n_zones >= min_thr) of a ``penalty_eps`` the config file sets exits 5
+    before any fitting, in every sweep row too."""
     def unreachable(*args, **kwargs):
         raise AssertionError("build_pool reached")
 
     monkeypatch.setattr("serinarr.cli.build_pool", unreachable)
+    conf = tmp_path / "eps.conf"
+    conf.write_text("penalty_eps = 1e-4\n")
     for extra in (["--levels", "6"], ["--levels", "5", "--verbosity", "8"]):
-        code = main(["narrate", "--input", str(sample_csv),
+        code = main(["narrate", "--input", str(sample_csv), "--config", str(conf),
                      "--out-dir", str(tmp_path)] + extra)
         assert code == EXIT_SOLVE
         assert "solve error: penalty_eps * v * n_zones" in capsys.readouterr().err
-    rows = sweep(RunConfig(input=str(sample_csv), verbosity=8), [5, 6])
+    rows = sweep(RunConfig(input=str(sample_csv), verbosity=8, penalty_eps=1e-4), [5, 6])
     assert [row["levels"] for row in rows] == [5, 6]
     assert all(row["error"].startswith("penalty_eps * v * n_zones") for row in rows)
+
+
+@pytest.mark.parametrize("extra", [["--levels", "6"], ["--levels", "5", "--verbosity", "8"]],
+                         ids=["levels-6", "levels-5-verbosity-8"])
+def test_unset_penalty_eps_fits_the_zone_grid(extra, tmp_path, capsys):
+    """With no ``penalty_eps`` set, the default 1e-4 would break the
+    penalty bound here; the derived one keeps it, so the fixture narrates."""
+    fixture = Path(__file__).parent / "data" / "concert_weekly.csv"
+    code = main(["narrate", "--input", str(fixture), "--format", "trends_csv",
+                 "--out-dir", str(tmp_path)] + extra)
+    assert code == 0, capsys.readouterr().err
+    cfg = merge_config({"input": str(fixture), "levels": int(extra[1]),
+                        "verbosity": int(extra[3]) if len(extra) > 2 else None}, {})
+    sel = cfg.selection_config
+    assert sel.penalty_eps * sel.v * 2 ** cfg.levels < sel.min_thr
+
+
+@settings(max_examples=25, deadline=None)
+@given(levels=st.integers(1, 4), verbosity=st.integers(1, 8), data=st.data())
+def test_global_rmse_at_most_the_summary_error(levels, verbosity, data):
+    """Details only ever lower a zone's error, so the selection's
+    ``global_rmse`` is at most the summary's mean zone error, both summed
+    left to right, whatever the series, levels and verbosity."""
+    values = data.draw(st.lists(st.floats(-1e3, 1e3) | st.integers(-3, 3).map(float),
+                                min_size=2 ** levels, max_size=80))
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "series.csv"
+        src.write_text("".join(f"{t},{v!r}\n" for t, v in enumerate(values)))
+        report = run(RunConfig(input=str(src), levels=levels, verbosity=verbosity, emit=()))
+    (summary,) = [lv for lv in report.levels if lv.v == report.selection.s]
+    total = 0.0
+    for e in summary.zone_errs:
+        total += e
+    assert report.selection.global_rmse <= total / 2 ** levels
+
+
+def test_unset_penalty_eps_keeps_the_default_where_it_fits():
+    """Every level and verbosity the default 1e-4 fits keeps it, so runs
+    that worked before keep their bytes; the rest get half the bound."""
+    for levels in range(1, 7):
+        for v in range(1, 9):
+            eps = RunConfig(input="x", levels=levels, verbosity=v).selection_config.penalty_eps
+            if 1e-4 * v * 2 ** levels < 0.02:
+                assert eps == 1e-4, (levels, v)
+            else:
+                assert eps == 0.02 / (2 * v * 2 ** levels), (levels, v)
+    assert RunConfig(input="x", levels=6, penalty_eps=3e-5).selection_config.penalty_eps == 3e-5
 
 
 def test_main_exit_output(sample_csv, tmp_path, capsys):

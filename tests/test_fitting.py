@@ -21,6 +21,7 @@ from serinarr.fitting import (
     Descriptor,
     DescriptorPool,
     _fit_ranges,
+    _sin_basis,
     _sin_grid,
     _sin_solve,
     build_pool,
@@ -379,6 +380,40 @@ def test_tooth_blocks_match_pair_lexsort(monkeypatch, cells):
             assert (d and d.params) == want, (i, j)
 
 
+def _bound_series(rng, count):
+    """Series of 150..400 points at levels 1..2, so every range adds its
+    sample positions and its table holds 64 edges or more: constant,
+    integer-rounded, random-walk and noisy values."""
+    for case in range(count):
+        n = int(rng.integers(150, 401))
+        shape = case % 4
+        if shape == 0:
+            ys = np.full(n, 0.375)
+        elif shape == 1:
+            ys = rng.integers(0, 3, n).astype(float)
+        elif shape == 2:
+            ys = np.cumsum(rng.standard_normal(n))
+        else:
+            ys = rng.normal(0.5, 0.2, n)
+        yield series_exact(ys, 1 + case % 2)
+
+
+@pytest.mark.parametrize("cells", [64, 4096, _CHUNK_CELLS])
+def test_tooth_bound_matches_pair_lexsort(monkeypatch, cells):
+    """Tables of 64 edges or more score only the rows and columns the
+    sub-table incumbent leaves open, and still pick the plateau the full
+    pair lexsort picks, ties included, whatever the block size."""
+    monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
+    for s in _bound_series(np.random.default_rng(6150), 16):
+        ranges = [(i, j) for i in range(s.n_zones) for j in range(i, s.n_zones)]
+        for (i, j), d in zip(ranges, _fit_ranges(s, CurveKind.TOOTH, ranges)):
+            sl = s.zone_slice(i, j)
+            boundaries = np.arange(i, j + 2, dtype=float) / s.n_zones
+            want = _pair_lexsort_tooth(s.xs[sl], s.ys[sl], *s.zone_x_range(i, j),
+                                       boundaries, True)
+            assert d.params == want, (cells, i, j)
+
+
 def test_sinusoid_grid_matches_per_frequency_solve():
     """One (frequency, sample) pass gives bit-identical grid rows: the
     same a, b and SSE as the one-frequency solve."""
@@ -390,13 +425,50 @@ def test_sinusoid_grid_matches_per_frequency_solve():
         x_lo, x_hi = s.zone_x_range(i, j)
         r = y - float(y.mean())
         width = x_hi - x_lo
-        rows = _sin_grid(x, r, grid / width)
+        rows = _sin_grid(*_sin_basis(x, grid / width), r)
         for f, (a, b, sse) in zip(grid, rows):
             sol = _sin_solve(x, r, f / width)
             if sol is None:
                 assert sse == np.inf, (i, j, f)
             else:
                 assert (a, b, sse) == sol, (i, j, f)
+
+
+def test_sinusoid_basis_slices_match_per_range_grid(monkeypatch):
+    """A row's columns of the basis shared over a longer span give the
+    grid that row's own basis gives, bit for bit, at offsets that are not
+    multiples of 8; and sinusoid fits share bases in runs of one or many
+    rows and still equal the per-range fit."""
+    rng = np.random.default_rng(6250)
+    for case in range(30):
+        span = np.sort(rng.random(int(rng.integers(40, 400))))
+        n = int(rng.integers(4, len(span) // 2))
+        width = float(rng.integers(1, 9)) / 8
+        shared = _sin_basis(span, _SIN_GRID / width)
+        for off in rng.integers(0, len(span) - n, 10):
+            if off % 8 == 0:
+                off += 1
+            x = span[off : off + n]
+            r = rng.standard_normal(n)
+            own = _sin_basis(x, _SIN_GRID / width)
+            cut = [b[:, off : off + n] for b in shared]
+            assert all(np.array_equal(a, b) for a, b in zip(own, cut)), (case, off)
+            assert np.array_equal(_sin_grid(*cut, r), _sin_grid(*own, r)), (case, off)
+
+    for levels in (2, 3):
+        n_zones = 2 ** levels
+        # Uneven zones: ranges of one sample count differ in width, and
+        # ranges of one width in sample count.
+        xs = np.concatenate([(z + np.sort(rng.random(int(rng.integers(3, 20))))) / n_zones
+                             for z in range(n_zones)])
+        s = _uneven_series(xs, rng.standard_normal(len(xs)), levels)
+        ranges = [(i, j) for i in range(n_zones) for j in range(i, n_zones)]
+        for cells in (len(_SIN_GRID), 32 * 40, _CHUNK_CELLS):
+            monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
+            for (i, j), d in zip(ranges, _fit_ranges(s, CurveKind.SINUSOID, ranges)):
+                sl = s.zone_slice(i, j)
+                want = _reference_sinusoid(s.xs[sl], s.ys[sl], *s.zone_x_range(i, j))
+                assert (d and d.params) == want, (levels, cells, i, j)
 
 
 def _reference_bilinear(x, y, x_lo, x_hi, seen):
@@ -800,7 +872,8 @@ def test_near_edge_breakpoint_builds_without_warnings(tmp_path):
 @pytest.mark.parametrize("points, levels, kind, limit_mib", [
     (16384, 4, CurveKind.BILINEAR, 16),
     (2048, 1, CurveKind.TOOTH, 37),
-], ids=["bilinear-16384-points-L4", "tooth-2048-points-L1"])
+    (16384, 2, CurveKind.SINUSOID, 18),
+], ids=["bilinear-16384-points-L4", "tooth-2048-points-L1", "sinusoid-16384-points-L2"])
 def test_build_pool_memory_is_bounded(points, levels, kind, limit_mib):
     """Dense input: bilinear candidates and tooth tables are processed in
     chunks, so a pool build's traced peak stays small.  Solving every

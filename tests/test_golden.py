@@ -117,7 +117,8 @@ def test_benchmark_spans_resolve():
 
 def test_benchmark_tooth_pairs_follow_the_fitter(monkeypatch):
     """``fitting.tooth_pairs``, which the benchmark computes from the
-    series on its own, counts the plateau-edge pairs the fitter scores."""
+    series on its own, counts the plateau-edge pairs the fitter
+    considers; the fitter scores only those its bound leaves open."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the worker prepends
     worker = _load_perfbench("worker")
     walk = worker.workloads.random_walk(np.random.default_rng(7919))
@@ -134,6 +135,34 @@ def test_benchmark_tooth_pairs_follow_the_fitter(monkeypatch):
         monkeypatch.setattr(fitting, "_tooth_positions", counted)
         fitting.build_pool(series, (CurveKind.TOOTH,))
         assert sum(p * (p - 1) // 2 for p in counts) == worker.tooth_pairs(series)
+
+
+def test_tooth_bound_skips_most_cells(monkeypatch):
+    """On the benchmark's seed-7919 dense walks, the tooth fitter scores
+    at most half the cells of its (start, end) tables: the exact bound
+    stays on.  It scores about 28% and 34% of them."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the worker prepends
+    worker = _load_perfbench("worker")
+    rng = np.random.default_rng(7919)
+    positions, cells = fitting._tooth_positions, fitting._tooth_cells
+    for _ in range(2):
+        series = make_series(worker.workloads.random_walk(rng), 4)
+        table, scored = [], []
+
+        def counted_positions(*args):
+            out = positions(*args)
+            table.append((len(out) - 1) * len(out))
+            return out
+
+        def counted_cells(*args):
+            out = cells(*args)
+            scored.append(out.size)
+            return out
+
+        monkeypatch.setattr(fitting, "_tooth_positions", counted_positions)
+        monkeypatch.setattr(fitting, "_tooth_cells", counted_cells)
+        fitting.build_pool(series, (CurveKind.TOOTH,))
+        assert 0 < sum(scored) <= sum(table) // 2
 
 
 def _match_benchmark_goldens(workload, inputs, work):
