@@ -12,7 +12,11 @@ Fitting strategy per kind:
   the samples up to it on the left; those strictly inside the range
   whose edge gaps square above 0 are scored.  The three y values follow
   from a linear solve that keeps the polyline continuous.  Ties prefer
-  the smaller breakpoint.
+  the smaller breakpoint.  A closed-form estimate of each candidate's
+  least SSE, less a proven rounding bound, is a lower bound on the SSE
+  LAPACK scores for it, so LAPACK scores only the candidates whose bound
+  reaches their row's least score, plus those the bound does not
+  certify; the rest can neither win nor tie.
 * tooth: plateau edges are searched over the zone boundaries inside
   the range, plus the sample positions when the range spans at most 4
   zones; the three levels are segment means.  Every (start, end) edge
@@ -83,6 +87,7 @@ DEFAULT_KINDS = (CurveKind.LINE, CurveKind.BILINEAR, CurveKind.TOOTH)
 _SIN_GRID = np.geomspace(0.5, 8.0, 32)  # cycles per range width
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _CHUNK_CELLS = 1 << 18  # tooth cells scored, or error samples gathered, at once
+_COND_MAX = 2.0 ** 32  # bilinear systems past this tr^3 / det bound go to LAPACK
 
 
 @dataclass(frozen=True)
@@ -203,11 +208,88 @@ def _fit_lines(x, y, x_lo, x_hi):
     return (a, b), denom > 0
 
 
+def _bilinear_bound(mat, rhs, syy):
+    """Closed-form estimate ``q`` of the least SSE of each bilinear system
+    M theta = r (``mat``, ``rhs``; M = [[a, b, 0], [b, c, d], [0, d, e]]
+    in the last two axes), and a lower bound ``low`` on the SSE that
+    ``_bilinear_sse`` scores for it; ``low`` is -inf where the bound is
+    not certified.
+
+    ``q = syy - r.adj(M).r / det``.  A cell is guarded when M is certified
+    positive definite and well conditioned: ``a > 0``, and ``ac - b^2``
+    and ``det`` each exceed their rounding bound (gamma_2 and gamma_4 of
+    their terms' magnitudes, times 4), and ``tr^3 <= _COND_MAX det``,
+    tr = a + c + e.  Below, M, r and syy are the float inputs taken as
+    exact, R = r.M^-1.r, the least SSE is q* = syy - R, u = 2^-53 (and no
+    underflow), and kappa = tr^3 / det, which is at least 27.  A guarded M
+    has eigenvalues in [4 det / tr^2, tr], so |r|^2 <= tr R and
+    |M^-1 r|^2 <= kappa R / (4 tr) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3 and 9, for the rounding lemmas):
+
+    * closed form: each of the 12 terms of r.adj(M).r takes at most 7
+      roundings and their magnitudes sum to at most 1.5 tr^2 |r|^2, so to
+      1.5 kappa det R; those of det sum to at most tr^3 / 9.  With the
+      division and the subtraction, |q - q*| <= u (11 kappa R + |R^| +
+      |q|), R^ the computed r.adj(M).r / det (``rmr``);
+    * LU solve: LAPACK's theta solves (M + dM) theta = r with
+      |dM| <= gamma_9 |L||U| and growth at most 4, so
+      |theta - M^-1 r| <= 81 u kappa |theta|, at most 2^-14 |theta| here.
+      The exact q(theta) = syy - 2 theta.r + theta.M.theta is at least q*
+      for every theta, since M is positive definite, so this error
+      enters only through the size of theta below;
+    * evaluation: ``syy - 2 t1 + t2``, t1 a 3-term and t2 a 9-term einsum,
+      is off q(theta) by at most u (10 |theta||r| + 11 tr |theta|^2 +
+      2 syy) <= u (5 sqrt(kappa) R + 2.75 kappa R + 2 syy).
+
+    With sqrt(kappa) <= kappa / 5, R <= 1.01 |R^|, and the rounding of
+    ``q - B`` itself, the LAPACK SSE is at least q - u (16 kappa |R^| +
+    4 syy).  B takes a safety factor of 4 over that: B = 2^-47 (kappa
+    |R^| + syy).  The max(sse, 0) LAPACK's score takes only raises it."""
+    a, b, c, d, e = (mat[..., i, j] for i, j in ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2)))
+    r0, r1, r2 = (rhs[..., i] for i in range(3))
+    with np.errstate(all="ignore"):  # degenerate cells overflow; unguarded
+        bb, dd, ce = b * b, d * d, c * e
+        c00 = ce - dd
+        c22 = a * c - bb
+        det = a * c00 - bb * e
+        ur = e * r1 - d * r2
+        rmr = (r0 * (c00 * r0 - b * ur) + r1 * (a * ur - b * e * r0)
+               + r2 * (d * (b * r0 - a * r1) + c22 * r2)) / det
+        q = syy - rmr
+        tr = a + c + e
+        kappa = tr * tr * tr / det
+        guard = ((a > 0) & (c22 > 2.0 ** -50 * (a * np.abs(c) + bb))
+                 & (det > 2.0 ** -49 * (a * (np.abs(ce) + dd) + bb * np.abs(e)))
+                 & (kappa <= _COND_MAX) & np.isfinite(q))
+        low = np.where(guard, q - 2.0 ** -47 * (kappa * np.abs(rmr) + syy), -np.inf)
+    return q, low
+
+
+def _bilinear_sse(mat, rhs, syy):
+    """LAPACK's least squares of the (k, 3, 3) systems ``mat`` against
+    ``rhs``: the SSE, inf where the system is singular, and theta.  Each
+    system scores the same in any stack."""
+    ok = np.abs(np.linalg.det(mat)) > 1e-12
+    theta = np.full(rhs.shape, np.nan)
+    theta[ok] = np.linalg.solve(mat[ok], rhs[ok][..., None])[..., 0]
+    sse = syy - 2 * np.einsum("ki,ki->k", theta, rhs) + np.einsum(
+        "ki,kij,kj->k", theta, mat, theta)
+    return np.where(ok, np.maximum(sse, 0.0), np.inf), theta
+
+
 def _fit_bilinears(x, y, x_lo, x_hi):
     """Column p of a row's candidate grid takes sample p as the breakpoint,
     samples 0..p on the left.  The grid is solved in runs of whole rows of
     about ``_CHUNK_CELLS // 32`` cells: a candidate holds as much memory as
-    some 32 tooth table cells."""
+    some 32 tooth table cells.
+
+    LAPACK scores a run's cells in rounds (``_bilinear_bound`` has the
+    estimate and the bound): first every cell whose lower bound is at most
+    its row's least estimate, the unguarded cells included, then every
+    cell left whose bound is at most its row's least score so far.  An
+    unscored cell scores above its row's least, so it neither wins nor
+    ties, and each row's first least score is the one scoring every cell
+    gives."""
     m, n = x.shape
     px, pxx, py, pxy = (_prefix(a) for a in (x, x * x, y, x * y))
     syy = (y * y).sum(axis=1)
@@ -246,18 +328,23 @@ def _fit_bilinears(x, y, x_lo, x_hi):
         mat[..., 1, 0] = mat[..., 0, 1]
         mat[..., 2, 1] = mat[..., 1, 2]
 
-        mat, rhs = mat.reshape(-1, 3, 3), rhs.reshape(-1, 3)
-        ok = keep.ravel() & (np.abs(np.linalg.det(mat)) > 1e-12)
-        theta = np.full(rhs.shape, np.nan)
-        theta[ok] = np.linalg.solve(mat[ok], rhs[ok][..., None])[..., 0]
-        sse = syy[rs, None] - 2 * np.einsum("ki,ki->k", theta, rhs).reshape(c.shape) + (
-            np.einsum("ki,kij,kj->k", theta, mat, theta).reshape(c.shape))
-        sse = np.where(ok.reshape(c.shape), np.maximum(sse, 0.0), np.inf)
+        est, low = _bilinear_bound(mat, rhs, syy[rs, None])
+        least = np.where(keep & (low > -np.inf), est, np.inf).min(axis=1)
+        todo = keep & (low <= least[:, None])
+        scored = todo
+        sse = np.full(c.shape, np.inf)
+        theta = np.full(c.shape + (3,), np.nan)
+        while todo.any():
+            k = np.flatnonzero(todo)
+            sse.ravel()[k], theta.reshape(-1, 3)[k] = _bilinear_sse(
+                mat.reshape(-1, 3, 3)[k], rhs.reshape(-1, 3)[k], syy[rs][k // n])
+            todo = keep & ~scored & (low <= sse.min(axis=1)[:, None])
+            scored = scored | todo
 
         # Each row's first least sse: the smallest breakpoint.  A row whose
         # least sse is not finite gets no fit.
         at, best = np.arange(len(c)), sse.argmin(axis=1)
-        fit = np.vstack([c[at, best], theta.reshape(c.shape + (3,))[at, best].T])
+        fit = np.vstack([c[at, best], theta[at, best].T])
         cols[:4, rs] = np.where(np.isfinite(sse[at, best]), fit, np.nan)
     return cols, ~np.isnan(cols[0])
 
@@ -374,8 +461,9 @@ def _fit_teeth(y, positions, lo_idx, hi_idx):
     return (y_out_l, y_out_r, positions[at, row], positions[at, col], y_in), np.ones(m, bool)
 
 
-def _sin_solve(x, r, freq):
-    """Least squares of r against sin/cos at one frequency."""
+def _sin_solve(x, r, freq, rr=None):
+    """Least squares of r against sin/cos at one frequency; ``rr`` is
+    ``float((r * r).sum())``, computed here when not given."""
     arg = 2 * math.pi * freq * x
     s = np.sin(arg)
     co = np.cos(arg)
@@ -389,7 +477,9 @@ def _sin_solve(x, r, freq):
         return None
     a = (m11 * b0 - m01 * b1) / det
     b = (m00 * b1 - m01 * b0) / det
-    sse = float((r * r).sum()) - (a * b0 + b * b1)
+    if rr is None:
+        rr = float((r * r).sum())
+    sse = rr - (a * b0 + b * b1)
     return a, b, max(sse, 0.0)
 
 
@@ -399,10 +489,12 @@ def _sin_basis(x: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.sin(arg), np.cos(arg, out=arg)
 
 
-def _sin_grid(s: np.ndarray, co: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _sin_grid(s: np.ndarray, co: np.ndarray, r: np.ndarray, rr=None) -> np.ndarray:
     """``_sin_solve``'s (a, b, sse) at each frequency row of the basis
     ``s``, ``co``, inf sse where it is degenerate; each row is reduced on
     its own, in the one-frequency solve's order."""
+    if rr is None:
+        rr = float((r * r).sum())
     m00 = (s * s).sum(axis=1)
     m01 = (s * co).sum(axis=1)
     m11 = (co * co).sum(axis=1)
@@ -412,15 +504,16 @@ def _sin_grid(s: np.ndarray, co: np.ndarray, r: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         a = (m11 * b0 - m01 * b1) / det
         b = (m00 * b1 - m01 * b0) / det
-    sse = np.maximum(float((r * r).sum()) - (a * b0 + b * b1), 0.0)
+    sse = np.maximum(rr - (a * b0 + b * b1), 0.0)
     return np.stack([a, b, np.where(np.abs(det) < 1e-14, np.inf, sse)], axis=1)
 
 
 def _fit_sinusoid(x: np.ndarray, y: np.ndarray, width: float, basis):
     mean = float(y.mean())
     r = y - mean
+    rr = float((r * r).sum())  # fixed per range: one sum for every solve
 
-    rows = _sin_grid(*basis, r)
+    rows = _sin_grid(*basis, r, rr)
     if not np.isfinite(rows[:, 2]).any():
         return None
     k = int(np.argmin(rows[:, 2]))
@@ -434,7 +527,7 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, width: float, basis):
     c2 = lo + _GOLDEN * (hi - lo)
 
     def sse_at(f_range):
-        sol = _sin_solve(x, r, f_range / width)
+        sol = _sin_solve(x, r, f_range / width, rr)
         return sol[2] if sol is not None else np.inf
 
     f1, f2 = sse_at(c1), sse_at(c2)
@@ -450,7 +543,7 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, width: float, basis):
 
     # The refined frequency replaces the grid winner only if strictly better.
     mid = 0.5 * (lo + hi) / width
-    sol = _sin_solve(x, r, mid)
+    sol = _sin_solve(x, r, mid, rr)
     if sol is not None and sol[2] < sse:
         a, b, _ = sol
         freq = mid

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -580,6 +582,34 @@ def test_global_rmse_at_most_the_summary_error(levels, verbosity, data):
     for e in summary.zone_errs:
         total += e
     assert report.selection.global_rmse <= total / 2 ** levels
+
+
+_THRESHOLDS = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e-9, 0.02, 0.15, 1.0, 1e300,
+                                math.inf, -math.inf, math.nan]) | st.floats(1e-6, 1.0) | st.floats()
+
+
+@settings(max_examples=40, deadline=None)
+@given(levels=st.integers(1, 6), verbosity=st.integers(1, 8),
+       file_values=st.dictionaries(st.sampled_from(["min_thr", "max_thr", "penalty_eps"]),
+                                   _THRESHOLDS))
+def test_every_config_runs_or_exits_with_a_mapped_code(levels, verbosity, file_values):
+    """Any levels 1-6, verbosity 1-8 and config-file thresholds, extremes
+    included, narrate the fixture or fail with a mapped exit code and one
+    line on stderr; nothing ends in a traceback."""
+    fixture = Path(__file__).parent / "data" / "concert_weekly.csv"
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = Path(tmp) / "run.conf"
+        conf.write_text("".join(f"{k} = {v!r}\n" for k, v in file_values.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["narrate", "--input", str(fixture), "--format", "trends_csv",
+                         "--levels", str(levels), "--verbosity", str(verbosity),
+                         "--config", str(conf), "--out-dir", tmp])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code in (EXIT_INGEST, EXIT_FIT, EXIT_SOLVE, EXIT_OUTPUT), code
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 def test_unset_penalty_eps_keeps_the_default_where_it_fits():

@@ -589,6 +589,136 @@ def test_bilinear_batch_matches_per_range_fit(monkeypatch):
     assert seen == {"midpoint", "singular"}
 
 
+def _tridiagonal_stack(rng, k, decades):
+    """k random symmetric tridiagonal systems M theta = r, the diagonals
+    spanning ``decades`` decades each way, the off-diagonals up to the
+    size the diagonals allow in a positive definite M, some past it."""
+    diag = 10.0 ** rng.uniform(-decades, decades, (k, 3))
+    off = rng.uniform(-1.2, 1.2, (k, 2)) * np.sqrt(diag[:, :2] * diag[:, 1:])
+    mat = np.zeros((k, 3, 3))
+    mat[:, [0, 1, 2], [0, 1, 2]] = diag
+    mat[:, [0, 1, 1, 2], [1, 0, 2, 1]] = off[:, [0, 0, 1, 1]]
+    rhs = rng.standard_normal((k, 3)) * 10.0 ** rng.uniform(-decades, decades, (k, 1))
+    return mat, rhs
+
+
+def test_lapack_scores_do_not_depend_on_the_stack():
+    """``det``, ``solve`` and both einsums give each system the same bits
+    in a stack of 1, 2 or any number of systems as in the full stack.  The
+    bilinear fit sends LAPACK only the cells its bound leaves open, so its
+    fits equal those of scoring every cell only because of this."""
+    rng = np.random.default_rng(6500)
+    for case in range(200):
+        k = int(rng.integers(3, 400))
+        if case % 2:
+            mat, rhs = _tridiagonal_stack(rng, k, 4)
+        else:
+            mat = rng.standard_normal((k, 3, 3)) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+            rhs = rng.standard_normal((k, 3))
+        theta = rng.standard_normal((k, 3)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+
+        def scores(at):
+            return (np.linalg.det(mat[at]),
+                    np.linalg.solve(mat[at], rhs[at][..., None])[..., 0],
+                    np.einsum("ki,ki->k", theta[at], rhs[at]),
+                    np.einsum("ki,kij,kj->k", theta[at], mat[at], theta[at]))
+
+        full = scores(np.arange(k))
+        for size in (1, 2, int(rng.integers(1, k + 1))):
+            at = np.sort(rng.choice(k, size, replace=False))
+            for want, got in zip(full, scores(at)):
+                assert want[at].tobytes() == got.tobytes(), (case, size)
+
+
+def _bilinear_systems(monkeypatch, series):
+    """Every bilinear candidate system the fitter bounds over all ranges of
+    each series, as (mat, rhs, syy, bound), one row a cell."""
+    seen = []
+    bound = fitting._bilinear_bound
+
+    def record(mat, rhs, syy):
+        est, low = bound(mat, rhs, syy)
+        seen.append((mat.reshape(-1, 3, 3), rhs.reshape(-1, 3),
+                     np.broadcast_to(syy, low.shape).ravel(), low.ravel()))
+        return est, low
+
+    monkeypatch.setattr(fitting, "_bilinear_bound", record)
+    for s in series:
+        ranges = [(i, j) for i in range(s.n_zones) for j in range(i, s.n_zones)]
+        _fit_ranges(s, CurveKind.BILINEAR, ranges)
+    return map(np.concatenate, zip(*seen))
+
+
+def _assert_bound_holds(mat, rhs, syy, low, min_guarded):
+    """Every guarded system LAPACK does not reject scores at least its
+    bound, and at least ``min_guarded`` of them are checked."""
+    sse, _ = fitting._bilinear_sse(mat, rhs, syy)
+    checked = (low > -np.inf) & np.isfinite(sse)
+    assert checked.sum() >= min_guarded
+    bad = np.flatnonzero(checked & (low > sse))
+    assert bad.size == 0, (low[bad[:3]], sse[bad[:3]])
+
+
+def test_bilinear_bound_is_below_the_lapack_score(monkeypatch):
+    """The closed-form bound never exceeds the SSE LAPACK scores, on the
+    fitter's own systems for random walks, integer-rounded walks, constant
+    series (every cell ties), exact polylines and unevenly sampled noise,
+    and on random tridiagonal systems whose entries span 16 decades, that
+    are nearly singular, or whose least SSE is nearly 0."""
+    rng = np.random.default_rng(6600)
+    series = []
+    for levels in (1, 2, 3, 4):
+        n = int(rng.integers(2 ** levels * 3, 300))
+        walk = np.cumsum(rng.standard_normal(n))
+        t = np.arange(n) / (n - 1)
+        series += [series_exact(walk, levels), series_exact(np.round(walk), levels),
+                   series_exact(np.full(n, 0.625), levels),
+                   series_exact(np.where(t < 0.375, 2 * t, 1.5 - 2 * t), levels),
+                   _uneven_series(np.r_[0.0, np.sort(rng.random(n - 2)), 1.0],
+                                  rng.standard_normal(n), levels)]
+    mat, rhs, syy, low = _bilinear_systems(monkeypatch, series)
+    _assert_bound_holds(mat, rhs, syy, low, len(low) // 2)
+
+    for decades in (0.5, 4, 8):
+        mat, rhs = _tridiagonal_stack(rng, 20000, decades)
+        # Nearly singular: e within a relative 1e-9 of the e that makes
+        # det 0, on either side.
+        near = rng.random(len(mat)) < 0.3
+        a, b, c, d = mat[near, 0, 0], mat[near, 0, 1], mat[near, 1, 1], mat[near, 1, 2]
+        mat[near, 2, 2] = d * d * a / (a * c - b * b) * (1 + rng.uniform(-1e-9, 1e-9, near.sum()))
+        r_min = np.einsum("ki,ki->k", rhs, np.linalg.solve(mat, rhs[..., None])[..., 0])
+        # syy at, or just above, r M^-1 r: least SSEs of 0 and nearly 0.
+        syy = np.abs(r_min) * (1 + rng.choice([0.0, 1e-12, 1e-6, 1.0], len(mat)))
+        _, low = fitting._bilinear_bound(mat, rhs, syy)
+        _assert_bound_holds(mat, rhs, syy, low, len(low) // 20)
+
+
+def _wave(rng, n=256):
+    """A two-sine series with noise of 1e-4, as the benchmark's detail
+    workload draws it."""
+    x = np.arange(n) / (n - 1)
+    y = 0.5 + 0.33 * np.sin(2 * np.pi * 1.1 * x) + 0.12 * np.sin(2 * np.pi * 6.1 * x + 4.0)
+    return y + 1e-4 * rng.standard_normal(n)
+
+
+def test_bilinear_sends_few_cells_to_lapack(monkeypatch):
+    """The bound leaves LAPACK under a tenth of the candidate cells on the
+    two 2048-point seed-7919 walks at level 4 and on a 256-point two-sine
+    wave at level 5, counted by the systems ``np.linalg.solve`` gets."""
+    solved = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(len(a)) or solve(a, b))
+    rng = np.random.default_rng(7919)
+    walks = [make_series(np.cumsum(rng.standard_normal(2048)), 4) for _ in range(2)]
+    for s in walks + [make_series(_wave(np.random.default_rng(7919)), 5)]:
+        bounds = np.array(s.zone_bounds)
+        cells = sum(bounds[j, 1] - bounds[i, 0] for i in range(s.n_zones)
+                    for j in range(i, s.n_zones))
+        solved.clear()
+        build_pool(s, (CurveKind.BILINEAR,))
+        assert 0 < sum(solved) < 0.1 * cells, (sum(solved), cells)
+
+
 # Per-range fitters, one range at a time with their own helpers, as
 # oracles for the batch fitters: the pool oracle below calls no fitting
 # code.

@@ -238,6 +238,30 @@ def test_normalize_is_idempotent_bitwise():
     assert s2.zone_bounds == s1.zone_bounds
 
 
+@settings(max_examples=80)
+@given(levels=st.integers(1, 3), data=st.data())
+def test_normalize_is_idempotent_on_its_outputs(levels, data):
+    """normalize of a normalized series gives it back bit for bit: uneven
+    and offset timestamps, values with ties, constant series."""
+    n = data.draw(st.integers(2 ** levels, 40))
+    gaps = data.draw(st.lists(st.floats(0.1, 10.0) | st.integers(1, 4).map(float),
+                              min_size=n - 1, max_size=n - 1))
+    ts = data.draw(st.floats(-1e6, 1e6)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    values = data.draw(st.one_of(
+        st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+        st.lists(st.sampled_from([-2.5, 0.0, 1.0, 3.0]), min_size=n, max_size=n),
+        st.floats(-1e6, 1e6).map(lambda v: [v] * n),
+    ))
+    try:
+        s1 = normalize(raw_series(values, ts), levels)
+    except EmptyZoneError:
+        return  # uneven timestamps left a zone empty
+    s2 = normalize(RawSeries(tuple(zip(s1.xs.tolist(), s1.ys.tolist()))), levels)
+    assert s2.xs.tobytes() == s1.xs.tobytes()
+    assert s2.ys.tobytes() == s1.ys.tobytes()
+    assert s2.zone_bounds == s1.zone_bounds
+
+
 def test_series_arrays_are_read_only():
     s = make_series([1.0, 2.0, 3.0, 4.0], levels=1)
     with pytest.raises(ValueError):
