@@ -115,6 +115,9 @@ class RunConfig:
             eps = DEFAULT_PENALTY_EPS
             if eps * self.verbosity * 2 ** self.levels >= self.min_thr:
                 eps = self.min_thr / (2 * self.verbosity * 2 ** self.levels)
+                if eps == 0.0 and self.min_thr > 0:  # underflow; min_thr <= 0 fails below
+                    raise ValueError(f"min_thr = {self.min_thr} is too small to derive "
+                                     f"penalty_eps from; set penalty_eps")
         return SelectionConfig(
             max_thr=self.max_thr,
             min_thr=self.min_thr,

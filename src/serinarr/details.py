@@ -66,7 +66,7 @@ class SelectionConfig:
             raise ValueError(
                 f"need max_thr > min_thr > 0, got {self.max_thr}, {self.min_thr}"
             )
-        if self.penalty_eps <= 0:
+        if not self.penalty_eps > 0:
             raise ValueError(f"penalty_eps must be > 0, got {self.penalty_eps}")
         if self.v < 1:
             raise ValueError(f"verbosity bound must be >= 1, got {self.v}")

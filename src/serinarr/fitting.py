@@ -10,13 +10,15 @@ Fitting strategy per kind:
 * line: closed-form ordinary least squares.
 * bilinear: every sample of the range is a breakpoint candidate, with
   the samples up to it on the left; those strictly inside the range
-  whose edge gaps square above 0 are scored.  The three y values follow
-  from a linear solve that keeps the polyline continuous.  Ties prefer
-  the smaller breakpoint.  A closed-form estimate of each candidate's
-  least SSE, less a proven rounding bound, is a lower bound on the SSE
-  LAPACK scores for it, so LAPACK scores only the candidates whose bound
-  reaches their row's least score, plus those the bound does not
-  certify; the rest can neither win nor tie.
+  whose edge gaps square above 0, and whose system has a nonzero last
+  row (the last sample's does not), are scored.  The three y values solve
+  a tridiagonal system, held as eight grids of its entries, that keeps
+  the polyline continuous.  Ties prefer the smaller breakpoint.  A
+  closed-form estimate of each candidate's least SSE, less a proven
+  rounding bound, is a lower bound on the SSE LAPACK scores for it, so
+  LAPACK scores only the candidates whose bound reaches their row's
+  least score, plus those the bound does not certify; the rest can
+  neither win nor tie.
 * tooth: plateau edges are searched over the zone boundaries inside
   the range, plus the sample positions when the range spans at most 4
   zones; the three levels are segment means.  Every (start, end) edge
@@ -76,7 +78,6 @@ from .prototypes import (
     PARAMS_CLASS,
     CurveKind,
     CurveParams,
-    SinusoidParams,
     evaluate,
     params_from_dict,
     params_to_dict,
@@ -208,12 +209,11 @@ def _fit_lines(x, y, x_lo, x_hi):
     return (a, b), denom > 0
 
 
-def _bilinear_bound(mat, rhs, syy):
+def _bilinear_bound(a, b, c, d, e, r0, r1, r2, syy):
     """Closed-form estimate ``q`` of the least SSE of each bilinear system
-    M theta = r (``mat``, ``rhs``; M = [[a, b, 0], [b, c, d], [0, d, e]]
-    in the last two axes), and a lower bound ``low`` on the SSE that
-    ``_bilinear_sse`` scores for it; ``low`` is -inf where the bound is
-    not certified.
+    M theta = r, M = [[a, b, 0], [b, c, d], [0, d, e]] and r = (r0, r1, r2)
+    elementwise, and a lower bound ``low`` on the SSE that ``_bilinear_sse``
+    scores for it; ``low`` is -inf where the bound is not certified.
 
     ``q = syy - r.adj(M).r / det``.  A cell is guarded when M is certified
     positive definite and well conditioned: ``a > 0``, and ``ac - b^2``
@@ -245,8 +245,6 @@ def _bilinear_bound(mat, rhs, syy):
     ``q - B`` itself, the LAPACK SSE is at least q - u (16 kappa |R^| +
     4 syy).  B takes a safety factor of 4 over that: B = 2^-47 (kappa
     |R^| + syy).  The max(sse, 0) LAPACK's score takes only raises it."""
-    a, b, c, d, e = (mat[..., i, j] for i, j in ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2)))
-    r0, r1, r2 = (rhs[..., i] for i in range(3))
     with np.errstate(all="ignore"):  # degenerate cells overflow; unguarded
         bb, dd, ce = b * b, d * d, c * e
         c00 = ce - dd
@@ -265,23 +263,27 @@ def _bilinear_bound(mat, rhs, syy):
     return q, low
 
 
-def _bilinear_sse(mat, rhs, syy):
-    """LAPACK's least squares of the (k, 3, 3) systems ``mat`` against
-    ``rhs``: the SSE, inf where the system is singular, and theta.  Each
-    system scores the same in any stack."""
+def _bilinear_sse(a, b, c, d, e, r0, r1, r2, syy):
+    """LAPACK's least squares of the k systems ``_bilinear_bound`` takes, as
+    length-k entry arrays stacked into (k, 3, 3): the SSE, inf where it is
+    singular, and theta as (3, k).  Each system scores the same in any stack."""
+    zero = np.zeros_like(a)
+    mat = np.stack([a, b, zero, b, c, d, zero, d, e], axis=1).reshape(-1, 3, 3)
+    rhs = np.stack([r0, r1, r2], axis=1)
     ok = np.abs(np.linalg.det(mat)) > 1e-12
     theta = np.full(rhs.shape, np.nan)
     theta[ok] = np.linalg.solve(mat[ok], rhs[ok][..., None])[..., 0]
     sse = syy - 2 * np.einsum("ki,ki->k", theta, rhs) + np.einsum(
         "ki,kij,kj->k", theta, mat, theta)
-    return np.where(ok, np.maximum(sse, 0.0), np.inf), theta
+    return np.where(ok, np.maximum(sse, 0.0), np.inf), theta.T
 
 
 def _fit_bilinears(x, y, x_lo, x_hi):
-    """Column p of a row's candidate grid takes sample p as the breakpoint,
-    samples 0..p on the left.  The grid is solved in runs of whole rows of
-    about ``_CHUNK_CELLS // 32`` cells: a candidate holds as much memory as
-    some 32 tooth table cells.
+    """Column p of a row's candidate grid takes sample p as the breakpoint
+    ``xb``, samples 0..p on the left.  The grid is solved in runs of whole
+    rows of about ``_CHUNK_CELLS // 32`` cells: a candidate peaks at some
+    32 floats, its eight entry grids, the bound's temporaries, its score
+    and its theta.
 
     LAPACK scores a run's cells in rounds (``_bilinear_bound`` has the
     estimate and the bound): first every cell whose lower bound is at most
@@ -291,60 +293,60 @@ def _fit_bilinears(x, y, x_lo, x_hi):
     ties, and each row's first least score is the one scoring every cell
     gives."""
     m, n = x.shape
-    px, pxx, py, pxy = (_prefix(a) for a in (x, x * x, y, x * y))
+    px, pxx, py, pxy = (_prefix(v) for v in (x, x * x, y, x * y))
     syy = (y * y).sum(axis=1)
     cols = np.full((6, m), np.nan)  # x_b, y_l, y_b, y_r, x_lo, x_hi
     cols[4], cols[5] = x_lo, x_hi
     n_l = np.arange(1.0, n + 1)
     n_r = n - n_l
     step = max(1, _CHUNK_CELLS // 32 // n)
-    for r0 in range(0, m, step):
-        rs = slice(r0, r0 + step)
-        c, lo, hi = x[rs], x_lo[rs, None], x_hi[rs, None]
+    for s0 in range(0, m, step):
+        rs = slice(s0, s0 + step)
+        xb, lo, hi = x[rs], x_lo[rs, None], x_hi[rs, None]
         sx_l, sxx_l, sy_l, sxy_l = px[rs, 1:], pxx[rs, 1:], py[rs, 1:], pxy[rs, 1:]
         sx_r, sxx_r = px[rs, n:] - sx_l, pxx[rs, n:] - sxx_l
         sy_r, sxy_r = py[rs, n:] - sy_l, pxy[rs, n:] - sxy_l
 
         # Masked cells divide by 1, not by a gap that squares to 0.
-        dl, dr = c - lo, hi - c
+        dl, dr = xb - lo, hi - xb
         gap = np.minimum(dl, dr)
         keep = (gap > 0) & (gap * gap > 0)
         dl, dr = np.where(keep, dl, 1.0), np.where(keep, dr, 1.0)
 
-        mat = np.zeros(c.shape + (3, 3))
-        rhs = np.zeros(c.shape + (3,))
-        # left segment: y_l weight (c - x)/dl, y_b weight (x - x_lo)/dl
-        mat[..., 0, 0] = (c * c * n_l - 2 * c * sx_l + sxx_l) / (dl * dl)
-        mat[..., 0, 1] = ((c + lo) * sx_l - c * lo * n_l - sxx_l) / (dl * dl)
-        mat[..., 1, 1] = (sxx_l - 2 * lo * sx_l + lo * lo * n_l) / (dl * dl)
-        rhs[..., 0] = (c * sy_l - sxy_l) / dl
-        rhs[..., 1] = (sxy_l - lo * sy_l) / dl
-        # right segment: y_b weight (x_hi - x)/dr, y_r weight (x - c)/dr
-        mat[..., 1, 1] += (hi * hi * n_r - 2 * hi * sx_r + sxx_r) / (dr * dr)
-        mat[..., 1, 2] = ((hi + c) * sx_r - hi * c * n_r - sxx_r) / (dr * dr)
-        mat[..., 2, 2] = (sxx_r - 2 * c * sx_r + c * c * n_r) / (dr * dr)
-        rhs[..., 1] += (hi * sy_r - sxy_r) / dr
-        rhs[..., 2] = (sxy_r - c * sy_r) / dr
-        mat[..., 1, 0] = mat[..., 0, 1]
-        mat[..., 2, 1] = mat[..., 1, 2]
+        # left segment: y_l weight (xb - x)/dl, y_b weight (x - x_lo)/dl
+        a = (xb * xb * n_l - 2 * xb * sx_l + sxx_l) / (dl * dl)
+        b = ((xb + lo) * sx_l - xb * lo * n_l - sxx_l) / (dl * dl)
+        c = (sxx_l - 2 * lo * sx_l + lo * lo * n_l) / (dl * dl)
+        r0 = (xb * sy_l - sxy_l) / dl
+        r1 = (sxy_l - lo * sy_l) / dl
+        # right segment: y_b weight (x_hi - x)/dr, y_r weight (x - xb)/dr
+        c += (hi * hi * n_r - 2 * hi * sx_r + sxx_r) / (dr * dr)
+        d = ((hi + xb) * sx_r - hi * xb * n_r - sxx_r) / (dr * dr)
+        e = (sxx_r - 2 * xb * sx_r + xb * xb * n_r) / (dr * dr)
+        r1 += (hi * sy_r - sxy_r) / dr
+        r2 = (sxy_r - xb * sy_r) / dr
+        entries = a, b, c, d, e, r0, r1, r2
+        # d = e = 0 (an empty right segment, or one all at xb) zeroes M's
+        # last row, so LAPACK's det would be 0 or nan.
+        keep &= (d != 0) | (e != 0)
 
-        est, low = _bilinear_bound(mat, rhs, syy[rs, None])
+        est, low = _bilinear_bound(*entries, syy[rs, None])
         least = np.where(keep & (low > -np.inf), est, np.inf).min(axis=1)
         todo = keep & (low <= least[:, None])
         scored = todo
-        sse = np.full(c.shape, np.inf)
-        theta = np.full(c.shape + (3,), np.nan)
+        sse = np.full(xb.shape, np.inf)
+        theta = np.full((3,) + xb.shape, np.nan)
         while todo.any():
             k = np.flatnonzero(todo)
-            sse.ravel()[k], theta.reshape(-1, 3)[k] = _bilinear_sse(
-                mat.reshape(-1, 3, 3)[k], rhs.reshape(-1, 3)[k], syy[rs][k // n])
+            sse.ravel()[k], theta.reshape(3, -1)[:, k] = _bilinear_sse(
+                *(v.ravel()[k] for v in entries), syy[rs][k // n])
             todo = keep & ~scored & (low <= sse.min(axis=1)[:, None])
             scored = scored | todo
 
         # Each row's first least sse: the smallest breakpoint.  A row whose
         # least sse is not finite gets no fit.
-        at, best = np.arange(len(c)), sse.argmin(axis=1)
-        fit = np.vstack([c[at, best], theta[at, best].T])
+        at, best = np.arange(len(xb)), sse.argmin(axis=1)
+        fit = np.vstack([xb[at, best], theta[:, at, best]])
         cols[:4, rs] = np.where(np.isfinite(sse[at, best]), fit, np.nan)
     return cols, ~np.isnan(cols[0])
 
@@ -461,9 +463,9 @@ def _fit_teeth(y, positions, lo_idx, hi_idx):
     return (y_out_l, y_out_r, positions[at, row], positions[at, col], y_in), np.ones(m, bool)
 
 
-def _sin_solve(x, r, freq, rr=None):
-    """Least squares of r against sin/cos at one frequency; ``rr`` is
-    ``float((r * r).sum())``, computed here when not given."""
+def _sin_solve(x, r, freq, rr):
+    """Least squares of r against sin/cos at one frequency, ``rr`` being
+    ``float((r * r).sum())``: (a, b, sse), sse inf where it is degenerate."""
     arg = 2 * math.pi * freq * x
     s = np.sin(arg)
     co = np.cos(arg)
@@ -474,13 +476,10 @@ def _sin_solve(x, r, freq, rr=None):
     b1 = float((co * r).sum())
     det = m00 * m11 - m01 * m01
     if abs(det) < 1e-14:
-        return None
+        return math.nan, math.nan, math.inf
     a = (m11 * b0 - m01 * b1) / det
     b = (m00 * b1 - m01 * b0) / det
-    if rr is None:
-        rr = float((r * r).sum())
-    sse = rr - (a * b0 + b * b1)
-    return a, b, max(sse, 0.0)
+    return a, b, max(rr - (a * b0 + b * b1), 0.0)
 
 
 def _sin_basis(x: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,12 +488,10 @@ def _sin_basis(x: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.sin(arg), np.cos(arg, out=arg)
 
 
-def _sin_grid(s: np.ndarray, co: np.ndarray, r: np.ndarray, rr=None) -> np.ndarray:
+def _sin_grid(s: np.ndarray, co: np.ndarray, r: np.ndarray, rr: float):
     """``_sin_solve``'s (a, b, sse) at each frequency row of the basis
-    ``s``, ``co``, inf sse where it is degenerate; each row is reduced on
-    its own, in the one-frequency solve's order."""
-    if rr is None:
-        rr = float((r * r).sum())
+    ``s``, ``co``, as three arrays; each row is reduced on its own, in the
+    one-frequency solve's order."""
     m00 = (s * s).sum(axis=1)
     m01 = (s * co).sum(axis=1)
     m11 = (co * co).sum(axis=1)
@@ -505,19 +502,20 @@ def _sin_grid(s: np.ndarray, co: np.ndarray, r: np.ndarray, rr=None) -> np.ndarr
         a = (m11 * b0 - m01 * b1) / det
         b = (m00 * b1 - m01 * b0) / det
     sse = np.maximum(rr - (a * b0 + b * b1), 0.0)
-    return np.stack([a, b, np.where(np.abs(det) < 1e-14, np.inf, sse)], axis=1)
+    return a, b, np.where(np.abs(det) < 1e-14, np.inf, sse)
 
 
 def _fit_sinusoid(x: np.ndarray, y: np.ndarray, width: float, basis):
+    """(amp, freq, phase, mean) of the range's sinusoid fit, or None."""
     mean = float(y.mean())
     r = y - mean
     rr = float((r * r).sum())  # fixed per range: one sum for every solve
 
-    rows = _sin_grid(*basis, r, rr)
-    if not np.isfinite(rows[:, 2]).any():
+    a, b, sse = _sin_grid(*basis, r, rr)
+    k = int(np.argmin(sse))
+    if not np.isfinite(sse[k]):
         return None
-    k = int(np.argmin(rows[:, 2]))
-    a, b, sse = rows[k]
+    a, b, sse = a[k], b[k], sse[k]
     freq = _SIN_GRID[k] / width
 
     lo = _SIN_GRID[max(k - 1, 0)]
@@ -527,8 +525,7 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, width: float, basis):
     c2 = lo + _GOLDEN * (hi - lo)
 
     def sse_at(f_range):
-        sol = _sin_solve(x, r, f_range / width, rr)
-        return sol[2] if sol is not None else np.inf
+        return _sin_solve(x, r, f_range / width, rr)[2]
 
     f1, f2 = sse_at(c1), sse_at(c2)
     while (hi - lo) > 1e-3 * (0.5 * (hi + lo)):
@@ -543,15 +540,14 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, width: float, basis):
 
     # The refined frequency replaces the grid winner only if strictly better.
     mid = 0.5 * (lo + hi) / width
-    sol = _sin_solve(x, r, mid, rr)
-    if sol is not None and sol[2] < sse:
-        a, b, _ = sol
-        freq = mid
+    a_mid, b_mid, sse_mid = _sin_solve(x, r, mid, rr)
+    if sse_mid < sse:
+        a, b, freq = a_mid, b_mid, mid
     amp = math.hypot(a, b)
     phase = math.atan2(b, a) % (2 * math.pi)
     if phase >= 2 * math.pi:
         phase = 0.0
-    return SinusoidParams(amp=amp, freq=freq, phase=phase, mean=mean)
+    return amp, freq, phase, mean
 
 
 def _fit_sinusoids(xs, first, y, width):
@@ -571,7 +567,7 @@ def _fit_sinusoids(xs, first, y, width):
                 basis = _sin_basis(xs[f0:end], _SIN_GRID / w)
             fits[k] = _fit_sinusoid(xs[f : f + n], y[k], float(w),
                                     [b[:, f - f0 : f - f0 + n] for b in basis])
-    cols = [tuple(p.__dict__.values()) if p else (math.nan,) * 4 for p in fits]
+    cols = [p or (math.nan,) * 4 for p in fits]
     return np.array(cols).T, np.array([p is not None for p in fits])
 
 

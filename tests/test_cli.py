@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from serinarr.cli import (
@@ -144,6 +144,12 @@ def test_run_config_validation():
         RunConfig(input="x", max_thr=0.0)
     with pytest.raises(IngestError, match="penalty_eps"):
         RunConfig(input="x", penalty_eps=0.0)
+    with pytest.raises(IngestError, match="penalty_eps must be > 0, got nan"):
+        RunConfig(input="x", penalty_eps=math.nan)
+    with pytest.raises(IngestError, match="min_thr = 5e-324 .*; set penalty_eps"):
+        RunConfig(input="x", min_thr=5e-324)
+    with pytest.raises(IngestError, match="max_thr > min_thr"):
+        RunConfig(input="x", min_thr=0.0)
     cfg = RunConfig(input="x", verbosity=3, max_thr=0.2)
     assert cfg.selection_config == SelectionConfig(max_thr=0.2, v=3)
 
@@ -437,6 +443,28 @@ def test_main_bad_thresholds_fail_before_reading(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("penalty_eps = nan", "penalty_eps must be > 0, got nan"),
+    ("min_thr = 5e-324", "min_thr = 5e-324 is too small to derive penalty_eps from; "
+                         "set penalty_eps"),
+], ids=["nan-penalty-eps", "subnormal-min-thr"])
+def test_main_bad_penalty_fails_before_reading(
+        line, reason, sample_csv, tmp_path, capsys, monkeypatch):
+    """A nan ``penalty_eps``, or a ``min_thr`` so small that the derived
+    ``penalty_eps`` underflows to 0, exits 3 with one line naming the key
+    to change, before any input is read."""
+    def unreachable(*args):
+        raise AssertionError("a bad penalty must fail before any input is read")
+
+    monkeypatch.setattr("serinarr.cli.load_series", unreachable)
+    conf = tmp_path / "c.conf"
+    conf.write_text(line + "\n")
+    code = main(["narrate", "--input", str(sample_csv), "--config", str(conf),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_INGEST
+    assert capsys.readouterr().err == f"ingest error: {reason}\n"
+
+
 def test_main_unknown_config_key_fails_before_reading(
         sample_csv, tmp_path, capsys, monkeypatch):
     def unreachable(*args):
@@ -592,21 +620,25 @@ _THRESHOLDS = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e-9, 0.02, 0.15, 1.0,
 @given(levels=st.integers(1, 6), verbosity=st.integers(1, 8),
        file_values=st.dictionaries(st.sampled_from(["min_thr", "max_thr", "penalty_eps"]),
                                    _THRESHOLDS))
+@example(levels=4, verbosity=5, file_values={"penalty_eps": math.nan})
 def test_every_config_runs_or_exits_with_a_mapped_code(levels, verbosity, file_values):
     """Any levels 1-6, verbosity 1-8 and config-file thresholds, extremes
-    included, narrate the fixture or fail with a mapped exit code and one
-    line on stderr; nothing ends in a traceback."""
+    included, narrate the fixture, printing a finite objective, or fail
+    with a mapped exit code and one line on stderr; nothing ends in a
+    traceback."""
     fixture = Path(__file__).parent / "data" / "concert_weekly.csv"
     with tempfile.TemporaryDirectory() as tmp:
         conf = Path(tmp) / "run.conf"
         conf.write_text("".join(f"{k} = {v!r}\n" for k, v in file_values.items()))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["narrate", "--input", str(fixture), "--format", "trends_csv",
                          "--levels", str(levels), "--verbosity", str(verbosity),
                          "--config", str(conf), "--out-dir", tmp])
     if code == 0:
         assert err.getvalue() == ""
+        (objective,) = re.findall(r"^objective: (.*)$", out.getvalue(), re.M)
+        assert math.isfinite(float(objective)), objective
     else:
         assert code in (EXIT_INGEST, EXIT_FIT, EXIT_SOLVE, EXIT_OUTPUT), code
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -424,14 +424,13 @@ def test_sinusoid_grid_matches_per_frequency_solve():
         x, y = s.xs[sl], s.ys[sl]
         x_lo, x_hi = s.zone_x_range(i, j)
         r = y - float(y.mean())
+        rr = float((r * r).sum())
         width = x_hi - x_lo
-        rows = _sin_grid(*_sin_basis(x, grid / width), r)
+        rows = zip(*_sin_grid(*_sin_basis(x, grid / width), r, rr))
         for f, (a, b, sse) in zip(grid, rows):
-            sol = _sin_solve(x, r, f / width)
-            if sol is None:
-                assert sse == np.inf, (i, j, f)
-            else:
-                assert (a, b, sse) == sol, (i, j, f)
+            sol = _sin_solve(x, r, f / width, rr)
+            assert sse == sol[2], (i, j, f)
+            assert sse == np.inf or (a, b) == sol[:2], (i, j, f)
 
 
 def test_sinusoid_basis_slices_match_per_range_grid(monkeypatch):
@@ -450,10 +449,11 @@ def test_sinusoid_basis_slices_match_per_range_grid(monkeypatch):
                 off += 1
             x = span[off : off + n]
             r = rng.standard_normal(n)
+            rr = float((r * r).sum())
             own = _sin_basis(x, _SIN_GRID / width)
             cut = [b[:, off : off + n] for b in shared]
             assert all(np.array_equal(a, b) for a, b in zip(own, cut)), (case, off)
-            assert np.array_equal(_sin_grid(*cut, r), _sin_grid(*own, r)), (case, off)
+            assert np.array_equal(_sin_grid(*cut, r, rr), _sin_grid(*own, r, rr)), (case, off)
 
     for levels in (2, 3):
         n_zones = 2 ** levels
@@ -630,15 +630,23 @@ def test_lapack_scores_do_not_depend_on_the_stack():
                 assert want[at].tobytes() == got.tobytes(), (case, size)
 
 
+def _entries(mat, rhs):
+    """The (a, b, c, d, e, r0, r1, r2) entry arrays of tridiagonal systems
+    M theta = r given as a (k, 3, 3) stack and a (k, 3) stack."""
+    return (*(mat[:, i, j] for i, j in ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2))),
+            *rhs.T)
+
+
 def _bilinear_systems(monkeypatch, series):
     """Every bilinear candidate system the fitter bounds over all ranges of
-    each series, as (mat, rhs, syy, bound), one row a cell."""
+    each series, as (entries, syy, bound), one element a cell."""
     seen = []
     bound = fitting._bilinear_bound
 
-    def record(mat, rhs, syy):
-        est, low = bound(mat, rhs, syy)
-        seen.append((mat.reshape(-1, 3, 3), rhs.reshape(-1, 3),
+    def record(*args):
+        est, low = bound(*args)
+        *entries, syy = args
+        seen.append((*(v.ravel() for v in entries),
                      np.broadcast_to(syy, low.shape).ravel(), low.ravel()))
         return est, low
 
@@ -646,13 +654,14 @@ def _bilinear_systems(monkeypatch, series):
     for s in series:
         ranges = [(i, j) for i in range(s.n_zones) for j in range(i, s.n_zones)]
         _fit_ranges(s, CurveKind.BILINEAR, ranges)
-    return map(np.concatenate, zip(*seen))
+    *entries, syy, low = map(np.concatenate, zip(*seen))
+    return entries, syy, low
 
 
-def _assert_bound_holds(mat, rhs, syy, low, min_guarded):
+def _assert_bound_holds(entries, syy, low, min_guarded):
     """Every guarded system LAPACK does not reject scores at least its
     bound, and at least ``min_guarded`` of them are checked."""
-    sse, _ = fitting._bilinear_sse(mat, rhs, syy)
+    sse, _ = fitting._bilinear_sse(*entries, syy)
     checked = (low > -np.inf) & np.isfinite(sse)
     assert checked.sum() >= min_guarded
     bad = np.flatnonzero(checked & (low > sse))
@@ -676,8 +685,8 @@ def test_bilinear_bound_is_below_the_lapack_score(monkeypatch):
                    series_exact(np.where(t < 0.375, 2 * t, 1.5 - 2 * t), levels),
                    _uneven_series(np.r_[0.0, np.sort(rng.random(n - 2)), 1.0],
                                   rng.standard_normal(n), levels)]
-    mat, rhs, syy, low = _bilinear_systems(monkeypatch, series)
-    _assert_bound_holds(mat, rhs, syy, low, len(low) // 2)
+    entries, syy, low = _bilinear_systems(monkeypatch, series)
+    _assert_bound_holds(entries, syy, low, len(low) // 2)
 
     for decades in (0.5, 4, 8):
         mat, rhs = _tridiagonal_stack(rng, 20000, decades)
@@ -689,8 +698,30 @@ def test_bilinear_bound_is_below_the_lapack_score(monkeypatch):
         r_min = np.einsum("ki,ki->k", rhs, np.linalg.solve(mat, rhs[..., None])[..., 0])
         # syy at, or just above, r M^-1 r: least SSEs of 0 and nearly 0.
         syy = np.abs(r_min) * (1 + rng.choice([0.0, 1e-12, 1e-6, 1.0], len(mat)))
-        _, low = fitting._bilinear_bound(mat, rhs, syy)
-        _assert_bound_holds(mat, rhs, syy, low, len(low) // 20)
+        entries = _entries(mat, rhs)
+        _, low = fitting._bilinear_bound(*entries, syy)
+        _assert_bound_holds(entries, syy, low, len(low) // 20)
+
+
+def test_bilinear_sends_lapack_no_zero_last_row(monkeypatch):
+    """A candidate system with d = e = 0, such as the last sample's, whose
+    right segment is empty, is singular and is never sent to LAPACK, on
+    the two 2048-point seed-7919 walks at level 4 and the oracle series,
+    edge-sampled ones included."""
+    sent = []
+    sse = fitting._bilinear_sse
+
+    def record(a, b, c, d, e, *rest):
+        sent.append(((d == 0) & (e == 0)).sum())
+        return sse(a, b, c, d, e, *rest)
+
+    monkeypatch.setattr(fitting, "_bilinear_sse", record)
+    rng = np.random.default_rng(7919)
+    walks = [make_series(np.cumsum(rng.standard_normal(2048)), 4) for _ in range(2)]
+    for s in walks + list(_oracle_series(np.random.default_rng(6300), 45)):
+        ranges = [(i, j) for i in range(s.n_zones) for j in range(i, s.n_zones)]
+        _fit_ranges(s, CurveKind.BILINEAR, ranges)
+    assert len(sent) > 0 and sum(sent) == 0
 
 
 def _wave(rng, n=256):
