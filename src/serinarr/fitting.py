@@ -36,18 +36,26 @@ Fitting strategy per kind:
   once over the samples they span.  The offset is pinned to the sample
   mean of the range.
 
-Every candidate scan is whole-array numpy work.  Elementwise steps are
-batched freely, but a sum is batched only over rows of equal length,
-each reduced on its own: numpy sums pairwise, so each row then rounds
-exactly as the one-range-at-a-time sum would, and the fits are
-bit-identical to it.  So ``_fit_ranges`` fits a kind's ranges in groups
-of equal sample count (tooth: and equal plateau edge count), each as
-``(m, n)`` stacks of samples, one row per range; ``np.cumsum(axis=1)``
-adds in sequence, so a row's prefix sums are exactly the range's own.
-Residuals take one ``evaluate`` per group, and the per-zone errors one
-pass per kind, batched by segment length.  One budget, ``_CHUNK_CELLS``,
-bounds memory on dense input: tooth tables are scored in (range, start
-row) blocks, and bilinear candidates and error segments in runs of rows.
+Every candidate scan is whole-array numpy work, and the fits are
+bit-identical to fitting one range at a time.  Elementwise steps are
+batched freely, over ranges of any length.  A pairwise sum (``sum``,
+``mean``) is batched only over rows of equal length, unpadded, each
+reduced on its own, so it rounds as the range's own sum would: the line
+sums, the bilinear ``syy`` (``_row_sums``) and the per-zone errors are
+taken per length.  ``np.cumsum(axis=1)`` adds in sequence, so prefix
+sums are taken on samples padded to a common length (``_padded``): the
+first n + 1 entries of a row are exactly the range's own.  So
+``_fit_ranges`` batches ranges of different sample counts.  Bilinear
+ranges, in ascending sample count, are cut into runs whose candidates
+are raveled into one vector of real cells, the per-range minima being
+segmented reductions over it; tooth ranges are batched by plateau edge
+count alone; line and sinusoid ranges in one batch each.  Residuals and
+per-zone errors are taken over runs of raveled samples, one
+``evaluate`` a run.  One budget, ``_CHUNK_CELLS``, bounds memory on
+dense input: tooth tables are scored in (range, start row) blocks, sums
+gathered in chunks, and bilinear candidates and residuals taken in runs
+of ``_CHUNK_CELLS // 32`` cells: a candidate peaks at some 32 floats,
+a residual at fewer.
 
 The pool owns the per-zone error of any set of its descriptors
 (``DescriptorPool.zone_errs``): the cover keeps each tiling's errors
@@ -87,7 +95,7 @@ DEFAULT_KINDS = (CurveKind.LINE, CurveKind.BILINEAR, CurveKind.TOOTH)
 
 _SIN_GRID = np.geomspace(0.5, 8.0, 32)  # cycles per range width
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_CHUNK_CELLS = 1 << 18  # tooth cells scored, or error samples gathered, at once
+_CHUNK_CELLS = 1 << 18  # tooth cells scored, or samples summed, at once
 _COND_MAX = 2.0 ** 32  # bilinear systems past this tr^3 / det bound go to LAPACK
 
 
@@ -184,24 +192,65 @@ class DescriptorPool:
 
 
 # ----------------------------------------------------------------------
-# batch fitters: the (m, n) sample rows of one group in, the params as
-# columns in field order out, with a mask of the rows that admit a fit
+# batch fitters: the series' samples and each range's first sample and
+# sample count in, the params as columns in field order out, with a mask
+# of the ranges that admit a fit
 # ----------------------------------------------------------------------
 
 
 def _prefix(a: np.ndarray) -> np.ndarray:
-    """Per-row prefix sums with a leading 0.0."""
+    """Per-row prefix sums with a leading 0.0.  They add in sequence, so
+    entry k of a padded row is exactly the sum of its first k samples."""
     out = np.zeros((a.shape[0], a.shape[1] + 1))
     np.cumsum(a, axis=1, out=out[:, 1:])
     return out
 
 
-def _fit_lines(x, y, x_lo, x_hi):
-    n = x.shape[1]
-    sx = x.sum(axis=1)
-    sy = y.sum(axis=1)
-    sxx = (x * x).sum(axis=1)
-    sxy = (x * y).sum(axis=1)
+def _ravel(first: np.ndarray, n: np.ndarray):
+    """Blocks of ``n`` consecutive indices from ``first`` on, laid end to
+    end as cells: each block's first cell, each cell's block and each
+    cell's index."""
+    start = np.cumsum(n) - n
+    row = np.repeat(np.arange(len(n)), n)
+    return start, row, np.arange(len(row)) + np.repeat(first - start, n)
+
+
+def _padded(first: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The (m, max n) sample indices whose row k holds the ``n[k]``
+    indices from ``first[k]`` on, then repeats its last one."""
+    return first[:, None] + np.minimum(np.arange(n.max()), n[:, None] - 1)
+
+
+def _runs(rows: np.ndarray, n: np.ndarray, budget: int) -> list[np.ndarray]:
+    """Cut ``rows``, in ascending sample count ``n[rows]``, into runs of
+    whole rows whose padded (rows, max n) block holds at most ``budget``
+    cells, or of one row."""
+    runs, s0 = [], 0
+    for k, nk in enumerate(n[rows].tolist()):
+        if (k + 1 - s0) * nk > budget and k > s0:
+            runs.append(rows[s0:k])
+            s0 = k
+    return runs + [rows[s0:]] if len(rows) else runs
+
+
+def _row_sums(first: np.ndarray, n: np.ndarray, *vs: np.ndarray) -> np.ndarray:
+    """Each range's sum of each per-sample array of ``vs`` over its ``n``
+    samples from ``first`` on.  Ranges of one length are gathered unpadded
+    and summed together, at most ``_CHUNK_CELLS`` samples at a time, so
+    each rounds as the range's own pairwise sum does."""
+    out = np.empty((len(vs), len(n)))
+    for k in np.unique(n).tolist():
+        rows = np.flatnonzero(n == k)
+        step = max(1, _CHUNK_CELLS // k)
+        for sel in (rows[at : at + step] for at in range(0, len(rows), step)):
+            idx = first[sel, None] + np.arange(k)
+            for o, v in zip(out, vs):
+                o[sel] = v[idx].sum(axis=1)
+    return out
+
+
+def _fit_lines(xs, ys, first, n):
+    sx, sy, sxx, sxy = _row_sums(first, n, xs, ys, xs * xs, xs * ys)
     denom = n * sxx - sx * sx
     with np.errstate(invalid="ignore", divide="ignore"):
         b = (n * sxy - sx * sy) / denom
@@ -278,76 +327,88 @@ def _bilinear_sse(a, b, c, d, e, r0, r1, r2, syy):
     return np.where(ok, np.maximum(sse, 0.0), np.inf), theta.T
 
 
-def _fit_bilinears(x, y, x_lo, x_hi):
-    """Column p of a row's candidate grid takes sample p as the breakpoint
-    ``xb``, samples 0..p on the left.  The grid is solved in runs of whole
-    rows of about ``_CHUNK_CELLS // 32`` cells: a candidate peaks at some
-    32 floats, its eight entry grids, the bound's temporaries, its score
-    and its theta.
+def _bilinear_entries(xs, ys, first, n, x_lo, x_hi, row, idx):
+    """The system entries (a, b, c, d, e, r0, r1, r2) of the raveled
+    candidate cells of ranges of ``n`` samples from ``first`` on, each
+    cell's range ``row`` and sample ``idx`` being its breakpoint ``xb``,
+    and the mask of the cells to score.  The segment sums are read from
+    per-range prefix sums of the samples padded to one length."""
+    pad = _padded(first, n)
+    x, y = xs[pad], ys[pad]
+    sums = [_prefix(v).ravel() for v in (x, x * x, y, x * y)]
+    p = idx - first[row]
+    xb, lo, hi = xs[idx], np.repeat(x_lo, n), np.repeat(x_hi, n)
+    n_l = p + 1.0
+    n_r = np.repeat(n, n) - n_l
+    # Each cell's left sums, and its range's whole sums, in the raveled
+    # (m, w) prefix sums.
+    w = x.shape[1] + 1
+    at, end = row * w + p + 1, np.repeat(np.arange(len(n)) * w + n, n)
+    sx_l, sxx_l, sy_l, sxy_l = (v[at] for v in sums)
+    sx_r, sxx_r, sy_r, sxy_r = (v[end] - v[at] for v in sums)
 
-    LAPACK scores a run's cells in rounds (``_bilinear_bound`` has the
+    # Masked cells divide by 1, not by a gap that squares to 0.
+    dl, dr = xb - lo, hi - xb
+    gap = np.minimum(dl, dr)
+    keep = (gap > 0) & (gap * gap > 0)
+    dl, dr = np.where(keep, dl, 1.0), np.where(keep, dr, 1.0)
+
+    # left segment: y_l weight (xb - x)/dl, y_b weight (x - x_lo)/dl
+    a = (xb * xb * n_l - 2 * xb * sx_l + sxx_l) / (dl * dl)
+    b = ((xb + lo) * sx_l - xb * lo * n_l - sxx_l) / (dl * dl)
+    c = (sxx_l - 2 * lo * sx_l + lo * lo * n_l) / (dl * dl)
+    r0 = (xb * sy_l - sxy_l) / dl
+    r1 = (sxy_l - lo * sy_l) / dl
+    # right segment: y_b weight (x_hi - x)/dr, y_r weight (x - xb)/dr
+    c += (hi * hi * n_r - 2 * hi * sx_r + sxx_r) / (dr * dr)
+    d = ((hi + xb) * sx_r - hi * xb * n_r - sxx_r) / (dr * dr)
+    e = (sxx_r - 2 * xb * sx_r + xb * xb * n_r) / (dr * dr)
+    r1 += (hi * sy_r - sxy_r) / dr
+    r2 = (sxy_r - xb * sy_r) / dr
+    # d = e = 0 (an empty right segment, or one all at xb) zeroes M's
+    # last row, so LAPACK's det would be 0 or nan.
+    keep &= (d != 0) | (e != 0)
+    return (a, b, c, d, e, r0, r1, r2), keep
+
+
+def _fit_bilinears(xs, ys, first, n, syy, x_lo, x_hi):
+    """Every sample of a run of ranges is a candidate cell, the ranges
+    raveled end to end: the cell of a range's sample p takes it as the
+    breakpoint, samples 0..p on the left.  ``syy`` is each range's own
+    sum (``_row_sums``); all else is elementwise on the cell vector, and
+    the per-range minima are segmented reductions over it.  A candidate
+    peaks at some 32 floats: its entries, the bound's temporaries, its
+    score and its theta.
+
+    LAPACK scores the cells in rounds (``_bilinear_bound`` has the
     estimate and the bound): first every cell whose lower bound is at most
-    its row's least estimate, the unguarded cells included, then every
-    cell left whose bound is at most its row's least score so far.  An
-    unscored cell scores above its row's least, so it neither wins nor
-    ties, and each row's first least score is the one scoring every cell
+    its range's least estimate, the unguarded cells included, then every
+    cell left whose bound is at most its range's least score so far.  An
+    unscored cell scores above its range's least, so it neither wins nor
+    ties, and each range's first least score is the one scoring every cell
     gives."""
-    m, n = x.shape
-    px, pxx, py, pxy = (_prefix(v) for v in (x, x * x, y, x * y))
-    syy = (y * y).sum(axis=1)
-    cols = np.full((6, m), np.nan)  # x_b, y_l, y_b, y_r, x_lo, x_hi
+    start, row, idx = _ravel(first, n)
+    entries, keep = _bilinear_entries(xs, ys, first, n, x_lo, x_hi, row, idx)
+    est, low = _bilinear_bound(*entries, syy[row])
+    least = np.minimum.reduceat(np.where(keep & (low > -np.inf), est, np.inf), start)
+    todo = keep & (low <= least[row])
+    scored = todo
+    sse = np.full(len(row), np.inf)
+    theta = np.full((3, len(row)), np.nan)
+    while todo.any():
+        k = np.flatnonzero(todo)
+        sse[k], theta[:, k] = _bilinear_sse(*(v[k] for v in entries), syy[row[k]])
+        todo = keep & ~scored & (low <= np.minimum.reduceat(sse, start)[row])
+        scored = scored | todo
+
+    # Each range's first least sse: the smallest breakpoint.  A range
+    # whose least sse is not finite gets no fit.
+    hit = np.flatnonzero(sse == np.minimum.reduceat(sse, start)[row])
+    hit = hit[np.diff(row[hit], prepend=-1) != 0]
+    hit = hit[np.isfinite(sse[hit])]
+    cols = np.full((6, len(n)), np.nan)  # x_b, y_l, y_b, y_r, x_lo, x_hi
     cols[4], cols[5] = x_lo, x_hi
-    n_l = np.arange(1.0, n + 1)
-    n_r = n - n_l
-    step = max(1, _CHUNK_CELLS // 32 // n)
-    for s0 in range(0, m, step):
-        rs = slice(s0, s0 + step)
-        xb, lo, hi = x[rs], x_lo[rs, None], x_hi[rs, None]
-        sx_l, sxx_l, sy_l, sxy_l = px[rs, 1:], pxx[rs, 1:], py[rs, 1:], pxy[rs, 1:]
-        sx_r, sxx_r = px[rs, n:] - sx_l, pxx[rs, n:] - sxx_l
-        sy_r, sxy_r = py[rs, n:] - sy_l, pxy[rs, n:] - sxy_l
-
-        # Masked cells divide by 1, not by a gap that squares to 0.
-        dl, dr = xb - lo, hi - xb
-        gap = np.minimum(dl, dr)
-        keep = (gap > 0) & (gap * gap > 0)
-        dl, dr = np.where(keep, dl, 1.0), np.where(keep, dr, 1.0)
-
-        # left segment: y_l weight (xb - x)/dl, y_b weight (x - x_lo)/dl
-        a = (xb * xb * n_l - 2 * xb * sx_l + sxx_l) / (dl * dl)
-        b = ((xb + lo) * sx_l - xb * lo * n_l - sxx_l) / (dl * dl)
-        c = (sxx_l - 2 * lo * sx_l + lo * lo * n_l) / (dl * dl)
-        r0 = (xb * sy_l - sxy_l) / dl
-        r1 = (sxy_l - lo * sy_l) / dl
-        # right segment: y_b weight (x_hi - x)/dr, y_r weight (x - xb)/dr
-        c += (hi * hi * n_r - 2 * hi * sx_r + sxx_r) / (dr * dr)
-        d = ((hi + xb) * sx_r - hi * xb * n_r - sxx_r) / (dr * dr)
-        e = (sxx_r - 2 * xb * sx_r + xb * xb * n_r) / (dr * dr)
-        r1 += (hi * sy_r - sxy_r) / dr
-        r2 = (sxy_r - xb * sy_r) / dr
-        entries = a, b, c, d, e, r0, r1, r2
-        # d = e = 0 (an empty right segment, or one all at xb) zeroes M's
-        # last row, so LAPACK's det would be 0 or nan.
-        keep &= (d != 0) | (e != 0)
-
-        est, low = _bilinear_bound(*entries, syy[rs, None])
-        least = np.where(keep & (low > -np.inf), est, np.inf).min(axis=1)
-        todo = keep & (low <= least[:, None])
-        scored = todo
-        sse = np.full(xb.shape, np.inf)
-        theta = np.full((3,) + xb.shape, np.nan)
-        while todo.any():
-            k = np.flatnonzero(todo)
-            sse.ravel()[k], theta.reshape(3, -1)[:, k] = _bilinear_sse(
-                *(v.ravel()[k] for v in entries), syy[rs][k // n])
-            todo = keep & ~scored & (low <= sse.min(axis=1)[:, None])
-            scored = scored | todo
-
-        # Each row's first least sse: the smallest breakpoint.  A row whose
-        # least sse is not finite gets no fit.
-        at, best = np.arange(len(xb)), sse.argmin(axis=1)
-        fit = np.vstack([xb[at, best], theta[:, at, best]])
-        cols[:4, rs] = np.where(np.isfinite(sse[at, best]), fit, np.nan)
+    cols[:4, row[hit]] = np.vstack([xs[idx[hit]], theta[:, hit]])
     return cols, ~np.isnan(cols[0])
 
 
@@ -387,22 +448,29 @@ def _tooth_cells(t, rs, ss, cs):
     return sse
 
 
-def _fit_teeth(y, positions, lo_idx, hi_idx):
-    """Tooth fits of the rows of ``y``, each over its own sorted plateau
-    edge ``positions``, with the number of the row's samples before
-    (``lo_idx``) and up to (``hi_idx``) each edge.  Each zone of a row
-    holds a sample, so every (start, end) cell with end > start counts
-    at least one."""
-    m, n = y.shape
-    n_pos = positions.shape[1]
+def _fit_teeth(xs, ys, first, n, positions):
+    """Tooth fits of the ranges of ``n`` samples from ``first`` on, each
+    over its own sorted plateau edge ``positions``.  Each zone of a range
+    holds a sample, so every (start, end) cell with end > start counts at
+    least one."""
+    m, n_pos = positions.shape
+    at = np.arange(m)
+    # The number of a range's samples before (lo_idx) and up to (hi_idx)
+    # each edge: samples before a range lie below its first edge, and
+    # those after it at or past its last, so they follow from the whole
+    # series' counts.
+    lo_idx = np.searchsorted(xs, positions, side="left") - first[:, None]
+    hi_idx = np.minimum(np.searchsorted(xs, positions, side="right") - first[:, None],
+                        n[:, None])
+    y = ys[_padded(first, n)]
     py, pyy = _prefix(y), _prefix(y * y)
     s_lo, s_hi = np.take_along_axis(py, lo_idx, 1), np.take_along_axis(py, hi_idx, 1)
     ss_lo, ss_hi = np.take_along_axis(pyy, lo_idx, 1), np.take_along_axis(pyy, hi_idx, 1)
     # Outer segments per edge position; py[:, 0] and pyy[:, 0] are 0.0,
     # so these equal the per-pair differences exactly.
     left = _seg_sse(lo_idx.astype(float), s_lo, ss_lo)
-    right = _seg_sse((n - hi_idx).astype(float), py[:, n, None] - s_hi,
-                     pyy[:, n, None] - ss_hi)
+    right = _seg_sse((n[:, None] - hi_idx).astype(float), py[at, n, None] - s_hi,
+                     pyy[at, n, None] - ss_hi)
     t = lo_idx, hi_idx, s_lo, s_hi, ss_lo, ss_hi, left, right
 
     # A cell is fl(fl(left + plateau) + right), all three >= 0, so it is at
@@ -453,13 +521,12 @@ def _fit_teeth(y, positions, lo_idx, hi_idx):
         win = (new[0] < best[0, rs]) | ((new[0] == best[0, rs]) & (new[1] < best[1, rs]))
         best[:, rs] = np.where(win, new, best[:, rs])
 
-    at = np.arange(m)
     row, col = best[2].astype(int), best[3].astype(int)
     s_i, e_i = lo_idx[at, row], hi_idx[at, col]
     p_s, p_e = py[at, s_i], py[at, e_i]
     y_in = (p_e - p_s) / (e_i - s_i)
     y_out_l = np.where(s_i > 0, p_s / np.maximum(s_i, 1), y_in)
-    y_out_r = np.where(e_i < n, (py[:, n] - p_e) / np.maximum(n - e_i, 1), y_in)
+    y_out_r = np.where(e_i < n, (py[at, n] - p_e) / np.maximum(n - e_i, 1), y_in)
     return (y_out_l, y_out_r, positions[at, row], positions[at, col], y_in), np.ones(m, bool)
 
 
@@ -550,23 +617,23 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, width: float, basis):
     return amp, freq, phase, mean
 
 
-def _fit_sinusoids(xs, first, y, width):
-    """Sinusoid fits of the rows of ``y``, the samples of ``xs`` from each
-    row's ``first`` on.  Rows of one ``width`` share a grid, so a run of
-    them spanning at most ``_CHUNK_CELLS`` (frequency, sample) cells
-    shares one basis, and each row reads its own columns."""
-    n, span = y.shape[1], _CHUNK_CELLS // len(_SIN_GRID)
-    fits = [None] * len(y)
+def _fit_sinusoids(xs, ys, first, n, width):
+    """Sinusoid fits of the ranges of ``n`` samples of ``xs`` and ``ys``
+    from each one's ``first`` on.  Ranges of one ``width`` share a grid,
+    so a run of them spanning at most ``_CHUNK_CELLS`` (frequency, sample)
+    cells shares one basis, and each range reads its own columns."""
+    span, last = _CHUNK_CELLS // len(_SIN_GRID), first + n
+    fits = [None] * len(first)
     for w in np.unique(width):
         rows, f0, end = np.flatnonzero(width == w), 0, -1
         for k in rows:
-            f = first[k]
-            if f < f0 or f + n > end:  # a new basis: this row and those ending within span of it
+            f, e = first[k], last[k]
+            if f < f0 or e > end:  # a new basis: this range and those ending within span of it
                 f0 = f
-                end = first[rows][first[rows] + n <= f0 + span].max(initial=f0) + n
+                end = last[rows][last[rows] <= f0 + span].max(initial=e)
                 basis = _sin_basis(xs[f0:end], _SIN_GRID / w)
-            fits[k] = _fit_sinusoid(xs[f : f + n], y[k], float(w),
-                                    [b[:, f - f0 : f - f0 + n] for b in basis])
+            fits[k] = _fit_sinusoid(xs[f:e], ys[f:e], float(w),
+                                    [b[:, f - f0 : e - f0] for b in basis])
     cols = [p or (math.nan,) * 4 for p in fits]
     return np.array(cols).T, np.array([p is not None for p in fits])
 
@@ -576,25 +643,14 @@ def _fit_sinusoids(xs, first, y, width):
 # ----------------------------------------------------------------------
 
 
-def _zone_errs(series: TimeSeries, spans: np.ndarray, res: np.ndarray) -> list[float]:
-    """Per-zone RMSE, flat, of the ranges whose ``spans`` rows are (i,
-    j, first sample, offset of the squared residuals in ``res``).  Each
-    (range, zone) segment is one row of the segments of its length, so
-    it sums as the segment alone would."""
-    bounds = np.array(series.zone_bounds)
-    i, j, first, off = spans.T
-    widths = j - i + 1
-    rid = np.repeat(np.arange(len(spans)), widths)
-    zone = np.arange(len(rid)) - np.repeat(np.cumsum(widths) - widths, widths) + i[rid]
-    seg_lo = off[rid] + bounds[zone, 0] - first[rid]
+def _zone_errs(bounds: np.ndarray, i: np.ndarray, j: np.ndarray, shift: np.ndarray,
+               res: np.ndarray) -> list[float]:
+    """Per-zone RMSE, flat, of the ranges (i, j) over ``bounds`` whose
+    squared residual at sample k is ``res[k - shift]``; each (range, zone)
+    segment sums on its own (``_row_sums``)."""
+    _, rid, zone = _ravel(i, j - i + 1)
     seg_len = bounds[zone, 1] - bounds[zone, 0]
-    errs = np.empty(len(seg_lo))
-    for count in np.unique(seg_len):
-        rows = np.flatnonzero(seg_len == count)
-        step = max(1, _CHUNK_CELLS // count)
-        for sel in (rows[at : at + step] for at in range(0, len(rows), step)):
-            errs[sel] = np.sqrt(res[seg_lo[sel, None] + np.arange(count)].mean(axis=1))
-    return errs.tolist()
+    return np.sqrt(_row_sums(bounds[zone, 0] - shift[rid], seg_len, res)[0] / seg_len).tolist()
 
 
 def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int, int]],
@@ -603,63 +659,55 @@ def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int,
     descriptor per range, or None where the range holds fewer samples
     than the kind has free parameters or admits no fit.  Descriptors
     take their ids from ``ids`` in ``ranges`` order."""
-    xs, nz = series.xs, series.n_zones
+    xs, ys, nz = series.xs, series.ys, series.n_zones
     bounds = np.array(series.zone_bounds)
     span_i, span_j = np.array(ranges).reshape(-1, 2).T
     first = bounds[span_i, 0]
     sizes = bounds[span_j, 1] - first
-    feasible = np.flatnonzero(sizes >= PARAM_COUNTS[kind]).tolist()
-    groups: dict = {}
-    edges = {}  # tooth: range -> plateau edge positions
-    for r in feasible:
-        key = int(sizes[r])
-        if kind is CurveKind.TOOTH:
-            i, j = int(span_i[r]), int(span_j[r])
-            edges[r] = _tooth_positions(xs[first[r] : first[r] + key],
-                                        np.arange(i, j + 2, dtype=float) / nz, j - i < 4)
-            key = key, len(edges[r])
-        groups.setdefault(key, []).append(r)
-
-    res = np.empty(int(sizes[feasible].sum()))  # squared residuals, a row per range
+    feasible = np.flatnonzero(sizes >= PARAM_COUNTS[kind])
+    by_size = feasible[np.argsort(sizes[feasible], kind="stable")]
     names = [f.name for f in dataclasses.fields(PARAMS_CLASS[kind])]
-    fitted = {}  # range -> (param values, offset in res)
-    at = 0
-    for g in groups.values():
-        n = int(sizes[g[0]])
-        idx = first[g, None] + np.arange(n)
-        x, y = xs[idx], series.ys[idx]
-        if kind is CurveKind.TOOTH:
-            # Samples before a range lie below its first edge, and those
-            # after it at or past its last, so the range's own counts
-            # follow from the whole series'.
-            pos = np.array([edges[r] for r in g])
-            lo_idx = np.searchsorted(xs, pos, side="left") - first[g, None]
-            hi_idx = np.minimum(np.searchsorted(xs, pos, side="right") - first[g, None], n)
-            cols, ok = _fit_teeth(y, pos, lo_idx, hi_idx)
-        elif kind is CurveKind.SINUSOID:
-            cols, ok = _fit_sinusoids(xs, first[g], y, (span_j[g] + 1 - span_i[g]) / nz)
-        else:
-            fit = _fit_lines if kind is CurveKind.LINE else _fit_bilinears
-            cols, ok = fit(x, y, span_i[g] / nz, (span_j[g] + 1) / nz)
-        res[at : at + len(g) * n].reshape(len(g), n)[ok] = np.square(y[ok] - evaluate(
-            kind, {f: c[ok, None] for f, c in zip(names, cols)}, x[ok]))
-        for k, (r, vals) in enumerate(zip(g, np.transpose(cols).tolist())):
-            if ok[k]:
-                fitted[r] = vals, at + k * n
-        at += len(g) * n
+    vals = np.full((len(names), len(ranges)), np.nan)
+    ok = np.zeros(len(ranges), bool)
+    n = sizes[feasible]
+    if kind is CurveKind.LINE:
+        vals[:, feasible], ok[feasible] = _fit_lines(xs, ys, first[feasible], n)
+    elif kind is CurveKind.BILINEAR:
+        syy = np.empty(len(ranges))
+        syy[feasible] = _row_sums(first[feasible], n, ys * ys)[0]
+        for g in _runs(by_size, sizes, _CHUNK_CELLS // 32):
+            vals[:, g], ok[g] = _fit_bilinears(xs, ys, first[g], sizes[g], syy[g],
+                                               span_i[g] / nz, (span_j[g] + 1) / nz)
+    elif kind is CurveKind.TOOTH:  # a batch per plateau edge count
+        edges = [_tooth_positions(xs[first[r] : first[r] + sizes[r]],
+                                  np.arange(span_i[r], span_j[r] + 2, dtype=float) / nz,
+                                  span_j[r] - span_i[r] < 4) for r in feasible.tolist()]
+        count = np.array([len(e) for e in edges])
+        for c in np.unique(count).tolist():
+            at = np.flatnonzero(count == c)
+            g = feasible[at]
+            vals[:, g], ok[g] = _fit_teeth(xs, ys, first[g], sizes[g],
+                                           np.array([edges[k] for k in at.tolist()]))
+    else:
+        width = (span_j[feasible] + 1 - span_i[feasible]) / nz
+        vals[:, feasible], ok[feasible] = _fit_sinusoids(xs, ys, first[feasible], n, width)
+
+    # Residuals and zone errors, raveled, a run of at most _CHUNK_CELLS // 32
+    # samples at a time, so memory is bounded in zones as well as samples.
+    errs = {}
+    for g in _runs(by_size[ok[by_size]], sizes, _CHUNK_CELLS // 32):
+        start, _, idx = _ravel(first[g], sizes[g])
+        res = np.square(ys[idx] - evaluate(
+            kind, {name: np.repeat(v[g], sizes[g]) for name, v in zip(names, vals)}, xs[idx]))
+        flat = iter(_zone_errs(bounds, span_i[g], span_j[g], first[g] - start, res))
+        for r, w in zip(g.tolist(), (span_j[g] + 1 - span_i[g]).tolist()):
+            errs[r] = tuple(itertools.islice(flat, w))
 
     out: list[Descriptor | None] = [None] * len(ranges)
-    if not fitted:
-        return out
-    order = sorted(fitted)
-    spans = np.column_stack([span_i[order], span_j[order], first[order],
-                             [fitted[r][1] for r in order]])
-    errs = _zone_errs(series, spans, res)
-    at = 0
-    for r, i, j in zip(order, span_i[order].tolist(), span_j[order].tolist()):
-        params = PARAMS_CLASS[kind](*fitted[r][0])
-        out[r] = Descriptor(next(ids), kind, params, i, j, tuple(errs[at : at + j - i + 1]), nz)
-        at += j - i + 1
+    params, i, j = vals.T.tolist(), span_i.tolist(), span_j.tolist()
+    for r in np.flatnonzero(ok).tolist():
+        out[r] = Descriptor(next(ids), kind, PARAMS_CLASS[kind](*params[r]), i[r], j[r],
+                            errs[r], nz)
     return out
 
 

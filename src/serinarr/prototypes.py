@@ -132,9 +132,9 @@ def evaluate(kind: CurveKind, params, x):
     """Model value(s) at ``x`` (scalar or ndarray).
 
     ``params`` is the kind's params, or a dict of its field names to
-    columns of shape ``(m, 1)``: then ``x`` has shape ``(m, n)`` and row
-    k is evaluated with the k-th value of every field, by the same
-    formula.  Bilinear curves are only defined on their fitted range.
+    arrays that broadcast against ``x``, such as one value per sample:
+    each sample is evaluated with its own values, by the same formula.
+    Bilinear curves are only defined on their fitted range.
     """
     if isinstance(params, dict):
         params = SimpleNamespace(**params)

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from serinarr.fitting import (
     fit_one,
     load_pool,
 )
-from serinarr.ingest import TimeSeries, normalize
+from serinarr.ingest import TimeSeries, load, normalize
 from serinarr.prototypes import (
     PARAM_COUNTS,
     BilinearParams,
@@ -39,6 +40,9 @@ from serinarr.prototypes import (
     ToothParams,
     evaluate,
 )
+
+
+FIXTURE = Path(__file__).parent / "data" / "concert_weekly.csv"
 
 
 def overall_rmse(series, d):
@@ -703,6 +707,38 @@ def test_bilinear_bound_is_below_the_lapack_score(monkeypatch):
         _assert_bound_holds(entries, syy, low, len(low) // 20)
 
 
+@pytest.mark.parametrize("cells", [_CHUNK_CELLS, 96, 32 * 24])
+def test_bilinear_bound_sees_only_real_cells(monkeypatch, cells):
+    """Candidate cells are raveled, not padded: over a bilinear pool build
+    of the fixture at levels 3 to 5, the cells the bound sees number
+    exactly the feasible ranges' samples.  With the default budget a run
+    holds ranges of several sample counts, so there are fewer runs than
+    counts; budgets of about 3 and 24 cells split the ranges of one count
+    over several runs."""
+    monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
+    seen = []
+    bound = fitting._bilinear_bound
+
+    def record(*args):
+        seen.append(args[0].size)
+        return bound(*args)
+
+    monkeypatch.setattr(fitting, "_bilinear_bound", record)
+    for levels in (3, 4, 5):
+        s = normalize(load(FIXTURE, "trends_csv"), levels)
+        bounds = np.array(s.zone_bounds)
+        sizes = [bounds[j, 1] - bounds[i, 0] for i in range(s.n_zones)
+                 for j in range(i, s.n_zones)]
+        feasible = [n for n in sizes if n >= PARAM_COUNTS[CurveKind.BILINEAR]]
+        seen.clear()
+        build_pool(s, (CurveKind.BILINEAR,))
+        assert sum(seen) == sum(feasible), (cells, levels)
+        if cells == _CHUNK_CELLS:
+            assert len(seen) < len(set(feasible)), levels
+        else:
+            assert len(seen) > len(set(feasible)), (cells, levels)
+
+
 def test_bilinear_sends_lapack_no_zero_last_row(monkeypatch):
     """A candidate system with d = e = 0, such as the last sample's, whose
     right segment is empty, is singular and is never sent to LAPACK, on
@@ -1009,6 +1045,41 @@ def test_pool_matches_reference_on_uneven_zones(levels, data):
         assert fit_one(s, d.kind, d.zone_start, d.zone_end) == replace(d, id=-1)
 
 
+@pytest.mark.parametrize("cells", [7, 64, _CHUNK_CELLS])
+def test_tooth_pool_matches_reference_when_edge_groups_mix_sample_counts(
+        monkeypatch, cells):
+    """Tooth ranges are batched by plateau edge count alone, their samples
+    padded to the batch's longest.  On unevenly sampled series, where one
+    edge count holds ranges of several sample counts, the tooth pool
+    equals the per-range build, zone errors included, with blocks of a
+    few cells, of a few start rows and of whole tables."""
+    monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(6800)
+    mixed = 0
+    for case in range(9):
+        levels = 1 + case % 4
+        n_zones = 2 ** levels
+        xs = []
+        for z in range(n_zones):
+            count = int(rng.integers(1, 10))
+            xs += sorted({(z + u) / n_zones for u in np.round(rng.random(count), 3)})
+        xs[0], xs[-1] = 0.0, 1.0
+        ys = np.round(rng.normal(1.0, 1.0, len(xs))) if case % 2 else rng.random(len(xs))
+        s = _uneven_series(xs, ys, levels)
+        samples = {}  # plateau edge count -> the sample counts of its ranges
+        for i in range(n_zones):
+            for j in range(i, n_zones):
+                x = s.xs[s.zone_slice(i, j)]
+                if len(x) >= PARAM_COUNTS[CurveKind.TOOTH]:
+                    edges = j - i + 2
+                    if j - i < 4:
+                        edges = len(np.unique(np.r_[np.arange(i, j + 2) / n_zones, x]))
+                    samples.setdefault(edges, set()).add(len(x))
+        mixed += any(len(counts) > 1 for counts in samples.values())
+        assert build_pool(s, (CurveKind.TOOTH,)) == _reference_pool(s, (CurveKind.TOOTH,)), case
+    assert mixed >= 3
+
+
 # A sample 1e-200 past the left edge of zone 0 (normalized x = t).
 NEAR_EDGE_TS = (0.0, 1e-200, 0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 1.0)
 NEAR_EDGE_VS = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3)
@@ -1034,13 +1105,18 @@ def test_near_edge_breakpoint_builds_without_warnings(tmp_path):
     (16384, 4, CurveKind.BILINEAR, 16),
     (2048, 1, CurveKind.TOOTH, 37),
     (16384, 2, CurveKind.SINUSOID, 18),
-], ids=["bilinear-16384-points-L4", "tooth-2048-points-L1", "sinusoid-16384-points-L2"])
+    (16384, 6, CurveKind.LINE, 8),
+], ids=["bilinear-16384-points-L4", "tooth-2048-points-L1", "sinusoid-16384-points-L2",
+        "line-16384-points-L6"])
 def test_build_pool_memory_is_bounded(points, levels, kind, limit_mib):
     """Dense input: bilinear candidates and tooth tables are processed in
     chunks, so a pool build's traced peak stays small.  Solving every
     bilinear candidate of the 16,384-point walk at once takes about
     51 MiB; scoring the 2048-point walk's largest tooth table unblocked,
-    about 128 MiB."""
+    about 128 MiB.  Residuals and zone errors are taken a run of ranges
+    at a time, so the peak does not grow with zones squared: holding all
+    the L6 line residuals of the 16,384-point walk at once took about
+    104 MiB, and the build now peaks near 6 MiB."""
     walk = np.cumsum(np.random.default_rng(7919).standard_normal(points))
     s = make_series(walk, levels)
     tracemalloc.start()
