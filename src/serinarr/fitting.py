@@ -24,10 +24,10 @@ Fitting strategy per kind:
   zones; the three levels are segment means.  Every (start, end) edge
   pair is a cell of one start x end table, scored from y and y^2 prefix
   sums.  No cell is below its row's left-segment SSE or its column's
-  right-segment SSE, in floats too, so a table of 64 edges or more is
-  first scored on a sub-table of every (n_pos // 32)-th edge, and then
-  only where those are at most the sub-table's least cell.  Ties prefer
-  the wider plateau, then the earlier start.
+  right-segment SSE, in floats too, so tables padded to n_pos >= 64
+  edges are first scored on a sub-table of every (n_pos // 32)-th edge,
+  and then only where those are at most the sub-table's least cell.
+  Ties prefer the wider plateau, then the earlier start.
 * sinusoid: frequency scanned over a geometric grid of 0.5..8 cycles
   per range width (32 steps), amplitude and phase by a linear solve in
   the sin/cos basis, then the best frequency is refined by golden
@@ -48,14 +48,18 @@ first n + 1 entries of a row are exactly the range's own.  So
 ``_fit_ranges`` batches ranges of different sample counts.  Bilinear
 ranges, in ascending sample count, are cut into runs whose candidates
 are raveled into one vector of real cells, the per-range minima being
-segmented reductions over it; tooth ranges are batched by plateau edge
-count alone; line and sinusoid ranges in one batch each.  Residuals and
+segmented reductions over it.  Every tooth range's plateau edges are
+built in one raveled pass (``_tooth_edges``), and the tables, in
+ascending edge count, are scored in runs each padded to its largest
+table, a run holding at most 1.5 times its real cells (``_even_runs``).
+Line and sinusoid ranges are fitted in one batch each.  Residuals and
 per-zone errors are taken over runs of raveled samples, one
-``evaluate`` a run.  One budget, ``_CHUNK_CELLS``, bounds memory on
-dense input: tooth tables are scored in (range, start row) blocks, sums
-gathered in chunks, and bilinear candidates and residuals taken in runs
-of ``_CHUNK_CELLS // 32`` cells: a candidate peaks at some 32 floats,
-a residual at fewer.
+``evaluate`` a run.  One budget of ``_CHUNK_CELLS`` floats bounds
+memory on dense input: sums are gathered that many samples at a time,
+tooth tables scored in (range, start row) blocks of ``_CHUNK_CELLS //
+8`` cells, a cell peaking at some 5 floats, and bilinear candidates and
+residuals taken in runs of ``_CHUNK_CELLS // 32`` cells, a candidate
+peaking at some 32 floats and a residual at fewer.
 
 The pool owns the per-zone error of any set of its descriptors
 (``DescriptorPool.zone_errs``): the cover keeps each tiling's errors
@@ -95,7 +99,7 @@ DEFAULT_KINDS = (CurveKind.LINE, CurveKind.BILINEAR, CurveKind.TOOTH)
 
 _SIN_GRID = np.geomspace(0.5, 8.0, 32)  # cycles per range width
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_CHUNK_CELLS = 1 << 18  # tooth cells scored, or samples summed, at once
+_CHUNK_CELLS = 1 << 18  # floats of a batch's temporaries, or samples summed, at once
 _COND_MAX = 2.0 ** 32  # bilinear systems past this tr^3 / det bound go to LAPACK
 
 
@@ -412,13 +416,36 @@ def _fit_bilinears(xs, ys, first, n, syy, x_lo, x_hi):
     return cols, ~np.isnan(cols[0])
 
 
-def _tooth_positions(x: np.ndarray, boundaries: np.ndarray,
-                     add_samples: bool) -> np.ndarray:
-    """Candidate plateau edges: the range's zone boundaries, plus the
-    sample positions when ``add_samples`` is set."""
-    if add_samples:
-        return np.unique(np.concatenate([boundaries, x]))
-    return boundaries
+def _tooth_edges(xs, first, n, span_i, span_j, nz):
+    """Every range's sorted plateau edges, raveled in range order: the
+    zone boundaries ``k / nz`` of zones ``span_i..span_j``, plus the ``n``
+    samples from ``first`` on when the range spans at most 4 zones,
+    repeats dropped, as a per-range ``np.unique`` gives them.  Returns
+    the edges and each one's range."""
+    _, row, k = _ravel(span_i, span_j - span_i + 2)
+    narrow = np.flatnonzero(span_j - span_i < 4)
+    _, at, idx = _ravel(first[narrow], n[narrow])
+    row = np.concatenate([row, narrow[at]])
+    edge = np.concatenate([k / nz, xs[idx]])
+    order = np.lexsort((edge, row))
+    row, edge = row[order], edge[order]
+    new = np.ones(len(row), bool)
+    new[1:] = (row[1:] != row[:-1]) | (edge[1:] != edge[:-1])
+    return edge[new], row[new]
+
+
+def _even_runs(count: np.ndarray) -> list[np.ndarray]:
+    """The indices of ``count``, in ascending count, cut into runs whose
+    (rows, max count^2) padded tables hold at most 1.5 times their real
+    count^2 cells."""
+    order = np.argsort(count, kind="stable")
+    runs, s0, real = [], 0, 0
+    for k, c in enumerate(count[order].tolist()):
+        real += c * c
+        if (k + 1 - s0) * c * c > 1.5 * real:
+            runs.append(order[s0:k])
+            s0, real = k, c * c
+    return runs + [order[s0:]] if len(order) else runs
 
 
 def _seg_sse(cnt: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
@@ -430,8 +457,9 @@ def _seg_sse(cnt: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
 
 def _tooth_cells(t, rs, ss, cs):
     """SSE of tables ``rs``' cells, start rows ``ss`` by end columns ``cs``,
-    from the per-edge arrays ``t``; inf where end <= start.  Elementwise,
-    so a cell scores the same in any block."""
+    from the per-edge arrays ``t``; inf where end <= start or the plateau
+    holds no sample, as on a padded end edge.  Elementwise, so a cell
+    scores the same in any block."""
     lo_idx, hi_idx, s_lo, s_hi, ss_lo, ss_hi, left, right = t
     cnt = hi_idx[rs, None, cs] - lo_idx[rs, ss, None]
     s = s_hi[rs, None, cs] - s_lo[rs, ss, None]
@@ -448,20 +476,24 @@ def _tooth_cells(t, rs, ss, cs):
     return sse
 
 
-def _fit_teeth(xs, ys, first, n, positions):
+def _fit_teeth(xs, ys, first, n, positions, count):
     """Tooth fits of the ranges of ``n`` samples from ``first`` on, each
-    over its own sorted plateau edge ``positions``.  Each zone of a range
-    holds a sample, so every (start, end) cell with end > start counts at
-    least one."""
+    over the first ``count`` of its sorted plateau edge ``positions``; a
+    row is padded to the longest with its last edge.  Each zone of a
+    range holds a sample, so every (start, end) cell of real edges with
+    end > start counts at least one; a padded edge holds no sample as an
+    end (``hi_idx`` 0), so no cell ending on one can win or tie."""
     m, n_pos = positions.shape
     at = np.arange(m)
     # The number of a range's samples before (lo_idx) and up to (hi_idx)
     # each edge: samples before a range lie below its first edge, and
     # those after it at or past its last, so they follow from the whole
     # series' counts.
-    lo_idx = np.searchsorted(xs, positions, side="left") - first[:, None]
+    lo_idx = np.minimum(np.searchsorted(xs, positions, side="left") - first[:, None],
+                        n[:, None])
     hi_idx = np.minimum(np.searchsorted(xs, positions, side="right") - first[:, None],
                         n[:, None])
+    hi_idx[np.arange(n_pos) >= count[:, None]] = 0
     y = ys[_padded(first, n)]
     py, pyy = _prefix(y), _prefix(y * y)
     s_lo, s_hi = np.take_along_axis(py, lo_idx, 1), np.take_along_axis(py, hi_idx, 1)
@@ -478,23 +510,24 @@ def _fit_teeth(xs, ys, first, n, positions):
     # cell is at most ``inc``, its sub-table's least cell, so rows with
     # left > inc and columns with right > inc hold no least cell nor a tie
     # of one: only rows [0, rmax) by columns [cmin, n_pos) are scored.
-    n_rows = n_pos - 1
-    rmax, cmin = np.full(m, n_rows), np.zeros(m, int)
+    # Rows past a table's real edges hold no cell.
+    n_rows, budget = n_pos - 1, _CHUNK_CELLS // 8  # a cell peaks at some 5 floats
+    rmax, cmin = count - 1, np.zeros(m, int)
     if n_pos >= 64:
         sub = np.unique(np.r_[0:n_pos:n_pos // 32, n_rows])
-        step = max(1, _CHUNK_CELLS // len(sub) ** 2)
+        step = max(1, budget // len(sub) ** 2)
         inc = np.concatenate([_tooth_cells(t, slice(r, r + step), sub, sub).min(axis=(1, 2))
                               for r in range(0, m, step)])[:, None]
-        rmax = np.minimum(n_pos - (left <= inc)[:, ::-1].argmax(axis=1), n_rows)
+        rmax = np.minimum(n_pos - (left <= inc)[:, ::-1].argmax(axis=1), rmax)
         cmin = (right <= inc).argmax(axis=1)
 
     # The plateau spans start rows by end columns.  Cells are scored in
-    # blocks of at most _CHUNK_CELLS: whole tables while they fit, else
+    # blocks of at most ``budget``: whole tables while they fit, else
     # runs of one table's start rows; a block scores the union of its
     # tables' boxes.  Ties prefer the wider plateau, then the earlier
     # start: a table's blocks run in start order, and a later block
     # replaces its best only with a smaller (sse, -width).
-    per_block = max(1, _CHUNK_CELLS // n_pos)  # start rows
+    per_block = max(1, budget // n_pos)  # start rows
     if per_block >= n_rows:
         step = per_block // n_rows
         blocks = [(r, min(r + step, m), 0, n_rows) for r in range(0, m, step)]
@@ -678,16 +711,15 @@ def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int,
         for g in _runs(by_size, sizes, _CHUNK_CELLS // 32):
             vals[:, g], ok[g] = _fit_bilinears(xs, ys, first[g], sizes[g], syy[g],
                                                span_i[g] / nz, (span_j[g] + 1) / nz)
-    elif kind is CurveKind.TOOTH:  # a batch per plateau edge count
-        edges = [_tooth_positions(xs[first[r] : first[r] + sizes[r]],
-                                  np.arange(span_i[r], span_j[r] + 2, dtype=float) / nz,
-                                  span_j[r] - span_i[r] < 4) for r in feasible.tolist()]
-        count = np.array([len(e) for e in edges])
-        for c in np.unique(count).tolist():
-            at = np.flatnonzero(count == c)
-            g = feasible[at]
+    elif kind is CurveKind.TOOTH:  # runs of ascending plateau edge count
+        edges, row = _tooth_edges(xs, first[feasible], n, span_i[feasible],
+                                  span_j[feasible], nz)
+        count = np.bincount(row, minlength=len(feasible))
+        at = np.cumsum(count) - count
+        for k in _even_runs(count):
+            g = feasible[k]
             vals[:, g], ok[g] = _fit_teeth(xs, ys, first[g], sizes[g],
-                                           np.array([edges[k] for k in at.tolist()]))
+                                           edges[_padded(at[k], count[k])], count[k])
     else:
         width = (span_j[feasible] + 1 - span_i[feasible]) / nz
         vals[:, feasible], ok[feasible] = _fit_sinusoids(xs, ys, first[feasible], n, width)

@@ -111,7 +111,7 @@ def render_enriched(spec: PlotSpec) -> str:
 
     series = spec.series
     pts = " ".join(
-        f"{_f(sx(x))},{_f(sy(y))}" for x, y in zip(series.xs, series.ys)
+        f"{_f(sx(x))},{_f(sy(y))}" for x, y in zip(series.xs.tolist(), series.ys.tolist())
     )
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#4477aa" stroke-width="1.2"/>'
@@ -120,7 +120,7 @@ def render_enriched(spec: PlotSpec) -> str:
     for d in spec.curves:
         xs = np.linspace(d.x_lo, d.x_hi, CURVE_SAMPLES)
         ys = np.asarray(evaluate(d.kind, d.params, xs), dtype=float)
-        cpts = " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in zip(xs, ys))
+        cpts = " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in zip(xs.tolist(), ys.tolist()))
         parts.append(
             f'<polyline points="{cpts}" fill="none" stroke="{CURVE_COLOR}" '
             f'stroke-width="{_f(CURVE_STROKE_WIDTH)}"/>'

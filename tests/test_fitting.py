@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_descriptor, make_series, raw_series, series_exact
@@ -1048,11 +1048,11 @@ def test_pool_matches_reference_on_uneven_zones(levels, data):
 @pytest.mark.parametrize("cells", [7, 64, _CHUNK_CELLS])
 def test_tooth_pool_matches_reference_when_edge_groups_mix_sample_counts(
         monkeypatch, cells):
-    """Tooth ranges are batched by plateau edge count alone, their samples
-    padded to the batch's longest.  On unevenly sampled series, where one
-    edge count holds ranges of several sample counts, the tooth pool
-    equals the per-range build, zone errors included, with blocks of a
-    few cells, of a few start rows and of whole tables."""
+    """Tooth tables are scored in runs of ascending plateau edge count,
+    their samples padded to the run's longest range.  On unevenly sampled
+    series, where one edge count holds ranges of several sample counts,
+    the tooth pool equals the per-range build, zone errors included, with
+    blocks of one start row, of a few and of whole tables."""
     monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
     rng = np.random.default_rng(6800)
     mixed = 0
@@ -1078,6 +1078,100 @@ def test_tooth_pool_matches_reference_when_edge_groups_mix_sample_counts(
         mixed += any(len(counts) > 1 for counts in samples.values())
         assert build_pool(s, (CurveKind.TOOTH,)) == _reference_pool(s, (CurveKind.TOOTH,)), case
     assert mixed >= 3
+
+
+def _counted_tooth_runs(monkeypatch):
+    """Wrap ``_fit_teeth``: the list it returns gets each call's set of
+    plateau edge counts."""
+    calls, fit_teeth = [], fitting._fit_teeth
+
+    def counted(*args):
+        calls.append(set(args[-1].tolist()))
+        return fit_teeth(*args)
+
+    monkeypatch.setattr(fitting, "_fit_teeth", counted)
+    return calls
+
+
+def test_tooth_tables_are_scored_in_few_runs(monkeypatch):
+    """At fixture level 5 the tooth tables have 29 distinct edge counts,
+    scored in fewer runs, at least one of which mixes counts."""
+    calls = _counted_tooth_runs(monkeypatch)
+    build_pool(normalize(load(FIXTURE, "trends_csv"), 5), (CurveKind.TOOTH,))
+    counts = set().union(*calls)
+    assert len(counts) == 29
+    assert len(calls) < len(counts)
+    assert any(len(c) > 1 for c in calls)
+
+
+@pytest.mark.parametrize("cells", [7, 64, _CHUNK_CELLS])
+def test_tooth_pool_matches_reference_when_runs_mix_edge_counts(monkeypatch, cells):
+    """Tables of several edge counts are scored in one run, each padded
+    to the run's largest with its last edge.  On unevenly sampled series
+    of up to 40 samples a zone, where runs mix counts and tables of 64
+    edges or more take the sub-table bound, the tooth pool equals the
+    per-range build, ties and zone errors included, with blocks of one
+    start row, of a few and of whole tables, and no padded cell raises a
+    RuntimeWarning (tier-1 makes those errors)."""
+    monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
+    calls = _counted_tooth_runs(monkeypatch)
+    rng = np.random.default_rng(6900)
+    for case in range(6):
+        levels = 1 + case % 3
+        n_zones = 2 ** levels
+        xs = []
+        for z in range(n_zones):
+            count = int(rng.integers(1, 41))
+            xs += sorted({(z + u) / n_zones for u in np.round(rng.random(count), 3)})
+        xs[0], xs[-1] = 0.0, 1.0
+        # Integer values tie often; with only the last sample raised, the
+        # best plateau would hold it alone, which no pair of real edges
+        # gives: a padded edge after the last must not end a plateau.
+        ys = [rng.random(len(xs)), rng.integers(0, 3, len(xs)),
+              np.arange(len(xs)) == len(xs) - 1][case % 3].astype(float)
+        s = _uneven_series(xs, ys, levels)
+        assert build_pool(s, (CurveKind.TOOTH,)) == _reference_pool(s, (CurveKind.TOOTH,)), case
+    mixed = [c for c in calls if len(c) > 1]
+    assert len(mixed) >= 3
+    assert any(max(c) >= 64 for c in mixed)
+
+
+# A sample offset into its zone: on the zone's left boundary (0), on a
+# 1/1000 grid, or below 1e-150, where it rounds onto the boundary past
+# zone 0.
+_OFFSETS = st.lists(st.just(0.0) | st.integers(0, 999).map(lambda u: u / 1000)
+                    | st.floats(0.0, 1e-150), min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(levels=st.integers(1, 4), zones=st.lists(_OFFSETS, min_size=16, max_size=16))
+@example(levels=1, zones=[[0.0]] * 16)
+def test_tooth_edges_match_per_range_unique(levels, zones):
+    """The raveled plateau edges of every range equal its own ``np.unique``
+    of its zone boundaries and, when it spans at most 4 zones, its
+    samples, samples on a boundary included.  Tooth fits are made exactly
+    where a range holds 5 samples or more; a 2-sample series has no such range,
+    and its tooth build, an empty run, fits none."""
+    n_zones = 2 ** levels
+    xs = []
+    for z in range(n_zones):
+        xs += sorted({(z + u) / n_zones for u in zones[z]})
+    xs[0], xs[-1] = 0.0, 1.0
+    s = _uneven_series(xs, np.linspace(0.0, 1.0, len(xs)), levels)
+    # In width order, one range's last boundary is the next one's first.
+    ranges = [(i, i + w) for w in range(n_zones) for i in range(n_zones - w)]
+    span_i, span_j = np.array(ranges).T
+    bounds = np.array(s.zone_bounds)
+    first, n = bounds[span_i, 0], bounds[span_j, 1] - bounds[span_i, 0]
+    edges, row = fitting._tooth_edges(s.xs, first, n, span_i, span_j, n_zones)
+    ends = np.cumsum(np.bincount(row, minlength=len(ranges)))
+    for (i, j), got in zip(ranges, np.split(edges, ends[:-1])):
+        want = np.arange(i, j + 2, dtype=float) / n_zones
+        if j - i < 4:
+            want = np.unique(np.r_[want, s.xs[s.zone_slice(i, j)]])
+        assert got.tolist() == want.tolist(), (i, j)
+    fits = _fit_ranges(s, CurveKind.TOOTH, ranges)
+    assert [d is not None for d in fits] == (n >= PARAM_COUNTS[CurveKind.TOOTH]).tolist()
 
 
 # A sample 1e-200 past the left edge of zone 0 (normalized x = t).

@@ -123,16 +123,16 @@ def test_benchmark_tooth_pairs_follow_the_fitter(monkeypatch):
     worker = _load_perfbench("worker")
     walk = worker.workloads.random_walk(np.random.default_rng(7919))
     assert len(walk) == 2048
-    positions = fitting._tooth_positions
+    edges = fitting._tooth_edges
     for series in (load_series(FIXTURE, "trends_csv", 4), make_series(walk, 4)):
         counts = []
 
         def counted(*args):
-            out = positions(*args)
-            counts.append(len(out))
+            out = edges(*args)
+            counts.extend(np.bincount(out[1]).tolist())
             return out
 
-        monkeypatch.setattr(fitting, "_tooth_positions", counted)
+        monkeypatch.setattr(fitting, "_tooth_edges", counted)
         fitting.build_pool(series, (CurveKind.TOOTH,))
         assert sum(p * (p - 1) // 2 for p in counts) == worker.tooth_pairs(series)
 
@@ -144,14 +144,14 @@ def test_tooth_bound_skips_most_cells(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the worker prepends
     worker = _load_perfbench("worker")
     rng = np.random.default_rng(7919)
-    positions, cells = fitting._tooth_positions, fitting._tooth_cells
+    edges, cells = fitting._tooth_edges, fitting._tooth_cells
     for _ in range(2):
         series = make_series(worker.workloads.random_walk(rng), 4)
         table, scored = [], []
 
-        def counted_positions(*args):
-            out = positions(*args)
-            table.append((len(out) - 1) * len(out))
+        def counted_edges(*args):
+            out = edges(*args)
+            table.extend((p - 1) * p for p in np.bincount(out[1]).tolist())
             return out
 
         def counted_cells(*args):
@@ -159,7 +159,7 @@ def test_tooth_bound_skips_most_cells(monkeypatch):
             scored.append(out.size)
             return out
 
-        monkeypatch.setattr(fitting, "_tooth_positions", counted_positions)
+        monkeypatch.setattr(fitting, "_tooth_edges", counted_edges)
         monkeypatch.setattr(fitting, "_tooth_cells", counted_cells)
         fitting.build_pool(series, (CurveKind.TOOTH,))
         assert 0 < sum(scored) <= sum(table) // 2
