@@ -513,6 +513,10 @@ def _cmd_render(args) -> int:
             f"--verbosity {cfg.verbosity}; render with a verbosity of at least "
             f"{selection.s}"
         )
+    chosen = next(lv.chosen for lv in levels if lv.v == selection.s)
+    if tuple(selection.summary) != chosen:
+        raise OutputError(f"{sel_path.name} summary ids {list(selection.summary)} are not "
+                          f"the level {selection.s} tiling {list(chosen)} of {pool_path.name}")
     wrote = _emit_outputs(cfg, pool, series, levels, selection)
     print("wrote: " + ", ".join(wrote))
     return 0

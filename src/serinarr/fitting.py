@@ -41,25 +41,24 @@ bit-identical to fitting one range at a time.  Elementwise steps are
 batched freely, over ranges of any length.  A pairwise sum (``sum``,
 ``mean``) is batched only over rows of equal length, unpadded, each
 reduced on its own, so it rounds as the range's own sum would: the line
-sums, the bilinear ``syy`` (``_row_sums``) and the per-zone errors are
-taken per length.  ``np.cumsum(axis=1)`` adds in sequence, so prefix
-sums are taken on samples padded to a common length (``_padded``): the
-first n + 1 entries of a row are exactly the range's own.  So
-``_fit_ranges`` batches ranges of different sample counts.  Bilinear
-ranges, in ascending sample count, are cut into runs whose candidates
-are raveled into one vector of real cells, the per-range minima being
-segmented reductions over it.  Every tooth range's plateau edges are
-built in one raveled pass (``_tooth_edges``), and the tables, in
-ascending edge count, are scored in runs each padded to its largest
-table, a run holding at most 1.5 times its real cells (``_even_runs``).
-Line and sinusoid ranges are fitted in one batch each.  Residuals and
-per-zone errors are taken over runs of raveled samples, one
-``evaluate`` a run.  One budget of ``_CHUNK_CELLS`` floats bounds
-memory on dense input: sums are gathered that many samples at a time,
+sums, the bilinear ``syy`` and the per-zone errors, a row per (range,
+zone) segment evaluated with its range's params, are summed by
+``_row_sums``.  ``np.cumsum(axis=1)`` adds in sequence, so prefix sums
+are taken on samples padded to a common length (``_padded``): the first
+n + 1 entries of a row are exactly the range's own.  So ``_fit_ranges``
+batches ranges of different sample counts.  Bilinear ranges, in
+ascending sample count, are cut into runs whose candidates are raveled
+into one vector of real cells, the per-range minima being segmented
+reductions over it.  Every tooth range's plateau edges are built in one
+raveled pass (``_tooth_edges``), and the tables, in ascending edge
+count, are scored in runs each padded to its largest table, a run
+holding at most 1.5 times its real cells (``_even_runs``).  Line and
+sinusoid ranges are fitted in one batch each.  One budget of
+``_CHUNK_CELLS`` floats bounds memory on dense input: bilinear
+candidates and summed samples are taken ``_CHUNK_CELLS // 32`` at a
+time, a candidate peaking at some 32 floats and a sample at fewer, and
 tooth tables scored in (range, start row) blocks of ``_CHUNK_CELLS //
-8`` cells, a cell peaking at some 5 floats, and bilinear candidates and
-residuals taken in runs of ``_CHUNK_CELLS // 32`` cells, a candidate
-peaking at some 32 floats and a residual at fewer.
+8`` cells, a cell peaking at some 5 floats.
 
 The pool owns the per-zone error of any set of its descriptors
 (``DescriptorPool.zone_errs``): the cover keeps each tiling's errors
@@ -237,24 +236,25 @@ def _runs(rows: np.ndarray, n: np.ndarray, budget: int) -> list[np.ndarray]:
     return runs + [rows[s0:]] if len(rows) else runs
 
 
-def _row_sums(first: np.ndarray, n: np.ndarray, *vs: np.ndarray) -> np.ndarray:
-    """Each range's sum of each per-sample array of ``vs`` over its ``n``
-    samples from ``first`` on.  Ranges of one length are gathered unpadded
-    and summed together, at most ``_CHUNK_CELLS`` samples at a time, so
-    each rounds as the range's own pairwise sum does."""
-    out = np.empty((len(vs), len(n)))
+def _row_sums(first: np.ndarray, n: np.ndarray, f, count: int = 1) -> np.ndarray:
+    """Each range's sums of the ``count`` (rows, k) arrays ``f(idx, rows)``
+    returns for the ranges ``rows`` of ``k`` samples from ``first`` on,
+    ``idx`` being their sample indices.  Ranges of one length are summed
+    together, at most ``_CHUNK_CELLS // 32`` samples at a time, each row
+    on its own, so it rounds as the range's own pairwise sum does."""
+    out = np.empty((count, len(n)))
     for k in np.unique(n).tolist():
         rows = np.flatnonzero(n == k)
-        step = max(1, _CHUNK_CELLS // k)
+        step = max(1, _CHUNK_CELLS // 32 // k)
         for sel in (rows[at : at + step] for at in range(0, len(rows), step)):
-            idx = first[sel, None] + np.arange(k)
-            for o, v in zip(out, vs):
-                o[sel] = v[idx].sum(axis=1)
+            for o, v in zip(out, f(first[sel, None] + np.arange(k), sel)):
+                o[sel] = v.sum(axis=1)
     return out
 
 
 def _fit_lines(xs, ys, first, n):
-    sx, sy, sxx, sxy = _row_sums(first, n, xs, ys, xs * xs, xs * ys)
+    xx, xy = xs * xs, xs * ys
+    sx, sy, sxx, sxy = _row_sums(first, n, lambda idx, _: (v[idx] for v in (xs, ys, xx, xy)), 4)
     denom = n * sxx - sx * sx
     with np.errstate(invalid="ignore", divide="ignore"):
         b = (n * sxy - sx * sy) / denom
@@ -528,12 +528,9 @@ def _fit_teeth(xs, ys, first, n, positions, count):
     # start: a table's blocks run in start order, and a later block
     # replaces its best only with a smaller (sse, -width).
     per_block = max(1, budget // n_pos)  # start rows
-    if per_block >= n_rows:
-        step = per_block // n_rows
-        blocks = [(r, min(r + step, m), 0, n_rows) for r in range(0, m, step)]
-    else:
-        blocks = [(r, r + 1, s, min(s + per_block, n_rows))
-                  for r in range(m) for s in range(0, n_rows, per_block)]
+    step = max(1, per_block // n_rows)  # tables
+    blocks = [(r, min(r + step, m), s, min(s + per_block, n_rows))
+              for r in range(0, m, step) for s in range(0, n_rows, per_block)]
     best = np.full((4, m), np.inf)  # sse, -width, start row, end column
     for r0, r1, s0, s1 in blocks:
         rs = slice(r0, r1)
@@ -676,16 +673,6 @@ def _fit_sinusoids(xs, ys, first, n, width):
 # ----------------------------------------------------------------------
 
 
-def _zone_errs(bounds: np.ndarray, i: np.ndarray, j: np.ndarray, shift: np.ndarray,
-               res: np.ndarray) -> list[float]:
-    """Per-zone RMSE, flat, of the ranges (i, j) over ``bounds`` whose
-    squared residual at sample k is ``res[k - shift]``; each (range, zone)
-    segment sums on its own (``_row_sums``)."""
-    _, rid, zone = _ravel(i, j - i + 1)
-    seg_len = bounds[zone, 1] - bounds[zone, 0]
-    return np.sqrt(_row_sums(bounds[zone, 0] - shift[rid], seg_len, res)[0] / seg_len).tolist()
-
-
 def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int, int]],
                 ids: Iterator[int] = itertools.repeat(-1)) -> list[Descriptor | None]:
     """Fit one prototype over every zone range (i, j) in ``ranges``: the
@@ -698,18 +685,17 @@ def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int,
     first = bounds[span_i, 0]
     sizes = bounds[span_j, 1] - first
     feasible = np.flatnonzero(sizes >= PARAM_COUNTS[kind])
-    by_size = feasible[np.argsort(sizes[feasible], kind="stable")]
     names = [f.name for f in dataclasses.fields(PARAMS_CLASS[kind])]
     vals = np.full((len(names), len(ranges)), np.nan)
     ok = np.zeros(len(ranges), bool)
     n = sizes[feasible]
     if kind is CurveKind.LINE:
         vals[:, feasible], ok[feasible] = _fit_lines(xs, ys, first[feasible], n)
-    elif kind is CurveKind.BILINEAR:
-        syy = np.empty(len(ranges))
-        syy[feasible] = _row_sums(first[feasible], n, ys * ys)[0]
-        for g in _runs(by_size, sizes, _CHUNK_CELLS // 32):
-            vals[:, g], ok[g] = _fit_bilinears(xs, ys, first[g], sizes[g], syy[g],
+    elif kind is CurveKind.BILINEAR:  # runs of ascending sample count
+        syy = _row_sums(first[feasible], n, lambda idx, _: [np.square(ys[idx])])[0]
+        for k in _runs(np.argsort(n, kind="stable"), n, _CHUNK_CELLS // 32):
+            g = feasible[k]
+            vals[:, g], ok[g] = _fit_bilinears(xs, ys, first[g], n[k], syy[k],
                                                span_i[g] / nz, (span_j[g] + 1) / nz)
     elif kind is CurveKind.TOOTH:  # runs of ascending plateau edge count
         edges, row = _tooth_edges(xs, first[feasible], n, span_i[feasible],
@@ -724,22 +710,25 @@ def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int,
         width = (span_j[feasible] + 1 - span_i[feasible]) / nz
         vals[:, feasible], ok[feasible] = _fit_sinusoids(xs, ys, first[feasible], n, width)
 
-    # Residuals and zone errors, raveled, a run of at most _CHUNK_CELLS // 32
-    # samples at a time, so memory is bounded in zones as well as samples.
-    errs = {}
-    for g in _runs(by_size[ok[by_size]], sizes, _CHUNK_CELLS // 32):
-        start, _, idx = _ravel(first[g], sizes[g])
-        res = np.square(ys[idx] - evaluate(
-            kind, {name: np.repeat(v[g], sizes[g]) for name, v in zip(names, vals)}, xs[idx]))
-        flat = iter(_zone_errs(bounds, span_i[g], span_j[g], first[g] - start, res))
-        for r, w in zip(g.tolist(), (span_j[g] + 1 - span_i[g]).tolist()):
-            errs[r] = tuple(itertools.islice(flat, w))
+    # Per-zone RMSE: every fitted range's (range, zone) segments, raveled,
+    # each a row of its zone's samples evaluated with its range's params.
+    fit = np.flatnonzero(ok)
+    start, seg, zone = _ravel(span_i[fit], span_j[fit] - span_i[fit] + 1)
+    lo, size = bounds[zone, 0], bounds[zone, 1] - bounds[zone, 0]
+    cols = vals[:, fit]
+
+    def res_sq(idx, segs):
+        params = {name: v[seg[segs], None] for name, v in zip(names, cols)}
+        return [np.square(ys[idx] - evaluate(kind, params, xs[idx]))]
+
+    errs = np.sqrt(_row_sums(lo, size, res_sq)[0] / size).tolist()
+    del seg, zone, lo, size  # each as long as errs: freed before the descriptors are made
 
     out: list[Descriptor | None] = [None] * len(ranges)
     params, i, j = vals.T.tolist(), span_i.tolist(), span_j.tolist()
-    for r in np.flatnonzero(ok).tolist():
+    for r, s in zip(fit.tolist(), start.tolist()):
         out[r] = Descriptor(next(ids), kind, PARAMS_CLASS[kind](*params[r]), i[r], j[r],
-                            errs[r], nz)
+                            tuple(errs[s : s + j[r] - i[r] + 1]), nz)
     return out
 
 

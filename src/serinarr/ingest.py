@@ -102,6 +102,7 @@ def _parse_value(token: str) -> float:
 def _load_csv(text: str) -> RawSeries:
     points = []
     row_index = 0
+    header = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -113,9 +114,9 @@ def _load_csv(text: str) -> RawSeries:
             else:
                 points.append((float(cells[0]), _parse_value(cells[1])))
         except ValueError:
-            if points:
+            if points or header:
                 raise IngestError(f"line {lineno}: cannot parse {line!r}") from None
-            # tolerate a single header line before any data
+            header = True  # the one header line allowed before the data
             continue
         row_index += 1
     if not points:

@@ -132,9 +132,10 @@ def evaluate(kind: CurveKind, params, x):
     """Model value(s) at ``x`` (scalar or ndarray).
 
     ``params`` is the kind's params, or a dict of its field names to
-    arrays that broadcast against ``x``, such as one value per sample:
-    each sample is evaluated with its own values, by the same formula.
-    Bilinear curves are only defined on their fitted range.
+    arrays that broadcast against ``x``, such as (rows, 1) columns against
+    (rows, k) samples: each sample is evaluated with its row's values, by
+    the same elementwise formula.  Bilinear curves are only defined on
+    their fitted range.
     """
     if isinstance(params, dict):
         params = SimpleNamespace(**params)

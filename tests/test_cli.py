@@ -392,6 +392,29 @@ def test_main_render_rejects_mismatched_artifacts(
     assert not (out / "dipper.summary.svg").exists()
 
 
+def test_main_render_rejects_summary_not_the_tiling(sample_csv, tmp_path, capsys):
+    """Saved summary ids that name pool descriptors but not the tiling
+    re-solved at the summary level are an output error, not a chart."""
+    out = tmp_path / "render_out"
+    assert main([
+        "narrate", "--input", str(sample_csv), "--levels", "3",
+        "--verbosity", "4", "--out-dir", str(out), "--emit", "json,pool",
+    ]) == 0
+    sel_path = out / "dipper.selection.json"
+    doc = json.loads(sel_path.read_text())
+    assert doc["summary_ids"] != [0, 5]
+    doc["summary_ids"] = [0, 5]  # both in the pool
+    sel_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["render", "--input", str(sample_csv), "--levels", "3",
+                 "--verbosity", "4", "--out-dir", str(out)])
+    assert code == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error: dipper.selection.json summary ids")
+    assert len(err.splitlines()) == 1
+    assert not (out / "dipper.summary.svg").exists()
+
+
 def test_main_narrate_pool_into_new_dir(sample_csv, tmp_path, capsys):
     out = tmp_path / "fresh" / "dir"
     code = main(["narrate", "--input", str(sample_csv), "--levels", "3",
@@ -484,6 +507,7 @@ def test_main_unknown_config_key_fails_before_reading(
 
 @pytest.mark.parametrize("fmt, text, reason", [
     ("csv", "t,y\n", "no data rows found in csv input"),
+    ("csv", "t,y\nweek,count\n0,1\n1,2\n", "line 2: cannot parse 'week,count'"),
     ("trends_csv", "Category: All\n\nWeek,x\n2024-01-07\n", "expected date,value"),
     ("trends_csv", "Category: All\n\nWeek,x\n2024-01-07,lots\n", "bad value"),
     ("trends_csv", "Category: All\n\nWeek,x\n\n", "no data rows found in trends_csv"),

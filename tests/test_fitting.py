@@ -985,10 +985,12 @@ def _reference_pool(series, kinds):
     return DescriptorPool(tuple(descriptors), n, kinds, n_infeasible)
 
 
-def test_pool_matches_per_range_reference():
+def test_pool_matches_per_range_reference(monkeypatch):
     """Pools built a sample count at a time equal the per-range build, ids,
-    zone errors and infeasible count included, for every kind; and
-    ``fit_one`` returns each descriptor with id -1."""
+    zone errors and infeasible count included, for every kind, with the
+    default chunk budget, with one of 32 (one (range, zone) segment a sum
+    chunk, one range a bilinear run) and with one of 224 (up to 7
+    segments a chunk); and ``fit_one`` returns each descriptor with id -1."""
     rng = np.random.default_rng(6400)
     n_infeasible = 0
     for case, s in enumerate(_oracle_series(rng, 12)):
@@ -997,8 +999,11 @@ def test_pool_matches_per_range_reference():
         # The sin/cos basis is degenerate on repeated sample positions.
         distinct = len(np.unique(s.xs)) == len(s.xs)
         kinds = tuple(CurveKind) if case % 2 and distinct else DEFAULT_KINDS
-        pool = build_pool(s, kinds)
-        assert pool == _reference_pool(s, kinds), case
+        reference = _reference_pool(s, kinds)
+        for cells in (32, 224, _CHUNK_CELLS):
+            monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
+            pool = build_pool(s, kinds)
+            assert pool == reference, (case, cells)
         n_infeasible += pool.n_infeasible
         for d in pool:
             assert fit_one(s, d.kind, d.zone_start, d.zone_end) == replace(d, id=-1)

@@ -84,6 +84,26 @@ def test_csv_single_column_uses_row_index(tmp_path):
     assert raw.points == ((0.0, 5.0), (1.0, 7.0), (2.0, 9.0))
 
 
+def test_csv_single_column_with_header(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text("value\n\n5\n7\n")
+    raw = load(p, "csv")
+    assert raw.points == ((0.0, 5.0), (1.0, 7.0))
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("t,y\nweek,count\n0,1\n1,2\n", 2),
+    ("value\n\nunits\n5\n7\n", 3),
+])
+def test_csv_second_header_line_raises(tmp_path, text, lineno):
+    """One header line may precede the data; a second unparseable line
+    is reported by its line number, blank lines counted."""
+    p = tmp_path / "s.csv"
+    p.write_text(text)
+    with pytest.raises(IngestError, match=f"^line {lineno}: cannot parse"):
+        load(p, "csv")
+
+
 def test_csv_bad_row_after_data_raises(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("0,1\nnot,a,number\n")
