@@ -65,6 +65,12 @@ The pool owns the per-zone error of any set of its descriptors
 from it, and the details chart reads the selected set's.
 ``write_atomic`` is the package's one file writer: ``dump_pool`` and
 every CLI artifact go through it.
+
+A saved pool is a header line and one json line per descriptor, its
+bytes those of ``json.dumps(record, sort_keys=True)`` and fixed by the
+pools' sha256 pins.  ``dump_pool`` fills each line from one template per
+kind, so only float ``repr`` runs per value; ``load_pool`` decodes it
+back line by line with one shared json decoder.
 """
 
 from __future__ import annotations
@@ -73,7 +79,9 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,7 +99,6 @@ from .prototypes import (
     CurveParams,
     evaluate,
     params_from_dict,
-    params_to_dict,
 )
 
 DEFAULT_KINDS = (CurveKind.LINE, CurveKind.BILINEAR, CurveKind.TOOTH)
@@ -803,30 +810,64 @@ def write_atomic(path: Path, text: str) -> None:
         raise OutputError(f"cannot write {path}: {exc}") from None
 
 
+def _record_template(kind: CurveKind) -> tuple[str, operator.attrgetter]:
+    """A kind's pool line, ``json.dumps(record, sort_keys=True)`` and a
+    newline, spelled out with %-slots for the id, the params in sorted
+    name order, the zone end, the ", "-joined zone errors and the zone
+    start; and the getter of those params."""
+    names = sorted(f.name for f in dataclasses.fields(PARAMS_CLASS[kind]))
+    params = ", ".join(f"{json.dumps(name)}: %r" for name in names)
+    template = (f'{{"id": %d, "kind": {json.dumps(kind.label)}, "params": {{{params}}}, '
+                '"zone_end": %d, "zone_errs": [%s], "zone_start": %d}\n')
+    return template, operator.attrgetter(*names)
+
+
+_RECORD_TEMPLATES = {kind: _record_template(kind) for kind in CurveKind}
+# A bare value after a space or "[" in a record is a number (keys and
+# labels are quoted); repr spells the non-finite ones as json does not.
+_NON_FINITE = re.compile(r"(?<=[ \[])(?:-?inf|nan)\b")
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def dump_pool(pool: DescriptorPool, path: str | Path) -> None:
     """Write a header record, then one json record per descriptor, line
-    delimited."""
+    delimited.
+
+    The sha256 pins of saved pools fix the line format: each line is
+    ``json.dumps(record, sort_keys=True)``.  The header is written so; a
+    descriptor's line is filled into its kind's template, its params and
+    zone errors as floats in ``repr``, the non-finite ones then respelled
+    as json's ``NaN`` and ``Infinity``.
+    """
     header = {"n_zones": pool.n_zones, "kinds": [k.label for k in pool.kinds],
               "n_infeasible": pool.n_infeasible}
-    records = [{"id": d.id, "kind": d.kind.label, "zone_start": d.zone_start,
-                "zone_end": d.zone_end, "params": params_to_dict(d.params),
-                "zone_errs": list(d.zone_errs)} for d in pool]
-    lines = [json.dumps(rec, sort_keys=True) for rec in [header] + records]
-    write_atomic(Path(path), "\n".join(lines) + "\n")
+    lines = []
+    for d in pool:
+        template, params = _RECORD_TEMPLATES[d.kind]
+        lines.append(template % (d.id, *map(float, params(d.params)), d.zone_end,
+                                 ", ".join(map(repr, map(float, d.zone_errs))),
+                                 d.zone_start))
+    body = "".join(lines)
+    if "nan" in body or "inf" in body:
+        body = _NON_FINITE.sub(lambda m: _JSON_NON_FINITE[m[0]], body)
+    write_atomic(Path(path), json.dumps(header, sort_keys=True) + "\n" + body)
 
 
 def load_pool(path: str | Path) -> DescriptorPool:
-    """Inverse of ``dump_pool``.  An empty file raises ``ValueError``,
-    as a line that is not json does."""
+    """Inverse of ``dump_pool``: each line is decoded on its own by one
+    shared json decoder, and blank lines after the header are skipped.
+    An empty file, or a line that is not one json value, raises
+    ``ValueError``."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"empty pool dump {path}")
-    header = json.loads(lines[0])
+    decode = json.JSONDecoder().decode
+    header = decode(lines[0])
     descriptors = []
     for line in lines[1:]:
         if not line.strip():
             continue
-        rec = json.loads(line)
+        rec = decode(line)
         kind = CurveKind.from_label(rec["kind"])
         descriptors.append(
             Descriptor(

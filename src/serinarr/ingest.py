@@ -100,8 +100,10 @@ def _parse_value(token: str) -> float:
 
 
 def _load_csv(text: str) -> RawSeries:
+    """``t,value`` rows, or ``value`` rows indexed by row; the first data
+    row sets which, and every later row must have its cell count."""
     points = []
-    row_index = 0
+    width = 0  # cells per data row, set by the first one
     header = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -110,15 +112,22 @@ def _load_csv(text: str) -> RawSeries:
         cells = line.split(",")
         try:
             if len(cells) == 1:
-                points.append((float(row_index), _parse_value(cells[0])))
+                point = (float(len(points)), _parse_value(cells[0]))
             else:
-                points.append((float(cells[0]), _parse_value(cells[1])))
+                point = (float(cells[0]), _parse_value(cells[1]))
         except ValueError:
             if points or header:
                 raise IngestError(f"line {lineno}: cannot parse {line!r}") from None
             header = True  # the one header line allowed before the data
             continue
-        row_index += 1
+        if len(cells) > 2:
+            raise IngestError(f"line {lineno}: {line!r} has more than two cells")
+        if width and len(cells) != width:
+            shape = "t,value" if width == 2 else "one-value"
+            raise IngestError(f"line {lineno}: {line!r} is not a {shape} row "
+                              f"like the first data row")
+        width = len(cells)
+        points.append(point)
     if not points:
         raise IngestError("no data rows found in csv input")
     return RawSeries(tuple(points))

@@ -39,7 +39,7 @@ class CurveKind(enum.IntEnum):
     def from_label(cls, label: str) -> "CurveKind":
         try:
             return cls[label.strip().upper()]
-        except KeyError:
+        except (KeyError, AttributeError):  # AttributeError: not a str
             raise ValueError(f"unknown curve kind {label!r}") from None
 
 
@@ -182,7 +182,8 @@ def evaluate(kind: CurveKind, params, x):
 
 
 def params_to_dict(params: CurveParams) -> dict:
-    """Flat mapping of parameter names to values, for dumps and reports."""
+    """Flat mapping of parameter names to float values, as a saved pool
+    record's ``params`` holds them."""
     return {k: float(v) for k, v in params.__dict__.items()}
 
 

@@ -7,6 +7,10 @@ fitted curves on top (at least 128 samples each), and a bottom strip
 of zone cells colored green (no error) to red (error at or beyond the
 summary threshold).  The heatmap shows per-level zone errors on a
 black/red/yellow ramp with the selected cells painted green.
+
+A polyline's points are mapped onto the plot area as whole arrays, by
+the float operations one point at a time would take, so only their
+two-decimal formatting runs per value.
 """
 
 from __future__ import annotations
@@ -90,12 +94,6 @@ def render_enriched(spec: PlotSpec) -> str:
     pw = w - 2 * margin
     ph = h - 2 * margin - bar_h - bar_gap - title_h
 
-    def sx(x: float) -> float:
-        return px + x * pw
-
-    def sy(y: float) -> float:
-        return py + (1.0 - min(max(y, 0.0), 1.0)) * ph
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
@@ -109,18 +107,21 @@ def render_enriched(spec: PlotSpec) -> str:
             f'font-size="13" fill="#333333">{spec.title}</text>'
         )
 
+    def points(x: np.ndarray, y: np.ndarray) -> str:
+        # Unit-square points onto the plot area, y clipped to [0, 1].
+        sx = px + x * pw
+        sy = py + (1.0 - np.clip(y, 0.0, 1.0)) * ph
+        return " ".join(map("{:.2f},{:.2f}".format, sx.tolist(), sy.tolist()))
+
     series = spec.series
-    pts = " ".join(
-        f"{_f(sx(x))},{_f(sy(y))}" for x, y in zip(series.xs.tolist(), series.ys.tolist())
-    )
+    pts = points(series.xs, series.ys)
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#4477aa" stroke-width="1.2"/>'
     )
 
     for d in spec.curves:
         xs = np.linspace(d.x_lo, d.x_hi, CURVE_SAMPLES)
-        ys = np.asarray(evaluate(d.kind, d.params, xs), dtype=float)
-        cpts = " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in zip(xs.tolist(), ys.tolist()))
+        cpts = points(xs, np.asarray(evaluate(d.kind, d.params, xs), dtype=float))
         parts.append(
             f'<polyline points="{cpts}" fill="none" stroke="{CURVE_COLOR}" '
             f'stroke-width="{_f(CURVE_STROKE_WIDTH)}"/>'

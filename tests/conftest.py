@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the library's own
 loading path: series are assembled by hand so fitting and solver tests
 control the exact sample values, and pools of fake descriptors carry
-hand-picked per-zone errors for the optimizer oracles.
+hand-picked per-zone errors for the optimizer oracles.  ``POOL_EDITS``
+damages or reflows a dumped pool, for the reload oracle and the CLI.
 """
 
 import numpy as np
@@ -96,3 +97,39 @@ def rng():
     import random
 
     return random.Random(0xC0FFEE)
+
+
+def _on_line(k, edit):
+    """An edit of line k of a dumped pool's text."""
+    def apply(text):
+        lines = text.split("\n")
+        lines[k] = edit(lines[k])
+        return "\n".join(lines)
+    return apply
+
+
+def _join_lines(k):
+    """An edit putting lines k and k + 1 of a dumped pool on one line."""
+    def apply(text):
+        lines = text.split("\n")
+        lines[k:k + 2] = [lines[k] + " " + lines[k + 1]]
+        return "\n".join(lines)
+    return apply
+
+
+# Edits of a dumped pool's text (header, then at least two records), and
+# whether a loader that ``json.loads`` each of its lines takes the result.
+POOL_EDITS = [
+    ("blank-lines", lambda t: t.replace("\n", "\n\n \t\n"), True),
+    ("crlf", lambda t: t.replace("\n", "\r\n"), True),
+    ("trailing-spaces", lambda t: t.replace("\n", " \t \n"), True),
+    ("header-only", lambda t: t.split("\n")[0] + "\n", True),
+    ("two-records-on-a-line", _join_lines(1), False),
+    ("record-over-two-lines", _on_line(2, lambda s: s.replace(", ", ",\n", 1)), False),
+    ("kind-not-a-string", _on_line(1, lambda s: s.replace('"kind": "', '"kind": 5, "k": "', 1)),
+     False),
+    ("garbage-after-a-record", _on_line(1, lambda s: s + " x"), False),
+    ("trailing-garbage", lambda t: t + "]\n", False),
+    ("truncated-last-line", lambda t: t.rstrip("\n")[:-20], False),
+    ("empty-file", lambda t: "", False),
+]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import POOL_EDITS
 from serinarr.cli import (
     EXIT_FIT,
     EXIT_INGEST,
@@ -392,6 +393,28 @@ def test_main_render_rejects_mismatched_artifacts(
     assert not (out / "dipper.summary.svg").exists()
 
 
+@pytest.mark.parametrize("edit", [e for _, e, taken in POOL_EDITS if not taken],
+                         ids=[name for name, _, taken in POOL_EDITS if not taken])
+def test_main_render_rejects_damaged_pool(sample_csv, tmp_path, capsys, edit):
+    """Each pool edit the per-line loader rejects exits 6 with one
+    ``output error:`` line and writes no chart."""
+    out = tmp_path / "render_out"
+    assert main([
+        "narrate", "--input", str(sample_csv), "--levels", "3",
+        "--verbosity", "4", "--out-dir", str(out), "--emit", "json,pool",
+    ]) == 0
+    pool = out / "dipper.pool.jsonl"
+    pool.write_text(edit(pool.read_text()), newline="")
+    capsys.readouterr()
+    code = main(["render", "--input", str(sample_csv), "--levels", "3",
+                 "--verbosity", "4", "--out-dir", str(out)])
+    assert code == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error: cannot load")
+    assert len(err.splitlines()) == 1
+    assert not (out / "dipper.summary.svg").exists()
+
+
 def test_main_render_rejects_summary_not_the_tiling(sample_csv, tmp_path, capsys):
     """Saved summary ids that name pool descriptors but not the tiling
     re-solved at the summary level are an output error, not a chart."""
@@ -508,6 +531,10 @@ def test_main_unknown_config_key_fails_before_reading(
 @pytest.mark.parametrize("fmt, text, reason", [
     ("csv", "t,y\n", "no data rows found in csv input"),
     ("csv", "t,y\nweek,count\n0,1\n1,2\n", "line 2: cannot parse 'week,count'"),
+    pytest.param("csv", "0,1\n5\n2,3\n", "line 2: '5' is not a t,value row",
+                 id="csv-one-cell-row-among-two"),
+    pytest.param("csv", "0,1,junk\n1,2\n", "line 1: '0,1,junk' has more than two cells",
+                 id="csv-three-cells"),
     ("trends_csv", "Category: All\n\nWeek,x\n2024-01-07\n", "expected date,value"),
     ("trends_csv", "Category: All\n\nWeek,x\n2024-01-07,lots\n", "bad value"),
     ("trends_csv", "Category: All\n\nWeek,x\n\n", "no data rows found in trends_csv"),

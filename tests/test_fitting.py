@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_descriptor, make_series, raw_series, series_exact
+from conftest import POOL_EDITS, make_descriptor, make_series, raw_series, series_exact
 from serinarr import fitting
 from serinarr.errors import FitError
 from serinarr.fitting import (
@@ -39,6 +39,8 @@ from serinarr.prototypes import (
     SinusoidParams,
     ToothParams,
     evaluate,
+    params_from_dict,
+    params_to_dict,
 )
 
 
@@ -175,7 +177,8 @@ def test_per_zone_rmse_recomputed_independently():
 def test_dump_load_round_trip(tmp_path):
     rnd = random.Random(3)
     s = make_series([rnd.uniform(0, 1) for _ in range(48)], levels=2)
-    pool = build_pool(s, kinds=DEFAULT_KINDS)
+    pool = build_pool(s, kinds=tuple(CurveKind))
+    assert {d.kind for d in pool} == set(CurveKind)
     path = tmp_path / "pool.jsonl"
     dump_pool(pool, path)
     again = load_pool(path)
@@ -188,6 +191,106 @@ def test_dump_load_round_trip(tmp_path):
     assert len(lines) == len(pool) + 1
     json.loads(lines[0])
     json.loads(lines[1])
+
+
+def _dump_pool_reference(pool: DescriptorPool) -> str:
+    """The pool text ``dump_pool`` wrote before its line templates."""
+    header = {"n_zones": pool.n_zones, "kinds": [k.label for k in pool.kinds],
+              "n_infeasible": pool.n_infeasible}
+    records = [{"id": d.id, "kind": d.kind.label, "zone_start": d.zone_start,
+                "zone_end": d.zone_end, "params": params_to_dict(d.params),
+                "zone_errs": list(d.zone_errs)} for d in pool]
+    lines = [json.dumps(rec, sort_keys=True) for rec in [header] + records]
+    return "\n".join(lines) + "\n"
+
+
+def _load_pool_reference(path) -> DescriptorPool:
+    """``load_pool`` as it was before it shared one decoder: ``json.loads``
+    each line."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ValueError(f"empty pool dump {path}")
+    header = json.loads(lines[0])
+    descriptors = []
+    for line in lines[1:]:
+        if not line.strip():
+            continue
+        rec = json.loads(line)
+        kind = CurveKind.from_label(rec["kind"])
+        descriptors.append(
+            Descriptor(
+                id=rec["id"],
+                kind=kind,
+                params=params_from_dict(kind, rec["params"]),
+                zone_start=rec["zone_start"],
+                zone_end=rec["zone_end"],
+                zone_errs=tuple(rec["zone_errs"]),
+                n_zones=header["n_zones"],
+            )
+        )
+    return DescriptorPool(
+        descriptors=tuple(descriptors),
+        n_zones=header["n_zones"],
+        kinds=tuple(CurveKind.from_label(k) for k in header["kinds"]),
+        n_infeasible=header.get("n_infeasible", 0),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(levels=st.integers(1, 3), data=st.data())
+def test_dump_pool_bytes_match_json_dumps(levels, data, tmp_path_factory):
+    """Every line ``dump_pool`` fills from its kind's template has the
+    bytes ``json.dumps(record, sort_keys=True)`` gives, on random series
+    fitted with all four kinds."""
+    values = data.draw(st.lists(st.floats(-1e6, 1e6) | st.integers(-3, 3).map(float),
+                                min_size=2 ** levels * 3, max_size=40))
+    pool = build_pool(make_series(values, levels), tuple(CurveKind))
+    path = tmp_path_factory.mktemp("dump") / "pool.jsonl"
+    dump_pool(pool, path)
+    assert path.read_text() == _dump_pool_reference(pool)
+
+
+def test_dump_pool_writes_odd_floats_as_json_dumps(tmp_path):
+    """Non-finite, signed-zero and subnormal params and zone errors, and
+    int params, are written as ``json.dumps`` writes them, and read back
+    so."""
+    odd = [math.nan, math.inf, -math.inf, -0.0, 1e-310, 5e-324, 1e16, 0.1]
+    descriptors = [make_descriptor(k, k % 4, k % 4, [e], 4, params=LineParams(a=a, b=b))
+                   for k, (a, b, e) in enumerate(zip(odd, odd[1:] + odd[:1], odd[2:] + odd[:2]))]
+    descriptors.append(make_descriptor(len(odd), 0, 1, [0.5, 1.5], 4,
+                                       params=LineParams(a=0, b=-1)))
+    pool = DescriptorPool(descriptors=tuple(descriptors), n_zones=4,
+                          kinds=(CurveKind.LINE,))
+    path = tmp_path / "pool.jsonl"
+    dump_pool(pool, path)
+    text = path.read_text()
+    assert text == _dump_pool_reference(pool)
+    assert "NaN" in text and "-Infinity" in text and "1e-310" in text and "-0.0" in text
+    again = tmp_path / "again.jsonl"
+    dump_pool(load_pool(path), again)
+    assert again.read_text() == text
+
+
+def _outcome(load, *args):
+    """What ``load(*args)`` returns, or the type of error it raises."""
+    try:
+        return load(*args)
+    except (ValueError, KeyError, TypeError) as exc:
+        return next(t for t in (ValueError, KeyError, TypeError) if isinstance(exc, t))
+
+
+@pytest.mark.parametrize("edit, taken", [(e, t) for _, e, t in POOL_EDITS],
+                         ids=[name for name, _, _ in POOL_EDITS])
+def test_load_pool_takes_what_the_per_line_loader_takes(edit, taken, tmp_path):
+    """On each edited dump, ``load_pool`` gives the pool the per-line
+    loader gives, or raises ``ValueError`` as it does."""
+    s = make_series([0.1, 0.9, 0.4, 0.7, 0.2, 0.8, 0.3, 0.6, 0.5, 1.0], levels=1)
+    path = tmp_path / "pool.jsonl"
+    dump_pool(build_pool(s, tuple(CurveKind)), path)
+    path.write_text(edit(path.read_text()), newline="")
+    want = _outcome(_load_pool_reference, path)
+    assert isinstance(want, DescriptorPool) if taken else want is ValueError
+    assert _outcome(load_pool, path) == want
 
 
 def test_descriptor_accessors():

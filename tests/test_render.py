@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
-from conftest import make_descriptor, make_series
+from conftest import make_descriptor, make_series, series_exact
 
+from serinarr.fitting import build_pool
+from serinarr.ingest import TimeSeries
+from serinarr.prototypes import CurveKind, evaluate
 from serinarr.render import (
+    CHART_HEIGHT,
+    CHART_WIDTH,
+    CURVE_COLOR,
+    CURVE_SAMPLES,
+    CURVE_STROKE_WIDTH,
     PlotSpec,
     error_color,
     heat_color,
@@ -96,6 +106,107 @@ def test_enriched_is_deterministic():
     a = render_enriched(base_spec(title="x"))
     b = render_enriched(base_spec(title="x"))
     assert a == b
+
+
+def _f(v: float) -> str:
+    return f"{v:.2f}"
+
+
+def _render_enriched_reference(spec: PlotSpec) -> str:
+    """``render_enriched`` as it was, mapping and formatting one point at
+    a time through ``sx``, ``sy`` and ``_f``."""
+    w, h = CHART_WIDTH, CHART_HEIGHT
+    margin = 12.0
+    bar_h = 16.0 if spec.error_bar else 0.0
+    bar_gap = 6.0 if spec.error_bar else 0.0
+    title_h = 22.0 if spec.title else 0.0
+    px = margin
+    py = margin + title_h
+    pw = w - 2 * margin
+    ph = h - 2 * margin - bar_h - bar_gap - title_h
+
+    def sx(x: float) -> float:
+        return px + x * pw
+
+    def sy(y: float) -> float:
+        return py + (1.0 - min(max(y, 0.0), 1.0)) * ph
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        f'<rect x="0" y="0" width="{w}" height="{h}" fill="#ffffff"/>',
+        f'<rect x="{_f(px)}" y="{_f(py)}" width="{_f(pw)}" height="{_f(ph)}" '
+        f'fill="#fafafa" stroke="#cccccc"/>',
+    ]
+    if spec.title:
+        parts.append(
+            f'<text x="{_f(px)}" y="{_f(margin + 14)}" font-family="sans-serif" '
+            f'font-size="13" fill="#333333">{spec.title}</text>'
+        )
+
+    series = spec.series
+    pts = " ".join(
+        f"{_f(sx(x))},{_f(sy(y))}" for x, y in zip(series.xs.tolist(), series.ys.tolist())
+    )
+    parts.append(
+        f'<polyline points="{pts}" fill="none" stroke="#4477aa" stroke-width="1.2"/>'
+    )
+
+    for d in spec.curves:
+        xs = np.linspace(d.x_lo, d.x_hi, CURVE_SAMPLES)
+        ys = np.asarray(evaluate(d.kind, d.params, xs), dtype=float)
+        cpts = " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in zip(xs.tolist(), ys.tolist()))
+        parts.append(
+            f'<polyline points="{cpts}" fill="none" stroke="{CURVE_COLOR}" '
+            f'stroke-width="{_f(CURVE_STROKE_WIDTH)}"/>'
+        )
+
+    if spec.error_bar:
+        n = series.n_zones
+        cell_w = pw / n
+        y0 = py + ph + bar_gap
+        for z, err in enumerate(spec.error_bar):
+            color = error_color(err, spec.max_thr)
+            parts.append(
+                f'<rect x="{_f(px + z * cell_w)}" y="{_f(y0)}" '
+                f'width="{_f(cell_w)}" height="{_f(bar_h)}" fill="{color}" '
+                f'stroke="#ffffff" stroke-width="0.5"/>'
+            )
+
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_enriched_points_match_per_point_formatting(scale):
+    """Curves of all four kinds, on a series within the unit square and
+    on one whose fits leave it, render to the bytes of per-point mapping
+    and formatting, with and without the title and error bar."""
+    rng = np.random.default_rng(19)
+    ys = scale * np.sin(np.linspace(0.0, 9.0, 48)) + 0.2 * rng.standard_normal(48)
+    s = series_exact(ys, levels=2)
+    pool = build_pool(s, tuple(CurveKind))
+    curves = tuple(d for kind in CurveKind for d in pool if d.kind is kind)[::3]
+    assert {d.kind for d in curves} == set(CurveKind)
+    for spec in (PlotSpec(series=s, curves=curves),
+                 PlotSpec(series=s, curves=curves, error_bar=(0.0, 0.05, 0.1, 0.3),
+                          title="all kinds")):
+        assert render_enriched(spec) == _render_enriched_reference(spec)
+
+
+def test_enriched_points_match_per_point_formatting_at_odd_values():
+    """Series y below 0, above 1, exactly 0.0 and 1.0, -0.0 and nan, and x
+    of -0.0, map and format as one point at a time does."""
+    ys = [-0.5, 1.5, 0.0, 1.0, -0.0, math.nan, 1e-300, -1e-300, 0.125, 0.995, 0.005, 2.0]
+    s = series_exact(ys, levels=2)
+    s = TimeSeries(xs=np.concatenate([[-0.0], s.xs[1:]]), ys=s.ys, n_zones=s.n_zones,
+                   zone_bounds=s.zone_bounds)
+    flat = make_descriptor(0, 0, 3, [0.1] * 4, 4)
+    for spec in (PlotSpec(series=s),
+                 PlotSpec(series=s, curves=(flat,), error_bar=(0.1,) * 4, title="odd")):
+        svg = render_enriched(spec)
+        assert svg == _render_enriched_reference(spec)
+        assert "nan" in svg
 
 
 def test_plot_spec_validation():
