@@ -10,18 +10,18 @@ Subcommands:
 * ``render``: rebuild the SVG artifacts from a previous run's saved
   pool and selection files.
 
-Config values resolve as command line > config file > defaults.  The
-config file is a flat ``key = value`` document; lists use commas, and
-a key that names no option is an error.  ``RunConfig`` checks every
-value, thresholds included, when it is built, so a bad value fails
-before any input is read.  Every artifact
-lands at ``out_dir/<stem>.<suffix>`` and is written atomically by
-``write_atomic``; ``render`` rebuilds the charts from the saved
-``pool.jsonl`` and ``selection.json`` of an earlier
-``narrate --emit json,pool``.
+Config values resolve as command line > config file > defaults.  Each
+option is one ``_CONFIG_KEYS`` entry: the converter that its flag and
+the flat ``key = value`` config file share, and its flag's help, which
+shows the ``RunConfig`` default.  Config lists use commas, and a key that
+names no option is an error.  ``RunConfig`` checks every value when it
+is built, so a bad value fails before any input is read.  Every artifact
+lands at ``out_dir/<stem>.<suffix>``, written atomically; ``render``
+rebuilds the charts from the ``pool.jsonl`` and ``selection.json`` that
+``narrate --emit json,pool`` saved.
 
-Exit codes: 0 success, 3 ingest failure, 4 fitting failure, 5 solver
-failure, 6 output failure (2 is argparse usage).
+Exit codes, one ``_EXITS`` entry per error class: 0 success, 3 ingest,
+4 fitting, 5 solver, 6 output failure (2 is argparse usage).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import cache, cached_property
 from pathlib import Path
 
 from . import __version__
@@ -66,10 +66,14 @@ from .prototypes import CurveKind
 from .render import PlotSpec, render_enriched, render_heatmap
 from .textgen import NarrationText, realize
 
-EXIT_INGEST = 3
-EXIT_FIT = 4
-EXIT_SOLVE = 5
-EXIT_OUTPUT = 6
+# Each pipeline error's stderr label and exit code.
+_EXITS = {
+    IngestError: ("ingest error", 3),
+    FitError: ("fit error", 4),
+    SolveError: ("solve error", 5),
+    OutputError: ("output error", 6),
+}
+EXIT_INGEST, EXIT_FIT, EXIT_SOLVE, EXIT_OUTPUT = (code for _, code in _EXITS.values())
 
 EMIT_CHOICES = ("text", "json", "svg", "heatmap", "pool")
 
@@ -166,6 +170,17 @@ def _artifact(cfg: RunConfig, suffix: str) -> Path:
     return Path(cfg.out_dir) / f"{Path(cfg.input).stem}.{suffix}"
 
 
+def _write_artifact(cfg: RunConfig, suffix: str, text: str) -> str:
+    """Write ``text`` to out_dir/<stem>.<suffix> atomically; returns the path."""
+    path = _artifact(cfg, suffix)
+    write_atomic(path, text)
+    return str(path)
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 # ----------------------------------------------------------------------
 # config file and argument plumbing
 # ----------------------------------------------------------------------
@@ -213,20 +228,20 @@ def _parse_kinds(raw: str) -> tuple[CurveKind, ...]:
     return kinds
 
 
-# RunConfig field -> converter from the config file's text.  The command
-# line flags of the same names (dashes for underscores) use the same
-# converters; penalty_eps has no flag.
+# RunConfig field -> the argparse settings of its flag, the field name
+# with dashes, on every subcommand; the help gets the field's default.
+# ``type`` also converts the config file's text.  penalty_eps has no flag.
 _CONFIG_KEYS = {
-    "input": str,
-    "format": str,
-    "levels": int,
-    "verbosity": int,
-    "max_thr": float,
-    "min_thr": float,
-    "penalty_eps": float,
-    "kinds": _parse_kinds,
-    "out_dir": str,
-    "emit": _parse_list,
+    "input": dict(type=str, help="path to the input series"),
+    "format": dict(type=str, choices=FORMATS, help="input format"),
+    "levels": dict(type=int, help="zone levels, 2**levels zones"),
+    "verbosity": dict(type=int, help="verbosity bound V"),
+    "max_thr": dict(type=float, help="summary per-zone error threshold"),
+    "min_thr": dict(type=float, help="cross-level improvement threshold"),
+    "penalty_eps": dict(type=float),
+    "kinds": dict(type=_parse_kinds, help="comma list of curve kinds"),
+    "out_dir": dict(type=str, help="directory for emitted files"),
+    "emit": dict(type=_parse_list, help=f"comma list of outputs: {','.join(EMIT_CHOICES)}"),
 }
 
 
@@ -239,10 +254,10 @@ def merge_config(cli_args: dict, file_values: dict) -> RunConfig:
                 f"config key {key}: unknown, expected one of {', '.join(_CONFIG_KEYS)}"
             )
     merged: dict = {}
-    for key, conv in _CONFIG_KEYS.items():
+    for key, flag in _CONFIG_KEYS.items():
         if key in file_values:
             try:
-                merged[key] = conv(file_values[key])
+                merged[key] = flag["type"](file_values[key])
             except ValueError as exc:
                 raise IngestError(f"config key {key}: {exc}") from None
     for key, val in cli_args.items():
@@ -273,33 +288,20 @@ def _emit_outputs(
     ``render`` everything but the narration.
     """
     wrote = []
-
     if "text" in cfg.emit:
-        p = _artifact(cfg, "txt")
-        write_atomic(p, text.full_text + "\n")
-        wrote.append(str(p))
+        wrote.append(_write_artifact(cfg, "txt", text.full_text + "\n"))
     if "json" in cfg.emit:
-        p = _artifact(cfg, "selection.json")
-        write_atomic(p, json.dumps(selection.as_dict(), indent=2, sort_keys=True) + "\n")
-        wrote.append(str(p))
-        p = _artifact(cfg, "narration.json")
-        write_atomic(
-            p, json.dumps(narration_structure(units), indent=2, sort_keys=True) + "\n"
-        )
-        wrote.append(str(p))
+        wrote.append(_write_artifact(cfg, "selection.json", _json(selection.as_dict())))
+        wrote.append(_write_artifact(cfg, "narration.json", _json(narration_structure(units))))
     if "pool" in cfg.emit:
         p = _artifact(cfg, "pool.jsonl")
         dump_pool(pool, p)
         wrote.append(str(p))
     if "svg" in cfg.emit:
         for name, svg in _charts(series, pool, levels, selection, cfg.max_thr):
-            p = _artifact(cfg, f"{name}.svg")
-            write_atomic(p, svg)
-            wrote.append(str(p))
+            wrote.append(_write_artifact(cfg, f"{name}.svg", svg))
     if "heatmap" in cfg.emit:
-        p = _artifact(cfg, "heatmap.svg")
-        write_atomic(p, _heatmap(pool, levels, selection))
-        wrote.append(str(p))
+        wrote.append(_write_artifact(cfg, "heatmap.svg", _heatmap(pool, levels, selection)))
     return wrote
 
 
@@ -336,34 +338,30 @@ def _heatmap(pool, levels, selection):
 
 def run(cfg: RunConfig) -> RunReport:
     """Full pipeline for one series; returns the run report."""
-    timings = {}
-    t0 = time.perf_counter()
+    timings, marks = {}, [time.perf_counter()]
+
+    def lap(stage: str) -> None:  # the clock is read once at each stage boundary
+        marks.append(time.perf_counter())
+        timings[stage] = marks[-1] - marks[-2]
+
     series = load_series(cfg.input, cfg.format, cfg.levels)
-    timings["ingest"] = time.perf_counter() - t0
+    lap("ingest")
     # The penalty bound needs only the zone count: fail before the fit.
     try:
         cfg.selection_config.check_penalty(series.n_zones)
     except ValueError as exc:
         raise SolveError(str(exc)) from None
-
-    t0 = time.perf_counter()
     pool = build_pool(series, cfg.kinds)
-    timings["fit"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    lap("fit")
     levels = solve_cover(pool, cfg.verbosity)
     s, met = pick_summary(levels, cfg.max_thr)
     selection = solve_details(pool, levels, s, cfg.selection_config, threshold_met=met)
-    timings["solve"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    lap("solve")
     units = build_narration(selection, pool, series)
     text = realize(units, threshold_met=selection.threshold_met)
-    timings["narrate"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    lap("narrate")
     outputs = _emit_outputs(cfg, pool, series, levels, selection, units, text)
-    timings["emit"] = time.perf_counter() - t0
+    lap("emit")
     return RunReport(pool, levels, selection, text, timings, outputs)
 
 
@@ -410,24 +408,21 @@ def _format_sweep(rows: list[dict]) -> str:
 # ----------------------------------------------------------------------
 
 
+def _spelled(value) -> str:
+    """A ``RunConfig`` default as a flag spells it: tuples as comma lists."""
+    if isinstance(value, tuple):
+        return ",".join(getattr(v, "label", v) for v in value)
+    return str(value)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="path to the input series")
-    p.add_argument("--format", choices=FORMATS, default=None,
-                   help="input format (default csv)")
-    p.add_argument("--levels", type=int, default=None,
-                   help="zone levels, 2**levels zones (default 4)")
-    p.add_argument("--verbosity", type=int, default=None,
-                   help="verbosity bound V (default 5)")
-    p.add_argument("--max-thr", type=float, default=None, dest="max_thr",
-                   help="summary per-zone error threshold (default 0.15)")
-    p.add_argument("--min-thr", type=float, default=None, dest="min_thr",
-                   help="cross-level improvement threshold (default 0.02)")
-    p.add_argument("--kinds", type=_parse_kinds, default=None,
-                   help="comma list of curve kinds (default line,bilinear,tooth)")
-    p.add_argument("--out-dir", default=None, dest="out_dir",
-                   help="directory for emitted files (default .)")
-    p.add_argument("--emit", type=_parse_list, default=None,
-                   help="comma list of outputs: text,json,svg,heatmap,pool")
+    """A flag per ``_CONFIG_KEYS`` help, None unless given, and ``--config``."""
+    for f in fields(RunConfig):
+        flag = dict(_CONFIG_KEYS[f.name], default=None)
+        if "help" in flag:
+            if f.default is not MISSING:
+                flag["help"] += f" (default {_spelled(f.default)})"
+            p.add_argument("--" + f.name.replace("_", "-"), **flag)
     p.add_argument("--config", default=None, help="flat key=value config file")
 
 
@@ -466,9 +461,7 @@ def _cmd_sweep(args) -> int:
     rows = sweep(cfg, _parse_levels_list(args.levels_list))
     print(_format_sweep(rows))
     if "json" in cfg.emit:
-        out = _artifact(cfg, "sweep.json")
-        write_atomic(out, json.dumps(rows, indent=2, sort_keys=True) + "\n")
-        print(f"wrote: {out}")
+        print(f"wrote: {_write_artifact(cfg, 'sweep.json', _json(rows))}")
     return 0
 
 
@@ -522,7 +515,9 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand; built once per process."""
     parser = argparse.ArgumentParser(
         prog="serinarr",
         description="Narrate a scalar time series as structured English text.",
@@ -541,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="compare several zone level counts")
     _add_common(p)
     p.add_argument("--levels-list", default="3,4,5", dest="levels_list",
-                   help="comma list of level counts (default 3,4,5)")
+                   help="comma list of level counts (default %(default)s)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("render", help="re-render charts from saved artifacts")
@@ -552,23 +547,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
         # Inside the try: a flag's converter (--kinds) may raise IngestError.
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except IngestError as exc:
-        print(f"ingest error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
-    except FitError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_FIT
-    except SolveError as exc:
-        print(f"solve error: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
-    except OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
+    except SerinarrError as exc:
+        label, code = next(v for cls, v in _EXITS.items() if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -81,6 +81,13 @@ class SelectionConfig:
             )
 
 
+def _typed(value, *types):
+    """``value``, unless its type is none of ``types``: then ``ValueError``."""
+    if type(value) not in types:
+        raise ValueError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     s: int  # summary verbosity level
@@ -108,15 +115,18 @@ class SelectionResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> SelectionResult:
-        """Inverse of ``as_dict``."""
+        """Inverse of ``as_dict``.  A value of another json type than
+        ``as_dict`` writes raises ``ValueError``; ``bool`` is no number."""
         return cls(
-            s=doc["summary_level"],
-            summary=tuple(doc["summary_ids"]),
-            details=tuple((d["id"], d["level"]) for d in doc["details"]),
-            objective=doc["objective"],
-            per_zone_gain={int(z): g for z, g in doc["per_zone_gain"].items()},
-            global_rmse=doc["global_rmse"],
-            threshold_met=doc["threshold_met"],
+            s=_typed(doc["summary_level"], int),
+            summary=tuple(_typed(i, int) for i in _typed(doc["summary_ids"], list)),
+            details=tuple((_typed(d["id"], int), _typed(d["level"], int))
+                          for d in _typed(doc["details"], list)),
+            objective=_typed(doc["objective"], int, float),
+            per_zone_gain={int(z): _typed(g, int, float)
+                           for z, g in _typed(doc["per_zone_gain"], dict).items()},
+            global_rmse=_typed(doc["global_rmse"], int, float),
+            threshold_met=_typed(doc["threshold_met"], bool),
         )
 
     @property
@@ -241,7 +251,7 @@ def solve_details(
     suf_hi.reverse()
     suf_lo.reverse()
 
-    best: tuple | None = None  # (tie-break key, per-zone gains)
+    best: tuple | None = None  # (tie-break key, per-zone gains, per-zone least error)
     expanded = pruned = 0
 
     def search(chosen: tuple[int, ...], resid: tuple[int, ...], bits: int,
@@ -260,7 +270,7 @@ def solve_details(
         key = (-obj, len(chosen), chosen)
         if best is None or key < best[0]:
             gains = {z: hi[z] - lo[z] for z in all_zones if covered >> z & 1}
-            best = key, gains
+            best = key, gains, lo
         if len(chosen) >= cfg.v:
             return
         # Child idx, later children and their descendants add candidates
@@ -292,12 +302,13 @@ def solve_details(
 
     summary_err = list(by_v[s].zone_errs)
     search((), (), 0, summary_err, summary_err, 0, 0)
-    (neg_obj, _, chosen), gains = best
+    (neg_obj, _, chosen), gains, least = best
     details = tuple((candidates[k][0].id, candidates[k][1]) for k in chosen)
+    # ``least`` is each zone's least error over the summary and the details.
     # Left-to-right float sum: fsum, numpy and Python 3.12's compensated
     # sum() round differently and would change selection.json.
     total = 0.0
-    for e in pool.zone_errs(list(summary_ids) + [i for i, _ in details]):
+    for e in least:
         total += e
     return SelectionResult(
         s=s,

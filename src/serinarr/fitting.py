@@ -853,36 +853,63 @@ def dump_pool(pool: DescriptorPool, path: str | Path) -> None:
     write_atomic(Path(path), json.dumps(header, sort_keys=True) + "\n" + body)
 
 
+def _as_floats(values, what: str) -> list[float]:
+    """Json numbers as floats; any other value (``bool`` included) or an
+    int past the float range raises ``ValueError``."""
+    if not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"{what} must be json numbers, got {values!r}")
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(f"{what} must fit a float, got {values!r}") from None
+
+
 def load_pool(path: str | Path) -> DescriptorPool:
     """Inverse of ``dump_pool``: each line is decoded on its own by one
     shared json decoder, and blank lines after the header are skipped.
-    An empty file, or a line that is not one json value, raises
-    ``ValueError``."""
+    An empty file, a line that is not one json value, or a value that
+    ``dump_pool`` would not write raises ``ValueError``: zones and counts
+    must be json ints, the k-th record's id k (``build_pool`` numbers them
+    so), params and zone errors json numbers, and a bilinear's range its
+    zones'."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"empty pool dump {path}")
     decode = json.JSONDecoder().decode
     header = decode(lines[0])
+    n_zones, n_infeasible = header["n_zones"], header.get("n_infeasible", 0)
+    if not (type(n_zones) is type(n_infeasible) is int):
+        raise ValueError(f"pool header counts must be json ints: {lines[0]}")
     descriptors = []
     for line in lines[1:]:
         if not line.strip():
             continue
         rec = decode(line)
         kind = CurveKind.from_label(rec["kind"])
-        descriptors.append(
-            Descriptor(
-                id=rec["id"],
-                kind=kind,
-                params=params_from_dict(kind, rec["params"]),
-                zone_start=rec["zone_start"],
-                zone_end=rec["zone_end"],
-                zone_errs=tuple(rec["zone_errs"]),
-                n_zones=header["n_zones"],
-            )
+        params, errs = rec["params"], rec["zone_errs"]
+        if not (type(rec["id"]) is type(rec["zone_start"]) is type(rec["zone_end"]) is int
+                and rec["id"] == len(descriptors) and type(params) is dict
+                and type(errs) is list):
+            raise ValueError(f"not a pool record dump_pool writes: {line}")
+        if not {*map(type, errs), *map(type, params.values())} <= {float}:  # an int, or no number
+            errs = _as_floats(errs, "zone_errs")
+            params = dict(zip(params, _as_floats(params.values(), "params")))
+        d = Descriptor(
+            id=rec["id"],
+            kind=kind,
+            params=params_from_dict(kind, params),
+            zone_start=rec["zone_start"],
+            zone_end=rec["zone_end"],
+            zone_errs=tuple(errs),
+            n_zones=n_zones,
         )
+        if kind is CurveKind.BILINEAR and (d.params.x_lo, d.params.x_hi) != (d.x_lo, d.x_hi):
+            raise ValueError(f"descriptor {d.id}: bilinear range [{d.params.x_lo}, "
+                             f"{d.params.x_hi}] is not its zones' [{d.x_lo}, {d.x_hi}]")
+        descriptors.append(d)
     return DescriptorPool(
         descriptors=tuple(descriptors),
-        n_zones=header["n_zones"],
+        n_zones=n_zones,
         kinds=tuple(CurveKind.from_label(k) for k in header["kinds"]),
-        n_infeasible=header.get("n_infeasible", 0),
+        n_infeasible=n_infeasible,
     )

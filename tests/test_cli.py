@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from serinarr.cli import (
     EXIT_OUTPUT,
     EXIT_SOLVE,
     RunConfig,
+    _CONFIG_KEYS,
     _artifact,
     _format_sweep,
     _parse_kinds,
@@ -438,6 +440,51 @@ def test_main_render_rejects_summary_not_the_tiling(sample_csv, tmp_path, capsys
     assert not (out / "dipper.summary.svg").exists()
 
 
+# Edits of one saved value whose json type is wrong: (id, artifact, key,
+# new value from the old one).  A pool edit changes the first record whose
+# zone_start is 2.
+_WRONG_TYPES = [
+    ("zone-err-null", "pool.jsonl", "zone_errs", lambda errs: [None, *errs[1:]]),
+    ("zone-err-string", "pool.jsonl", "zone_errs", lambda errs: ["x", *errs[1:]]),
+    ("zone-err-list", "pool.jsonl", "zone_errs", lambda errs: [[1], *errs[1:]]),
+    ("zone-errs-dict", "pool.jsonl", "zone_errs",
+     lambda errs: {str(k): e for k, e in enumerate(errs)}),
+    ("zone-start-float", "pool.jsonl", "zone_start", float),
+    ("gain-null", "selection.json", "per_zone_gain", lambda _: None),
+    ("gain-string", "selection.json", "per_zone_gain", lambda _: "x"),
+    ("gain-list", "selection.json", "per_zone_gain", lambda _: [1]),
+]
+
+
+@pytest.mark.parametrize("artifact, key, edit", [case[1:] for case in _WRONG_TYPES],
+                         ids=[case[0] for case in _WRONG_TYPES])
+def test_main_render_rejects_wrong_value_types(sample_csv, tmp_path, capsys,
+                                               artifact, key, edit):
+    """A saved value of the wrong json type exits 6 with one ``output
+    error:`` line and writes no chart."""
+    out = tmp_path / "render_out"
+    assert main([
+        "narrate", "--input", str(sample_csv), "--levels", "3",
+        "--verbosity", "4", "--out-dir", str(out), "--emit", "json,pool",
+    ]) == 0
+    path = out / f"dipper.{artifact}"
+    if artifact == "selection.json":
+        docs = [json.loads(path.read_text())]
+    else:
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+    doc = next(d for d in docs if artifact == "selection.json" or d.get("zone_start") == 2)
+    doc[key] = edit(doc[key])
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    capsys.readouterr()
+    code = main(["render", "--input", str(sample_csv), "--levels", "3",
+                 "--verbosity", "4", "--out-dir", str(out)])
+    assert code == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error: cannot load")
+    assert len(err.splitlines()) == 1
+    assert not (out / "dipper.summary.svg").exists()
+
+
 def test_main_narrate_pool_into_new_dir(sample_csv, tmp_path, capsys):
     out = tmp_path / "fresh" / "dir"
     code = main(["narrate", "--input", str(sample_csv), "--levels", "3",
@@ -695,6 +742,72 @@ def test_every_config_runs_or_exits_with_a_mapped_code(levels, verbosity, file_v
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
+@pytest.fixture(scope="module")
+def saved_fixture_run(tmp_path_factory):
+    """The bundled fixture narrated at level 3 with ``--emit json,pool``:
+    the render argv without ``--out-dir``, and the directory it wrote."""
+    fixture = Path(__file__).parent / "data" / "concert_weekly.csv"
+    argv = ["--input", str(fixture), "--format", "trends_csv", "--levels", "3"]
+    out = tmp_path_factory.mktemp("saved")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["narrate", *argv, "--out-dir", str(out), "--emit", "json,pool"]) == 0
+    return argv, out
+
+
+def _positions(doc, at=()):
+    """The key path of every value in a decoded json document, its root first."""
+    yield at
+    if isinstance(doc, (dict, list)):
+        for k, v in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _positions(v, at + (k,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_render_never_raises_on_a_mutated_artifact(saved_fixture_run, data):
+    """One value anywhere in ``selection.json``, or in one line of the
+    pool, replaced by any json value (RFC 8259 has no NaN or Infinity):
+    ``render`` exits 0, or 6 with one ``output error:`` line; nothing
+    ends in a traceback."""
+    argv, saved = saved_fixture_run
+    texts = {name: (saved / f"concert_weekly.{name}").read_text()
+             for name in ("pool.jsonl", "selection.json")}
+    name = data.draw(st.sampled_from(sorted(texts)))
+    lines = texts[name].splitlines() if name == "pool.jsonl" else [texts[name]]
+    k = data.draw(st.integers(0, len(lines) - 1))
+    doc = json.loads(lines[k])
+    at = data.draw(st.sampled_from(list(_positions(doc))))
+    value = data.draw(_JSON_VALUES)
+    if at:
+        parent = doc
+        for key in at[:-1]:
+            parent = parent[key]
+        parent[at[-1]] = value
+    else:
+        doc = value
+    lines[k] = json.dumps(doc)
+    texts[name] = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        for artifact, text in texts.items():
+            (Path(tmp) / f"concert_weekly.{artifact}").write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["render", *argv, "--out-dir", tmp])
+    assert code in (0, EXIT_OUTPUT), (code, err.getvalue())
+    if code == EXIT_OUTPUT:
+        assert err.getvalue().startswith("output error:")
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
 def test_unset_penalty_eps_keeps_the_default_where_it_fits():
     """Every level and verbosity the default 1e-4 fits keeps it, so runs
     that worked before keep their bytes; the rest get half the bound."""
@@ -734,6 +847,38 @@ def test_parser_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["explode"])
     assert exc.value.code == 2
+
+
+def test_every_option_is_a_flag_that_shows_its_default(monkeypatch):
+    """Each ``RunConfig`` field is a ``_CONFIG_KEYS`` key, and each key but
+    penalty_eps is a flag of every subcommand whose help names the
+    field's default."""
+    monkeypatch.setenv("COLUMNS", "1000")  # one help line per flag
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    assert list(defaults) == list(_CONFIG_KEYS)
+    for cmd in ("narrate", "fit", "sweep", "render"):
+        with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as out:
+            main([cmd, "--help"])
+        helps = {m[1].replace("-", "_"): m[2]
+                 for m in re.finditer(r"^  --([\w-]+)(?: \S+)?\s+(.*)$", out.getvalue(), re.M)}
+        assert "penalty_eps" not in helps
+        for key, default in defaults.items():
+            if key == "penalty_eps":
+                continue
+            if default is dataclasses.MISSING:
+                assert "default" not in helps[key], (cmd, key)
+            else:
+                shown = ",".join(getattr(v, "label", v) for v in default) \
+                    if isinstance(default, tuple) else str(default)
+                assert helps[key].endswith(f"(default {shown})"), (cmd, key, helps[key])
+
+
+def test_main_builds_the_parser_once():
+    build_parser.cache_clear()
+    with contextlib.redirect_stderr(io.StringIO()):
+        for _ in range(2):
+            assert main(["narrate", "--input", "missing.csv"]) == EXIT_INGEST
+    assert build_parser.cache_info().misses == 1
 
 
 def test_parser_subcommands_present():

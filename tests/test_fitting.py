@@ -293,6 +293,31 @@ def test_load_pool_takes_what_the_per_line_loader_takes(edit, taken, tmp_path):
     assert _outcome(load_pool, path) == want
 
 
+def _move_bilinear_start(recs):
+    """Move the first bilinear's x_lo halfway to its breakpoint."""
+    params = next(r for r in recs if r.get("kind") == "bilinear")["params"]
+    params["x_lo"] = (params["x_lo"] + params["x_b"]) / 2
+
+
+@pytest.mark.parametrize("edit", [
+    lambda recs: recs[3].update(id=2 ** 64),
+    lambda recs: recs[3].update(id=0),
+    _move_bilinear_start,
+], ids=["id-past-int64", "repeated-id", "bilinear-range-moved"])
+def test_load_pool_rejects_ids_out_of_order_and_moved_bilinear_ranges(edit, tmp_path):
+    """The k-th record's id is k, as ``build_pool`` numbers them, and a
+    bilinear's range is its zones': a saved pool that breaks either
+    raises ``ValueError``."""
+    s = make_series([0.1, 0.9, 0.4, 0.7, 0.2, 0.8, 0.3, 0.6, 0.5, 1.0, 0.2, 0.4], levels=2)
+    path = tmp_path / "pool.jsonl"
+    dump_pool(build_pool(s, tuple(CurveKind)), path)
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(recs)
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    with pytest.raises(ValueError):
+        load_pool(path)
+
+
 def test_descriptor_accessors():
     s = make_series([1.0, 2.0, 1.0, 3.0, 2.0, 4.0, 1.0, 5.0], levels=2)
     pool = build_pool(s, kinds=(CurveKind.LINE,))

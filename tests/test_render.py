@@ -6,7 +6,7 @@ from conftest import make_descriptor, make_series, series_exact
 
 from serinarr.fitting import build_pool
 from serinarr.ingest import TimeSeries
-from serinarr.prototypes import CurveKind, evaluate
+from serinarr.prototypes import BilinearParams, CurveKind, evaluate
 from serinarr.render import (
     CHART_HEIGHT,
     CHART_WIDTH,
@@ -207,6 +207,17 @@ def test_enriched_points_match_per_point_formatting_at_odd_values():
         svg = render_enriched(spec)
         assert svg == _render_enriched_reference(spec)
         assert "nan" in svg
+
+
+def test_enriched_clips_a_curve_that_overflows():
+    """A reloaded bilinear whose right end is the largest float overflows
+    on the dropped branch left of its breakpoint: the chart still renders,
+    with no RuntimeWarning, and its points stay on the plot area."""
+    params = BilinearParams(x_b=0.9, y_l=0.2, y_b=0.5, y_r=1.7976931348623157e308,
+                            x_lo=0.0, x_hi=1.0)
+    curve = make_descriptor(0, 0, 3, [0.1] * 4, 4, kind=CurveKind.BILINEAR, params=params)
+    svg = render_enriched(base_spec(curves=(curve,)))
+    assert "nan" not in svg and "inf" not in svg
 
 
 def test_plot_spec_validation():
