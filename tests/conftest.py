@@ -4,8 +4,12 @@ Everything here is deliberately independent of the library's own
 loading path: series are assembled by hand so fitting and solver tests
 control the exact sample values, and pools of fake descriptors carry
 hand-picked per-zone errors for the optimizer oracles.  ``POOL_EDITS``
-damages or reflows a dumped pool, for the reload oracle and the CLI.
+damages or reflows a dumped pool, for the reload oracle and the CLI;
+``POOL_VALUE_EDITS`` breaks a rule on one saved record's values.
 """
+
+import json
+import math
 
 import numpy as np
 import pytest
@@ -133,3 +137,36 @@ POOL_EDITS = [
     ("truncated-last-line", lambda t: t.rstrip("\n")[:-20], False),
     ("empty-file", lambda t: "", False),
 ]
+
+
+def _params(**edit):
+    """An edit setting params of a record, each value from its params."""
+    return lambda rec, n_zones: rec["params"].update(
+        {k: f(rec["params"]) for k, f in edit.items()})
+
+
+# Edits of one decoded pool record, in place, that break one rule on its
+# values; the label of the kind of record each applies to (None: any) and
+# the record's zone count are given.
+POOL_VALUE_EDITS = [
+    ("tooth-plateau-not-ordered", "tooth", _params(x_s=lambda p: p["x_e"])),
+    ("bilinear-breakpoint-outside", "bilinear", _params(x_b=lambda p: p["x_hi"])),
+    ("sinusoid-amp-negative", "sinusoid", _params(amp=lambda p: -0.5)),
+    ("sinusoid-freq-zero", "sinusoid", _params(freq=lambda p: 0.0)),
+    ("param-nan", "tooth", _params(x_s=lambda p: math.nan)),
+    ("zone-end-past-grid", None, lambda rec, n_zones: rec.update(
+        zone_end=n_zones, zone_errs=rec["zone_errs"] + [0.5] * (n_zones - rec["zone_end"]))),
+    ("zone-start-past-end", None, lambda rec, n_zones: rec.update(
+        zone_start=rec["zone_end"] + 1, zone_errs=[])),
+    ("zone-errs-short", None, lambda rec, n_zones: rec.update(zone_errs=rec["zone_errs"][:-1])),
+]
+
+
+def edit_pool_record(text, kind, edit):
+    """A dumped pool's text with ``edit`` applied to its first record of
+    the kind labelled ``kind`` (any kind for None)."""
+    header, *lines = text.splitlines()
+    recs = [json.loads(line) for line in lines]
+    rec = next(r for r in recs if kind in (None, r["kind"]))
+    edit(rec, json.loads(header)["n_zones"])
+    return "".join(line + "\n" for line in [header, *map(json.dumps, recs)])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import POOL_EDITS
+from conftest import POOL_EDITS, POOL_VALUE_EDITS, edit_pool_record
 from serinarr.cli import (
     EXIT_FIT,
     EXIT_INGEST,
@@ -407,6 +407,31 @@ def test_main_render_rejects_damaged_pool(sample_csv, tmp_path, capsys, edit):
     ]) == 0
     pool = out / "dipper.pool.jsonl"
     pool.write_text(edit(pool.read_text()), newline="")
+    capsys.readouterr()
+    code = main(["render", "--input", str(sample_csv), "--levels", "3",
+                 "--verbosity", "4", "--out-dir", str(out)])
+    assert code == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error: cannot load")
+    assert len(err.splitlines()) == 1
+    assert not (out / "dipper.summary.svg").exists()
+
+
+@pytest.mark.parametrize("kind, edit", [case[1:] for case in POOL_VALUE_EDITS],
+                         ids=[case[0] for case in POOL_VALUE_EDITS])
+def test_main_render_rejects_pool_values_that_break_a_rule(
+        sample_csv, tmp_path, capsys, kind, edit):
+    """A saved record whose values break a params rule or its zone range
+    exits 6 with one ``output error: cannot load`` line and writes no
+    chart."""
+    out = tmp_path / "render_out"
+    assert main([
+        "narrate", "--input", str(sample_csv), "--levels", "3", "--verbosity", "4",
+        "--kinds", "line,bilinear,tooth,sinusoid", "--out-dir", str(out),
+        "--emit", "json,pool",
+    ]) == 0
+    pool = out / "dipper.pool.jsonl"
+    pool.write_text(edit_pool_record(pool.read_text(), kind, edit))
     capsys.readouterr()
     code = main(["render", "--input", str(sample_csv), "--levels", "3",
                  "--verbosity", "4", "--out-dir", str(out)])

@@ -12,7 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import POOL_EDITS, make_descriptor, make_series, raw_series, series_exact
+from conftest import (
+    POOL_EDITS,
+    POOL_VALUE_EDITS,
+    edit_pool_record,
+    make_descriptor,
+    make_series,
+    raw_series,
+    series_exact,
+)
 from serinarr import fitting
 from serinarr.errors import FitError
 from serinarr.fitting import (
@@ -314,6 +322,20 @@ def test_load_pool_rejects_ids_out_of_order_and_moved_bilinear_ranges(edit, tmp_
     recs = [json.loads(line) for line in path.read_text().splitlines()]
     edit(recs)
     path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    with pytest.raises(ValueError):
+        load_pool(path)
+
+
+@pytest.mark.parametrize("kind, edit", [case[1:] for case in POOL_VALUE_EDITS],
+                         ids=[case[0] for case in POOL_VALUE_EDITS])
+def test_load_pool_rejects_values_that_break_a_rule(kind, edit, tmp_path):
+    """A record whose params break their kind's rule, or whose zone range
+    or zone error count is not one ``build_pool`` makes, raises
+    ``ValueError``."""
+    s = make_series([0.1, 0.9, 0.4, 0.7, 0.2, 0.8, 0.3, 0.6, 0.5, 1.0, 0.2, 0.4], levels=2)
+    path = tmp_path / "pool.jsonl"
+    dump_pool(build_pool(s, tuple(CurveKind)), path)
+    path.write_text(edit_pool_record(path.read_text(), kind, edit))
     with pytest.raises(ValueError):
         load_pool(path)
 
