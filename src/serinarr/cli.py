@@ -34,6 +34,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 from functools import cache, cached_property
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .cover import VerbosityLevel, level_error_matrix, solve_cover
 from .details import (
@@ -415,11 +417,12 @@ def _spelled(value) -> str:
     return str(value)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """A flag per ``_CONFIG_KEYS`` help, None unless given, and ``--config``."""
+def _add_common(p: argparse.ArgumentParser, emit: bool = True) -> None:
+    """A flag per ``_CONFIG_KEYS`` help, None unless given, and ``--config``;
+    ``--emit`` only if ``emit``, on the subcommands that honour it."""
     for f in fields(RunConfig):
         flag = dict(_CONFIG_KEYS[f.name], default=None)
-        if "help" in flag:
+        if "help" in flag and (emit or f.name != "emit"):
             if f.default is not MISSING:
                 flag["help"] += f" (default {_spelled(f.default)})"
             p.add_argument("--" + f.name.replace("_", "-"), **flag)
@@ -493,7 +496,9 @@ def _cmd_render(args) -> int:
             f"{pool_path.name} has {pool.n_zones} zones but --levels {cfg.levels} "
             f"gives {series.n_zones}; render with the --levels narrate used"
         )
-    unknown = set(selection.selected_ids) - {d.id for d in pool}
+    if not np.isfinite(pool.errs).all():
+        raise OutputError(f"{pool_path.name} holds non-finite zone errors")
+    unknown = {i for i in selection.selected_ids if not 0 <= i < len(pool)}
     if unknown:
         raise OutputError(
             f"{sel_path.name} names descriptors {sorted(unknown)} missing "
@@ -530,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_narrate)
 
     p = sub.add_parser("fit", help="fit the descriptor pool only")
-    _add_common(p)
+    _add_common(p, emit=False)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("sweep", help="compare several zone level counts")
@@ -540,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("render", help="re-render charts from saved artifacts")
-    _add_common(p)
+    _add_common(p, emit=False)
     p.set_defaults(func=_cmd_render)
 
     return parser

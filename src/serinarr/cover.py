@@ -59,23 +59,19 @@ def min_segment_zones(n_zones: int, v: int) -> int:
     return math.ceil(n_zones / 2 ** v)
 
 
-def segment_table(
-    pool: DescriptorPool,
-) -> dict[tuple[int, int], tuple[float, int]]:
-    """Cheapest descriptor per zone range.
-
-    Cost of a descriptor is the sum of its per-zone errors.  Ties go to
-    the smaller kind (line < bilinear < tooth < sinusoid), then the
-    smaller id, so the table does not depend on pool order.
-    """
-    table: dict[tuple[int, int], tuple[float, int, int]] = {}
-    for d in pool:
-        key = (d.zone_start, d.zone_end)
-        entry = (d.total_err, int(d.kind), d.id)
-        cur = table.get(key)
-        if cur is None or entry < cur:
-            table[key] = entry
-    return {k: (cost, id_) for k, (cost, _, id_) in table.items()}
+def segment_table(pool: DescriptorPool) -> tuple[np.ndarray, np.ndarray]:
+    """Cheapest descriptor per zone range, its ``total`` the cost:
+    ``cost[m, k]`` and ``ids[m, k]`` over zones m..k-1, inf and -1 where
+    there is none.  Ties go to the smaller kind (line < bilinear < tooth <
+    sinusoid), then the smaller id: a stable lexsort on (range, total,
+    kind) puts each range's pick first, whatever the pool's row order."""
+    n = pool.n_zones
+    cell = pool.zone_start * (n + 1) + pool.zone_end + 1  # in a raveled (n + 1, n + 1) table
+    order = np.lexsort((pool.kind, pool.total, cell))
+    pick = order[np.unique(cell[order], return_index=True)[1]]
+    cost, ids = np.full((n + 1) ** 2, _INF), np.full((n + 1) ** 2, -1)
+    cost[cell[pick]], ids[cell[pick]] = pool.total[pick], pick
+    return cost.reshape(n + 1, n + 1), ids.reshape(n + 1, n + 1)
 
 
 def solve_cover(pool: DescriptorPool, v_max: int) -> list[VerbosityLevel]:
@@ -88,12 +84,7 @@ def solve_cover(pool: DescriptorPool, v_max: int) -> list[VerbosityLevel]:
     if v_max < 1:
         raise SolveError(f"verbosity bound must be >= 1, got {v_max}")
     n = pool.n_zones
-    table = segment_table(pool)
-    # cost[m, k], ids[m, k]: the cheapest descriptor over zones m..k-1
-    cost = np.full((n + 1, n + 1), _INF)
-    ids = np.full((n + 1, n + 1), -1)
-    for (i, j), (c, id_) in table.items():
-        cost[i, j + 1], ids[i, j + 1] = c, id_
+    cost, ids = segment_table(pool)
     span = np.arange(n + 1) - np.arange(n + 1)[:, None]
 
     levels = []

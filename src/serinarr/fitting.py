@@ -60,9 +60,15 @@ time, a candidate peaking at some 32 floats and a sample at fewer, and
 tooth tables scored in (range, start row) blocks of ``_CHUNK_CELLS //
 8`` cells, a cell peaking at some 5 floats.
 
-The pool owns the per-zone error of any set of its descriptors
-(``DescriptorPool.zone_errs``): the cover keeps each tiling's errors
-from it, and the details chart reads the selected set's.
+The pool holds its descriptors as columns: kind, zone range, params
+(the kind's fields in field order, NaN after them) and an (m, n_zones)
+zone-error matrix, 0.0 outside each range.  A descriptor's id is its
+row; ``DescriptorPool.get`` makes a ``Descriptor`` for the few ids that
+details, narration and render read.  ``total``, the cost the cover ranks
+on, adds the matrix's columns in sequence from 0.0, not by ``np.sum``'s
+pairwise sums, so each row sums as Python's left-to-right ``sum`` of its
+zone errors does, bit for bit.  The per-zone error of any set of
+descriptors is a row minimum (``zone_errs``).
 ``write_atomic`` is the package's one file writer: ``dump_pool`` and
 every CLI artifact go through it.
 
@@ -70,22 +76,22 @@ A saved pool is a header line and one json line per descriptor, its
 bytes those of ``json.dumps(record, sort_keys=True)`` and fixed by the
 pools' sha256 pins.  ``dump_pool`` fills each line from one template per
 kind, so only float ``repr`` runs per value; ``load_pool`` decodes it
-back line by line with one shared json decoder.
+back line by line with one shared json decoder, and checks each kind's
+params rules (``params_ok``) on whole columns.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 import json
 import math
-import operator
 import os
 import re
 import tempfile
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
+from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -94,11 +100,12 @@ from .errors import FitError, OutputError
 from .ingest import TimeSeries
 from .prototypes import (
     PARAM_COUNTS,
+    PARAM_FIELDS,
     PARAMS_CLASS,
     CurveKind,
     CurveParams,
     evaluate,
-    params_from_dict,
+    params_ok,
 )
 
 DEFAULT_KINDS = (CurveKind.LINE, CurveKind.BILINEAR, CurveKind.TOOTH)
@@ -107,6 +114,7 @@ _SIN_GRID = np.geomspace(0.5, 8.0, 32)  # cycles per range width
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _CHUNK_CELLS = 1 << 18  # floats of a batch's temporaries, or samples summed, at once
 _COND_MAX = 2.0 ** 32  # bilinear systems past this tr^3 / det bound go to LAPACK
+_N_PARAMS = max(map(len, PARAM_FIELDS.values()))  # columns of a pool's params
 
 
 @dataclass(frozen=True)
@@ -150,50 +158,52 @@ class Descriptor:
         """Per-zone RMSE; zone must lie inside the descriptor's range."""
         return self.zone_errs[zone - self.zone_start]
 
-    @property
-    def total_err(self) -> float:
-        return float(sum(self.zone_errs))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DescriptorPool:
-    """All feasible descriptors for a series, in (kind, i, j) id order."""
+    """All feasible descriptors for a series, as columns in (kind, i, j)
+    order (module docstring); a descriptor's id is its row."""
 
-    descriptors: tuple[Descriptor, ...]
+    kind: np.ndarray  # (m,) CurveKind values
+    zone_start: np.ndarray  # (m,)
+    zone_end: np.ndarray  # (m,)
+    params: np.ndarray  # (m, _N_PARAMS)
+    errs: np.ndarray  # (m, n_zones)
     n_zones: int
     kinds: tuple[CurveKind, ...]
     n_infeasible: int = 0
 
     def __len__(self) -> int:
-        return len(self.descriptors)
+        return len(self.kind)
 
-    def __iter__(self):
-        return iter(self.descriptors)
+    def __iter__(self) -> Iterator[Descriptor]:
+        return map(self.get, range(len(self)))
 
     def get(self, id: int) -> Descriptor:
-        d = self._by_id.get(id)
-        if d is None:
+        """The descriptor of row ``id``, made on demand."""
+        if not 0 <= id < len(self):
             raise KeyError(f"no descriptor with id {id}")
-        return d
+        kind = CurveKind(int(self.kind[id]))
+        i, j = int(self.zone_start[id]), int(self.zone_end[id])
+        params = PARAMS_CLASS[kind](*self.params[id, : len(PARAM_FIELDS[kind])].tolist())
+        return Descriptor(id, kind, params, i, j, tuple(self.errs[id, i : j + 1].tolist()),
+                          self.n_zones)
 
     @cached_property
-    def _by_id(self) -> dict[int, Descriptor]:
-        return {d.id: d for d in self.descriptors}
+    def total(self) -> np.ndarray:
+        """Each descriptor's summed zone errors, as Python's ``sum`` adds them."""
+        return reduce(np.add, self.errs.T, np.zeros(len(self)))
 
     def zone_errs(self, ids: Iterable[int]) -> list[float]:
-        """Per-zone minimum error over the given descriptors.
-
-        The descriptors must cover every zone (a tiling alone does);
-        an uncovered zone raises ``ValueError``.
-        """
-        errs: list[float | None] = [None] * self.n_zones
-        for d in map(self.get, ids):
-            for z, e in zip(d.zones, d.zone_errs):
-                if errs[z] is None or e < errs[z]:
-                    errs[z] = e
-        if None in errs:
-            raise ValueError(f"zone {errs.index(None)} is not covered")
-        return errs
+        """Per-zone minimum error over the given descriptors, which must
+        cover every zone (a tiling alone does), else ``ValueError``."""
+        rows = np.fromiter(ids, int)
+        z = np.arange(self.n_zones)
+        inside = (self.zone_start[rows, None] <= z) & (z <= self.zone_end[rows, None])
+        covered = inside.any(axis=0)
+        if not covered.all():
+            raise ValueError(f"zone {covered.argmin()} is not covered")
+        return np.where(inside, self.errs[rows], np.inf).min(axis=0).tolist()
 
     @property
     def expected_size(self) -> int:
@@ -680,20 +690,20 @@ def _fit_sinusoids(xs, ys, first, n, width):
 # ----------------------------------------------------------------------
 
 
-def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int, int]],
-                ids: Iterator[int] = itertools.repeat(-1)) -> list[Descriptor | None]:
-    """Fit one prototype over every zone range (i, j) in ``ranges``: the
-    descriptor per range, or None where the range holds fewer samples
-    than the kind has free parameters or admits no fit.  Descriptors
-    take their ids from ``ids`` in ``ranges`` order."""
+def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int, int]]):
+    """Fit one prototype over every zone range (i, j) in ``ranges``,
+    skipping those with fewer samples than the kind has free parameters or
+    no fit.  Returns the fitted ranges' indices, and their params and
+    per-zone RMSE as rows, as ``DescriptorPool`` holds them."""
     xs, ys, nz = series.xs, series.ys, series.n_zones
     bounds = np.array(series.zone_bounds)
     span_i, span_j = np.array(ranges).reshape(-1, 2).T
     first = bounds[span_i, 0]
     sizes = bounds[span_j, 1] - first
     feasible = np.flatnonzero(sizes >= PARAM_COUNTS[kind])
-    names = [f.name for f in dataclasses.fields(PARAMS_CLASS[kind])]
-    vals = np.full((len(names), len(ranges)), np.nan)
+    names = PARAM_FIELDS[kind]
+    params = np.full((_N_PARAMS, len(ranges)), np.nan)
+    vals = params[: len(names)]  # the kind's fields, a view
     ok = np.zeros(len(ranges), bool)
     n = sizes[feasible]
     if kind is CurveKind.LINE:
@@ -720,7 +730,7 @@ def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int,
     # Per-zone RMSE: every fitted range's (range, zone) segments, raveled,
     # each a row of its zone's samples evaluated with its range's params.
     fit = np.flatnonzero(ok)
-    start, seg, zone = _ravel(span_i[fit], span_j[fit] - span_i[fit] + 1)
+    _, seg, zone = _ravel(span_i[fit], span_j[fit] - span_i[fit] + 1)
     lo, size = bounds[zone, 0], bounds[zone, 1] - bounds[zone, 0]
     cols = vals[:, fit]
 
@@ -728,15 +738,20 @@ def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int,
         params = {name: v[seg[segs], None] for name, v in zip(names, cols)}
         return [np.square(ys[idx] - evaluate(kind, params, xs[idx]))]
 
-    errs = np.sqrt(_row_sums(lo, size, res_sq)[0] / size).tolist()
-    del seg, zone, lo, size  # each as long as errs: freed before the descriptors are made
+    errs = np.zeros((len(fit), nz))
+    errs[seg, zone] = np.sqrt(_row_sums(lo, size, res_sq)[0] / size)
+    return fit, params[:, fit].T, errs
 
-    out: list[Descriptor | None] = [None] * len(ranges)
-    params, i, j = vals.T.tolist(), span_i.tolist(), span_j.tolist()
-    for r, s in zip(fit.tolist(), start.tolist()):
-        out[r] = Descriptor(next(ids), kind, PARAMS_CLASS[kind](*params[r]), i[r], j[r],
-                            tuple(errs[s : s + j[r] - i[r] + 1]), nz)
-    return out
+
+def _fit_pool(series: TimeSeries, kinds: tuple[CurveKind, ...], ranges: np.ndarray):
+    """The pool of every kind's fits over the (i, j) zone ``ranges``, in that order."""
+    parts = []
+    for kind in kinds:
+        fit, params, errs = _fit_ranges(series, kind, ranges)
+        parts.append((np.full(len(fit), int(kind)), ranges[fit], params, errs))
+    kind, spans, params, errs = map(np.concatenate, zip(*parts))
+    return DescriptorPool(kind, spans[:, 0], spans[:, 1], params, errs, series.n_zones, kinds,
+                          n_infeasible=len(kinds) * len(ranges) - len(kind))
 
 
 def fit_one(series: TimeSeries, kind: CurveKind, i: int, j: int) -> Descriptor | None:
@@ -748,7 +763,8 @@ def fit_one(series: TimeSeries, kind: CurveKind, i: int, j: int) -> Descriptor |
     """
     if not (0 <= i <= j < series.n_zones):
         raise FitError(f"bad zone range [{i}, {j}] for {series.n_zones} zones")
-    return _fit_ranges(series, kind, [(i, j)])[0]
+    pool = _fit_pool(series, (kind,), np.array([(i, j)]))
+    return replace(pool.get(0), id=-1) if len(pool) else None
 
 
 def build_pool(
@@ -762,28 +778,14 @@ def build_pool(
     """
     if not kinds:
         raise FitError("at least one curve kind is required")
-    kinds = tuple(sorted(set(kinds)))
-    n = series.n_zones
-    ranges = [(i, j) for i in range(n) for j in range(i, n)]
-    descriptors = []
-    n_infeasible = 0
-    ids = itertools.count()
     try:
-        for kind in kinds:
-            fits = _fit_ranges(series, kind, ranges, ids)
-            kept = [d for d in fits if d is not None]
-            descriptors += kept
-            n_infeasible += len(fits) - len(kept)
+        pool = _fit_pool(series, tuple(sorted(set(kinds))),
+                         np.stack(np.triu_indices(series.n_zones), axis=1))
     except MemoryError:
         raise FitError(f"out of memory fitting {len(series.xs)} samples") from None
-    if not descriptors:
+    if not len(pool):
         raise FitError("no feasible descriptors; series too sparse for the zone grid")
-    return DescriptorPool(
-        descriptors=tuple(descriptors),
-        n_zones=n,
-        kinds=kinds,
-        n_infeasible=n_infeasible,
-    )
+    return pool
 
 
 # ----------------------------------------------------------------------
@@ -810,19 +812,21 @@ def write_atomic(path: Path, text: str) -> None:
         raise OutputError(f"cannot write {path}: {exc}") from None
 
 
-def _record_template(kind: CurveKind) -> tuple[str, operator.attrgetter]:
+def _record_template(kind: CurveKind) -> tuple[str, int, list[int]]:
     """A kind's pool line, ``json.dumps(record, sort_keys=True)`` and a
     newline, spelled out with %-slots for the id, the params in sorted
     name order, the zone end, the ", "-joined zone errors and the zone
-    start; and the getter of those params."""
-    names = sorted(f.name for f in dataclasses.fields(PARAMS_CLASS[kind]))
+    start; its params count; and the params columns, those first sorted."""
+    names = sorted(PARAM_FIELDS[kind])
     params = ", ".join(f"{json.dumps(name)}: %r" for name in names)
     template = (f'{{"id": %d, "kind": {json.dumps(kind.label)}, "params": {{{params}}}, '
                 '"zone_end": %d, "zone_errs": [%s], "zone_start": %d}\n')
-    return template, operator.attrgetter(*names)
+    order = list(map(PARAM_FIELDS[kind].index, names))
+    return template, len(names), order + list(range(len(names), _N_PARAMS))
 
 
 _RECORD_TEMPLATES = {kind: _record_template(kind) for kind in CurveKind}
+_SORTED_PARAMS = np.array([order for _, _, order in _RECORD_TEMPLATES.values()])
 # A bare value after a space or "[" in a record is a number (keys and
 # labels are quoted); repr spells the non-finite ones as json does not.
 _NON_FINITE = re.compile(r"(?<=[ \[])(?:-?inf|nan)\b")
@@ -841,27 +845,18 @@ def dump_pool(pool: DescriptorPool, path: str | Path) -> None:
     """
     header = {"n_zones": pool.n_zones, "kinds": [k.label for k in pool.kinds],
               "n_infeasible": pool.n_infeasible}
+    params = np.take_along_axis(pool.params, _SORTED_PARAMS[pool.kind], axis=1)
+    _, row, zone = _ravel(pool.zone_start, pool.zone_end - pool.zone_start + 1)
+    errs = map(repr, pool.errs[row, zone].tolist())  # row by row, each range's zones
     lines = []
-    for d in pool:
-        template, params = _RECORD_TEMPLATES[d.kind]
-        lines.append(template % (d.id, *map(float, params(d.params)), d.zone_end,
-                                 ", ".join(map(repr, map(float, d.zone_errs))),
-                                 d.zone_start))
+    for id_, (kind, i, j, p) in enumerate(zip(pool.kind.tolist(), pool.zone_start.tolist(),
+                                              pool.zone_end.tolist(), params.tolist())):
+        template, n_params, _ = _RECORD_TEMPLATES[kind]
+        lines.append(template % (id_, *p[:n_params], j, ", ".join(islice(errs, j - i + 1)), i))
     body = "".join(lines)
     if "nan" in body or "inf" in body:
         body = _NON_FINITE.sub(lambda m: _JSON_NON_FINITE[m[0]], body)
     write_atomic(Path(path), json.dumps(header, sort_keys=True) + "\n" + body)
-
-
-def _as_floats(values, what: str) -> list[float]:
-    """Json numbers as floats; any other value (``bool`` included) or an
-    int past the float range raises ``ValueError``."""
-    if not set(map(type, values)) <= {int, float}:
-        raise ValueError(f"{what} must be json numbers, got {values!r}")
-    try:
-        return [float(v) for v in values]
-    except OverflowError:
-        raise ValueError(f"{what} must fit a float, got {values!r}") from None
 
 
 def load_pool(path: str | Path) -> DescriptorPool:
@@ -870,8 +865,9 @@ def load_pool(path: str | Path) -> DescriptorPool:
     An empty file, a line that is not one json value, or a value that
     ``dump_pool`` would not write raises ``ValueError``: zones and counts
     must be json ints, the k-th record's id k (``build_pool`` numbers them
-    so), params and zone errors json numbers, and a bilinear's range its
-    zones'."""
+    so), its zone range in the grid with a zone error per zone, params and
+    zone errors json numbers, params that keep their kind's rules, a
+    bilinear's range its zones', and every zone some record's."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"empty pool dump {path}")
@@ -880,36 +876,43 @@ def load_pool(path: str | Path) -> DescriptorPool:
     n_zones, n_infeasible = header["n_zones"], header.get("n_infeasible", 0)
     if not (type(n_zones) is type(n_infeasible) is int):
         raise ValueError(f"pool header counts must be json ints: {lines[0]}")
-    descriptors = []
+    spans, params, errs = [], [], []  # spans: (kind, zone_start, zone_end) rows
     for line in lines[1:]:
         if not line.strip():
             continue
         rec = decode(line)
         kind = CurveKind.from_label(rec["kind"])
-        params, errs = rec["params"], rec["zone_errs"]
-        if not (type(rec["id"]) is type(rec["zone_start"]) is type(rec["zone_end"]) is int
-                and rec["id"] == len(descriptors) and type(params) is dict
-                and type(errs) is list):
+        p, e, i, j = rec["params"], rec["zone_errs"], rec["zone_start"], rec["zone_end"]
+        names = PARAM_FIELDS[kind]
+        if not (type(rec["id"]) is type(i) is type(j) is int and rec["id"] == len(spans)
+                and 0 <= i <= j < n_zones and type(e) is list and len(e) == j - i + 1
+                and type(p) is dict and len(p) == len(names)):
             raise ValueError(f"not a pool record dump_pool writes: {line}")
-        if not {*map(type, errs), *map(type, params.values())} <= {float}:  # an int, or no number
-            errs = _as_floats(errs, "zone_errs")
-            params = dict(zip(params, _as_floats(params.values(), "params")))
-        d = Descriptor(
-            id=rec["id"],
-            kind=kind,
-            params=params_from_dict(kind, params),
-            zone_start=rec["zone_start"],
-            zone_end=rec["zone_end"],
-            zone_errs=tuple(errs),
-            n_zones=n_zones,
-        )
-        if kind is CurveKind.BILINEAR and (d.params.x_lo, d.params.x_hi) != (d.x_lo, d.x_hi):
-            raise ValueError(f"descriptor {d.id}: bilinear range [{d.params.x_lo}, "
-                             f"{d.params.x_hi}] is not its zones' [{d.x_lo}, {d.x_hi}]")
-        descriptors.append(d)
-    return DescriptorPool(
-        descriptors=tuple(descriptors),
-        n_zones=n_zones,
-        kinds=tuple(CurveKind.from_label(k) for k in header["kinds"]),
-        n_infeasible=n_infeasible,
-    )
+        spans.append((kind, i, j))
+        params += [p[name] for name in names] + [math.nan] * (_N_PARAMS - len(names))
+        errs += e
+    if not set(map(type, params)) | set(map(type, errs)) <= {int, float}:  # bool is not
+        raise ValueError(f"params and zone errors of {path} must be json numbers")
+    m = len(spans)
+    try:
+        kind, start, end = np.array(spans, int).reshape(m, 3).T
+        params, errs = np.array(params, float).reshape(m, _N_PARAMS), np.array(errs, float)
+    except OverflowError:
+        raise ValueError(f"{path} holds a number out of range") from None
+    _, row, zone = _ravel(start, end - start + 1)
+    # Every zone holds some record's error, as the whole range's do in a
+    # built pool, so the (m, n_zones) matrix is no wider than the file's.
+    if spans and (n_zones > len(errs) or not np.bincount(zone, minlength=n_zones).all()):
+        raise ValueError(f"{path} holds zones that no record holds")
+    for k in CurveKind:
+        at = kind == k
+        p = SimpleNamespace(**dict(zip(PARAM_FIELDS[k], params[at].T)))
+        ok = params_ok(k, p)
+        if k is CurveKind.BILINEAR:
+            ok &= (p.x_lo == start[at] / n_zones) & (p.x_hi == (end[at] + 1) / n_zones)
+        if not np.all(ok):
+            raise ValueError(f"{k.label} params of {path} break their rules or range")
+    matrix = np.zeros((m, n_zones))
+    matrix[row, zone] = errs
+    return DescriptorPool(kind, start, end, params, matrix, n_zones,
+                          tuple(CurveKind.from_label(k) for k in header["kinds"]), n_infeasible)

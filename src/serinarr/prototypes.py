@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Union
 
@@ -54,19 +54,41 @@ PARAM_COUNTS = {
 _EPS = 1e-9
 
 
+def params_ok(kind: CurveKind, p):
+    """Where ``p``'s values keep the kind's rules, ``p`` holding its fields
+    as floats or arrays.  Each rule is a positive condition, which NaN breaks."""
+    if kind is CurveKind.BILINEAR:  # the breakpoint lies strictly inside
+        return (p.x_lo < p.x_b) & (p.x_b < p.x_hi)
+    if kind is CurveKind.TOOTH:  # the plateau is ordered
+        return p.x_s < p.x_e
+    if kind is CurveKind.SINUSOID:  # amp >= 0, freq > 0, phase in [0, 2*pi)
+        return (p.amp >= 0) & (p.freq > 0) & (0 <= p.phase) & (p.phase < 2 * math.pi + _EPS)
+    return True
+
+
+class _Params:
+    """Frozen params whose values keep the rules of their class's ``kind``."""
+
+    def __post_init__(self):
+        if not params_ok(self.kind, self):
+            raise ValueError(f"{self.kind.label} params break their rules: {self}")
+
+
 @dataclass(frozen=True)
-class LineParams:
+class LineParams(_Params):
+    kind = CurveKind.LINE
     a: float  # intercept
     b: float  # slope
 
 
 @dataclass(frozen=True)
-class BilinearParams:
+class BilinearParams(_Params):
     """Polyline (x_lo, y_l) -- (x_b, y_b) -- (x_hi, y_r).
 
     ``x_lo``/``x_hi`` are the fitted range, not free parameters.
     """
 
+    kind = CurveKind.BILINEAR
     x_b: float
     y_l: float
     y_b: float
@@ -74,48 +96,31 @@ class BilinearParams:
     x_lo: float
     x_hi: float
 
-    def __post_init__(self):
-        if not (self.x_lo < self.x_b < self.x_hi):
-            raise ValueError(
-                f"breakpoint {self.x_b} must lie strictly inside "
-                f"({self.x_lo}, {self.x_hi})"
-            )
-
 
 @dataclass(frozen=True)
-class ToothParams:
+class ToothParams(_Params):
     """Plateau of value y_in on [x_s, x_e], y_out_l / y_out_r outside."""
 
+    kind = CurveKind.TOOTH
     y_out_l: float
     y_out_r: float
     x_s: float
     x_e: float
     y_in: float
 
-    def __post_init__(self):
-        if not self.x_s < self.x_e:
-            raise ValueError(f"plateau needs x_s < x_e, got [{self.x_s}, {self.x_e}]")
-
 
 @dataclass(frozen=True)
-class SinusoidParams:
+class SinusoidParams(_Params):
     """amp * sin(2*pi*freq*x + phase) around a fixed mean level.
 
     ``freq`` is in cycles per unit of normalized x.
     """
 
+    kind = CurveKind.SINUSOID
     amp: float
     freq: float
     phase: float
     mean: float
-
-    def __post_init__(self):
-        if self.amp < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amp}")
-        if self.freq <= 0:
-            raise ValueError(f"frequency must be > 0, got {self.freq}")
-        if not (0 <= self.phase < 2 * math.pi + _EPS):
-            raise ValueError(f"phase must lie in [0, 2*pi), got {self.phase}")
 
 
 CurveParams = Union[LineParams, BilinearParams, ToothParams, SinusoidParams]
@@ -126,6 +131,8 @@ PARAMS_CLASS = {
     CurveKind.TOOTH: ToothParams,
     CurveKind.SINUSOID: SinusoidParams,
 }
+# Each kind's params field names, in field order.
+PARAM_FIELDS = {kind: tuple(f.name for f in fields(cls)) for kind, cls in PARAMS_CLASS.items()}
 
 
 def evaluate(kind: CurveKind, params, x):
@@ -179,13 +186,3 @@ def evaluate(kind: CurveKind, params, x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def params_to_dict(params: CurveParams) -> dict:
-    """Flat mapping of parameter names to float values, as a saved pool
-    record's ``params`` holds them."""
-    return {k: float(v) for k, v in params.__dict__.items()}
-
-
-def params_from_dict(kind: CurveKind, d: dict) -> CurveParams:
-    return PARAMS_CLASS[kind](**d)

@@ -3,20 +3,29 @@
 Everything here is deliberately independent of the library's own
 loading path: series are assembled by hand so fitting and solver tests
 control the exact sample values, and pools of fake descriptors carry
-hand-picked per-zone errors for the optimizer oracles.  ``POOL_EDITS``
-damages or reflows a dumped pool, for the reload oracle and the CLI;
-``POOL_VALUE_EDITS`` breaks a rule on one saved record's values.
+hand-picked per-zone errors for the optimizer oracles; ``make_pool``
+holds a list of descriptors as a column pool, the k-th one's id k.
+``POOL_EDITS`` damages or reflows a dumped pool, for the reload oracle
+and the CLI; ``POOL_VALUE_EDITS`` breaks a rule on one saved record's
+values.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from serinarr.fitting import Descriptor, DescriptorPool
+from serinarr.fitting import _N_PARAMS, Descriptor, DescriptorPool
 from serinarr.ingest import RawSeries, TimeSeries, normalize
-from serinarr.prototypes import CurveKind, LineParams
+from serinarr.prototypes import (
+    BilinearParams,
+    CurveKind,
+    LineParams,
+    SinusoidParams,
+    ToothParams,
+)
 
 
 def raw_series(values, ts=None):
@@ -59,9 +68,21 @@ def series_exact(ys, levels):
     )
 
 
+def flat_params(kind, i, j, n_zones):
+    """Params of the kind for a constant 0.0 over zones [i, j]."""
+    lo, hi = i / n_zones, (j + 1) / n_zones
+    if kind is CurveKind.BILINEAR:
+        return BilinearParams((lo + hi) / 2, 0.0, 0.0, 0.0, lo, hi)
+    if kind is CurveKind.TOOTH:
+        return ToothParams(0.0, 0.0, lo, hi, 0.0)
+    if kind is CurveKind.SINUSOID:
+        return SinusoidParams(0.0, 1.0, 0.0, 0.0)
+    return LineParams(a=0.0, b=0.0)
+
+
 def make_descriptor(id_, i, j, errs, n_zones, kind=CurveKind.LINE, params=None):
     if params is None:
-        params = LineParams(a=0.0, b=0.0)
+        params = flat_params(kind, i, j, n_zones)
     return Descriptor(
         id=id_,
         kind=kind,
@@ -73,11 +94,31 @@ def make_descriptor(id_, i, j, errs, n_zones, kind=CurveKind.LINE, params=None):
     )
 
 
-def full_random_pool(rng, n_zones, kinds=(CurveKind.LINE,), err_scale=0.5, quantum=None):
-    """One descriptor per (kind, range) with random per-zone errors,
-    rounded to multiples of ``quantum`` when one is given."""
+def make_pool(descriptors, n_zones, kinds=(CurveKind.LINE,), n_infeasible=0):
+    """The column pool of ``descriptors``: the k-th one is row k, so its
+    id in the pool is k, whatever its own."""
+    m = len(descriptors)
+    params = np.full((m, _N_PARAMS), np.nan)
+    errs = np.zeros((m, n_zones))
+    for k, d in enumerate(descriptors):
+        row = dataclasses.astuple(d.params)
+        params[k, : len(row)] = row
+        errs[k, d.zone_start : d.zone_end + 1] = d.zone_errs
+    columns = [np.array([getattr(d, name) for d in descriptors], int)
+               for name in ("kind", "zone_start", "zone_end")]
+    return DescriptorPool(*columns, params, errs, n_zones, tuple(kinds), n_infeasible)
+
+
+def pool_key(pool):
+    """What tells two pools apart: their descriptors and counts."""
+    return list(pool), pool.n_zones, pool.kinds, pool.n_infeasible
+
+
+def full_random_descriptors(rng, n_zones, kinds=(CurveKind.LINE,), err_scale=0.5,
+                            quantum=None):
+    """One descriptor per (kind, range), in (kind, i, j) order, with random
+    per-zone errors, rounded to multiples of ``quantum`` when one is given."""
     descriptors = []
-    next_id = 0
     for kind in kinds:
         for i in range(n_zones):
             for j in range(i, n_zones):
@@ -85,15 +126,14 @@ def full_random_pool(rng, n_zones, kinds=(CurveKind.LINE,), err_scale=0.5, quant
                 if quantum:
                     errs = [round(e / quantum) * quantum for e in errs]
                 descriptors.append(
-                    make_descriptor(next_id, i, j, errs, n_zones, kind=kind)
-                )
-                next_id += 1
-    return DescriptorPool(
-        descriptors=tuple(descriptors),
-        n_zones=n_zones,
-        kinds=tuple(kinds),
-        n_infeasible=0,
-    )
+                    make_descriptor(len(descriptors), i, j, errs, n_zones, kind=kind))
+    return descriptors
+
+
+def full_random_pool(rng, n_zones, kinds=(CurveKind.LINE,), err_scale=0.5, quantum=None):
+    """The pool of ``full_random_descriptors``."""
+    return make_pool(full_random_descriptors(rng, n_zones, kinds, err_scale, quantum),
+                     n_zones, kinds)
 
 
 @pytest.fixture

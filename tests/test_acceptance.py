@@ -133,8 +133,7 @@ def test_criterion_04_details_match_naive_enumerator(capsys):
 
 
 def test_criterion_05_min_thr_is_strict(capsys):
-    from conftest import make_descriptor
-    from serinarr.fitting import DescriptorPool
+    from conftest import make_descriptor, make_pool
     from test_details import level_of
 
     with criterion(capsys, 5, "improvement of exactly min_thr rejected"):
@@ -147,15 +146,12 @@ def test_criterion_05_min_thr_is_strict(capsys):
         cfg = SelectionConfig(max_thr=0.6, min_thr=min_thr, v=2,
                               penalty_eps=1e-4)
 
-        pool = DescriptorPool(descriptors=tuple(base), n_zones=4,
-                              kinds=(CurveKind.LINE,), n_infeasible=0)
+        pool = make_pool(base, 4)
         levels = [level_of(1, (0,), pool), level_of(2, (1, 2), pool)]
         assert solve_details(pool, levels, 1, cfg).details == ()
 
         bumped = make_descriptor(1, 0, 1, [0.46875 - 1e-6, 0.46875], 4)
-        pool2 = DescriptorPool(descriptors=(base[0], bumped, base[2]),
-                               n_zones=4, kinds=(CurveKind.LINE,),
-                               n_infeasible=0)
+        pool2 = make_pool([base[0], bumped, base[2]], 4)
         levels2 = [level_of(1, (0,), pool2), level_of(2, (1, 2), pool2)]
         assert solve_details(pool2, levels2, 1, cfg).details == ((1, 2),)
 

@@ -35,6 +35,7 @@ from serinarr.cli import (
 )
 from serinarr.details import SelectionConfig
 from serinarr.errors import IngestError, OutputError
+from serinarr.fitting import load_pool
 from serinarr.prototypes import CurveKind
 
 
@@ -440,6 +441,32 @@ def test_main_render_rejects_pool_values_that_break_a_rule(
     assert err.startswith("output error: cannot load")
     assert len(err.splitlines()) == 1
     assert not (out / "dipper.summary.svg").exists()
+
+
+@pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity"])
+def test_main_render_rejects_non_finite_zone_errors(sample_csv, tmp_path, capsys, spelling):
+    """A saved pool whose records' first zone error is not finite loads,
+    as ``dump_pool`` writes such values, but ``render`` exits 6 with one
+    ``output error:`` line and writes no chart."""
+    out = tmp_path / "render_out"
+    assert main([
+        "narrate", "--input", str(sample_csv), "--levels", "3",
+        "--verbosity", "4", "--out-dir", str(out), "--emit", "json,pool",
+    ]) == 0
+    pool = out / "dipper.pool.jsonl"
+    header, *lines = pool.read_text().splitlines()
+    lines = [re.sub(r'"zone_errs": \[[^,\]]*', f'"zone_errs": [{spelling}', line)
+             for line in lines]
+    pool.write_text("\n".join([header, *lines]) + "\n")
+    load_pool(pool)
+    capsys.readouterr()
+    code = main(["render", "--input", str(sample_csv), "--levels", "3",
+                 "--verbosity", "4", "--out-dir", str(out)])
+    assert code == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and "non-finite" in err
+    assert len(err.splitlines()) == 1
+    assert not list(out.glob("*.svg"))
 
 
 def test_main_render_rejects_summary_not_the_tiling(sample_csv, tmp_path, capsys):
@@ -877,7 +904,8 @@ def test_parser_rejects_unknown_subcommand(capsys):
 def test_every_option_is_a_flag_that_shows_its_default(monkeypatch):
     """Each ``RunConfig`` field is a ``_CONFIG_KEYS`` key, and each key but
     penalty_eps is a flag of every subcommand whose help names the
-    field's default."""
+    field's default; emit is none of ``fit`` and ``render``, which fix
+    their outputs."""
     monkeypatch.setenv("COLUMNS", "1000")  # one help line per flag
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     assert list(defaults) == list(_CONFIG_KEYS)
@@ -887,8 +915,10 @@ def test_every_option_is_a_flag_that_shows_its_default(monkeypatch):
         helps = {m[1].replace("-", "_"): m[2]
                  for m in re.finditer(r"^  --([\w-]+)(?: \S+)?\s+(.*)$", out.getvalue(), re.M)}
         assert "penalty_eps" not in helps
+        fixed_outputs = cmd in ("fit", "render")
+        assert ("emit" in helps) != fixed_outputs
         for key, default in defaults.items():
-            if key == "penalty_eps":
+            if key == "penalty_eps" or key == "emit" and fixed_outputs:
                 continue
             if default is dataclasses.MISSING:
                 assert "default" not in helps[key], (cmd, key)
@@ -896,6 +926,29 @@ def test_every_option_is_a_flag_that_shows_its_default(monkeypatch):
                 shown = ",".join(getattr(v, "label", v) for v in default) \
                     if isinstance(default, tuple) else str(default)
                 assert helps[key].endswith(f"(default {shown})"), (cmd, key, helps[key])
+
+
+@pytest.mark.parametrize("cmd", ["fit", "render"])
+def test_fit_and_render_take_no_emit_flag(cmd, sample_csv, tmp_path, capsys):
+    """``fit`` writes the pool and ``render`` the charts whatever is asked,
+    so neither offers ``--emit``: it is not in their help, and giving it
+    is a usage error (exit 2).  A config file's emit is still taken, and
+    overridden."""
+    with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as out:
+        main([cmd, "--help"])
+    assert "--emit" not in out.getvalue()
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--input", str(sample_csv), "--out-dir", str(tmp_path), "--emit", "text"])
+    assert exc.value.code == 2
+    conf = tmp_path / "run.conf"
+    conf.write_text("emit = text\n")
+    if cmd == "render":
+        assert main(["narrate", "--input", str(sample_csv), "--levels", "3",
+                     "--out-dir", str(tmp_path), "--emit", "json,pool"]) == 0
+    capsys.readouterr()
+    assert main([cmd, "--input", str(sample_csv), "--levels", "3", "--config", str(conf),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / ("dipper.pool.jsonl" if cmd == "fit" else "dipper.summary.svg")).exists()
 
 
 def test_main_builds_the_parser_once():

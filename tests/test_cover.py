@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_random_pool, make_descriptor, series_exact
+from conftest import (
+    full_random_descriptors,
+    full_random_pool,
+    make_descriptor,
+    make_pool,
+    series_exact,
+)
 from serinarr.cover import (
     VerbosityLevel,
     level_error_matrix,
@@ -16,7 +22,7 @@ from serinarr.cover import (
     solve_cover,
 )
 from serinarr.errors import SolveError
-from serinarr.fitting import DescriptorPool, build_pool
+from serinarr.fitting import build_pool
 from serinarr.prototypes import BilinearParams, CurveKind, evaluate
 
 
@@ -25,16 +31,50 @@ from serinarr.prototypes import BilinearParams, CurveKind, evaluate
 _INF = float("inf")
 
 
-def best_descriptor(pool, i, j):
-    cands = [d for d in pool if (d.zone_start, d.zone_end) == (i, j)]
+def total_err(d):
+    """A descriptor's cost: Python's left-to-right ``sum`` of its zone errors."""
+    return float(sum(d.zone_errs))
+
+
+def reference_segment_table(pool):
+    """Cheapest descriptor per zone range, as a dict loop over the
+    descriptors: ``{(i, j): (cost, id)}``.  Ties go to the smaller kind,
+    then the smaller id."""
+    table: dict[tuple[int, int], tuple[float, int, int]] = {}
+    for d in pool:
+        key = (d.zone_start, d.zone_end)
+        entry = (total_err(d), int(d.kind), d.id)
+        cur = table.get(key)
+        if cur is None or entry < cur:
+            table[key] = entry
+    return {k: (cost, id_) for k, (cost, _, id_) in table.items()}
+
+
+def reference_zone_errs(pool, ids):
+    """Per-zone minimum error over the given descriptors, one at a time."""
+    errs: list[float | None] = [None] * pool.n_zones
+    for d in map(pool.get, ids):
+        for z, e in zip(d.zones, d.zone_errs):
+            if errs[z] is None or e < errs[z]:
+                errs[z] = e
+    if None in errs:
+        raise ValueError(f"zone {errs.index(None)} is not covered")
+    return errs
+
+
+def best_descriptor(descriptors, i, j):
+    cands = [d for d in descriptors if (d.zone_start, d.zone_end) == (i, j)]
     if not cands:
         return None
-    return min(cands, key=lambda d: (d.total_err, int(d.kind), d.id))
+    return min(cands, key=lambda d: (total_err(d), int(d.kind), d.id))
 
 
 def brute_force_cover(pool, v):
     """All ways to cut [0, n) into v contiguous runs of length >= L."""
     n = pool.n_zones
+    descriptors = list(pool)
+    best = {(lo, hi): best_descriptor(descriptors, lo, hi)
+            for lo in range(n) for hi in range(lo, n)}
     min_len = math.ceil(n / 2 ** v)
     best_cost, best_ids = None, None
     for cuts in itertools.combinations(range(1, n), v - 1):
@@ -42,12 +82,12 @@ def brute_force_cover(pool, v):
         segs = [(bounds[k], bounds[k + 1] - 1) for k in range(v)]
         if any(hi - lo + 1 < min_len for lo, hi in segs):
             continue
-        ds = [best_descriptor(pool, lo, hi) for lo, hi in segs]
+        ds = [best[seg] for seg in segs]
         if any(d is None for d in ds):
             continue
         cost = 0.0
         for d in ds:
-            cost = cost + d.total_err
+            cost = cost + total_err(d)
         if best_cost is None or cost < best_cost:
             best_cost, best_ids = cost, tuple(d.id for d in ds)
     return best_cost, best_ids
@@ -58,7 +98,7 @@ def _reference_cover(pool, v_max):
     if v_max < 1:
         raise SolveError(f"verbosity bound must be >= 1, got {v_max}")
     n = pool.n_zones
-    table = segment_table(pool)
+    table = reference_segment_table(pool)
 
     levels = []
     for v in range(1, v_max + 1):
@@ -100,7 +140,7 @@ def _reference_cover(pool, v_max):
         levels.append(
             VerbosityLevel(
                 v=v, chosen=ids, cost=dp[v][n], feasible=True,
-                zone_errs=tuple(pool.zone_errs(ids)),
+                zone_errs=tuple(reference_zone_errs(pool, ids)),
             )
         )
     return levels
@@ -148,44 +188,68 @@ def test_single_segment_level_is_best_full_range():
     level = solve_cover(pool, 1)[0]
     best = best_descriptor(pool, 0, 3)
     assert level.chosen == (best.id,)
-    assert level.cost == best.total_err
+    assert level.cost == total_err(best)
 
 
 def test_best_segment_prefers_lower_total():
     a = make_descriptor(0, 0, 1, [0.1, 0.1], 2, kind=CurveKind.TOOTH)
     b = make_descriptor(1, 0, 1, [0.05, 0.2], 2, kind=CurveKind.LINE)
-    pool = DescriptorPool(
-        descriptors=(a, b), n_zones=2,
-        kinds=(CurveKind.LINE, CurveKind.TOOTH), n_infeasible=0,
-    )
-    table = segment_table(pool)
-    cost, id_ = table[(0, 1)]
-    assert id_ == 0  # 0.2 beats 0.25 regardless of kind order
-    assert cost == pytest.approx(0.2)
+    pool = make_pool([a, b], 2, kinds=(CurveKind.LINE, CurveKind.TOOTH))
+    cost, ids = segment_table(pool)
+    assert ids[0, 2] == 0  # 0.2 beats 0.25 regardless of kind order
+    assert cost[0, 2] == pytest.approx(0.2)
+    assert (ids == -1).sum() == ids.size - 1 and np.isinf(cost).sum() == cost.size - 1
 
 
 def test_best_segment_tie_prefers_line_over_tooth():
-    a = make_descriptor(7, 0, 1, [0.1, 0.1], 2, kind=CurveKind.TOOTH)
-    b = make_descriptor(9, 0, 1, [0.1, 0.1], 2, kind=CurveKind.LINE)
-    pool = DescriptorPool(
-        descriptors=(a, b), n_zones=2,
-        kinds=(CurveKind.LINE, CurveKind.TOOTH), n_infeasible=0,
-    )
-    assert segment_table(pool)[(0, 1)][1] == 9
+    a = make_descriptor(0, 0, 1, [0.1, 0.1], 2, kind=CurveKind.TOOTH)
+    b = make_descriptor(1, 0, 1, [0.1, 0.1], 2, kind=CurveKind.LINE)
+    pool = make_pool([a, b], 2, kinds=(CurveKind.LINE, CurveKind.TOOTH))
+    assert segment_table(pool)[1][0, 2] == 1
 
 
-def test_determinism_under_pool_permutation():
-    rnd = random.Random(77)
-    pool = full_random_pool(rnd, 8, kinds=(CurveKind.LINE, CurveKind.TOOTH))
-    shuffled = list(pool.descriptors)
-    rnd.shuffle(shuffled)
-    pool2 = DescriptorPool(
-        descriptors=tuple(shuffled), n_zones=8,
-        kinds=pool.kinds, n_infeasible=0,
-    )
-    for a, b in zip(solve_cover(pool, 5), solve_cover(pool2, 5)):
-        assert a.chosen == b.chosen
-        assert a.cost == b.cost
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.sampled_from([None, 1 / 8, 1 / 64]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_column_pool_matches_the_descriptor_loops(n, drop, quantum, permute, rnd):
+    """Pools of random descriptors, with ranges missing, ties on a coarse
+    error grid and rows in any order: the ``total`` column equals Python's
+    ``sum`` of each descriptor's zone errors bit for bit, the segment table
+    the dict loop's, ``zone_errs`` the per-descriptor minimum, and
+    ``solve_cover`` the loop DP, at every level."""
+    kinds = (CurveKind.LINE, CurveKind.TOOTH)
+    descs = [d for d in full_random_descriptors(rnd, n, kinds, quantum=quantum)
+             if rnd.random() >= drop]
+    if permute:
+        rnd.shuffle(descs)
+    pool = make_pool(descs, n, kinds)
+    assert [t.hex() for t in pool.total.tolist()] == [total_err(d).hex() for d in pool]
+
+    want_cost, want_ids = np.full((n + 1, n + 1), _INF), np.full((n + 1, n + 1), -1)
+    for (i, j), (c, id_) in reference_segment_table(pool).items():
+        want_cost[i, j + 1], want_ids[i, j + 1] = c, id_
+    cost, ids = segment_table(pool)
+    assert np.array_equal(cost, want_cost) and np.array_equal(ids, want_ids)
+
+    for _ in range(4):
+        some = rnd.sample(range(len(pool)), rnd.randint(0, len(pool)))
+        try:
+            want = reference_zone_errs(pool, some)
+        except ValueError:
+            with pytest.raises(ValueError):
+                pool.zone_errs(some)
+        else:
+            assert pool.zone_errs(some) == want
+
+    v = rnd.randint(1, 6)
+    for got, want in zip(solve_cover(pool, v), _reference_cover(pool, v), strict=True):
+        assert (got.v, got.chosen, got.cost, got.feasible, got.zone_errs) == (
+            want.v, want.chosen, want.cost, want.feasible, want.zone_errs)
 
 
 def test_v_shape_never_narrated_as_line():
@@ -213,8 +277,7 @@ def test_missing_ranges_make_level_infeasible():
     # no full-range descriptor: v=1 has no tiling, v=2 does
     a = make_descriptor(0, 0, 0, [0.1], 2)
     b = make_descriptor(1, 1, 1, [0.2], 2)
-    pool = DescriptorPool(
-        descriptors=(a, b), n_zones=2, kinds=(CurveKind.LINE,), n_infeasible=0)
+    pool = make_pool([a, b], 2)
     levels = solve_cover(pool, 2)
     assert not levels[0].feasible
     assert levels[1].feasible
@@ -274,9 +337,8 @@ def test_feasible_levels_tile_every_zone_once(zone_levels, v, drop, quantum, rnd
     n = 2 ** zone_levels
     full = full_random_pool(
         rnd, n, kinds=(CurveKind.LINE, CurveKind.TOOTH), quantum=quantum)
-    kept = tuple(d for d in full if rnd.random() >= drop)
-    pool = DescriptorPool(descriptors=kept, n_zones=n, kinds=full.kinds,
-                          n_infeasible=len(full) - len(kept))
+    kept = [d for d in full if rnd.random() >= drop]
+    pool = make_pool(kept, n, full.kinds, n_infeasible=len(full) - len(kept))
     for level in solve_cover(pool, v):
         if not level.feasible:
             assert level.chosen == () and level.zone_errs == ()
@@ -304,9 +366,8 @@ def test_matches_reference_dp_on_tied_pools(n, v, drop, quantum, rnd):
     every level, infeasible ones included."""
     full = full_random_pool(
         rnd, n, kinds=(CurveKind.LINE, CurveKind.TOOTH), quantum=quantum)
-    kept = tuple(d for d in full if rnd.random() >= drop)
-    pool = DescriptorPool(descriptors=kept, n_zones=n, kinds=full.kinds,
-                          n_infeasible=len(full) - len(kept))
+    kept = [d for d in full if rnd.random() >= drop]
+    pool = make_pool(kept, n, full.kinds, n_infeasible=len(full) - len(kept))
     for got, want in zip(solve_cover(pool, v), _reference_cover(pool, v), strict=True):
         assert (got.v, got.chosen, got.cost, got.feasible, got.zone_errs) == (
             want.v, want.chosen, want.cost, want.feasible, want.zone_errs)
@@ -319,11 +380,9 @@ def test_tie_keeps_the_earliest_last_cut():
     brute force keeps."""
     cheap = {(0, 0), (1, 3), (4, 4), (0, 1), (2, 2), (3, 4)}
     ranges = [(i, j) for i in range(5) for j in range(i, 5)]
-    pool = DescriptorPool(
-        descriptors=tuple(
-            make_descriptor(k, i, j, [0.125 if (i, j) in cheap else 1.0] * (j - i + 1), 5)
-            for k, (i, j) in enumerate(ranges)),
-        n_zones=5, kinds=(CurveKind.LINE,))
+    pool = make_pool(
+        [make_descriptor(k, i, j, [0.125 if (i, j) in cheap else 1.0] * (j - i + 1), 5)
+         for k, (i, j) in enumerate(ranges)], 5)
     ids = {r: k for k, r in enumerate(ranges)}
     level = solve_cover(pool, 3)[2]
     assert level.cost == 0.625

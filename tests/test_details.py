@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_random_pool, make_descriptor
+from conftest import full_random_pool, make_descriptor, make_pool
 from serinarr.cover import VerbosityLevel, solve_cover
 from serinarr.details import (
     SelectionConfig,
@@ -322,9 +322,7 @@ def build_instance():
         make_descriptor(4, 2, 3, [0.01, 0.05], n),
         make_descriptor(5, 4, 7, [0.49] * 4, n),
     ]
-    pool = DescriptorPool(
-        descriptors=tuple(descs), n_zones=n,
-        kinds=(CurveKind.LINE,), n_infeasible=0)
+    pool = make_pool(tuple(descs), n)
     levels = [
         level_of(1, (0,), pool),
         level_of(2, (1, 2), pool),
@@ -366,9 +364,7 @@ def test_redundancy_rule_in_any_id_order(coarse, fine):
         make_descriptor(fine[1], 2, 3, [0.01, 0.05], n),
         make_descriptor(4, 4, 7, [0.49] * 4, n),
     ]
-    pool = DescriptorPool(
-        descriptors=tuple(sorted(descs, key=lambda d: d.id)), n_zones=n,
-        kinds=(CurveKind.LINE,), n_infeasible=0)
+    pool = make_pool(tuple(sorted(descs, key=lambda d: d.id)), n)
     levels = [
         level_of(1, (0,), pool),
         level_of(2, (coarse, 2), pool),
@@ -387,9 +383,7 @@ def test_empty_selection_when_nothing_improves():
         make_descriptor(1, 0, 1, [0.0, 0.0], n),
         make_descriptor(2, 2, 3, [0.0, 0.0], n),
     ]
-    pool = DescriptorPool(
-        descriptors=tuple(descs), n_zones=n,
-        kinds=(CurveKind.LINE,), n_infeasible=0)
+    pool = make_pool(tuple(descs), n)
     levels = [level_of(1, (0,), pool), level_of(2, (1, 2), pool)]
     cfg = SelectionConfig(max_thr=0.15, min_thr=0.02, v=2, penalty_eps=1e-4)
     res = solve_details(pool, levels, 1, cfg)
@@ -404,9 +398,7 @@ def test_hand_computed_single_detail_objective():
         make_descriptor(1, 0, 3, [0.125] * 4, n),
         make_descriptor(2, 4, 7, [0.25] * 4, n),
     ]
-    pool = DescriptorPool(
-        descriptors=tuple(descs), n_zones=n,
-        kinds=(CurveKind.LINE,), n_infeasible=0)
+    pool = make_pool(tuple(descs), n)
     levels = [level_of(1, (0,), pool), level_of(2, (1, 2), pool)]
     cfg = SelectionConfig(max_thr=0.3, min_thr=0.02, v=2, penalty_eps=1e-4)
     res = solve_details(pool, levels, 1, cfg)
@@ -424,18 +416,14 @@ def test_min_thr_strictness_through_solver():
         make_descriptor(1, 0, 1, [0.46875, 0.46875], n),
         make_descriptor(2, 2, 3, [0.5, 0.5], n),
     ]
-    pool = DescriptorPool(
-        descriptors=tuple(descs), n_zones=n,
-        kinds=(CurveKind.LINE,), n_infeasible=0)
+    pool = make_pool(tuple(descs), n)
     levels = [level_of(1, (0,), pool), level_of(2, (1, 2), pool)]
     cfg = SelectionConfig(max_thr=0.6, min_thr=min_thr, v=2, penalty_eps=1e-4)
     res = solve_details(pool, levels, 1, cfg)
     assert res.details == ()  # improvement is exactly min_thr: rejected
 
     better = make_descriptor(1, 0, 1, [0.46875 - 1e-6, 0.46875], n)
-    pool2 = DescriptorPool(
-        descriptors=(descs[0], better, descs[2]), n_zones=n,
-        kinds=(CurveKind.LINE,), n_infeasible=0)
+    pool2 = make_pool((descs[0], better, descs[2]), n)
     levels2 = [level_of(1, (0,), pool2), level_of(2, (1, 2), pool2)]
     res2 = solve_details(pool2, levels2, 1, cfg)
     assert res2.details == ((1, 2),)

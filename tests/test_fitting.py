@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,7 +18,9 @@ from conftest import (
     POOL_VALUE_EDITS,
     edit_pool_record,
     make_descriptor,
+    make_pool,
     make_series,
+    pool_key,
     raw_series,
     series_exact,
 )
@@ -41,18 +44,28 @@ from serinarr.fitting import (
 from serinarr.ingest import TimeSeries, load, normalize
 from serinarr.prototypes import (
     PARAM_COUNTS,
+    PARAM_FIELDS,
+    PARAMS_CLASS,
     BilinearParams,
     CurveKind,
     LineParams,
     SinusoidParams,
     ToothParams,
     evaluate,
-    params_from_dict,
-    params_to_dict,
 )
 
 
 FIXTURE = Path(__file__).parent / "data" / "concert_weekly.csv"
+
+
+def fitted_params(series, kind, ranges):
+    """Each range's params as ``_fit_ranges`` fits them, None where it
+    has no fit."""
+    fit, params, _ = _fit_ranges(series, kind, ranges)
+    out = [None] * len(ranges)
+    for r, row in zip(fit.tolist(), params.tolist()):
+        out[r] = PARAMS_CLASS[kind](*row[: len(PARAM_FIELDS[kind])])
+    return out
 
 
 def overall_rmse(series, d):
@@ -193,7 +206,7 @@ def test_dump_load_round_trip(tmp_path):
     assert again.n_zones == pool.n_zones
     assert again.kinds == pool.kinds
     assert again.n_infeasible == pool.n_infeasible
-    assert again.descriptors == pool.descriptors
+    assert list(again) == list(pool)
     # the dump is line-delimited records
     lines = path.read_text().splitlines()
     assert len(lines) == len(pool) + 1
@@ -206,7 +219,7 @@ def _dump_pool_reference(pool: DescriptorPool) -> str:
     header = {"n_zones": pool.n_zones, "kinds": [k.label for k in pool.kinds],
               "n_infeasible": pool.n_infeasible}
     records = [{"id": d.id, "kind": d.kind.label, "zone_start": d.zone_start,
-                "zone_end": d.zone_end, "params": params_to_dict(d.params),
+                "zone_end": d.zone_end, "params": dataclasses.asdict(d.params),
                 "zone_errs": list(d.zone_errs)} for d in pool]
     lines = [json.dumps(rec, sort_keys=True) for rec in [header] + records]
     return "\n".join(lines) + "\n"
@@ -229,19 +242,16 @@ def _load_pool_reference(path) -> DescriptorPool:
             Descriptor(
                 id=rec["id"],
                 kind=kind,
-                params=params_from_dict(kind, rec["params"]),
+                params=PARAMS_CLASS[kind](**rec["params"]),
                 zone_start=rec["zone_start"],
                 zone_end=rec["zone_end"],
                 zone_errs=tuple(rec["zone_errs"]),
                 n_zones=header["n_zones"],
             )
         )
-    return DescriptorPool(
-        descriptors=tuple(descriptors),
-        n_zones=header["n_zones"],
-        kinds=tuple(CurveKind.from_label(k) for k in header["kinds"]),
-        n_infeasible=header.get("n_infeasible", 0),
-    )
+    return make_pool(descriptors, header["n_zones"],
+                     tuple(CurveKind.from_label(k) for k in header["kinds"]),
+                     header.get("n_infeasible", 0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -267,8 +277,7 @@ def test_dump_pool_writes_odd_floats_as_json_dumps(tmp_path):
                    for k, (a, b, e) in enumerate(zip(odd, odd[1:] + odd[:1], odd[2:] + odd[:2]))]
     descriptors.append(make_descriptor(len(odd), 0, 1, [0.5, 1.5], 4,
                                        params=LineParams(a=0, b=-1)))
-    pool = DescriptorPool(descriptors=tuple(descriptors), n_zones=4,
-                          kinds=(CurveKind.LINE,))
+    pool = make_pool(descriptors, 4)
     path = tmp_path / "pool.jsonl"
     dump_pool(pool, path)
     text = path.read_text()
@@ -298,7 +307,8 @@ def test_load_pool_takes_what_the_per_line_loader_takes(edit, taken, tmp_path):
     path.write_text(edit(path.read_text()), newline="")
     want = _outcome(_load_pool_reference, path)
     assert isinstance(want, DescriptorPool) if taken else want is ValueError
-    assert _outcome(load_pool, path) == want
+    got = _outcome(load_pool, path)
+    assert pool_key(got) == pool_key(want) if taken else got is want
 
 
 def _move_bilinear_start(recs):
@@ -349,21 +359,16 @@ def test_descriptor_accessors():
     assert [z for z in range(4) if d.zone_start <= z <= d.zone_end] == [1, 2]
     assert d.x_lo == pytest.approx(0.25)
     assert d.x_hi == pytest.approx(0.75)
-    assert d.total_err == pytest.approx(sum(d.zone_errs))
     with pytest.raises(KeyError):
         pool.get(10 ** 9)
 
 
 def test_zone_errs_takes_best_covering_descriptor():
-    pool = DescriptorPool(
-        descriptors=(
-            make_descriptor(0, 0, 3, [0.4, 0.3, 0.2, 0.1], 4),
-            make_descriptor(1, 1, 2, [0.5, 0.05], 4),
-            make_descriptor(2, 3, 3, [0.1], 4),
-        ),
-        n_zones=4,
-        kinds=(CurveKind.LINE,),
-    )
+    pool = make_pool([
+        make_descriptor(0, 0, 3, [0.4, 0.3, 0.2, 0.1], 4),
+        make_descriptor(1, 1, 2, [0.5, 0.05], 4),
+        make_descriptor(2, 3, 3, [0.1], 4),
+    ], 4)
     assert pool.zone_errs([0]) == [0.4, 0.3, 0.2, 0.1]
     assert pool.zone_errs([0, 1, 2]) == [0.4, 0.3, 0.05, 0.1]
     with pytest.raises(ValueError):
@@ -523,7 +528,7 @@ def test_tooth_blocks_match_pair_lexsort(monkeypatch, cells):
     rnd = random.Random(6100)
     for s, _, _ in _random_ranges(rnd, 60):
         ranges = [(i, j) for i in range(s.n_zones) for j in range(i, s.n_zones)]
-        for (i, j), d in zip(ranges, _fit_ranges(s, CurveKind.TOOTH, ranges)):
+        for (i, j), p in zip(ranges, fitted_params(s, CurveKind.TOOTH, ranges)):
             sl = s.zone_slice(i, j)
             x, y = s.xs[sl], s.ys[sl]
             boundaries = np.arange(i, j + 2, dtype=float) / s.n_zones
@@ -531,7 +536,7 @@ def test_tooth_blocks_match_pair_lexsort(monkeypatch, cells):
             if len(x) >= PARAM_COUNTS[CurveKind.TOOTH]:
                 want = _pair_lexsort_tooth(x, y, *s.zone_x_range(i, j), boundaries,
                                            (j - i + 1) <= 4)
-            assert (d and d.params) == want, (i, j)
+            assert p == want, (i, j)
 
 
 def _bound_series(rng, count):
@@ -560,12 +565,12 @@ def test_tooth_bound_matches_pair_lexsort(monkeypatch, cells):
     monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
     for s in _bound_series(np.random.default_rng(6150), 16):
         ranges = [(i, j) for i in range(s.n_zones) for j in range(i, s.n_zones)]
-        for (i, j), d in zip(ranges, _fit_ranges(s, CurveKind.TOOTH, ranges)):
+        for (i, j), p in zip(ranges, fitted_params(s, CurveKind.TOOTH, ranges)):
             sl = s.zone_slice(i, j)
             boundaries = np.arange(i, j + 2, dtype=float) / s.n_zones
             want = _pair_lexsort_tooth(s.xs[sl], s.ys[sl], *s.zone_x_range(i, j),
                                        boundaries, True)
-            assert d.params == want, (cells, i, j)
+            assert p == want, (cells, i, j)
 
 
 def test_sinusoid_grid_matches_per_frequency_solve():
@@ -619,10 +624,10 @@ def test_sinusoid_basis_slices_match_per_range_grid(monkeypatch):
         ranges = [(i, j) for i in range(n_zones) for j in range(i, n_zones)]
         for cells in (len(_SIN_GRID), 32 * 40, _CHUNK_CELLS):
             monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
-            for (i, j), d in zip(ranges, _fit_ranges(s, CurveKind.SINUSOID, ranges)):
+            for (i, j), p in zip(ranges, fitted_params(s, CurveKind.SINUSOID, ranges)):
                 sl = s.zone_slice(i, j)
                 want = _reference_sinusoid(s.xs[sl], s.ys[sl], *s.zone_x_range(i, j))
-                assert (d and d.params) == want, (levels, cells, i, j)
+                assert p == want, (levels, cells, i, j)
 
 
 def _reference_bilinear(x, y, x_lo, x_hi, seen):
@@ -733,13 +738,13 @@ def test_bilinear_batch_matches_per_range_fit(monkeypatch):
         monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
         for s in _oracle_series(np.random.default_rng(6300), 45):
             ranges = [(i, j) for i in range(s.n_zones) for j in range(i, s.n_zones)]
-            for (i, j), d in zip(ranges, _fit_ranges(s, CurveKind.BILINEAR, ranges)):
+            for (i, j), p in zip(ranges, fitted_params(s, CurveKind.BILINEAR, ranges)):
                 sl = s.zone_slice(i, j)
                 x, y = s.xs[sl], s.ys[sl]
                 want = None
                 if len(x) >= PARAM_COUNTS[CurveKind.BILINEAR]:
                     want = _reference_bilinear(x, y, *s.zone_x_range(i, j), seen)
-                assert (d and d.params) == want, (cells, i, j)
+                assert p == want, (cells, i, j)
     assert seen == {"midpoint", "singular"}
 
 
@@ -1132,7 +1137,7 @@ def _reference_pool(series, kinds):
                 )
                 descriptors.append(
                     Descriptor(len(descriptors), kind, params, i, j, errs, n))
-    return DescriptorPool(tuple(descriptors), n, kinds, n_infeasible)
+    return make_pool(descriptors, n, kinds, n_infeasible)
 
 
 def test_pool_matches_per_range_reference(monkeypatch):
@@ -1153,7 +1158,7 @@ def test_pool_matches_per_range_reference(monkeypatch):
         for cells in (32, 224, _CHUNK_CELLS):
             monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
             pool = build_pool(s, kinds)
-            assert pool == reference, (case, cells)
+            assert pool_key(pool) == pool_key(reference), (case, cells)
         n_infeasible += pool.n_infeasible
         for d in pool:
             assert fit_one(s, d.kind, d.zone_start, d.zone_end) == replace(d, id=-1)
@@ -1195,7 +1200,7 @@ def test_pool_matches_reference_on_uneven_zones(levels, data):
     pool = build_pool(s, tuple(CurveKind))
     # The per-range bilinear oracle divides by those squared gaps.
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert pool == _reference_pool(s, tuple(CurveKind))
+        assert pool_key(pool) == pool_key(_reference_pool(s, tuple(CurveKind)))
     for d in pool:
         assert fit_one(s, d.kind, d.zone_start, d.zone_end) == replace(d, id=-1)
 
@@ -1231,7 +1236,8 @@ def test_tooth_pool_matches_reference_when_edge_groups_mix_sample_counts(
                         edges = len(np.unique(np.r_[np.arange(i, j + 2) / n_zones, x]))
                     samples.setdefault(edges, set()).add(len(x))
         mixed += any(len(counts) > 1 for counts in samples.values())
-        assert build_pool(s, (CurveKind.TOOTH,)) == _reference_pool(s, (CurveKind.TOOTH,)), case
+        assert pool_key(build_pool(s, (CurveKind.TOOTH,))) == pool_key(
+            _reference_pool(s, (CurveKind.TOOTH,))), case
     assert mixed >= 3
 
 
@@ -1285,7 +1291,8 @@ def test_tooth_pool_matches_reference_when_runs_mix_edge_counts(monkeypatch, cel
         ys = [rng.random(len(xs)), rng.integers(0, 3, len(xs)),
               np.arange(len(xs)) == len(xs) - 1][case % 3].astype(float)
         s = _uneven_series(xs, ys, levels)
-        assert build_pool(s, (CurveKind.TOOTH,)) == _reference_pool(s, (CurveKind.TOOTH,)), case
+        assert pool_key(build_pool(s, (CurveKind.TOOTH,))) == pool_key(
+            _reference_pool(s, (CurveKind.TOOTH,))), case
     mixed = [c for c in calls if len(c) > 1]
     assert len(mixed) >= 3
     assert any(max(c) >= 64 for c in mixed)
@@ -1325,8 +1332,8 @@ def test_tooth_edges_match_per_range_unique(levels, zones):
         if j - i < 4:
             want = np.unique(np.r_[want, s.xs[s.zone_slice(i, j)]])
         assert got.tolist() == want.tolist(), (i, j)
-    fits = _fit_ranges(s, CurveKind.TOOTH, ranges)
-    assert [d is not None for d in fits] == (n >= PARAM_COUNTS[CurveKind.TOOTH]).tolist()
+    fits = fitted_params(s, CurveKind.TOOTH, ranges)
+    assert [p is not None for p in fits] == (n >= PARAM_COUNTS[CurveKind.TOOTH]).tolist()
 
 
 # A sample 1e-200 past the left edge of zone 0 (normalized x = t).

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_descriptor, series_exact
+from conftest import make_descriptor, make_pool, series_exact
 from serinarr.details import SelectionResult
-from serinarr.fitting import DescriptorPool
 from serinarr.narration import (
     CONSTANCY,
     DEPTH,
@@ -325,8 +324,7 @@ def ordered_pool(n=8):
         make_descriptor(3, 4, 5, [0.05] * 2, n),
         make_descriptor(4, 4, 5, [0.04] * 2, n),
     ]
-    return DescriptorPool(descriptors=tuple(descs), n_zones=n,
-                          kinds=(CurveKind.LINE,), n_infeasible=0)
+    return make_pool(descs, n)
 
 
 def test_order_units_positions_and_roles():
@@ -375,8 +373,7 @@ def test_build_narration_fills_shapes_and_structure():
         make_descriptor(0, 0, 3, [0.1] * 4, n, params=line),
         make_descriptor(1, 0, 1, [0.05] * 2, n, params=LineParams(0.1, 0.002)),
     ]
-    pool = DescriptorPool(descriptors=tuple(descs), n_zones=n,
-                          kinds=(CurveKind.LINE,), n_infeasible=0)
+    pool = make_pool(descs, n)
     x = np.arange(33) / 32.0
     s = series_exact(0.1 + 0.8 * x, levels=2)
     sel = selection([0], [(1, 2)], s=1)

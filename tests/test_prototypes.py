@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_descriptor, make_pool
+from serinarr.fitting import dump_pool, load_pool
 from serinarr.prototypes import (
     PARAM_COUNTS,
     BilinearParams,
@@ -13,8 +16,6 @@ from serinarr.prototypes import (
     SinusoidParams,
     ToothParams,
     evaluate,
-    params_from_dict,
-    params_to_dict,
 )
 
 
@@ -73,8 +74,8 @@ def test_evaluate_columns_match_rows():
     }
     x = np.linspace(0.0, 1.0, 17)
     for kind, ps in rows.items():
-        cols = {f: np.array([[params_to_dict(p)[f]] for p in ps])
-                for f in params_to_dict(ps[0])}
+        cols = {f: np.array([[getattr(p, f)] for p in ps])
+                for f in dataclasses.asdict(ps[0])}
         got = evaluate(kind, cols, np.stack([x] * len(ps)))
         for k, p in enumerate(ps):
             assert got[k].tolist() == evaluate(kind, p, x).tolist(), kind
@@ -125,7 +126,9 @@ def test_kind_labels_round_trip():
         CurveKind.from_label("spline")
 
 
-def test_params_dict_round_trip():
+def test_params_dict_round_trip(tmp_path):
+    """Each kind's params, saved in a pool record's params dict and
+    loaded back into the pool's params row, give the same params."""
     cases = [
         (CurveKind.LINE, LineParams(0.1, -0.2)),
         (CurveKind.BILINEAR,
@@ -135,8 +138,11 @@ def test_params_dict_round_trip():
         (CurveKind.SINUSOID,
          SinusoidParams(amp=0.25, freq=2.5, phase=1.5, mean=0.5)),
     ]
-    for kind, p in cases:
-        assert params_from_dict(kind, params_to_dict(p)) == p
+    descriptors = [make_descriptor(k, 0, 0, [0.5], 1, kind=kind, params=p)
+                   for k, (kind, p) in enumerate(cases)]
+    path = tmp_path / "pool.jsonl"
+    dump_pool(make_pool(descriptors, 1, kinds=tuple(CurveKind)), path)
+    assert [d.params for d in load_pool(path)] == [p for _, p in cases]
 
 
 @settings(max_examples=60)
