@@ -60,6 +60,7 @@ from .fitting import (
     build_pool,
     dump_pool,
     load_pool,
+    pool_zones,
     write_atomic,
 )
 from .ingest import FORMATS, TimeSeries, load_series
@@ -487,15 +488,16 @@ def _cmd_render(args) -> int:
             f"run narrate with --emit json,pool first"
         )
     series = load_series(cfg.input, cfg.format, cfg.levels)
+    n_zones = _read_artifact(pool_path, pool_zones)
+    if n_zones != series.n_zones:
+        raise OutputError(
+            f"{pool_path.name} has {n_zones} zones but --levels {cfg.levels} "
+            f"gives {series.n_zones}; render with the --levels narrate used"
+        )
     pool = _read_artifact(pool_path, load_pool)
     selection = _read_artifact(
         sel_path, lambda p: SelectionResult.from_dict(json.loads(p.read_text()))
     )
-    if pool.n_zones != series.n_zones:
-        raise OutputError(
-            f"{pool_path.name} has {pool.n_zones} zones but --levels {cfg.levels} "
-            f"gives {series.n_zones}; render with the --levels narrate used"
-        )
     if not np.isfinite(pool.errs).all():
         raise OutputError(f"{pool_path.name} holds non-finite zone errors")
     unknown = {i for i in selection.selected_ids if not 0 <= i < len(pool)}

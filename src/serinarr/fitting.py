@@ -18,16 +18,23 @@ Fitting strategy per kind:
   rounding bound, is a lower bound on the SSE LAPACK scores for it, so
   LAPACK scores only the candidates whose bound reaches their row's
   least score, plus those the bound does not certify; the rest can
-  neither win nor tie.
+  neither win nor tie.  A system's left-segment terms (a, b, r0 and the
+  left parts of c and r1) depend on the range's start and the breakpoint
+  only, so they are computed once per start and sample, and each
+  candidate adds its right segment's.
 * tooth: plateau edges are searched over the zone boundaries inside
   the range, plus the sample positions when the range spans at most 4
   zones; the three levels are segment means.  Every (start, end) edge
-  pair is a cell of one start x end table, scored from y and y^2 prefix
-  sums.  No cell is below its row's left-segment SSE or its column's
-  right-segment SSE, in floats too, so tables padded to n_pos >= 64
-  edges are first scored on a sub-table of every (n_pos // 32)-th edge,
-  and then only where those are at most the sub-table's least cell.
-  Ties prefer the wider plateau, then the earlier start.
+  pair is a cell, scored from y and y^2 prefix sums.  A start's ranges
+  of at most 4 zones share one table, of their widest range's edges
+  (each range's edges are a prefix of them), and its wider ranges
+  another: the table holds ``fl(left + plateau)`` and is reduced to
+  column minima, and each range adds its right-segment SSE per column;
+  a range's last column is its own, as only it excludes a sample on the
+  next zone's boundary.  No cell is below its row's left-segment SSE, in
+  floats too, so a table scores only the rows whose left SSE is at most
+  an incumbent of one of its ranges.  Ties prefer the wider plateau, then
+  the earlier start.
 * sinusoid: frequency scanned over a geometric grid of 0.5..8 cycles
   per range width (32 steps), amplitude and phase by a linear solve in
   the sin/cos basis, then the best frequency is refined by golden
@@ -43,22 +50,20 @@ batched freely, over ranges of any length.  A pairwise sum (``sum``,
 reduced on its own, so it rounds as the range's own sum would: the line
 sums, the bilinear ``syy`` and the per-zone errors, a row per (range,
 zone) segment evaluated with its range's params, are summed by
-``_row_sums``.  ``np.cumsum(axis=1)`` adds in sequence, so prefix sums
-are taken on samples padded to a common length (``_padded``): the first
-n + 1 entries of a row are exactly the range's own.  So ``_fit_ranges``
-batches ranges of different sample counts.  Bilinear ranges, in
-ascending sample count, are cut into runs whose candidates are raveled
-into one vector of real cells, the per-range minima being segmented
-reductions over it.  Every tooth range's plateau edges are built in one
-raveled pass (``_tooth_edges``), and the tables, in ascending edge
-count, are scored in runs each padded to its largest table, a run
-holding at most 1.5 times its real cells (``_even_runs``).  Line and
-sinusoid ranges are fitted in one batch each.  One budget of
+``_row_sums``.  ``np.cumsum`` adds in sequence, so prefix sums are taken
+once per start zone, from its first sample: the first n + 1 entries are
+exactly those of each range of n samples from there.
+So ``_fit_ranges`` batches ranges of different sample counts.  Bilinear
+ranges, in (start, end) order, are cut into runs whose candidates are
+raveled into one vector of real cells, the per-range minima being
+segmented reductions over it.  Tooth ranges are fitted in runs of whole
+start groups; the groups' table edges are built in one raveled pass
+(``_tooth_edges``), and their cells are raveled by column.  Line
+and sinusoid ranges are fitted in one batch each.  One budget of
 ``_CHUNK_CELLS`` floats bounds memory on dense input: bilinear
-candidates and summed samples are taken ``_CHUNK_CELLS // 32`` at a
-time, a candidate peaking at some 32 floats and a sample at fewer, and
-tooth tables scored in (range, start row) blocks of ``_CHUNK_CELLS //
-8`` cells, a cell peaking at some 5 floats.
+candidates, summed samples, tooth cells and the plateau edges of a tooth
+run are taken ``_CHUNK_CELLS // 32`` at a time, a candidate peaking at
+some 32 floats and a sample, a cell or an edge at fewer.
 
 The pool holds its descriptors as columns: kind, zone range, params
 (the kind's fields in field order, NaN after them) and an (m, n_zones)
@@ -75,9 +80,11 @@ every CLI artifact go through it.
 A saved pool is a header line and one json line per descriptor, its
 bytes those of ``json.dumps(record, sort_keys=True)`` and fixed by the
 pools' sha256 pins.  ``dump_pool`` fills each line from one template per
-kind, so only float ``repr`` runs per value; ``load_pool`` decodes it
+kind, so only float ``repr`` runs per value, a block of records at a
+time, so only the file's text is held whole; ``load_pool`` decodes it
 back line by line with one shared json decoder, and checks each kind's
-params rules (``params_ok``) on whole columns.
+params rules (``params_ok``) on whole columns.  ``pool_zones`` reads a
+saved pool's zone count from its header line alone.
 """
 
 from __future__ import annotations
@@ -219,10 +226,11 @@ class DescriptorPool:
 
 
 def _prefix(a: np.ndarray) -> np.ndarray:
-    """Per-row prefix sums with a leading 0.0.  They add in sequence, so
-    entry k of a padded row is exactly the sum of its first k samples."""
-    out = np.zeros((a.shape[0], a.shape[1] + 1))
-    np.cumsum(a, axis=1, out=out[:, 1:])
+    """Prefix sums along the last axis with a leading 0.0.  They add in
+    sequence, so entry k of a row of a start's samples is exactly the sum
+    of the first k samples of every range from that start."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    np.cumsum(a, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -241,16 +249,28 @@ def _padded(first: np.ndarray, n: np.ndarray) -> np.ndarray:
     return first[:, None] + np.minimum(np.arange(n.max()), n[:, None] - 1)
 
 
-def _runs(rows: np.ndarray, n: np.ndarray, budget: int) -> list[np.ndarray]:
-    """Cut ``rows``, in ascending sample count ``n[rows]``, into runs of
-    whole rows whose padded (rows, max n) block holds at most ``budget``
-    cells, or of one row."""
-    runs, s0 = [], 0
-    for k, nk in enumerate(n[rows].tolist()):
-        if (k + 1 - s0) * nk > budget and k > s0:
-            runs.append(rows[s0:k])
-            s0 = k
-    return runs + [rows[s0:]] if len(rows) else runs
+def _chunks(cost: np.ndarray, budget: int) -> list[slice]:
+    """Cut items of the given ``cost``, in order, into consecutive chunks,
+    each starting a new multiple of ``budget`` of the running cost: a
+    chunk costs less than ``budget`` plus its last item."""
+    key = (np.cumsum(cost) - cost) // max(1, budget)
+    cut = [0] + (np.flatnonzero(np.diff(key)) + 1).tolist() + [len(cost)]
+    return [slice(a, b) for a, b in zip(cut, cut[1:]) if b > a]
+
+
+def _start_sums(vals, first: np.ndarray, length: np.ndarray, row: np.ndarray,
+                k: np.ndarray) -> np.ndarray:
+    """For each query q, the sums of each array of ``vals`` over the first
+    ``k[q]`` samples from ``first[row[q]]`` on.  Each start's prefix sums
+    are taken once, over its ``length`` samples, at most ``_CHUNK_CELLS``
+    samples of starts at a time (``_prefix``)."""
+    out = np.empty((len(vals), len(row)))
+    step = max(1, _CHUNK_CELLS // int(length.max()))
+    for s0 in range(0, len(first), step):
+        sel = np.flatnonzero((row >= s0) & (row < s0 + step))
+        pad = _padded(first[s0 : s0 + step], length[s0 : s0 + step])
+        out[:, sel] = _prefix(np.stack([v[pad] for v in vals]))[:, row[sel] - s0, k[sel]]
+    return out
 
 
 def _row_sums(first: np.ndarray, n: np.ndarray, f, count: int = 1) -> np.ndarray:
@@ -350,40 +370,48 @@ def _bilinear_sse(a, b, c, d, e, r0, r1, r2, syy):
 
 def _bilinear_entries(xs, ys, first, n, x_lo, x_hi, row, idx):
     """The system entries (a, b, c, d, e, r0, r1, r2) of the raveled
-    candidate cells of ranges of ``n`` samples from ``first`` on, each
-    cell's range ``row`` and sample ``idx`` being its breakpoint ``xb``,
-    and the mask of the cells to score.  The segment sums are read from
-    per-range prefix sums of the samples padded to one length."""
-    pad = _padded(first, n)
+    candidate cells of ranges of ``n`` samples from ``first`` on, in
+    (start, end) order, each cell's range ``row`` and sample ``idx`` being
+    its breakpoint ``xb``, and the mask of the cells to score.  The left
+    segment's entries depend on the start and ``xb`` only, so they are
+    computed once per start and sample, from the start's prefix sums,
+    and each cell adds its right segment's terms."""
+    new = np.r_[True, first[1:] != first[:-1]]
+    at = np.flatnonzero(new)
+    pad = _padded(first[at], np.maximum.reduceat(n, at))  # each start's longest range
     x, y = xs[pad], ys[pad]
-    sums = [_prefix(v).ravel() for v in (x, x * x, y, x * y)]
-    p = idx - first[row]
-    xb, lo, hi = xs[idx], np.repeat(x_lo, n), np.repeat(x_hi, n)
-    n_l = p + 1.0
-    n_r = np.repeat(n, n) - n_l
-    # Each cell's left sums, and its range's whole sums, in the raveled
-    # (m, w) prefix sums.
-    w = x.shape[1] + 1
-    at, end = row * w + p + 1, np.repeat(np.arange(len(n)) * w + n, n)
-    sx_l, sxx_l, sy_l, sxy_l = (v[at] for v in sums)
-    sx_r, sxx_r, sy_r, sxy_r = (v[end] - v[at] for v in sums)
+    sums = _prefix(np.stack([x, x * x, y, x * y]))  # sx, sxx, sy, sxy: (4, starts, w + 1)
+    # left segment: y_l weight (xb - x)/dl, y_b weight (x - x_lo)/dl.  A
+    # gap that squares to 0 is masked, and divided as 1.
+    sx_l, sxx_l, sy_l, sxy_l = sums[:, :, 1:]
+    lo, n_l = x_lo[at, None], np.arange(1.0, x.shape[1] + 1)
+    dl = x - lo
+    keep_l = (dl > 0) & (dl * dl > 0)
+    dl = np.where(keep_l, dl, 1.0)
+    dl2 = dl * dl
+    left = (keep_l, (x * x * n_l - 2 * x * sx_l + sxx_l) / dl2,
+            ((x + lo) * sx_l - x * lo * n_l - sxx_l) / dl2,
+            (sxx_l - 2 * lo * sx_l + lo * lo * n_l) / dl2,
+            (x * sy_l - sxy_l) / dl, (sxy_l - lo * sy_l) / dl)
 
-    # Masked cells divide by 1, not by a gap that squares to 0.
-    dl, dr = xb - lo, hi - xb
-    gap = np.minimum(dl, dr)
-    keep = (gap > 0) & (gap * gap > 0)
-    dl, dr = np.where(keep, dl, 1.0), np.where(keep, dr, 1.0)
+    # Each cell's left entries and sums, at its start and sample p, and
+    # the right segment's sums, its range's less its left ones.
+    start, p = (np.cumsum(new) - 1)[row], idx - first[row]
+    cell = start * x.shape[1] + p
+    keep, a, b, c, r0, r1 = (v.ravel()[cell] for v in left)
+    whole = sums[:, start, n[row]]
+    sx_r, sxx_r, sy_r, sxy_r = (v_w - v[:, 1:].ravel()[cell] for v_w, v in zip(whole, sums))
+    xb, hi = xs[idx], x_hi[row]
+    n_r = n[row] - (p + 1.0)
 
-    # left segment: y_l weight (xb - x)/dl, y_b weight (x - x_lo)/dl
-    a = (xb * xb * n_l - 2 * xb * sx_l + sxx_l) / (dl * dl)
-    b = ((xb + lo) * sx_l - xb * lo * n_l - sxx_l) / (dl * dl)
-    c = (sxx_l - 2 * lo * sx_l + lo * lo * n_l) / (dl * dl)
-    r0 = (xb * sy_l - sxy_l) / dl
-    r1 = (sxy_l - lo * sy_l) / dl
     # right segment: y_b weight (x_hi - x)/dr, y_r weight (x - xb)/dr
-    c += (hi * hi * n_r - 2 * hi * sx_r + sxx_r) / (dr * dr)
-    d = ((hi + xb) * sx_r - hi * xb * n_r - sxx_r) / (dr * dr)
-    e = (sxx_r - 2 * xb * sx_r + xb * xb * n_r) / (dr * dr)
+    dr = hi - xb
+    keep &= (dr > 0) & (dr * dr > 0)
+    dr = np.where(keep, dr, 1.0)
+    dr2 = dr * dr
+    c += (hi * hi * n_r - 2 * hi * sx_r + sxx_r) / dr2
+    d = ((hi + xb) * sx_r - hi * xb * n_r - sxx_r) / dr2
+    e = (sxx_r - 2 * xb * sx_r + xb * xb * n_r) / dr2
     r1 += (hi * sy_r - sxy_r) / dr
     r2 = (sxy_r - xb * sy_r) / dr
     # d = e = 0 (an empty right segment, or one all at xb) zeroes M's
@@ -451,20 +479,6 @@ def _tooth_edges(xs, first, n, span_i, span_j, nz):
     return edge[new], row[new]
 
 
-def _even_runs(count: np.ndarray) -> list[np.ndarray]:
-    """The indices of ``count``, in ascending count, cut into runs whose
-    (rows, max count^2) padded tables hold at most 1.5 times their real
-    count^2 cells."""
-    order = np.argsort(count, kind="stable")
-    runs, s0, real = [], 0, 0
-    for k, c in enumerate(count[order].tolist()):
-        real += c * c
-        if (k + 1 - s0) * c * c > 1.5 * real:
-            runs.append(order[s0:k])
-            s0, real = k, c * c
-    return runs + [order[s0:]] if len(order) else runs
-
-
 def _seg_sse(cnt: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
     """Squared error of a segment mean from its count, sum and sum of
     squares; an empty segment costs nothing."""
@@ -472,109 +486,158 @@ def _seg_sse(cnt: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def _tooth_cells(t, rs, ss, cs):
-    """SSE of tables ``rs``' cells, start rows ``ss`` by end columns ``cs``,
-    from the per-edge arrays ``t``; inf where end <= start or the plateau
-    holds no sample, as on a padded end edge.  Elementwise, so a cell
-    scores the same in any block."""
-    lo_idx, hi_idx, s_lo, s_hi, ss_lo, ss_hi, left, right = t
-    cnt = hi_idx[rs, None, cs] - lo_idx[rs, ss, None]
-    s = s_hi[rs, None, cs] - s_lo[rs, ss, None]
+def _tooth_cells(t, row, col):
+    """``fl(left + plateau)`` of the cells from start edge ``row`` to end
+    edge ``col``, indices of the per-edge arrays ``t``: the samples of a
+    range before (``lo``) and up to (``hi``) an edge, their y and y^2
+    sums, and the left segment's SSE.  inf where the plateau holds no
+    sample.  Elementwise, so a cell scores the same in any pass."""
+    lo, s_lo, ss_lo, left, hi, s_hi, ss_hi = t
+    cnt = hi[col] - lo[row]
+    s = s_hi[col] - s_lo[row]
     s *= s
     with np.errstate(invalid="ignore", divide="ignore"):
         s /= cnt
-    sse = ss_hi[rs, None, cs] - ss_lo[rs, ss, None]
+    sse = ss_hi[col] - ss_lo[row]
     sse -= s
     np.maximum(sse, 0.0, out=sse)
-    sse = left[rs, ss, None] + sse
-    sse += right[rs, None, cs]
-    edge = np.arange(lo_idx.shape[1])
-    sse[(edge[cs] <= edge[ss][:, None]) | (cnt <= 0)] = np.inf
+    sse += left[row]
+    sse[cnt <= 0] = np.inf
     return sse
 
 
-def _fit_teeth(xs, ys, first, n, positions, count):
-    """Tooth fits of the ranges of ``n`` samples from ``first`` on, each
-    over the first ``count`` of its sorted plateau edge ``positions``; a
-    row is padded to the longest with its last edge.  Each zone of a
-    range holds a sample, so every (start, end) cell of real edges with
-    end > start counts at least one; a padded edge holds no sample as an
-    end (``hi_idx`` 0), so no cell ending on one can win or tie."""
-    m, n_pos = positions.shape
-    at = np.arange(m)
-    # The number of a range's samples before (lo_idx) and up to (hi_idx)
-    # each edge: samples before a range lie below its first edge, and
-    # those after it at or past its last, so they follow from the whole
-    # series' counts.
-    lo_idx = np.minimum(np.searchsorted(xs, positions, side="left") - first[:, None],
-                        n[:, None])
-    hi_idx = np.minimum(np.searchsorted(xs, positions, side="right") - first[:, None],
-                        n[:, None])
-    hi_idx[np.arange(n_pos) >= count[:, None]] = 0
-    y = ys[_padded(first, n)]
-    py, pyy = _prefix(y), _prefix(y * y)
-    s_lo, s_hi = np.take_along_axis(py, lo_idx, 1), np.take_along_axis(py, hi_idx, 1)
-    ss_lo, ss_hi = np.take_along_axis(pyy, lo_idx, 1), np.take_along_axis(pyy, hi_idx, 1)
-    # Outer segments per edge position; py[:, 0] and pyy[:, 0] are 0.0,
-    # so these equal the per-pair differences exactly.
-    left = _seg_sse(lo_idx.astype(float), s_lo, ss_lo)
-    right = _seg_sse((n[:, None] - hi_idx).astype(float), py[at, n, None] - s_hi,
-                     pyy[at, n, None] - ss_hi)
-    t = lo_idx, hi_idx, s_lo, s_hi, ss_lo, ss_hi, left, right
+def _tooth_columns(t, col, r0, r1):
+    """The cells of the table columns ``col``, end edges of the per-edge
+    arrays ``t``, each over the start rows [r0, r1), in chunks of about
+    ``_CHUNK_CELLS // 32`` cells, a cell peaking at some 10 values.  Yields
+    each chunk's slice of the columns, the offset of each column's cells
+    and each cell's column and row, and the cells' ``_tooth_cells``."""
+    for k in _chunks(r1 - r0, _CHUNK_CELLS // 32):
+        at, c, row = _ravel(r0[k], r1[k] - r0[k])
+        yield k, at, c, row, _tooth_cells(t, row, col[k][c])
 
-    # A cell is fl(fl(left + plateau) + right), all three >= 0, so it is at
-    # least its row's left and its column's right.  A large table's least
-    # cell is at most ``inc``, its sub-table's least cell, so rows with
-    # left > inc and columns with right > inc hold no least cell nor a tie
-    # of one: only rows [0, rmax) by columns [cmin, n_pos) are scored.
-    # Rows past a table's real edges hold no cell.
-    n_rows, budget = n_pos - 1, _CHUNK_CELLS // 8  # a cell peaks at some 5 floats
-    rmax, cmin = count - 1, np.zeros(m, int)
-    if n_pos >= 64:
-        sub = np.unique(np.r_[0:n_pos:n_pos // 32, n_rows])
-        step = max(1, budget // len(sub) ** 2)
-        inc = np.concatenate([_tooth_cells(t, slice(r, r + step), sub, sub).min(axis=(1, 2))
-                              for r in range(0, m, step)])[:, None]
-        rmax = np.minimum(n_pos - (left <= inc)[:, ::-1].argmax(axis=1), rmax)
-        cmin = (right <= inc).argmax(axis=1)
 
-    # The plateau spans start rows by end columns.  Cells are scored in
-    # blocks of at most ``budget``: whole tables while they fit, else
-    # runs of one table's start rows; a block scores the union of its
-    # tables' boxes.  Ties prefer the wider plateau, then the earlier
-    # start: a table's blocks run in start order, and a later block
-    # replaces its best only with a smaller (sse, -width).
-    per_block = max(1, budget // n_pos)  # start rows
-    step = max(1, per_block // n_rows)  # tables
-    blocks = [(r, min(r + step, m), s, min(s + per_block, n_rows))
-              for r in range(0, m, step) for s in range(0, n_rows, per_block)]
-    best = np.full((4, m), np.inf)  # sse, -width, start row, end column
-    for r0, r1, s0, s1 in blocks:
-        rs = slice(r0, r1)
-        s1, c0 = min(s1, rmax[rs].max()), cmin[rs].min()
-        if s0 >= s1:
-            continue
-        sse = _tooth_cells(t, rs, slice(s0, s1), slice(c0, n_pos))
-        # Only the cells tied at their table's least sse are ranked.
-        low = sse.min(axis=(1, 2))
-        tk, tr, tc = np.nonzero(sse == low[:, None, None])
-        tr += s0
-        tc += c0
-        x_s = positions[tk + r0, tr]
-        width = positions[tk + r0, tc] - x_s
-        order = np.lexsort((x_s, -width, tk))
-        top = order[np.diff(tk[order], prepend=-1) != 0]  # one per table
-        new = np.stack([low, -width[top], tr[top], tc[top]])
-        win = (new[0] < best[0, rs]) | ((new[0] == best[0, rs]) & (new[1] < best[1, rs]))
-        best[:, rs] = np.where(win, new, best[:, rs])
+def _fit_teeth(xs, ys, first, n, span_i, span_j, nz):
+    """Tooth fits of the ranges of ``n`` samples from ``first`` on, over
+    zones ``span_i..span_j``.  A start's ranges of at most 4 zones are one
+    group, and its wider ones another; the groups, in start order, are
+    fitted in runs of whole groups holding about ``_CHUNK_CELLS // 32``
+    plateau edges of their ranges, a range's edges being at most its zone
+    boundaries plus, when narrow, its samples."""
+    if not len(n):
+        return np.empty((5, 0)), np.ones(0, bool)
+    wide = span_j - span_i >= 4
+    order = np.lexsort((span_j, wide, span_i))
+    lead = np.flatnonzero(np.r_[True, (np.diff(span_i[order]) != 0)
+                                | (np.diff(wide[order]) != 0)])
+    size = np.add.reduceat((np.where(wide, 0, n) + span_j - span_i + 2)[order], lead)
+    bounds = np.r_[lead, len(n)]
+    cols = np.empty((5, len(n)))
+    for k in _chunks(size, _CHUNK_CELLS // 32):
+        g = order[bounds[k.start] : bounds[k.stop]]
+        cols[:, g] = _fit_tooth_groups(xs, ys, first[g], n[g], span_i[g], span_j[g], nz,
+                                       lead[k] - lead[k.start])
+    return cols, np.ones(len(n), bool)
 
-    row, col = best[2].astype(int), best[3].astype(int)
-    s_i, e_i = lo_idx[at, row], hi_idx[at, col]
-    p_s, p_e = py[at, s_i], py[at, e_i]
+
+def _fit_tooth_groups(xs, ys, first, n, span_i, span_j, nz, lead):
+    """The tooth params, as five columns, of ranges of whole groups in
+    (start, narrow or wide, end) order, ``lead`` being each group's first.
+
+    Zone k holds the samples in [k/nz, (k+1)/nz), so in a group each
+    range's plateau edges are the first ``count`` of its widest range's,
+    the group's table edges.  A cell is ``fl(fl(left[s] + plateau(s, e))
+    + right[e])``: ``left`` and the plateau depend on the start only, so
+    the table holds ``fl(left + plateau)`` once for the group and is
+    reduced to column minima, and a range's least cell is ``min_e
+    fl(colmin[e] + right[e])`` over its columns, as addition rounds
+    monotonically.  The plateau of a range's last edge holds only its own
+    samples, not one on the next zone's left boundary, so that column is
+    scored per range, with the range's own sample count.
+
+    Every term is >= 0, so a cell is at least its row's ``left``: a row
+    whose ``left`` is above every range's incumbent (its least cell over
+    row 0 and its last column) holds no least cell nor a tie of one, and
+    only the rows up to a group's last other row are scored.  Ties prefer
+    the wider plateau, then the earlier start: they are rescored on the
+    tied columns only, where the first tied row is the widest."""
+    m = len(n)
+    group = np.repeat(np.arange(len(lead)), np.diff(np.r_[lead, m]))
+    top = np.r_[lead[1:], m] - 1  # each group's widest range
+    pos, geid = _tooth_edges(xs, first[top], n[top], span_i[top], span_j[top], nz)
+    n_edges, size = len(pos), np.bincount(geid, minlength=len(top))
+    gbase = np.cumsum(size) - size
+    # A range's edges are its group's up to its last zone boundary, the
+    # (span_j + 1 - span_i)-th of the group's boundaries k / nz, which the
+    # group's edges hold in zone order.
+    bound = np.flatnonzero(np.rint(pos * nz) / nz == pos)
+    n_bounds = span_j[top] - span_i[top] + 2
+    base = gbase[group]  # each range's first edge, and its last:
+    last = bound[(np.cumsum(n_bounds) - n_bounds)[group] + span_j - span_i + 1]
+    count = last - base + 1
+    # The samples of a group before (lo) and up to (hi) each edge, and
+    # their y and y^2 sums, from each start's prefix sums; past the widest
+    # range's last edge only the next zone's samples lie.
+    gfirst, gn = first[top][geid], n[top][geid]
+    lo = np.minimum(np.searchsorted(xs, pos, side="left") - gfirst, gn)
+    hi = np.minimum(np.searchsorted(xs, pos, side="right") - gfirst, gn)
+    new = np.r_[True, first[top][1:] != first[top][:-1]]
+    start = np.cumsum(new) - 1
+    s_y, s_yy = _start_sums((ys, ys * ys), first[top][new],
+                            np.maximum.reduceat(n[top], np.flatnonzero(new)),
+                            np.r_[start[geid], start[geid], start[group]], np.r_[lo, hi, n])
+    s_lo, s_hi, py_n = np.split(s_y, [n_edges, 2 * n_edges])
+    ss_lo, ss_hi, pyy_n = np.split(s_yy, [n_edges, 2 * n_edges])
+    left = _seg_sse(lo.astype(float), s_lo, ss_lo)
+    # Range r's own last column is column n_edges + r, past the tables':
+    # at the range's last edge, with its own sample count.
+    t = lo, s_lo, ss_lo, left, np.r_[hi, n], np.r_[s_hi, py_n], np.r_[ss_hi, pyy_n]
+    pos = np.r_[pos, pos[last]]
+
+    # Each range's columns e before its last, raveled: ``seg`` each
+    # range's first, ``rr`` each column's range.  The cells of its own
+    # last column are raveled alike: row e of that column.
+    seg, rr, e = _ravel(base, count - 1)
+    right = _seg_sse((n[rr] - hi[e]).astype(float), py_n[rr] - s_hi[e], pyy_n[rr] - ss_hi[e])
+    own = _tooth_cells(t, e, n_edges + rr)
+    own_least = np.minimum.reduceat(own, seg)
+    colmin = _tooth_cells(t, gbase[geid], np.arange(n_edges))  # row 0
+    colmin[gbase] = np.inf  # no plateau from an edge to itself
+    inc = np.minimum(np.minimum.reduceat(colmin[e] + right, seg), own_least)
+
+    # Each column's rows [r0, r1): from row 1 to the column, or past the
+    # group's last row whose left is at most an incumbent.  A group's
+    # widest range's last column is its own.
+    local = np.arange(n_edges) - gbase[geid]
+    rows = np.where(left <= np.maximum.reduceat(inc, lead)[geid], local, 0)
+    r0 = gbase[geid] + 1
+    r1 = np.minimum(np.arange(n_edges), r0 + np.maximum.reduceat(rows, gbase)[geid])
+    col = np.flatnonzero((r1 > r0) & (local < size[geid] - 1))
+    for k, at, _, _, sse in _tooth_columns(t, col, r0[col], r1[col]):
+        colmin[col[k]] = np.minimum(colmin[col[k]], np.minimum.reduceat(sse, at))
+    cell = colmin[e] + right
+    least = np.minimum(np.minimum.reduceat(cell, seg), own_least)[rr]
+
+    # The tied cells: of the own last columns, and each tied column's
+    # first tied row; then one per range by (-width, x_s).
+    hit = np.flatnonzero(own == least)
+    tied = [(rr[hit], e[hit], n_edges + rr[hit])]
+    tc = np.flatnonzero(cell == least)
+    for k, _, c, row, sse in _tooth_columns(t, e[tc], r0[e[tc]] - 1, r1[e[tc]]):
+        hit = np.flatnonzero(sse + right[tc[k]][c] == least[tc[k]][c])
+        hit = hit[np.diff(c[hit], prepend=-1) != 0]
+        tied.append((rr[tc[k]][c[hit]], row[hit], e[tc[k]][c[hit]]))
+    r, s, end = map(np.concatenate, zip(*tied))
+    x_s = pos[s]
+    best = np.lexsort((x_s, x_s - pos[end], r))
+    best = best[np.diff(r[best], prepend=-1) != 0]  # one per range, in range order
+    s, end = s[best], end[best]
+
+    s_i, e_i, p_s, p_e = lo[s], t[4][end], s_lo[s], t[5][end]
     y_in = (p_e - p_s) / (e_i - s_i)
     y_out_l = np.where(s_i > 0, p_s / np.maximum(s_i, 1), y_in)
-    y_out_r = np.where(e_i < n, (py[at, n] - p_e) / np.maximum(n - e_i, 1), y_in)
-    return (y_out_l, y_out_r, positions[at, row], positions[at, col], y_in), np.ones(m, bool)
+    y_out_r = np.where(e_i < n, (py_n - p_e) / np.maximum(n - e_i, 1), y_in)
+    return y_out_l, y_out_r, pos[s], pos[end], y_in
 
 
 def _sin_solve(x, r, freq, rr):
@@ -708,21 +771,16 @@ def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int,
     n = sizes[feasible]
     if kind is CurveKind.LINE:
         vals[:, feasible], ok[feasible] = _fit_lines(xs, ys, first[feasible], n)
-    elif kind is CurveKind.BILINEAR:  # runs of ascending sample count
+    elif kind is CurveKind.BILINEAR:  # runs of ranges in (start, end) order
         syy = _row_sums(first[feasible], n, lambda idx, _: [np.square(ys[idx])])[0]
-        for k in _runs(np.argsort(n, kind="stable"), n, _CHUNK_CELLS // 32):
+        order = np.lexsort((span_j[feasible], span_i[feasible]))
+        for k in (order[at] for at in _chunks(n[order], _CHUNK_CELLS // 32)):
             g = feasible[k]
             vals[:, g], ok[g] = _fit_bilinears(xs, ys, first[g], n[k], syy[k],
                                                span_i[g] / nz, (span_j[g] + 1) / nz)
-    elif kind is CurveKind.TOOTH:  # runs of ascending plateau edge count
-        edges, row = _tooth_edges(xs, first[feasible], n, span_i[feasible],
-                                  span_j[feasible], nz)
-        count = np.bincount(row, minlength=len(feasible))
-        at = np.cumsum(count) - count
-        for k in _even_runs(count):
-            g = feasible[k]
-            vals[:, g], ok[g] = _fit_teeth(xs, ys, first[g], sizes[g],
-                                           edges[_padded(at[k], count[k])], count[k])
+    elif kind is CurveKind.TOOTH:
+        vals[:, feasible], ok[feasible] = _fit_teeth(xs, ys, first[feasible], n,
+                                                     span_i[feasible], span_j[feasible], nz)
     else:
         width = (span_j[feasible] + 1 - span_i[feasible]) / nz
         vals[:, feasible], ok[feasible] = _fit_sinusoids(xs, ys, first[feasible], n, width)
@@ -846,17 +904,48 @@ def dump_pool(pool: DescriptorPool, path: str | Path) -> None:
     header = {"n_zones": pool.n_zones, "kinds": [k.label for k in pool.kinds],
               "n_infeasible": pool.n_infeasible}
     params = np.take_along_axis(pool.params, _SORTED_PARAMS[pool.kind], axis=1)
-    _, row, zone = _ravel(pool.zone_start, pool.zone_end - pool.zone_start + 1)
-    errs = map(repr, pool.errs[row, zone].tolist())  # row by row, each range's zones
-    lines = []
-    for id_, (kind, i, j, p) in enumerate(zip(pool.kind.tolist(), pool.zone_start.tolist(),
-                                              pool.zone_end.tolist(), params.tolist())):
-        template, n_params, _ = _RECORD_TEMPLATES[kind]
-        lines.append(template % (id_, *p[:n_params], j, ", ".join(islice(errs, j - i + 1)), i))
-    body = "".join(lines)
-    if "nan" in body or "inf" in body:
-        body = _NON_FINITE.sub(lambda m: _JSON_NON_FINITE[m[0]], body)
-    write_atomic(Path(path), json.dumps(header, sort_keys=True) + "\n" + body)
+    width = pool.zone_end - pool.zone_start + 1
+    errs = pool.errs[_ravel(pool.zone_start, width)[1:]]  # row by row, each range's zones
+    end = np.cumsum(width)
+    # Blocks of about _CHUNK_CELLS // 32 zone errors are made Python floats
+    # and text at a time, so only the file's text is held whole.
+    parts = [json.dumps(header, sort_keys=True) + "\n"]
+    for k in _chunks(width, _CHUNK_CELLS // 32):
+        vals = map(repr, errs[end[k.start] - width[k.start] : end[k.stop - 1]].tolist())
+        rows = zip(range(k.start, k.stop), pool.kind[k].tolist(), pool.zone_start[k].tolist(),
+                   pool.zone_end[k].tolist(), params[k].tolist())
+        lines = []
+        for id_, kind, i, j, p in rows:
+            template, n_params, _ = _RECORD_TEMPLATES[kind]
+            zone_errs = ", ".join(islice(vals, j - i + 1))
+            lines.append(template % (id_, *p[:n_params], j, zone_errs, i))
+        text = "".join(lines)
+        if "nan" in text or "inf" in text:
+            text = _NON_FINITE.sub(lambda m: _JSON_NON_FINITE[m[0]], text)
+        parts.append(text)
+    text = "".join(parts)
+    del parts  # the text is held once while it is written
+    write_atomic(Path(path), text)
+
+
+def _pool_header(line: str, path) -> tuple[int, int, tuple[CurveKind, ...]]:
+    """A saved pool's zone count, infeasible count and kinds, from its
+    header line; ``ValueError`` when it is missing or its counts are not
+    json ints."""
+    if not line:
+        raise ValueError(f"empty pool dump {path}")
+    header = json.loads(line)
+    n_zones, n_infeasible = header["n_zones"], header.get("n_infeasible", 0)
+    if not (type(n_zones) is type(n_infeasible) is int):
+        raise ValueError(f"pool header counts must be json ints: {line}")
+    return n_zones, n_infeasible, tuple(CurveKind.from_label(k) for k in header["kinds"])
+
+
+def pool_zones(path: str | Path) -> int:
+    """The zone count of a saved pool, read from its header line alone, so
+    a pool of the wrong grid is told apart before any record is decoded."""
+    with open(path) as fh:
+        return _pool_header(fh.readline().rstrip("\n"), path)[0]
 
 
 def load_pool(path: str | Path) -> DescriptorPool:
@@ -869,13 +958,8 @@ def load_pool(path: str | Path) -> DescriptorPool:
     zone errors json numbers, params that keep their kind's rules, a
     bilinear's range its zones', and every zone some record's."""
     lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"empty pool dump {path}")
+    n_zones, n_infeasible, kinds = _pool_header(lines[0] if lines else "", path)
     decode = json.JSONDecoder().decode
-    header = decode(lines[0])
-    n_zones, n_infeasible = header["n_zones"], header.get("n_infeasible", 0)
-    if not (type(n_zones) is type(n_infeasible) is int):
-        raise ValueError(f"pool header counts must be json ints: {lines[0]}")
     spans, params, errs = [], [], []  # spans: (kind, zone_start, zone_end) rows
     for line in lines[1:]:
         if not line.strip():
@@ -914,5 +998,4 @@ def load_pool(path: str | Path) -> DescriptorPool:
             raise ValueError(f"{k.label} params of {path} break their rules or range")
     matrix = np.zeros((m, n_zones))
     matrix[row, zone] = errs
-    return DescriptorPool(kind, start, end, params, matrix, n_zones,
-                          tuple(CurveKind.from_label(k) for k in header["kinds"]), n_infeasible)
+    return DescriptorPool(kind, start, end, params, matrix, n_zones, kinds, n_infeasible)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -394,6 +395,41 @@ def test_main_render_rejects_mismatched_artifacts(
     assert err.startswith("output error:")
     assert len(err.splitlines()) == 1
     assert not (out / "dipper.summary.svg").exists()
+
+
+def test_main_render_rejects_another_grid_before_decoding_records(sample_csv, tmp_path, capsys):
+    """A saved pool whose header holds another zone count than the series'
+    is rejected from its header alone.  This 0.12 MiB pool of one record
+    over 1,000 zones and 999 records on the last zone loads into a 7.6 MiB
+    (records, zones) matrix; ``render`` exits 6 with the zone count
+    message before decoding a record, and its traced peak stays small."""
+    out = tmp_path / "render_out"
+    assert main([
+        "narrate", "--input", str(sample_csv), "--levels", "3",
+        "--verbosity", "4", "--out-dir", str(out), "--emit", "json,pool",
+    ]) == 0
+    n = 1000
+    records = [{"n_zones": n, "kinds": ["line"], "n_infeasible": 0}] + [
+        {"id": k, "kind": "line", "params": {"a": 0.5, "b": 0.0}, "zone_end": n - 1,
+         "zone_errs": [0.0] * (n if k == 0 else 1), "zone_start": 0 if k == 0 else n - 1}
+        for k in range(n)]
+    pool = out / "dipper.pool.jsonl"
+    pool.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    assert load_pool(pool).errs.nbytes == n * n * 8
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["render", "--input", str(sample_csv), "--levels", "3",
+                     "--verbosity", "4", "--out-dir", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OUTPUT
+    assert capsys.readouterr().err == (
+        f"output error: dipper.pool.jsonl has {n} zones but --levels 3 gives 8; "
+        "render with the --levels narrate used\n")
+    assert peak < 2 ** 20
+    assert not list(out.glob("*.svg"))
 
 
 @pytest.mark.parametrize("edit", [e for _, e, taken in POOL_EDITS if not taken],

@@ -521,9 +521,9 @@ def _random_ranges(rnd, count):
 
 @pytest.mark.parametrize("cells", [1, 7, 64, _CHUNK_CELLS])
 def test_tooth_blocks_match_pair_lexsort(monkeypatch, cells):
-    """The blocked (range, start, end) tables pick the plateau the full
-    pair lexsort picks, ties included, whatever the block size: blocks of
-    many ranges, of one whole range, or of a few of its start rows."""
+    """The shared (start, end) tables, reduced to column minima, pick the
+    plateau the full pair lexsort picks, ties included, whatever the chunk
+    size: chunks of many tables, of one whole table, or of one column."""
     monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
     rnd = random.Random(6100)
     for s, _, _ in _random_ranges(rnd, 60):
@@ -559,9 +559,9 @@ def _bound_series(rng, count):
 
 @pytest.mark.parametrize("cells", [64, 4096, _CHUNK_CELLS])
 def test_tooth_bound_matches_pair_lexsort(monkeypatch, cells):
-    """Tables of 64 edges or more score only the rows and columns the
-    sub-table incumbent leaves open, and still pick the plateau the full
-    pair lexsort picks, ties included, whatever the block size."""
+    """Tables of 64 edges or more score only the rows their incumbents
+    leave open, and still pick the plateau the full pair lexsort picks,
+    ties included, whatever the chunk size."""
     monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
     for s in _bound_series(np.random.default_rng(6150), 16):
         ranges = [(i, j) for i in range(s.n_zones) for j in range(i, s.n_zones)]
@@ -1177,25 +1177,46 @@ def _uneven_series(xs, ys, levels):
                       zone_bounds=bounds)
 
 
-@settings(max_examples=20, deadline=None)
-@given(levels=st.integers(1, 4), data=st.data())
-def test_pool_matches_reference_on_uneven_zones(levels, data):
-    """Unevenly spaced samples put unequal counts in the zones, so the
-    groups of one sample count mix ranges of different widths and starts,
-    and tooth groups mix plateau edge counts.  Every kind's pool equals
-    the per-range build, and ``fit_one`` each of its descriptors."""
+@st.composite
+def _uneven_zones(draw):
+    """(levels, xs, ys): 1 to 7 sorted samples a zone at 1 to 4 zone
+    levels, offset into their zone on a 1/1000 grid or below 1e-150, and
+    integer or random values."""
+    levels = draw(st.integers(1, 4))
     n_zones = 2 ** levels
     xs = []
     for z in range(n_zones):
         # Offsets on a 1/1000 grid, or below 1e-150: in zone 0 such a
         # sample's gap to the range edge squares to 0 or nearly.
-        offsets = data.draw(st.lists(
+        offsets = draw(st.lists(
             st.integers(0, 999).map(lambda u: u / 1000) | st.floats(0.0, 1e-150),
             min_size=1, max_size=7))
         xs += sorted({(z + u) / n_zones for u in offsets})
     xs[0], xs[-1] = 0.0, 1.0
-    ys = data.draw(st.lists(st.integers(0, 4).map(float) | st.floats(0.0, 1.0),
-                            min_size=len(xs), max_size=len(xs)))
+    ys = draw(st.lists(st.integers(0, 4).map(float) | st.floats(0.0, 1.0),
+                       min_size=len(xs), max_size=len(xs)))
+    return levels, xs, ys
+
+
+# Zone 1 starts with a sample on its left boundary 0.5, the last plateau
+# edge of range [0, 0].  ``searchsorted(..., "right")`` counts that sample
+# at 0.5, in the tooth table range [0, 1] shares with range [0, 0]; range
+# [0, 0]'s plateau [0.2, 0.5] holds only its own samples.
+_ON_NEXT_ZONES_EDGE = (1, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0],
+                       [0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_uneven_zones())
+@example(case=_ON_NEXT_ZONES_EDGE)
+def test_pool_matches_reference_on_uneven_zones(case):
+    """Unevenly spaced samples put unequal counts in the zones, so the
+    groups of one sample count mix ranges of different widths and starts,
+    and tooth groups mix plateau edge counts.  Every kind's pool equals
+    the per-range build, and ``fit_one`` each of its descriptors, also
+    where a zone's first sample lies on its left boundary, the last
+    plateau edge of the ranges that end before it."""
+    levels, xs, ys = case
     s = _uneven_series(xs, ys, levels)
     pool = build_pool(s, tuple(CurveKind))
     # The per-range bilinear oracle divides by those squared gaps.
@@ -1208,11 +1229,11 @@ def test_pool_matches_reference_on_uneven_zones(levels, data):
 @pytest.mark.parametrize("cells", [7, 64, _CHUNK_CELLS])
 def test_tooth_pool_matches_reference_when_edge_groups_mix_sample_counts(
         monkeypatch, cells):
-    """Tooth tables are scored in runs of ascending plateau edge count,
-    their samples padded to the run's longest range.  On unevenly sampled
-    series, where one edge count holds ranges of several sample counts,
-    the tooth pool equals the per-range build, zone errors included, with
-    blocks of one start row, of a few and of whole tables."""
+    """Tooth ranges are fitted from their start's prefix sums, whatever
+    their sample count.  On unevenly sampled series, where one edge count
+    holds ranges of several sample counts, the tooth pool equals the
+    per-range build, zone errors included, with chunks of one column, of
+    a few and of whole tables."""
     monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
     rng = np.random.default_rng(6800)
     mixed = 0
@@ -1241,41 +1262,50 @@ def test_tooth_pool_matches_reference_when_edge_groups_mix_sample_counts(
     assert mixed >= 3
 
 
-def _counted_tooth_runs(monkeypatch):
-    """Wrap ``_fit_teeth``: the list it returns gets each call's set of
-    plateau edge counts."""
-    calls, fit_teeth = [], fitting._fit_teeth
+def _counted_tooth_tables(monkeypatch):
+    """Wrap ``_fit_tooth_groups``: the list it returns gets, for each table
+    the fitter shares (a start's ranges of at most 4 zones, or its wider
+    ones), the set of its ranges' plateau edge counts by ``_tooth_edges``."""
+    tables, fit_groups = [], fitting._fit_tooth_groups
 
-    def counted(*args):
-        calls.append(set(args[-1].tolist()))
-        return fit_teeth(*args)
+    def counted(xs, ys, first, n, span_i, span_j, nz, lead):
+        _, row = fitting._tooth_edges(xs, first, n, span_i, span_j, nz)
+        counts = np.bincount(row, minlength=len(n))
+        tables.extend(set(c.tolist()) for c in np.split(counts, lead[1:]))
+        return fit_groups(xs, ys, first, n, span_i, span_j, nz, lead)
 
-    monkeypatch.setattr(fitting, "_fit_teeth", counted)
-    return calls
+    monkeypatch.setattr(fitting, "_fit_tooth_groups", counted)
+    return tables
 
 
 def test_tooth_tables_are_scored_in_few_runs(monkeypatch):
-    """At fixture level 5 the tooth tables have 29 distinct edge counts,
-    scored in fewer runs, at least one of which mixes counts."""
-    calls = _counted_tooth_runs(monkeypatch)
+    """At fixture level 5 the tooth ranges have 29 distinct edge counts.
+    Their 528 ranges share 60 tables, one per start for its ranges of at
+    most 4 zones and one for its wider ones, some holding ranges of several
+    edge counts, and every table is scored in fewer passes than there are
+    edge counts."""
+    tables = _counted_tooth_tables(monkeypatch)
+    passes, cells = [], fitting._tooth_cells
+    monkeypatch.setattr(fitting, "_tooth_cells", lambda *a: passes.append(1) or cells(*a))
     build_pool(normalize(load(FIXTURE, "trends_csv"), 5), (CurveKind.TOOTH,))
-    counts = set().union(*calls)
+    counts = set().union(*tables)
     assert len(counts) == 29
-    assert len(calls) < len(counts)
-    assert any(len(c) > 1 for c in calls)
+    assert len(tables) == 60
+    assert len(passes) < len(counts)
+    assert any(len(c) > 1 for c in tables)
 
 
 @pytest.mark.parametrize("cells", [7, 64, _CHUNK_CELLS])
 def test_tooth_pool_matches_reference_when_runs_mix_edge_counts(monkeypatch, cells):
-    """Tables of several edge counts are scored in one run, each padded
-    to the run's largest with its last edge.  On unevenly sampled series
-    of up to 40 samples a zone, where runs mix counts and tables of 64
-    edges or more take the sub-table bound, the tooth pool equals the
-    per-range build, ties and zone errors included, with blocks of one
-    start row, of a few and of whole tables, and no padded cell raises a
-    RuntimeWarning (tier-1 makes those errors)."""
+    """A start's ranges share one table, of its widest range's edges, so
+    a table serves ranges of several edge counts.  On unevenly sampled
+    series of up to 40 samples a zone, where tables mix counts and hold 64
+    edges or more, the tooth pool equals the per-range build, ties and
+    zone errors included, with chunks of one column, of a few and of
+    whole tables, and no cell raises a RuntimeWarning (tier-1 makes those
+    errors)."""
     monkeypatch.setattr(fitting, "_CHUNK_CELLS", cells)
-    calls = _counted_tooth_runs(monkeypatch)
+    tables = _counted_tooth_tables(monkeypatch)
     rng = np.random.default_rng(6900)
     for case in range(6):
         levels = 1 + case % 3
@@ -1286,14 +1316,14 @@ def test_tooth_pool_matches_reference_when_runs_mix_edge_counts(monkeypatch, cel
             xs += sorted({(z + u) / n_zones for u in np.round(rng.random(count), 3)})
         xs[0], xs[-1] = 0.0, 1.0
         # Integer values tie often; with only the last sample raised, the
-        # best plateau would hold it alone, which no pair of real edges
-        # gives: a padded edge after the last must not end a plateau.
+        # best plateau would hold it alone, which no pair of a range's own
+        # edges gives: a table edge past its last must not end a plateau.
         ys = [rng.random(len(xs)), rng.integers(0, 3, len(xs)),
               np.arange(len(xs)) == len(xs) - 1][case % 3].astype(float)
         s = _uneven_series(xs, ys, levels)
         assert pool_key(build_pool(s, (CurveKind.TOOTH,))) == pool_key(
             _reference_pool(s, (CurveKind.TOOTH,))), case
-    mixed = [c for c in calls if len(c) > 1]
+    mixed = [c for c in tables if len(c) > 1]
     assert len(mixed) >= 3
     assert any(max(c) >= 64 for c in mixed)
 
@@ -1382,3 +1412,19 @@ def test_build_pool_memory_is_bounded(points, levels, kind, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mib * 2 ** 20
+
+
+def test_dump_pool_memory_is_bounded(tmp_path):
+    """Saving the fixture's level-5 pool, 0.65 MiB of text, holds that
+    text whole once while it is written, and its zone errors as Python
+    floats and text only a block at a time: the traced peak is about
+    1.7 MiB.  Holding the float lists, the joined lines and the header
+    and body concatenation whole peaked at 3.6 MiB."""
+    pool = build_pool(normalize(load(FIXTURE, "trends_csv"), 5))
+    tracemalloc.start()
+    try:
+        dump_pool(pool, tmp_path / "pool.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20

@@ -32,7 +32,7 @@ from serinarr import fitting
 from serinarr.cli import main
 from serinarr.details import solve_details
 from serinarr.ingest import load_series
-from serinarr.prototypes import CurveKind
+from serinarr.prototypes import PARAM_COUNTS, CurveKind
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "data" / "concert_weekly.csv"
@@ -115,54 +115,48 @@ def test_benchmark_spans_resolve():
     assert params[:4] == ["pool", "levels", "s", "cfg"]
 
 
+def _tooth_edge_counts(series):
+    """Each tooth range's plateau edge count, by ``_tooth_edges`` over
+    every range that holds enough samples for a tooth fit."""
+    span_i, span_j = np.triu_indices(series.n_zones)
+    bounds = np.array(series.zone_bounds)
+    first, n = bounds[span_i, 0], bounds[span_j, 1] - bounds[span_i, 0]
+    fits = n >= PARAM_COUNTS[CurveKind.TOOTH]
+    _, row = fitting._tooth_edges(series.xs, first[fits], n[fits], span_i[fits],
+                                  span_j[fits], series.n_zones)
+    return np.bincount(row).tolist()
+
+
 def test_benchmark_tooth_pairs_follow_the_fitter(monkeypatch):
     """``fitting.tooth_pairs``, which the benchmark computes from the
-    series on its own, counts the plateau-edge pairs the fitter
-    considers; the fitter scores only those its bound leaves open."""
+    series on its own, counts the plateau-edge pairs of every range's
+    edges as ``_tooth_edges`` builds them, the edge rule the fitter
+    follows; the fitter scores only the cells its bound leaves open."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the worker prepends
     worker = _load_perfbench("worker")
     walk = worker.workloads.random_walk(np.random.default_rng(7919))
     assert len(walk) == 2048
-    edges = fitting._tooth_edges
     for series in (load_series(FIXTURE, "trends_csv", 4), make_series(walk, 4)):
-        counts = []
-
-        def counted(*args):
-            out = edges(*args)
-            counts.extend(np.bincount(out[1]).tolist())
-            return out
-
-        monkeypatch.setattr(fitting, "_tooth_edges", counted)
-        fitting.build_pool(series, (CurveKind.TOOTH,))
-        assert sum(p * (p - 1) // 2 for p in counts) == worker.tooth_pairs(series)
+        pairs = sum(p * (p - 1) // 2 for p in _tooth_edge_counts(series))
+        assert pairs == worker.tooth_pairs(series)
 
 
 def test_tooth_bound_skips_most_cells(monkeypatch):
     """On the benchmark's seed-7919 dense walks, the tooth fitter scores
-    at most half the cells of its (start, end) tables: the exact bound
-    stays on.  It scores about 28% and 34% of them."""
+    at most half the cells of the ranges' own (start, end) tables: the
+    exact bound stays on.  It scores about 25% and 23% of them."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the worker prepends
     worker = _load_perfbench("worker")
     rng = np.random.default_rng(7919)
-    edges, cells = fitting._tooth_edges, fitting._tooth_cells
+    cells = fitting._tooth_cells
     for _ in range(2):
         series = make_series(worker.workloads.random_walk(rng), 4)
-        table, scored = [], []
-
-        def counted_edges(*args):
-            out = edges(*args)
-            table.extend((p - 1) * p for p in np.bincount(out[1]).tolist())
-            return out
-
-        def counted_cells(*args):
-            out = cells(*args)
-            scored.append(out.size)
-            return out
-
-        monkeypatch.setattr(fitting, "_tooth_edges", counted_edges)
-        monkeypatch.setattr(fitting, "_tooth_cells", counted_cells)
+        scored = []
+        monkeypatch.setattr(fitting, "_tooth_cells",
+                            lambda *a: scored.append(cells(*a)) or scored[-1])
         fitting.build_pool(series, (CurveKind.TOOTH,))
-        assert 0 < sum(scored) <= sum(table) // 2
+        table = sum((p - 1) * p for p in _tooth_edge_counts(series))
+        assert 0 < sum(s.size for s in scored) <= table // 2
 
 
 def _match_benchmark_goldens(workload, inputs, work):
