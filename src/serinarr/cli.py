@@ -193,8 +193,8 @@ def load_config_file(path: str | Path) -> dict:
     """Flat key/value config: one ``key = value`` per line, # comments."""
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read config {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -5,43 +5,19 @@ A descriptor is one prototype fitted to one contiguous zone range
 all kinds over all n*(n+1)/2 ranges; ranges with fewer samples than
 the kind's parameter count are skipped and only counted.
 
-Fitting strategy per kind:
+One fitter per kind, in ``_FITTERS``: line (closed-form least squares),
+bilinear (a continuous polyline, each sample a breakpoint candidate),
+tooth (three segment means, the plateau edges on zone boundaries and,
+in narrow ranges, samples) and sinusoid (a frequency grid refined by
+golden section).  Each fitter's docstring gives its design.  All take
+``(xs, ys, first, n, span_i, span_j, nz)``: the series' samples, and
+each range's first sample, sample count and zones, and the zone count.
+They return the params as columns in field order, with a mask of the
+ranges that admit a fit, and do their own batching.
 
-* line: closed-form ordinary least squares.
-* bilinear: every sample of the range is a breakpoint candidate, with
-  the samples up to it on the left; those strictly inside the range
-  whose edge gaps square above 0, and whose system has a nonzero last
-  row (the last sample's does not), are scored.  The three y values solve
-  a tridiagonal system, held as eight grids of its entries, that keeps
-  the polyline continuous.  Ties prefer the smaller breakpoint.  A
-  closed-form estimate of each candidate's least SSE, less a proven
-  rounding bound, is a lower bound on the SSE LAPACK scores for it, so
-  LAPACK scores only the candidates whose bound reaches their row's
-  least score, plus those the bound does not certify; the rest can
-  neither win nor tie.  A system's left-segment terms (a, b, r0 and the
-  left parts of c and r1) depend on the range's start and the breakpoint
-  only, so they are computed once per start and sample, and each
-  candidate adds its right segment's.
-* tooth: plateau edges are searched over the zone boundaries inside
-  the range, plus the sample positions when the range spans at most 4
-  zones; the three levels are segment means.  Every (start, end) edge
-  pair is a cell, scored from y and y^2 prefix sums.  A start's ranges
-  of at most 4 zones share one table, of their widest range's edges
-  (each range's edges are a prefix of them), and its wider ranges
-  another: the table holds ``fl(left + plateau)`` and is reduced to
-  column minima, and each range adds its right-segment SSE per column;
-  a range's last column is its own, as only it excludes a sample on the
-  next zone's boundary.  No cell is below its row's left-segment SSE, in
-  floats too, so a table scores only the rows whose left SSE is at most
-  an incumbent of one of its ranges.  Ties prefer the wider plateau, then
-  the earlier start.
-* sinusoid: frequency scanned over a geometric grid of 0.5..8 cycles
-  per range width (32 steps), amplitude and phase by a linear solve in
-  the sin/cos basis, then the best frequency is refined by golden
-  section search to relative tolerance 1e-3.  Ranges of one zone count
-  have bit-equal widths, so they share the grid's sin/cos basis, computed
-  once over the samples they span.  The offset is pinned to the sample
-  mean of the range.
+The ranges come in (start, end) order, ``_fit_ranges``' one
+precondition, so a fitter cuts its runs, and a start's groups of
+ranges, as slices.
 
 Every candidate scan is whole-array numpy work, and the fits are
 bit-identical to fitting one range at a time.  Elementwise steps are
@@ -50,20 +26,14 @@ batched freely, over ranges of any length.  A pairwise sum (``sum``,
 reduced on its own, so it rounds as the range's own sum would: the line
 sums, the bilinear ``syy`` and the per-zone errors, a row per (range,
 zone) segment evaluated with its range's params, are summed by
-``_row_sums``.  ``np.cumsum`` adds in sequence, so prefix sums are taken
-once per start zone, from its first sample: the first n + 1 entries are
-exactly those of each range of n samples from there.
-So ``_fit_ranges`` batches ranges of different sample counts.  Bilinear
-ranges, in (start, end) order, are cut into runs whose candidates are
-raveled into one vector of real cells, the per-range minima being
-segmented reductions over it.  Tooth ranges are fitted in runs of whole
-start groups; the groups' table edges are built in one raveled pass
-(``_tooth_edges``), and their cells are raveled by column.  Line
-and sinusoid ranges are fitted in one batch each.  One budget of
-``_CHUNK_CELLS`` floats bounds memory on dense input: bilinear
-candidates, summed samples, tooth cells and the plateau edges of a tooth
-run are taken ``_CHUNK_CELLS // 32`` at a time, a candidate peaking at
-some 32 floats and a sample, a cell or an edge at fewer.
+``_row_sums``.  ``np.cumsum`` adds in sequence, so each start's prefix
+sums are taken once, over its longest range (``_start_prefix``): their
+first n + 1 entries are exactly those of each range of n samples from
+there.  One budget of ``_CHUNK_CELLS`` floats bounds memory on dense
+input: bilinear candidates, summed samples, tooth cells and the plateau
+edges of a tooth run are taken ``_CHUNK_CELLS // 32`` at a time, a
+candidate peaking at some 32 floats and a sample, a cell or an edge at
+fewer.
 
 The pool holds its descriptors as columns: kind, zone range, params
 (the kind's fields in field order, NaN after them) and an (m, n_zones)
@@ -219,19 +189,8 @@ class DescriptorPool:
 
 
 # ----------------------------------------------------------------------
-# batch fitters: the series' samples and each range's first sample and
-# sample count in, the params as columns in field order out, with a mask
-# of the ranges that admit a fit
+# batch fitters, one signature for every kind (module docstring)
 # ----------------------------------------------------------------------
-
-
-def _prefix(a: np.ndarray) -> np.ndarray:
-    """Prefix sums along the last axis with a leading 0.0.  They add in
-    sequence, so entry k of a row of a start's samples is exactly the sum
-    of the first k samples of every range from that start."""
-    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
-    np.cumsum(a, axis=-1, out=out[..., 1:])
-    return out
 
 
 def _ravel(first: np.ndarray, n: np.ndarray):
@@ -243,12 +202,6 @@ def _ravel(first: np.ndarray, n: np.ndarray):
     return start, row, np.arange(len(row)) + np.repeat(first - start, n)
 
 
-def _padded(first: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The (m, max n) sample indices whose row k holds the ``n[k]``
-    indices from ``first[k]`` on, then repeats its last one."""
-    return first[:, None] + np.minimum(np.arange(n.max()), n[:, None] - 1)
-
-
 def _chunks(cost: np.ndarray, budget: int) -> list[slice]:
     """Cut items of the given ``cost``, in order, into consecutive chunks,
     each starting a new multiple of ``budget`` of the running cost: a
@@ -258,19 +211,21 @@ def _chunks(cost: np.ndarray, budget: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(cut, cut[1:]) if b > a]
 
 
-def _start_sums(vals, first: np.ndarray, length: np.ndarray, row: np.ndarray,
-                k: np.ndarray) -> np.ndarray:
-    """For each query q, the sums of each array of ``vals`` over the first
-    ``k[q]`` samples from ``first[row[q]]`` on.  Each start's prefix sums
-    are taken once, over its ``length`` samples, at most ``_CHUNK_CELLS``
-    samples of starts at a time (``_prefix``)."""
-    out = np.empty((len(vals), len(row)))
-    step = max(1, _CHUNK_CELLS // int(length.max()))
-    for s0 in range(0, len(first), step):
-        sel = np.flatnonzero((row >= s0) & (row < s0 + step))
-        pad = _padded(first[s0 : s0 + step], length[s0 : s0 + step])
-        out[:, sel] = _prefix(np.stack([v[pad] for v in vals]))[:, row[sel] - s0, k[sel]]
-    return out
+def _start_prefix(vals, first: np.ndarray, n: np.ndarray):
+    """Each start's prefix sums of each array of ``vals``, for ranges of
+    ``n`` samples from ``first`` on in (start, end) order: a (len(vals),
+    starts, w + 1) array whose rows hold, from 0.0, the sums over the
+    samples of the start's longest range, its last sample repeated up to
+    w.  ``np.cumsum`` adds in sequence, so entry p is exactly the sum of
+    the first p samples of every range from that start.  Also returns
+    each range's start row and the rows' (starts, w) sample indices."""
+    new = np.r_[True, first[1:] != first[:-1]]
+    at = np.flatnonzero(new)
+    longest = np.maximum.reduceat(n, at)
+    idx = first[at, None] + np.minimum(np.arange(longest.max()), longest[:, None] - 1)
+    sums = np.zeros((len(vals), len(at), idx.shape[1] + 1))
+    np.cumsum(np.stack([v[idx] for v in vals]), axis=-1, out=sums[..., 1:])
+    return sums, np.cumsum(new) - 1, idx
 
 
 def _row_sums(first: np.ndarray, n: np.ndarray, f, count: int = 1) -> np.ndarray:
@@ -289,7 +244,8 @@ def _row_sums(first: np.ndarray, n: np.ndarray, f, count: int = 1) -> np.ndarray
     return out
 
 
-def _fit_lines(xs, ys, first, n):
+def _fit_lines(xs, ys, first, n, span_i, span_j, nz):
+    """Closed-form ordinary least squares, all ranges in one batch."""
     xx, xy = xs * xs, xs * ys
     sx, sy, sxx, sxy = _row_sums(first, n, lambda idx, _: (v[idx] for v in (xs, ys, xx, xy)), 4)
     denom = n * sxx - sx * sx
@@ -374,17 +330,16 @@ def _bilinear_entries(xs, ys, first, n, x_lo, x_hi, row, idx):
     (start, end) order, each cell's range ``row`` and sample ``idx`` being
     its breakpoint ``xb``, and the mask of the cells to score.  The left
     segment's entries depend on the start and ``xb`` only, so they are
-    computed once per start and sample, from the start's prefix sums,
-    and each cell adds its right segment's terms."""
-    new = np.r_[True, first[1:] != first[:-1]]
-    at = np.flatnonzero(new)
-    pad = _padded(first[at], np.maximum.reduceat(n, at))  # each start's longest range
-    x, y = xs[pad], ys[pad]
-    sums = _prefix(np.stack([x, x * x, y, x * y]))  # sx, sxx, sy, sxy: (4, starts, w + 1)
+    computed once per start and sample, from the start's prefix sums
+    (``_start_prefix``), and each cell adds its right segment's terms."""
+    sums, start, pad = _start_prefix((xs, xs * xs, ys, xs * ys), first, n)
+    x = xs[pad]
+    lo = np.empty((len(pad), 1))
+    lo[start, 0] = x_lo
     # left segment: y_l weight (xb - x)/dl, y_b weight (x - x_lo)/dl.  A
     # gap that squares to 0 is masked, and divided as 1.
     sx_l, sxx_l, sy_l, sxy_l = sums[:, :, 1:]
-    lo, n_l = x_lo[at, None], np.arange(1.0, x.shape[1] + 1)
+    n_l = np.arange(1.0, x.shape[1] + 1)
     dl = x - lo
     keep_l = (dl > 0) & (dl * dl > 0)
     dl = np.where(keep_l, dl, 1.0)
@@ -396,7 +351,7 @@ def _bilinear_entries(xs, ys, first, n, x_lo, x_hi, row, idx):
 
     # Each cell's left entries and sums, at its start and sample p, and
     # the right segment's sums, its range's less its left ones.
-    start, p = (np.cumsum(new) - 1)[row], idx - first[row]
+    start, p = start[row], idx - first[row]
     cell = start * x.shape[1] + p
     keep, a, b, c, r0, r1 = (v.ravel()[cell] for v in left)
     whole = sums[:, start, n[row]]
@@ -420,22 +375,41 @@ def _bilinear_entries(xs, ys, first, n, x_lo, x_hi, row, idx):
     return (a, b, c, d, e, r0, r1, r2), keep
 
 
-def _fit_bilinears(xs, ys, first, n, syy, x_lo, x_hi):
-    """Every sample of a run of ranges is a candidate cell, the ranges
-    raveled end to end: the cell of a range's sample p takes it as the
-    breakpoint, samples 0..p on the left.  ``syy`` is each range's own
-    sum (``_row_sums``); all else is elementwise on the cell vector, and
-    the per-range minima are segmented reductions over it.  A candidate
-    peaks at some 32 floats: its entries, the bound's temporaries, its
-    score and its theta.
+def _fit_bilinears(xs, ys, first, n, span_i, span_j, nz):
+    """Bilinear fits: a polyline from ``x_lo`` to ``x_hi``, continuous at
+    its breakpoint, whose three y values solve a tridiagonal system
+    (``_bilinear_entries``).  Every sample of a range is a breakpoint
+    candidate, with the samples up to it on the left; those strictly
+    inside the range whose edge gaps square above 0, and whose system has
+    a nonzero last row (the last sample's does not), are scored.  Ties
+    prefer the smaller breakpoint.  ``syy`` is each range's own sum
+    (``_row_sums``); the ranges are cut into runs of about
+    ``_CHUNK_CELLS // 32`` candidate cells (``_bilinear_run``), a
+    candidate peaking at some 32 floats: its entries, the bound's
+    temporaries, its score and its theta."""
+    syy = _row_sums(first, n, lambda idx, _: [np.square(ys[idx])])[0]
+    cols = np.full((6, len(n)), np.nan)  # x_b, y_l, y_b, y_r, x_lo, x_hi
+    cols[4], cols[5] = span_i / nz, (span_j + 1) / nz
+    for k in _chunks(n, _CHUNK_CELLS // 32):
+        cols[:4, k] = _bilinear_run(xs, ys, first[k], n[k], syy[k], cols[4, k], cols[5, k])
+    return cols, ~np.isnan(cols[0])
 
-    LAPACK scores the cells in rounds (``_bilinear_bound`` has the
-    estimate and the bound): first every cell whose lower bound is at most
-    its range's least estimate, the unguarded cells included, then every
-    cell left whose bound is at most its range's least score so far.  An
-    unscored cell scores above its range's least, so it neither wins nor
-    ties, and each range's first least score is the one scoring every cell
-    gives."""
+
+def _bilinear_run(xs, ys, first, n, syy, x_lo, x_hi):
+    """x_b, y_l, y_b and y_r of a run of ranges, NaN where a range has no
+    fit.  The ranges are raveled end to end, the cell of a range's sample
+    p taking it as the breakpoint; all is elementwise on the cell vector,
+    and the per-range minima are segmented reductions over it.
+
+    LAPACK scores the cells in rounds (``_bilinear_bound`` has a
+    closed-form estimate of each cell's least SSE and a proven lower
+    bound on LAPACK's score): first every cell whose lower bound is at
+    most its range's least estimate, the unguarded cells included, then
+    every cell left whose bound is at most its range's least score so
+    far.  An unscored cell scores above its range's least, so it neither
+    wins nor ties, and each range's first least score is the one scoring
+    every cell gives.  A range whose least score is not finite gets no
+    fit."""
     start, row, idx = _ravel(first, n)
     entries, keep = _bilinear_entries(xs, ys, first, n, x_lo, x_hi, row, idx)
     est, low = _bilinear_bound(*entries, syy[row])
@@ -449,16 +423,12 @@ def _fit_bilinears(xs, ys, first, n, syy, x_lo, x_hi):
         sse[k], theta[:, k] = _bilinear_sse(*(v[k] for v in entries), syy[row[k]])
         todo = keep & ~scored & (low <= np.minimum.reduceat(sse, start)[row])
         scored = scored | todo
-
-    # Each range's first least sse: the smallest breakpoint.  A range
-    # whose least sse is not finite gets no fit.
     hit = np.flatnonzero(sse == np.minimum.reduceat(sse, start)[row])
     hit = hit[np.diff(row[hit], prepend=-1) != 0]
     hit = hit[np.isfinite(sse[hit])]
-    cols = np.full((6, len(n)), np.nan)  # x_b, y_l, y_b, y_r, x_lo, x_hi
-    cols[4], cols[5] = x_lo, x_hi
-    cols[:4, row[hit]] = np.vstack([xs[idx[hit]], theta[:, hit]])
-    return cols, ~np.isnan(cols[0])
+    out = np.full((4, len(n)), np.nan)
+    out[:, row[hit]] = np.vstack([xs[idx[hit]], theta[:, hit]])
+    return out
 
 
 def _tooth_edges(xs, first, n, span_i, span_j, nz):
@@ -518,23 +488,30 @@ def _tooth_columns(t, col, r0, r1):
 
 
 def _fit_teeth(xs, ys, first, n, span_i, span_j, nz):
-    """Tooth fits of the ranges of ``n`` samples from ``first`` on, over
-    zones ``span_i..span_j``.  A start's ranges of at most 4 zones are one
-    group, and its wider ones another; the groups, in start order, are
-    fitted in runs of whole groups holding about ``_CHUNK_CELLS // 32``
-    plateau edges of their ranges, a range's edges being at most its zone
-    boundaries plus, when narrow, its samples."""
+    """Tooth fits: a plateau between two edges and a level on each side,
+    the three levels being segment means.  The edges are searched over the
+    zone boundaries of the range, plus its samples when it spans at most
+    4 zones (``_tooth_edges``), every (start, end) edge pair a cell scored
+    from y and y^2 prefix sums.
+
+    A start's ranges of at most 4 zones are one group, sharing one table
+    (``_fit_tooth_groups``), and its wider ones another; in (start, end)
+    order its narrow ones come first, so each group is a slice.  The
+    groups are fitted in runs of whole groups holding about
+    ``_CHUNK_CELLS // 32`` plateau edges of their ranges, a range's edges
+    being at most its zone boundaries plus, when narrow, its samples.
+    Each group's widest range adds its samples over 32, so a run's prefix
+    sums (``_start_prefix``) hold about ``_CHUNK_CELLS`` samples at most."""
     if not len(n):
         return np.empty((5, 0)), np.ones(0, bool)
     wide = span_j - span_i >= 4
-    order = np.lexsort((span_j, wide, span_i))
-    lead = np.flatnonzero(np.r_[True, (np.diff(span_i[order]) != 0)
-                                | (np.diff(wide[order]) != 0)])
-    size = np.add.reduceat((np.where(wide, 0, n) + span_j - span_i + 2)[order], lead)
+    lead = np.flatnonzero(np.r_[True, (np.diff(span_i) != 0) | (np.diff(wide) != 0)])
     bounds = np.r_[lead, len(n)]
+    size = (np.add.reduceat(np.where(wide, 0, n) + span_j - span_i + 2, lead)
+            + n[bounds[1:] - 1] // 32)
     cols = np.empty((5, len(n)))
     for k in _chunks(size, _CHUNK_CELLS // 32):
-        g = order[bounds[k.start] : bounds[k.stop]]
+        g = slice(bounds[k.start], bounds[k.stop])
         cols[:, g] = _fit_tooth_groups(xs, ys, first[g], n[g], span_i[g], span_j[g], nz,
                                        lead[k] - lead[k.start])
     return cols, np.ones(len(n), bool)
@@ -542,7 +519,7 @@ def _fit_teeth(xs, ys, first, n, span_i, span_j, nz):
 
 def _fit_tooth_groups(xs, ys, first, n, span_i, span_j, nz, lead):
     """The tooth params, as five columns, of ranges of whole groups in
-    (start, narrow or wide, end) order, ``lead`` being each group's first.
+    (start, end) order, ``lead`` being each group's first.
 
     Zone k holds the samples in [k/nz, (k+1)/nz), so in a group each
     range's plateau edges are the first ``count`` of its widest range's,
@@ -581,13 +558,11 @@ def _fit_tooth_groups(xs, ys, first, n, span_i, span_j, nz, lead):
     gfirst, gn = first[top][geid], n[top][geid]
     lo = np.minimum(np.searchsorted(xs, pos, side="left") - gfirst, gn)
     hi = np.minimum(np.searchsorted(xs, pos, side="right") - gfirst, gn)
-    new = np.r_[True, first[top][1:] != first[top][:-1]]
-    start = np.cumsum(new) - 1
-    s_y, s_yy = _start_sums((ys, ys * ys), first[top][new],
-                            np.maximum.reduceat(n[top], np.flatnonzero(new)),
-                            np.r_[start[geid], start[geid], start[group]], np.r_[lo, hi, n])
-    s_lo, s_hi, py_n = np.split(s_y, [n_edges, 2 * n_edges])
-    ss_lo, ss_hi, pyy_n = np.split(s_yy, [n_edges, 2 * n_edges])
+    sums, start, _ = _start_prefix((ys, ys * ys), first, n)
+    gstart = start[top][geid]
+    (s_lo, ss_lo), (s_hi, ss_hi), (py_n, pyy_n) = (
+        sums[:, gstart, lo], sums[:, gstart, hi], sums[:, start, n])
+    del sums  # the table pass below holds no start's prefix sums
     left = _seg_sse(lo.astype(float), s_lo, ss_lo)
     # Range r's own last column is column n_edges + r, past the tables':
     # at the range's last edge, with its own sample count.
@@ -727,11 +702,17 @@ def _fit_sinusoid(x: np.ndarray, y: np.ndarray, width: float, basis):
     return amp, freq, phase, mean
 
 
-def _fit_sinusoids(xs, ys, first, n, width):
-    """Sinusoid fits of the ranges of ``n`` samples of ``xs`` and ``ys``
-    from each one's ``first`` on.  Ranges of one ``width`` share a grid,
-    so a run of them spanning at most ``_CHUNK_CELLS`` (frequency, sample)
-    cells shares one basis, and each range reads its own columns."""
+def _fit_sinusoids(xs, ys, first, n, span_i, span_j, nz):
+    """Sinusoid fits, one range at a time (``_fit_sinusoid``): the offset
+    is pinned to the range's sample mean, the frequency is scanned over a
+    geometric grid of 0.5..8 cycles per range width (32 steps), with
+    amplitude and phase by a linear solve in the sin/cos basis, and the
+    best grid frequency is refined by golden section search to relative
+    tolerance 1e-3.  Ranges of one zone count have bit-equal widths, so
+    they share a grid, and a run of them spanning at most ``_CHUNK_CELLS``
+    (frequency, sample) cells shares one basis, each range reading its
+    own columns."""
+    width = (span_j + 1 - span_i) / nz
     span, last = _CHUNK_CELLS // len(_SIN_GRID), first + n
     fits = [None] * len(first)
     for w in np.unique(width):
@@ -753,11 +734,21 @@ def _fit_sinusoids(xs, ys, first, n, width):
 # ----------------------------------------------------------------------
 
 
+_FITTERS = {CurveKind.LINE: _fit_lines, CurveKind.BILINEAR: _fit_bilinears,
+            CurveKind.TOOTH: _fit_teeth, CurveKind.SINUSOID: _fit_sinusoids}
+
+
 def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int, int]]):
     """Fit one prototype over every zone range (i, j) in ``ranges``,
     skipping those with fewer samples than the kind has free parameters or
     no fit.  Returns the fitted ranges' indices, and their params and
-    per-zone RMSE as rows, as ``DescriptorPool`` holds them."""
+    per-zone RMSE as rows, as ``DescriptorPool`` holds them.
+
+    ``ranges`` must be in (start, end) order: ``build_pool`` passes
+    ``np.triu_indices``, the feasibility filter keeps its order, and
+    ``fit_one`` passes one range.  The fitters cut the ranges into runs
+    and start groups as slices, and share each start's prefix sums among
+    its ranges."""
     xs, ys, nz = series.xs, series.ys, series.n_zones
     bounds = np.array(series.zone_bounds)
     span_i, span_j = np.array(ranges).reshape(-1, 2).T
@@ -768,22 +759,8 @@ def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int,
     params = np.full((_N_PARAMS, len(ranges)), np.nan)
     vals = params[: len(names)]  # the kind's fields, a view
     ok = np.zeros(len(ranges), bool)
-    n = sizes[feasible]
-    if kind is CurveKind.LINE:
-        vals[:, feasible], ok[feasible] = _fit_lines(xs, ys, first[feasible], n)
-    elif kind is CurveKind.BILINEAR:  # runs of ranges in (start, end) order
-        syy = _row_sums(first[feasible], n, lambda idx, _: [np.square(ys[idx])])[0]
-        order = np.lexsort((span_j[feasible], span_i[feasible]))
-        for k in (order[at] for at in _chunks(n[order], _CHUNK_CELLS // 32)):
-            g = feasible[k]
-            vals[:, g], ok[g] = _fit_bilinears(xs, ys, first[g], n[k], syy[k],
-                                               span_i[g] / nz, (span_j[g] + 1) / nz)
-    elif kind is CurveKind.TOOTH:
-        vals[:, feasible], ok[feasible] = _fit_teeth(xs, ys, first[feasible], n,
-                                                     span_i[feasible], span_j[feasible], nz)
-    else:
-        width = (span_j[feasible] + 1 - span_i[feasible]) / nz
-        vals[:, feasible], ok[feasible] = _fit_sinusoids(xs, ys, first[feasible], n, width)
+    vals[:, feasible], ok[feasible] = _FITTERS[kind](
+        xs, ys, first[feasible], sizes[feasible], span_i[feasible], span_j[feasible], nz)
 
     # Per-zone RMSE: every fitted range's (range, zone) segments, raveled,
     # each a row of its zone's samples evaluated with its range's params.

@@ -18,6 +18,9 @@ Supported input formats:
     ``{"values": [...]}``.  Both must be json lists of json numbers:
     strings and booleans are rejected.
 
+Every format is read as UTF-8, a leading byte order mark skipped; a file
+that does not decode raises ``IngestError``.
+
 After loading, :func:`normalize` min-max scales both axes into the unit
 square and attaches the zone grid used by every later stage.
 """
@@ -207,8 +210,8 @@ def load(path: str | Path, format: str = "csv") -> RawSeries:
     if format not in _LOADERS:
         raise IngestError(f"unknown format {format!r}, expected one of {FORMATS}")
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
     return _LOADERS[format](text)
 

@@ -663,6 +663,33 @@ def test_main_unknown_config_key_fails_before_reading(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad", ["input", "config"])
+def test_main_non_utf8_file_is_an_ingest_error(bad, sample_csv, tmp_path, capsys):
+    """An input or config file holding byte 0xff exits 3 with one
+    ``ingest error:`` line naming the file, not a UnicodeDecodeError
+    traceback."""
+    data, conf = tmp_path / "in.csv", tmp_path / "c.conf"
+    data.write_bytes(sample_csv.read_bytes())
+    conf.write_bytes(b"levels = 3\n")
+    target = {"input": data, "config": conf}[bad]
+    target.write_bytes(b"\xff" + target.read_bytes())
+    code = main(["narrate", "--input", str(data), "--config", str(conf),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_INGEST
+    err = capsys.readouterr().err
+    assert err.startswith("ingest error: cannot read ") and str(target) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_with_utf8_bom_reads_its_first_key(tmp_path):
+    """A byte order mark before a config file's first key is not part of
+    the key, so the key is known."""
+    conf = tmp_path / "c.conf"
+    conf.write_bytes(b"\xef\xbb\xbflevels = 3\nverbosity = 2\n")
+    assert load_config_file(conf) == {"levels": "3", "verbosity": "2"}
+
+
 @pytest.mark.parametrize("fmt, text, reason", [
     ("csv", "t,y\n", "no data rows found in csv input"),
     ("csv", "t,y\nweek,count\n0,1\n1,2\n", "line 2: cannot parse 'week,count'"),

@@ -1226,6 +1226,36 @@ def test_pool_matches_reference_on_uneven_zones(case):
         assert fit_one(s, d.kind, d.zone_start, d.zone_end) == replace(d, id=-1)
 
 
+# 136 flags: one per range of 16 zones, ``_uneven_zones``' finest grid.  The
+# example drops range [0, 1], the widest of start 0's group.
+@settings(max_examples=15, deadline=None)
+@given(case=_uneven_zones(), keep=st.lists(st.booleans(), min_size=136, max_size=136))
+@example(case=_ON_NEXT_ZONES_EDGE, keep=[True, False, True] * 45 + [True])
+def test_fit_ranges_fits_a_sorted_subset_range_by_range(case, keep):
+    """``_fit_ranges`` takes ranges in (start, end) order and cuts them into
+    runs and start groups as slices.  On sorted subsets of the grid's
+    ranges, with gaps, so that a tooth group can lack its widest range and
+    a bilinear run can skip ranges, each range gets exactly the params
+    and zone errors of its own one-range pool, for every kind and with
+    chunks of 7 cells, of 64 and of the default."""
+    levels, xs, ys = case
+    s = _uneven_series(xs, ys, levels)
+    grid = np.stack(np.triu_indices(s.n_zones), axis=1)
+    ranges = grid[np.asarray(keep)[: len(grid)]]
+    for kind in CurveKind:
+        own = [fitting._fit_pool(s, (kind,), ranges[r : r + 1]) for r in range(len(ranges))]
+        for cells in (7, 64, _CHUNK_CELLS):
+            fitting._CHUNK_CELLS = cells
+            try:
+                fit, params, errs = _fit_ranges(s, kind, ranges)
+            finally:
+                fitting._CHUNK_CELLS = _CHUNK_CELLS
+            assert fit.tolist() == [r for r, p in enumerate(own) if len(p)], (kind, cells)
+            for r, p, e in zip(fit, params, errs):
+                assert np.array_equal(p, own[r].params[0], equal_nan=True), (kind, cells, r)
+                assert np.array_equal(e, own[r].errs[0]), (kind, cells, r)
+
+
 @pytest.mark.parametrize("cells", [7, 64, _CHUNK_CELLS])
 def test_tooth_pool_matches_reference_when_edge_groups_mix_sample_counts(
         monkeypatch, cells):
@@ -1362,8 +1392,10 @@ def test_tooth_edges_match_per_range_unique(levels, zones):
         if j - i < 4:
             want = np.unique(np.r_[want, s.xs[s.zone_slice(i, j)]])
         assert got.tolist() == want.tolist(), (i, j)
-    fits = fitted_params(s, CurveKind.TOOTH, ranges)
-    assert [p is not None for p in fits] == (n >= PARAM_COUNTS[CurveKind.TOOTH]).tolist()
+    # The fitter takes its ranges in (start, end) order.
+    order = np.lexsort((span_j, span_i))
+    fits = fitted_params(s, CurveKind.TOOTH, [ranges[k] for k in order])
+    assert [p is not None for p in fits] == (n[order] >= PARAM_COUNTS[CurveKind.TOOTH]).tolist()
 
 
 # A sample 1e-200 past the left edge of zone 0 (normalized x = t).

@@ -148,6 +148,31 @@ def test_missing_file_rejected(tmp_path):
         load(tmp_path / "nope.csv", "csv")
 
 
+@pytest.mark.parametrize("fmt, text", [
+    ("csv", "0,1\n1,3\n2,2\n3,5\n4,4\n5,8\n6,7\n7,9\n"),
+    ("csv", "t,y\n0,1\n1,3\n2,2\n"),
+    ("json", '{"values": [3, 1, 4, 1, 5]}'),
+    ("trends_csv", FIXTURE.read_text()),
+], ids=["csv", "csv-header", "json", "trends_csv"])
+def test_utf8_bom_is_skipped(tmp_path, fmt, text):
+    """A leading UTF-8 byte order mark is not part of the text: an 8-row
+    csv with one loads all 8 points, not 7 after taking the first row as
+    its header, and a json file with one parses."""
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load(marked, fmt) == load(plain, fmt)
+    if text.startswith("0,1"):
+        assert len(load(marked, fmt)) == 8
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_bytes(b"0,1\n1,\xff\n2,3\n")
+    with pytest.raises(IngestError, match=f"^cannot read {p}: 'utf-8' codec"):
+        load(p, "csv")
+
+
 def _write_points(path, fmt, points):
     """Write (t, v) pairs in ``fmt``; trends rows carry the values only."""
     if fmt == "csv":
