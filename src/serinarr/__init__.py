@@ -12,7 +12,7 @@ from .cover import VerbosityLevel, solve_cover
 from .details import (
     SelectionConfig,
     SelectionResult,
-    check_improvement,
+    coexist,
     pick_summary,
     solve_details,
 )
@@ -59,8 +59,8 @@ __all__ = [
     "VerbosityLevel",
     "build_narration",
     "build_pool",
-    "check_improvement",
     "classify",
+    "coexist",
     "evaluate",
     "fit_one",
     "load",

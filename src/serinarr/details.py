@@ -15,15 +15,18 @@ Among feasible sets of at most ``v`` details the solver maximizes the
 summed per-zone spread between the worst and best selected error,
 minus a tiny penalty per covered zone that discourages redundant
 overlap.  A depth-first branch-and-bound search (Land & Doig 1960)
-keeps the choice exact.  Each candidate fact is computed once, before
-the search: its zones as an int bitmask, and a bitmask of the
-candidates it may coexist with.  A search node extends its parent's
-per-zone least and greatest error, covered-zone mask and summed width
-by one descriptor.  A new set must pass one AND and the redundancy
-test: each chosen member carries its residue, its zones minus those of
-members from strictly higher levels, and a set with an empty residue
-is redundant.  It is neither scored nor extended, as all its supersets
-are redundant too.
+keeps the choice exact.  The pair rule has one owner, ``coexist``: an
+(m, m) matrix, read from the pool's columns, of which candidates and
+summary descriptors may be selected together.  A candidate whose row
+rejects a summary descriptor never enters a set.  Each other candidate
+fact is computed once, before the search: its zones as an int bitmask,
+and its row of the matrix as a bitmask of the candidates it may
+coexist with.  A search node extends its parent's per-zone least and
+greatest error, covered-zone mask and summed width by one descriptor.
+A new set must pass one AND and the redundancy test: each chosen
+member carries its residue, its zones minus those of members from
+strictly higher levels, and a set with an empty residue is redundant.
+It is neither scored nor extended, as all its supersets are redundant too.
 
 The bound reads suffix tables: for each candidate index t, every
 zone's greatest and least error among candidates t and later.  Before
@@ -42,12 +45,12 @@ search would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import inf
+
+import numpy as np
 
 from .cover import VerbosityLevel
 from .errors import SolveError
-from .fitting import Descriptor, DescriptorPool
+from .fitting import DescriptorPool
 
 DEFAULT_MAX_THR = 0.15
 DEFAULT_MIN_THR = 0.02
@@ -151,29 +154,27 @@ def pick_summary(levels: list[VerbosityLevel], max_thr: float) -> tuple[int, boo
     return best.v, False
 
 
-def check_improvement(d: Descriptor, d_higher: Descriptor, min_thr: float) -> bool:
-    """True when the pair may coexist across verbosity levels.
+def coexist(pool: DescriptorPool, rows, levels, min_thr: float):
+    """Which pairs of the pool's ``rows``, taken at verbosity ``levels``,
+    may be selected together: an (m, m) bool matrix, and the rows' (m,
+    n_zones) zone errors, NaN outside each range.
 
-    ``d`` comes from the coarser level.  Either the two ranges are
-    disjoint, or the finer descriptor must beat the coarser one by
-    strictly more than ``min_thr`` on at least one shared zone.
+    Two rows may coexist when they share a level (one tiling holds
+    both), when their ranges are disjoint, or when the finer one beats
+    the coarser one by strictly more than ``min_thr`` on a zone both
+    cover.  The matrix is symmetric.
     """
-    lo = max(d.zone_start, d_higher.zone_start)
-    hi = min(d.zone_end, d_higher.zone_end)
-    if lo > hi:
-        return True
-    for z in range(lo, hi + 1):
-        if d.err(z) - d_higher.err(z) > min_thr:
-            return True
-    return False
-
-
-def _pair_ok(a: Descriptor, lv_a: int, b: Descriptor, lv_b: int, min_thr: float) -> bool:
-    if lv_a == lv_b:
-        return True  # same-level descriptors come from one tiling
-    if lv_a < lv_b:
-        return check_improvement(a, b, min_thr)
-    return check_improvement(b, a, min_thr)
+    rows, levels = np.asarray(rows, int), np.asarray(levels)
+    z = np.arange(pool.n_zones)
+    inside = (pool.zone_start[rows, None] <= z) & (z <= pool.zone_end[rows, None])
+    errs = np.where(inside, pool.errs[rows], np.nan)
+    # beats[a, b]: a's error exceeds b's by more than min_thr on a shared
+    # zone; NaN, outside either range, compares False.
+    beats = (errs[:, None] - errs[None] > min_thr).any(axis=2)
+    shared = (inside[:, None] & inside[None]).any(axis=2)
+    coarser = levels[:, None] < levels[None]
+    ok = (levels[:, None] == levels[None]) | ~shared | np.where(coarser, beats, beats.T)
+    return ok, errs
 
 
 def solve_details(
@@ -189,7 +190,6 @@ def solve_details(
     if s not in by_v:
         raise SolveError(f"summary level {s} is not a feasible verbosity")
     summary_ids = by_v[s].chosen
-    summary = [pool.get(i) for i in summary_ids]
 
     # Candidates: every tiling member up to the bound, minus the summary.
     # A descriptor appearing at several levels keeps its lowest level:
@@ -199,22 +199,23 @@ def solve_details(
         for v in sorted(by_v, reverse=True) if v <= cfg.v
         for id_ in by_v[v].chosen if id_ not in summary_ids
     }
-    # In id order; one that cannot coexist with the summary never enters a set.
-    candidates = []
-    for id_, lv in sorted(source_level.items()):
-        d = pool.get(id_)
-        if all(_pair_ok(d, lv, sd, s, cfg.min_thr) for sd in summary):
-            candidates.append((d, lv))
+    # In id order, then the summary; a candidate that cannot coexist with
+    # the summary never enters a set.
+    ids = sorted(source_level)
+    ok, errs = coexist(pool, ids + list(summary_ids),
+                       [source_level[i] for i in ids] + [s] * len(summary_ids), cfg.min_thr)
+    keep = np.flatnonzero(ok[: len(ids), len(ids) :].all(axis=1))
+    ok, errs = ok[np.ix_(keep, keep)], errs[keep]
+    cand_ids = [ids[i] for i in keep.tolist()]
+    levels_of = [source_level[i] for i in cand_ids]
 
-    # Each candidate fact is computed once: its zones as a bitmask, and a
-    # bitmask of the candidates it may coexist with (_pair_ok is symmetric).
-    zones = [((1 << d.width) - 1) << d.zone_start for d, _ in candidates]
-    levels_of = [lv for _, lv in candidates]
-    compat = [0] * len(candidates)
-    for k, m in combinations(range(len(candidates)), 2):
-        if _pair_ok(*candidates[k], *candidates[m], cfg.min_thr):
-            compat[k] |= 1 << m
-            compat[m] |= 1 << k
+    # Each candidate fact is computed once: its first zone and zone errors,
+    # its zones as a bitmask, and a bitmask of the candidates it may coexist with.
+    first = pool.zone_start[cand_ids].tolist()
+    zone_errs = [pool.errs[i, f : j + 1].tolist()
+                 for i, f, j in zip(cand_ids, first, pool.zone_end[cand_ids].tolist())]
+    zones = [((1 << len(e)) - 1) << f for f, e in zip(first, zone_errs)]
+    compat = [sum(1 << m for m in np.flatnonzero(row).tolist()) for row in ok]
 
     def grow(chosen: tuple[int, ...], resid: tuple[int, ...], idx: int):
         """Residues after adding ``idx``, or None if one empties.  Only
@@ -237,19 +238,12 @@ def solve_details(
 
     # Suffix tables for the bound: suf_hi[t][z] and suf_lo[t][z] are the
     # greatest and least error on zone z of candidates t.. (-inf and inf
-    # where none of them covers z).
+    # where none of them covers z): fmax and fmin skip the NaN outside
+    # each range.
     all_zones = range(pool.n_zones)
-    suf_hi = [[-inf] * pool.n_zones]
-    suf_lo = [[inf] * pool.n_zones]
-    for d, _ in reversed(candidates):
-        hi_t, lo_t = suf_hi[-1][:], suf_lo[-1][:]
-        for z, e in zip(d.zones, d.zone_errs):
-            hi_t[z] = max(hi_t[z], e)
-            lo_t[z] = min(lo_t[z], e)
-        suf_hi.append(hi_t)
-        suf_lo.append(lo_t)
-    suf_hi.reverse()
-    suf_lo.reverse()
+    pad = np.full((1, pool.n_zones), np.inf)
+    suf_hi = np.fmax.accumulate(np.vstack([errs, -pad])[::-1])[::-1].tolist()
+    suf_lo = np.fmin.accumulate(np.vstack([errs, pad])[::-1])[::-1].tolist()
 
     best: tuple | None = None  # (tie-break key, per-zone gains, per-zone least error)
     expanded = pruned = 0
@@ -278,7 +272,7 @@ def solve_details(
         # bounds their float objectives (module docstring).  Strictly
         # below the best, none of them can win or tie.
         pen = cfg.penalty_eps * (count + 1)
-        for idx in range(chosen[-1] + 1 if chosen else 0, len(candidates)):
+        for idx in range(chosen[-1] + 1 if chosen else 0, len(cand_ids)):
             if compat[idx] & bits != bits:
                 continue
             resid2 = grow(chosen, resid, idx)
@@ -290,20 +284,19 @@ def solve_details(
             if ub - pen < -best[0][0]:
                 pruned += 1
                 return
-            d = candidates[idx][0]
             lo2, hi2 = lo[:], hi[:]
-            for z, e in zip(d.zones, d.zone_errs):
+            for z, e in enumerate(zone_errs[idx], first[idx]):
                 if e < lo2[z]:
                     lo2[z] = e
                 if e > hi2[z]:
                     hi2[z] = e
             search(chosen + (idx,), resid2, bits | 1 << idx, lo2, hi2,
-                   covered | zones[idx], count + d.width)
+                   covered | zones[idx], count + len(zone_errs[idx]))
 
     summary_err = list(by_v[s].zone_errs)
     search((), (), 0, summary_err, summary_err, 0, 0)
     (neg_obj, _, chosen), gains, least = best
-    details = tuple((candidates[k][0].id, candidates[k][1]) for k in chosen)
+    details = tuple((cand_ids[k], levels_of[k]) for k in chosen)
     # ``least`` is each zone's least error over the summary and the details.
     # Left-to-right float sum: fsum, numpy and Python 3.12's compensated
     # sum() round differently and would change selection.json.

@@ -709,22 +709,17 @@ def _fit_sinusoids(xs, ys, first, n, span_i, span_j, nz):
     amplitude and phase by a linear solve in the sin/cos basis, and the
     best grid frequency is refined by golden section search to relative
     tolerance 1e-3.  Ranges of one zone count have bit-equal widths, so
-    they share a grid, and a run of them spanning at most ``_CHUNK_CELLS``
-    (frequency, sample) cells shares one basis, each range reading its
-    own columns."""
+    they share a grid and one basis over the whole series, each range
+    reading its own columns.  A basis over only some of the series would
+    not lower the peak: the widest range needs the whole series'."""
     width = (span_j + 1 - span_i) / nz
-    span, last = _CHUNK_CELLS // len(_SIN_GRID), first + n
     fits = [None] * len(first)
     for w in np.unique(width):
-        rows, f0, end = np.flatnonzero(width == w), 0, -1
-        for k in rows:
-            f, e = first[k], last[k]
-            if f < f0 or e > end:  # a new basis: this range and those ending within span of it
-                f0 = f
-                end = last[rows][last[rows] <= f0 + span].max(initial=e)
-                basis = _sin_basis(xs[f0:end], _SIN_GRID / w)
-            fits[k] = _fit_sinusoid(xs[f:e], ys[f:e], float(w),
-                                    [b[:, f - f0 : e - f0] for b in basis])
+        basis = _sin_basis(xs, _SIN_GRID / w)
+        for k in np.flatnonzero(width == w):
+            f, e = first[k], first[k] + n[k]
+            fits[k] = _fit_sinusoid(xs[f:e], ys[f:e], float(w), [b[:, f:e] for b in basis])
+        del basis  # freed before the next width's is built
     cols = [p or (math.nan,) * 4 for p in fits]
     return np.array(cols).T, np.array([p is not None for p in fits])
 

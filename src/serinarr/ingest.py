@@ -22,7 +22,10 @@ Every format is read as UTF-8, a leading byte order mark skipped; a file
 that does not decode raises ``IngestError``.
 
 After loading, :func:`normalize` min-max scales both axes into the unit
-square and attaches the zone grid used by every later stage.
+square and attaches the zone grid used by every later stage.  Values
+are finite, and so must be the time and value ranges: a series whose
+range overflows float64, such as one alternating 1e308 and -1e308,
+raises ``IngestError``.
 """
 
 from __future__ import annotations
@@ -226,7 +229,8 @@ def normalize(raw: RawSeries, levels: int) -> TimeSeries:
 
     A constant series maps to the flat line y = 0.5.  Every zone must
     receive at least one sample; otherwise the requested zone count is
-    too fine for the series and the first empty zone is reported.
+    too fine for the series and the first empty zone is reported.  A
+    time or value range past float64 raises ``IngestError``.
 
     Applying normalize to an already normalized series reproduces it
     bit for bit.
@@ -242,9 +246,13 @@ def normalize(raw: RawSeries, levels: int) -> TimeSeries:
     ts = np.array([t for t, _ in raw.points], dtype=float)
     vs = np.array([v for _, v in raw.points], dtype=float)
 
-    xs = (ts - ts[0]) / (ts[-1] - ts[0])
+    # Spans as Python floats: past float64 they are inf, with no RuntimeWarning.
+    t_span = float(ts[-1]) - float(ts[0])
     y_min = float(vs.min())
     y_max = float(vs.max())
+    if not (math.isfinite(t_span) and math.isfinite(y_max - y_min)):
+        raise IngestError("the time or value range exceeds the float64 range")
+    xs = (ts - ts[0]) / t_span
     if y_max > y_min:
         ys = (vs - y_min) / (y_max - y_min)
     else:

@@ -712,6 +712,15 @@ def test_config_file_with_utf8_bom_reads_its_first_key(tmp_path):
     ("json", '{"points": [{"t": 0, "v": 1}, {"t": 1, "v": "2"}]}', 'json "points" entries'),
     pytest.param("json", '{"values": [1, 1%s, 3]}' % ("0" * 400),
                  'json "values" must be a list', id="json-int-past-float-range"),
+    pytest.param("csv", "".join(f"{t},{(-1) ** t}e308\n" for t in range(16)),
+                 "exceeds the float64 range", id="csv-value-range-past-float"),
+    pytest.param("csv", "".join(f"{2 * t}e307,{t % 3}\n" for t in range(-8, 8)),
+                 "exceeds the float64 range", id="csv-time-range-past-float"),
+    pytest.param("json", '{"values": [%s]}' % ", ".join(["1e308, -1e308"] * 8),
+                 "exceeds the float64 range", id="json-value-range-past-float"),
+    pytest.param("json", '{"points": [%s]}' % ", ".join(
+        f'{{"t": {2 * t}e307, "v": {t % 3}}}' for t in range(-8, 8)),
+                 "exceeds the float64 range", id="json-time-range-past-float"),
 ])
 def test_main_rejects_bad_input_rows(fmt, text, reason, tmp_path, capsys):
     bad = tmp_path / "bad.txt"

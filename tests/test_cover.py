@@ -312,6 +312,11 @@ def test_level_error_matrix_needs_a_feasible_level():
         level_error_matrix(levels)
 
 
+def test_feasible_level_holds_v_descriptors():
+    with pytest.raises(ValueError, match="holds 1 descriptors"):
+        VerbosityLevel(v=2, chosen=(0,), cost=0.0, feasible=True, zone_errs=(0.0,))
+
+
 def test_max_zone_err_matches_chosen():
     rnd = random.Random(11)
     pool = full_random_pool(rnd, 8)

@@ -3,6 +3,7 @@ import json
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,7 @@ from serinarr.cover import VerbosityLevel, solve_cover
 from serinarr.details import (
     SelectionConfig,
     SelectionResult,
-    _pair_ok,
-    check_improvement,
+    coexist,
     pick_summary,
     solve_details,
 )
@@ -139,16 +139,16 @@ def _reference_solve_details(
     candidates = []
     for id_, lv in sorted(source_level.items()):
         d = pool.get(id_)
-        if all(_pair_ok(d, lv, sd, s, cfg.min_thr) for sd in summary):
+        if all(_ok_pair(d, lv, sd, s, cfg.min_thr) for sd in summary):
             candidates.append((d, lv))
 
     # Each candidate fact is computed once: its zones as a bitmask, and a
-    # bitmask of the candidates it may coexist with (_pair_ok is symmetric).
+    # bitmask of the candidates it may coexist with (_ok_pair is symmetric).
     zones = [((1 << d.width) - 1) << d.zone_start for d, _ in candidates]
     levels_of = [lv for _, lv in candidates]
     compat = [0] * len(candidates)
     for k, m in combinations(range(len(candidates)), 2):
-        if _pair_ok(*candidates[k], *candidates[m], cfg.min_thr):
+        if _ok_pair(*candidates[k], *candidates[m], cfg.min_thr):
             compat[k] |= 1 << m
             compat[m] |= 1 << k
 
@@ -268,19 +268,26 @@ def test_pick_summary_skips_infeasible():
         pick_summary([levels[0]], 0.15)
 
 
-# ------------------------------------------------------ check_improvement
+# ---------------------------------------------------------------- coexist
+
+
+def _coexist_pair(coarse, fine, min_thr):
+    """``coexist``'s verdict on a coarser and a finer descriptor."""
+    ok, _ = coexist(make_pool((coarse, fine), coarse.n_zones), [0, 1], [1, 2], min_thr)
+    assert ok[0, 1] == ok[1, 0]
+    return ok[0, 1]
 
 
 def test_disjoint_pairs_always_pass():
     a = make_descriptor(0, 0, 1, [0.5, 0.5], 8)
     b = make_descriptor(1, 4, 5, [0.1, 0.1], 8)
-    assert check_improvement(a, b, 0.02)
+    assert _coexist_pair(a, b, 0.02)
 
 
 def test_improvement_below_threshold_fails():
     a = make_descriptor(0, 0, 1, [0.5, 0.5], 4)
     b = make_descriptor(1, 0, 1, [0.49, 0.485], 4)
-    assert not check_improvement(a, b, 0.02)
+    assert not _coexist_pair(a, b, 0.02)
 
 
 def test_improvement_needs_strict_excess():
@@ -290,8 +297,8 @@ def test_improvement_needs_strict_excess():
     over = make_descriptor(2, 0, 0, [0.46875 - 1e-6], 4)
     min_thr = 0.03125
     assert (a.err(0) - at_thr.err(0)) == min_thr
-    assert not check_improvement(a, at_thr, min_thr)
-    assert check_improvement(a, over, min_thr)
+    assert not _coexist_pair(a, at_thr, min_thr)
+    assert _coexist_pair(a, over, min_thr)
 
 
 @settings(max_examples=80)
@@ -304,8 +311,32 @@ def test_improvement_needs_strict_excess():
 def test_raising_min_thr_only_removes_pairs(errs_a, errs_b, thr, bump):
     a = make_descriptor(0, 0, 2, errs_a, 4)
     b = make_descriptor(1, 1, 2, errs_b[:2], 4)
-    if check_improvement(a, b, thr + bump):
-        assert check_improvement(a, b, thr)
+    if _coexist_pair(a, b, thr + bump):
+        assert _coexist_pair(a, b, thr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 16), st.integers(2, 24))
+def test_coexist_matches_pair_rule(seed, n_zones, m):
+    """On random rows of a random pool at random levels, ``coexist`` is
+    symmetric, agrees with ``_ok_pair`` on every pair, and returns each
+    row's zone errors, NaN outside its range.  Errors on a dyadic grid
+    and a dyadic ``min_thr`` make some improvements equal it exactly."""
+    rnd = random.Random(seed)
+    quantum = rnd.choice((None, 1 / 8, 1 / 32))
+    pool = full_random_pool(rnd, n_zones, quantum=quantum)
+    rows = [rnd.randrange(len(pool)) for _ in range(m)]
+    levels = [rnd.randint(1, 4) for _ in range(m)]
+    min_thr = rnd.choice((1 / 8, 1 / 32, rnd.uniform(0.0, 0.3)))
+    ok, errs = coexist(pool, rows, levels, min_thr)
+    assert ok.shape == (m, m) and (ok == ok.T).all()
+    descs = [pool.get(r) for r in rows]
+    for a, b in itertools.product(range(m), repeat=2):
+        assert ok[a, b] == _ok_pair(descs[a], levels[a], descs[b], levels[b], min_thr)
+    for d, row in zip(descs, errs):
+        inside = np.isin(np.arange(n_zones), d.zones)
+        assert row[inside].tolist() == list(d.zone_errs)
+        assert np.isnan(row[~inside]).all()
 
 
 # ------------------------------------------------------------ solve_details

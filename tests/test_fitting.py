@@ -183,6 +183,17 @@ def test_pool_raises_when_nothing_fits():
         build_pool(s, kinds=(CurveKind.TOOTH,))
 
 
+def test_pool_needs_a_kind():
+    with pytest.raises(FitError, match="at least one curve kind"):
+        build_pool(make_series(list(range(8)), levels=2), kinds=())
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (2, 1), (0, 4)])
+def test_fit_one_rejects_a_bad_range(i, j):
+    with pytest.raises(FitError, match="bad zone range"):
+        fit_one(make_series(list(range(8)), levels=2), CurveKind.LINE, i, j)
+
+
 def test_per_zone_rmse_recomputed_independently():
     rnd = random.Random(7)
     s = make_series([rnd.uniform(0, 1) for _ in range(96)], levels=3)
@@ -595,8 +606,8 @@ def test_sinusoid_grid_matches_per_frequency_solve():
 def test_sinusoid_basis_slices_match_per_range_grid(monkeypatch):
     """A row's columns of the basis shared over a longer span give the
     grid that row's own basis gives, bit for bit, at offsets that are not
-    multiples of 8; and sinusoid fits share bases in runs of one or many
-    rows and still equal the per-range fit."""
+    multiples of 8; and sinusoid fits, which share one basis per width,
+    still equal the per-range fit."""
     rng = np.random.default_rng(6250)
     for case in range(30):
         span = np.sort(rng.random(int(rng.integers(40, 400))))

@@ -14,7 +14,9 @@ directly; the functions its tracer wraps must still exist, and its own
 count of tooth plateau pairs must match what the fitter scores.  One
 input of each, deep-details wave-0 and dense-walk walk-0, also has its
 saved pool pinned by sha256, so every zone error of those fits is
-checked, not only what the narration shows of them.
+checked, not only what the narration shows of them.  The detail
+search's work, sets scored and pruned, is pinned on every deep-details
+wave and on two larger two-sine searches at level 6.
 """
 
 import hashlib
@@ -30,7 +32,8 @@ import pytest
 from conftest import make_series
 from serinarr import fitting
 from serinarr.cli import main
-from serinarr.details import solve_details
+from serinarr.cover import solve_cover
+from serinarr.details import DEFAULT_MAX_THR, SelectionConfig, pick_summary, solve_details
 from serinarr.ingest import load_series
 from serinarr.prototypes import PARAM_COUNTS, CurveKind
 
@@ -203,6 +206,54 @@ def test_deep_details_search_is_bounded(tmp_path, monkeypatch, capsys):
         res = results.pop()
         assert res.nodes_pruned > 0, k
         assert res.nodes_expanded <= 2000, k
+
+
+# (nodes_expanded, nodes_pruned) of the detail search, recorded before the
+# search read its candidates from the pool's columns.  A change of search
+# order or bound moves them while the selection stays the same.
+WAVE_SEARCH_WORK = {
+    0: (139, 101), 1: (163, 105), 2: (675, 458), 3: (363, 159),
+    4: (143, 103), 5: (163, 105), 6: (677, 460), 7: (363, 159),
+    8: (141, 103), 9: (163, 105), 10: (676, 459), 11: (339, 156),
+}
+L6_SEARCH_WORK = {
+    ((2.3, 6.1, 4.0), 10): (1517, 1223),
+    ((2.3, 7.1, 2.0), 12): (5463, 4195),
+}
+
+
+def test_deep_details_search_work_is_pinned(tmp_path, monkeypatch, capsys):
+    """Sets scored and pruned on every deep-details wave of the held-out seed."""
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(solve_details(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr("serinarr.cli.solve_details", recorded)
+    workloads = _load_perfbench("workloads")
+    plan = workloads.plan("deep-details", 7919, tmp_path)
+    workloads.write_inputs(plan)
+    ops = {op.input: op for op in plan.ops}
+    got = {}
+    for k in WAVE_SEARCH_WORK:
+        assert main(list(ops[f"wave-{k}"].argv)) == 0
+        res = results.pop()
+        got[k] = res.nodes_expanded, res.nodes_pruned
+    assert got == WAVE_SEARCH_WORK
+
+
+@pytest.mark.parametrize("shape,v", sorted(L6_SEARCH_WORK))
+def test_l6_search_work_is_pinned(shape, v):
+    """Sets scored and pruned on a 1,024-point two-sine series at level 6,
+    a search some ten times larger than a deep-details wave's."""
+    workloads = _load_perfbench("workloads")
+    series = make_series(workloads.two_sine(np.random.default_rng(1), shape, n=1024), 6)
+    pool = fitting.build_pool(series)
+    levels = solve_cover(pool, v)
+    s, met = pick_summary(levels, DEFAULT_MAX_THR)
+    res = solve_details(pool, levels, s, SelectionConfig(v=v, penalty_eps=1e-5), met)
+    assert (res.nodes_expanded, res.nodes_pruned) == L6_SEARCH_WORK[shape, v]
 
 
 def test_dense_walk_matches_benchmark_goldens(tmp_path, capsys):
