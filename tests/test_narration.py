@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_descriptor, make_pool, series_exact
+from conftest import full_random_pool, make_descriptor, make_pool, series_exact
 from serinarr.details import SelectionResult
 from serinarr.narration import (
     CONSTANCY,
@@ -387,3 +387,70 @@ def test_build_narration_fills_shapes_and_structure():
             "level", "category", "strength", "extent", "connective",
             "included_in", "anchors",
         }
+
+
+def _expected_structure(sel, pool):
+    """The narration rules, restated without the library's builder:
+    (descriptor id, role, level, included_in, connective) per position."""
+    span = lambda i: (pool.get(i).zone_start, pool.get(i).zone_end)
+    entries = [(i, "summary", sel.s) for i in sorted(sel.summary, key=span)]
+    entries += [(i, "detail", lv) for i, lv in
+                sorted(sel.details, key=lambda p: (*span(p[0]), p[1]))]
+    out = []
+    for k, (i, role, level) in enumerate(entries):
+        lo, hi = span(i)
+        enclosing = [(pl - ph, pos) for pos, (j, _, _) in enumerate(entries[:k], 1)
+                     for pl, ph in [span(j)] if pl <= lo and hi <= ph]
+        after = entries[k + 1][0] if k + 1 < len(entries) else None
+        immediate = after is not None and span(after)[0] == hi + 1
+        out.append((i, role, level, max(enclosing)[1] if enclosing else None,
+                    "immediate" if immediate else "separated"))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_build_narration_follows_structure_rules(data):
+    """Random tilings and detail subsets over two-kind pools, where equal
+    ranges and width ties occur: positions 1..k with the summary first,
+    the summary tiling the zones in order, details in (start, end, level)
+    order, ``included_in`` the tightest earlier enclosing unit (the later
+    one on ties), ``immediate`` exactly when the next unit starts at the
+    next zone, and each shape the classification of its descriptor."""
+    import random
+
+    levels = data.draw(st.integers(1, 3), label="levels")
+    n = 2 ** levels
+    kinds = tuple(data.draw(st.permutations(list(CurveKind)), label="kinds")[:2])
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    pool = full_random_pool(random.Random(seed), n, kinds)
+    by_range = {}
+    for d in pool:
+        by_range.setdefault((d.zone_start, d.zone_end), []).append(d.id)
+    cuts = data.draw(st.sets(st.integers(1, n - 1)), label="cuts")
+    edges = [0, *sorted(cuts), n]
+    tiles = [by_range[(a, b - 1)][data.draw(st.integers(0, 1))]
+             for a, b in zip(edges, edges[1:])]
+    others = [d.id for d in pool if d.id not in tiles]
+    picked = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=8),
+                       label="details")
+    details = [(i, data.draw(st.integers(1, 8))) for i in picked]
+    sel = selection(data.draw(st.permutations(tiles)), details,
+                    s=data.draw(st.integers(1, 8)))
+    ys = np.random.default_rng(seed).uniform(size=4 * n + 1)
+    series = series_exact(ys, levels)
+
+    units = build_narration(sel, pool, series)
+    expected = _expected_structure(sel, pool)
+    assert [u.position for u in units] == list(range(1, len(expected) + 1))
+    assert [(u.descriptor_id, u.role, u.level, u.included_in, u.connective)
+            for u in units] == expected
+    summary = [u for u in units if u.role == "summary"]
+    assert [u.zone_start for u in summary] == edges[:-1]
+    assert [u.zone_end + 1 for u in summary] == edges[1:]
+    spans = [(u.zone_start, u.zone_end, u.level) for u in units[len(summary):]]
+    assert spans == sorted(spans)
+    for u in units:
+        d = pool.get(u.descriptor_id)
+        assert (u.zone_start, u.zone_end) == (d.zone_start, d.zone_end)
+        assert u.shape == classify(d, series)
