@@ -31,7 +31,6 @@ from .narration import (
     ShapeClass,
     build_narration,
     classify,
-    order_units,
     quantize,
 )
 from .prototypes import CurveKind, evaluate
@@ -66,7 +65,6 @@ __all__ = [
     "load",
     "load_series",
     "normalize",
-    "order_units",
     "pick_summary",
     "quantize",
     "realize",

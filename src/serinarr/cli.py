@@ -465,7 +465,8 @@ def _cmd_sweep(args) -> int:
     rows = sweep(cfg, _parse_levels_list(args.levels_list))
     print(_format_sweep(rows))
     if "json" in cfg.emit:
-        print(f"wrote: {_write_artifact(cfg, 'sweep.json', _json(rows))}")
+        saved = [{k: v for k, v in row.items() if k != "wall_s"} for row in rows]
+        print(f"wrote: {_write_artifact(cfg, 'sweep.json', _json(saved))}")
     return 0
 
 

@@ -825,12 +825,18 @@ def build_pool(
 
 def write_atomic(path: Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see
-    a half-written artifact.  The one place the package writes a file."""
+    a half-written artifact.  The one place the package writes a file.
+
+    The file gets ``0o666 & ~umask``, as ``open(path, "w")`` would give
+    it, not the temp file's 0o600."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:

@@ -2,10 +2,10 @@
 
 Every selected descriptor becomes a narration unit: a category such as
 valley, peak, rise or plateau, a quantized strength adjective, and the
-numeric anchors the surface text needs.  Units are then ordered for
-realization: the summary tiling first (left to right), details after
-(left to right, coarser level first on ties), with connectives and
-containment links derived from the zone ranges.
+numeric anchors the surface text needs.  One pass builds each unit
+complete, in realization order: the summary tiling first (left to
+right), details after (left to right, coarser level first on ties),
+with connectives and containment links derived from the zone ranges.
 
 Two-segment shapes are judged by the aperture between their segments
 (the angle swept from the left arm to the right arm, 180 degrees when
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .details import SelectionResult
 from .fitting import Descriptor, DescriptorPool
@@ -74,7 +74,7 @@ class ShapeClass:
             raise ValueError(f"unknown extent {self.extent!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NarrationUnit:
     position: int  # 1-based order in the narration
     role: str  # "summary" or "detail"
@@ -83,8 +83,8 @@ class NarrationUnit:
     zone_end: int
     level: int  # verbosity level the descriptor was selected at
     connective: str  # "immediate" or "separated"
-    included_in: Optional[int]  # position of the enclosing unit, if any
-    shape: Optional[ShapeClass] = None
+    included_in: int | None  # position of the enclosing unit, if any
+    shape: ShapeClass
 
 
 def quantize(value: float, max_value: float, adjectives: Sequence[str]) -> str:
@@ -277,40 +277,35 @@ def classify(d: Descriptor, series: TimeSeries) -> ShapeClass:
     raise ValueError(f"unknown curve kind {d.kind!r}")  # pragma: no cover
 
 
-def order_units(
-    selection: SelectionResult, pool: DescriptorPool
+def build_narration(
+    selection: SelectionResult, pool: DescriptorPool, series: TimeSeries
 ) -> list[NarrationUnit]:
-    """Arrange the selected descriptors in narration order.
+    """The selected descriptors as complete units, in narration order.
 
     Summary units come first, left to right; details follow, left to
-    right with the coarser source level first on ties.  A unit is
-    "immediate" when the next unit starts at the zone right after it.
-    ``included_in`` points at the earlier unit with the tightest range
-    that still contains the unit's own range.
+    right with the coarser source level first on ties, and in the
+    selection's order on equal keys.  A unit is "immediate" when the
+    next unit starts at the zone right after it.  ``included_in`` points
+    at the earlier unit with the tightest range that still contains the
+    unit's own range, the later one on ties.
     """
-    summary = sorted(
-        (pool.get(i) for i in selection.summary),
-        key=lambda d: (d.zone_start, d.zone_end),
-    )
-    details = sorted(
-        ((pool.get(i), lv) for i, lv in selection.details),
-        key=lambda pair: (pair[0].zone_start, pair[0].zone_end, pair[1]),
-    )
+    def key(entry):
+        _, d, level = entry
+        return d.zone_start, d.zone_end, level
 
-    entries = [(d, "summary", selection.s) for d in summary]
-    entries += [(d, "detail", lv) for d, lv in details]
+    entries = sorted((("summary", pool.get(i), selection.s) for i in selection.summary),
+                     key=key)
+    entries += sorted((("detail", pool.get(i), lv) for i, lv in selection.details),
+                      key=key)
 
     units: list[NarrationUnit] = []
-    for idx, (d, role, level) in enumerate(entries):
-        enclosing = None
-        best_width = None
-        for k in range(idx):
-            prev, _, _ = entries[k]
-            if prev.zone_start <= d.zone_start and d.zone_end <= prev.zone_end:
-                w = prev.width
-                if best_width is None or w <= best_width:
-                    best_width = w
-                    enclosing = units[k].position
+    for idx, (role, d, level) in enumerate(entries):
+        nxt = entries[idx + 1][1].zone_start if idx + 1 < len(entries) else None
+        _, enclosing = max(
+            ((u.zone_start - u.zone_end, u.position) for u in units
+             if u.zone_start <= d.zone_start and d.zone_end <= u.zone_end),
+            default=(0, None),
+        )
         units.append(
             NarrationUnit(
                 position=idx + 1,
@@ -319,46 +314,30 @@ def order_units(
                 zone_start=d.zone_start,
                 zone_end=d.zone_end,
                 level=level,
-                connective="separated",
+                connective="immediate" if nxt == d.zone_end + 1 else "separated",
                 included_in=enclosing,
+                shape=classify(d, series),
             )
         )
-
-    for idx in range(len(units) - 1):
-        if units[idx + 1].zone_start == units[idx].zone_end + 1:
-            units[idx].connective = "immediate"
-    return units
-
-
-def build_narration(
-    selection: SelectionResult, pool: DescriptorPool, series: TimeSeries
-) -> list[NarrationUnit]:
-    """Ordered units with their shapes filled in."""
-    units = order_units(selection, pool)
-    for u in units:
-        u.shape = classify(pool.get(u.descriptor_id), series)
     return units
 
 
 def narration_structure(units: list[NarrationUnit]) -> list[dict]:
     """JSON-ready view of the narration units."""
-    out = []
-    for u in units:
-        assert u.shape is not None, "units must be classified first"
-        out.append(
-            {
-                "position": u.position,
-                "role": u.role,
-                "descriptor_id": u.descriptor_id,
-                "zone_start": u.zone_start,
-                "zone_end": u.zone_end,
-                "level": u.level,
-                "category": u.shape.category,
-                "strength": u.shape.strength,
-                "extent": u.shape.extent,
-                "connective": u.connective,
-                "included_in": u.included_in,
-                "anchors": dict(u.shape.anchors),
-            }
-        )
-    return out
+    return [
+        {
+            "position": u.position,
+            "role": u.role,
+            "descriptor_id": u.descriptor_id,
+            "zone_start": u.zone_start,
+            "zone_end": u.zone_end,
+            "level": u.level,
+            "category": u.shape.category,
+            "strength": u.shape.strength,
+            "extent": u.shape.extent,
+            "connective": u.connective,
+            "included_in": u.included_in,
+            "anchors": dict(u.shape.anchors),
+        }
+        for u in units
+    ]

@@ -1,8 +1,10 @@
 """Template realization of narration units into English sentences.
 
-The summary opens "In general, the series presents ...".  Details form
-a second sentence opened by "In detail, ..." whose clauses are joined
-by position: the second clause by "; followed by", the third by
+The units arrive complete and in order from ``build_narration``, so
+realization is one pass over them that builds the full text.  The
+summary opens "In general, the series presents ...".  Details form a
+second sentence opened by "In detail, ..." whose clauses are joined by
+position: the second clause by "; followed by", the third by
 "; then by", the last by "; and finally by", and anything between by a
 bare "; ".  A point-like first detail reads "... occurs at {x}".
 
@@ -19,8 +21,6 @@ from .narration import NarrationUnit
 
 @dataclass(frozen=True)
 class NarrationText:
-    summary_sentence: str
-    detail_clauses: tuple[str, ...]
     full_text: str
 
 
@@ -43,7 +43,6 @@ def realize_unit(unit: NarrationUnit, lead: bool = False) -> str:
     phrased "reaching a value of {y} occurs at {x}".
     """
     shape = unit.shape
-    assert shape is not None, "unit must be classified before realization"
     strength = _strength_words(shape.strength)
     a = shape.anchors
 
@@ -73,6 +72,8 @@ def realize_unit(unit: NarrationUnit, lead: bool = False) -> str:
 
 
 def _connective(idx: int, last: int) -> str:
+    if idx == 0:
+        return "In detail, "
     if idx == last:
         return "; and finally by "
     if idx == 1:
@@ -83,7 +84,7 @@ def _connective(idx: int, last: int) -> str:
 
 
 def realize(units: list[NarrationUnit], threshold_met: bool = True) -> NarrationText:
-    """Full narration text from ordered, classified units."""
+    """Full narration text from the units of ``build_narration``."""
     summary_units = [u for u in units if u.role == "summary"]
     detail_units = [u for u in units if u.role == "detail"]
     if not summary_units:
@@ -92,24 +93,12 @@ def realize(units: list[NarrationUnit], threshold_met: bool = True) -> Narration
     phrases = [realize_unit(u) for u in summary_units]
     if not threshold_met:
         phrases[0] = "approximately " + phrases[0]
-    summary_sentence = "In general, the series presents " + "; then ".join(phrases) + "."
+    text = "In general, the series presents " + "; then ".join(phrases) + "."
 
-    clauses = []
-    parts = []
-    last = len(detail_units) - 1
-    for idx, u in enumerate(detail_units):
-        clause = realize_unit(u, lead=(idx == 0))
-        clauses.append(clause)
-        if idx == 0:
-            parts.append("In detail, " + clause)
-        else:
-            parts.append(_connective(idx, last) + clause)
-
-    full = summary_sentence
-    if parts:
-        full = summary_sentence + " " + "".join(parts) + "."
-    return NarrationText(
-        summary_sentence=summary_sentence,
-        detail_clauses=tuple(clauses),
-        full_text=full,
-    )
+    if detail_units:
+        last = len(detail_units) - 1
+        text += " " + "".join(
+            _connective(idx, last) + realize_unit(u, lead=(idx == 0))
+            for idx, u in enumerate(detail_units)
+        ) + "."
+    return NarrationText(text)

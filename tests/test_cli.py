@@ -343,6 +343,38 @@ def test_main_sweep_honours_config_emit(sample_csv, tmp_path, capsys):
     assert [row["levels"] for row in rows] == [3]
 
 
+def test_main_sweep_json_is_byte_identical_across_runs(sample_csv, tmp_path, capsys):
+    """The saved rows hold no timings; the printed table keeps ``wall_s``."""
+    saved = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert main(["sweep", "--input", str(sample_csv), "--verbosity", "4",
+                     "--levels-list", "3,4", "--emit", "json",
+                     "--out-dir", str(out)]) == 0
+        saved.append((out / "dipper.sweep.json").read_bytes())
+        assert "wall_s" in capsys.readouterr().out
+    assert saved[0] == saved[1]
+    assert all("wall_s" not in row for row in json.loads(saved[0]))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_main_artifacts_follow_the_umask(sample_csv, tmp_path, capsys, umask, mode):
+    """Every artifact gets ``0o666 & ~umask``, as ``open(path, "w")`` gives."""
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["narrate", "--input", str(sample_csv), "--levels", "3",
+                     "--verbosity", "4", "--out-dir", str(out),
+                     "--emit", "text,json,svg,heatmap,pool"]) == 0
+    finally:
+        os.umask(old)
+    files = sorted(out.iterdir())
+    assert len(files) == 7
+    assert {p.name: p.stat().st_mode & 0o777 for p in files} == {
+        p.name: mode for p in files}
+
+
 def test_main_render_from_saved_artifacts(sample_csv, tmp_path, capsys):
     out = tmp_path / "render_out"
     assert main([

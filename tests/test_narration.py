@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from serinarr.narration import (
     classify,
     classify_bilinear,
     narration_structure,
-    order_units,
     quantize,
 )
 from serinarr.prototypes import (
@@ -313,7 +313,7 @@ def test_shape_class_validation():
                    anchors={}, surface="valley")
 
 
-# ------------------------------------------------------------- order_units
+# --------------------------------------------------------- narration order
 
 
 def ordered_pool(n=8):
@@ -330,7 +330,7 @@ def ordered_pool(n=8):
 def test_order_units_positions_and_roles():
     pool = ordered_pool()
     sel = selection([1, 0], [(3, 3), (2, 2)], s=2)
-    units = order_units(sel, pool)
+    units = build_narration(sel, pool, series_exact(np.zeros(33), levels=3))
     assert [u.descriptor_id for u in units] == [0, 1, 2, 3]
     assert [u.position for u in units] == [1, 2, 3, 4]
     assert [u.role for u in units] == ["summary", "summary", "detail", "detail"]
@@ -340,7 +340,7 @@ def test_order_units_positions_and_roles():
 def test_order_units_detail_level_tiebreak():
     pool = ordered_pool()
     sel = selection([0, 1], [(4, 4), (3, 3)], s=2)
-    units = order_units(sel, pool)
+    units = build_narration(sel, pool, series_exact(np.zeros(33), levels=3))
     # same range, coarser source level narrates first
     assert [u.descriptor_id for u in units[2:]] == [3, 4]
 
@@ -348,7 +348,7 @@ def test_order_units_detail_level_tiebreak():
 def test_connectives_immediate_vs_separated():
     pool = ordered_pool()
     sel = selection([0, 1], [(2, 2)], s=2)
-    units = order_units(sel, pool)
+    units = build_narration(sel, pool, series_exact(np.zeros(33), levels=3))
     assert units[0].connective == "immediate"  # 0..3 then 4..7
     assert units[1].connective == "separated"  # 4..7 then detail at 1..2
     assert units[2].connective == "separated"  # last unit
@@ -357,13 +357,24 @@ def test_connectives_immediate_vs_separated():
 def test_included_in_smallest_enclosing():
     pool = ordered_pool()
     sel = selection([0, 1], [(3, 3), (4, 4)], s=2)
-    units = order_units(sel, pool)
+    units = build_narration(sel, pool, series_exact(np.zeros(33), levels=3))
     assert units[0].included_in is None
     assert units[1].included_in is None
     assert units[2].included_in == 2  # 4..5 sits inside 4..7
     # 4..5 fits both the summary (width 4) and the earlier twin (width 2);
     # the tighter width wins and the later unit wins the tie
     assert units[3].included_in == 3
+
+
+def test_narration_unit_is_frozen_and_needs_a_shape():
+    pool = ordered_pool()
+    sel = selection([0, 1], [], s=2)
+    unit = build_narration(sel, pool, series_exact(np.zeros(33), levels=3))[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        unit.connective = "immediate"
+    with pytest.raises(TypeError):
+        NarrationUnit(position=1, role="summary", descriptor_id=0, zone_start=0,
+                      zone_end=3, level=2, connective="immediate", included_in=None)
 
 
 def test_build_narration_fills_shapes_and_structure():

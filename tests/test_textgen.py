@@ -121,9 +121,7 @@ def detail_points(k):
 
 def test_summary_only():
     text = realize([summary_unit()])
-    assert text.full_text == text.summary_sentence
-    assert text.detail_clauses == ()
-    assert text.summary_sentence == (
+    assert text.full_text == (
         "In general, the series presents a very deep valley reaching an "
         "average of 0.11 between 0.38 and 0.71 out of a general average of "
         "0.44 among the whole dataset."
@@ -182,7 +180,7 @@ def test_multi_unit_summary_joined_with_then():
              zone_start=4, zone_end=7),
     ]
     text = realize(units)
-    assert text.summary_sentence == (
+    assert text.full_text == (
         "In general, the series presents a steep rise reaching a value of "
         "0.8 at 0.5; then a mild drop reaching a value of 0.2 at 1.0."
     )
@@ -190,7 +188,7 @@ def test_multi_unit_summary_joined_with_then():
 
 def test_threshold_miss_hedges_first_phrase():
     text = realize([summary_unit()], threshold_met=False)
-    assert text.summary_sentence.startswith(
+    assert text.full_text.startswith(
         "In general, the series presents approximately a very deep valley")
 
 
