@@ -174,8 +174,11 @@ def _artifact(cfg: RunConfig, suffix: str) -> Path:
 
 
 def _write_artifact(cfg: RunConfig, suffix: str, text: str) -> str:
-    """Write ``text`` to out_dir/<stem>.<suffix> atomically; returns the path."""
+    """Write ``text`` to out_dir/<stem>.<suffix> atomically; returns the path.
+    A path that is the input's, such as ``series.txt``'s text, is refused."""
     path = _artifact(cfg, suffix)
+    if path.resolve() == Path(cfg.input).resolve():
+        raise OutputError(f"{path} is the input file; choose another --out-dir")
     write_atomic(path, text)
     return str(path)
 
@@ -331,11 +334,8 @@ def _heatmap(pool, levels, selection):
     labels, matrix = level_error_matrix(levels)
     row_of = {v: r for r, v in enumerate(labels)}
     shown = [(i, selection.s) for i in selection.summary] + list(selection.details)
-    selected = set()
-    for id_, lv in shown:
-        if lv in row_of:
-            for z in pool.get(id_).zones:
-                selected.add((row_of[lv], z))
+    selected = {(row_of[lv], z) for id_, lv in shown if lv in row_of
+                for z in range(pool.zone_start[id_], pool.zone_end[id_] + 1)}
     return render_heatmap(matrix, labels, selected)
 
 
@@ -418,12 +418,12 @@ def _spelled(value) -> str:
     return str(value)
 
 
-def _add_common(p: argparse.ArgumentParser, emit: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, unread: tuple[str, ...] = ()) -> None:
     """A flag per ``_CONFIG_KEYS`` help, None unless given, and ``--config``;
-    ``--emit`` only if ``emit``, on the subcommands that honour it."""
+    none for the ``unread`` fields, which the subcommand ignores."""
     for f in fields(RunConfig):
         flag = dict(_CONFIG_KEYS[f.name], default=None)
-        if "help" in flag and (emit or f.name != "emit"):
+        if "help" in flag and f.name not in unread:
             if f.default is not MISSING:
                 flag["help"] += f" (default {_spelled(f.default)})"
             p.add_argument("--" + f.name.replace("_", "-"), **flag)
@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_narrate)
 
     p = sub.add_parser("fit", help="fit the descriptor pool only")
-    _add_common(p, emit=False)
+    _add_common(p, unread=("emit",))
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("sweep", help="compare several zone level counts")
@@ -548,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("render", help="re-render charts from saved artifacts")
-    _add_common(p, emit=False)
+    # The kinds come from the saved pool's header.
+    _add_common(p, unread=("emit", "kinds"))
     p.set_defaults(func=_cmd_render)
 
     return parser

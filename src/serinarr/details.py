@@ -40,6 +40,10 @@ constant.  When the bound is strictly below the best objective so
 far, the node stops extending.  Ties are never pruned, so the
 ``(-objective, size, ids)`` tie-break picks the set an exhaustive
 search would.
+
+The selection's ``global_rmse`` is the mean of ``pool.zone_errs`` over
+the summary and the chosen details: each zone's least selected error,
+summed from left to right.
 """
 
 from __future__ import annotations
@@ -245,7 +249,7 @@ def solve_details(
     suf_hi = np.fmax.accumulate(np.vstack([errs, -pad])[::-1])[::-1].tolist()
     suf_lo = np.fmin.accumulate(np.vstack([errs, pad])[::-1])[::-1].tolist()
 
-    best: tuple | None = None  # (tie-break key, per-zone gains, per-zone least error)
+    best: tuple | None = None  # (tie-break key, per-zone gains)
     expanded = pruned = 0
 
     def search(chosen: tuple[int, ...], resid: tuple[int, ...], bits: int,
@@ -264,7 +268,7 @@ def solve_details(
         key = (-obj, len(chosen), chosen)
         if best is None or key < best[0]:
             gains = {z: hi[z] - lo[z] for z in all_zones if covered >> z & 1}
-            best = key, gains, lo
+            best = key, gains
         if len(chosen) >= cfg.v:
             return
         # Child idx, later children and their descendants add candidates
@@ -295,13 +299,13 @@ def solve_details(
 
     summary_err = list(by_v[s].zone_errs)
     search((), (), 0, summary_err, summary_err, 0, 0)
-    (neg_obj, _, chosen), gains, least = best
+    (neg_obj, _, chosen), gains = best
     details = tuple((cand_ids[k], levels_of[k]) for k in chosen)
-    # ``least`` is each zone's least error over the summary and the details.
-    # Left-to-right float sum: fsum, numpy and Python 3.12's compensated
-    # sum() round differently and would change selection.json.
+    # Left-to-right float sum of each zone's least selected error: fsum,
+    # numpy and Python 3.12's compensated sum() round differently and
+    # would change selection.json.
     total = 0.0
-    for e in least:
+    for e in pool.zone_errs(list(summary_ids) + [i for i, _ in details]):
         total += e
     return SelectionResult(
         s=s,

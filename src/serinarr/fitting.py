@@ -744,11 +744,10 @@ def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int,
     ``fit_one`` passes one range.  The fitters cut the ranges into runs
     and start groups as slices, and share each start's prefix sums among
     its ranges."""
-    xs, ys, nz = series.xs, series.ys, series.n_zones
-    bounds = np.array(series.zone_bounds)
+    xs, ys, nz, edges = series.xs, series.ys, series.n_zones, series.zone_edges
     span_i, span_j = np.array(ranges).reshape(-1, 2).T
-    first = bounds[span_i, 0]
-    sizes = bounds[span_j, 1] - first
+    first = edges[span_i]
+    sizes = edges[span_j + 1] - first
     feasible = np.flatnonzero(sizes >= PARAM_COUNTS[kind])
     names = PARAM_FIELDS[kind]
     params = np.full((_N_PARAMS, len(ranges)), np.nan)
@@ -761,7 +760,7 @@ def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int,
     # each a row of its zone's samples evaluated with its range's params.
     fit = np.flatnonzero(ok)
     _, seg, zone = _ravel(span_i[fit], span_j[fit] - span_i[fit] + 1)
-    lo, size = bounds[zone, 0], bounds[zone, 1] - bounds[zone, 0]
+    lo, size = edges[zone], edges[zone + 1] - edges[zone]
     cols = vals[:, fit]
 
     def res_sq(idx, segs):

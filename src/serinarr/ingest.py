@@ -22,10 +22,11 @@ Every format is read as UTF-8, a leading byte order mark skipped; a file
 that does not decode raises ``IngestError``.
 
 After loading, :func:`normalize` min-max scales both axes into the unit
-square and attaches the zone grid used by every later stage.  Values
-are finite, and so must be the time and value ranges: a series whose
-range overflows float64, such as one alternating 1e308 and -1e308,
-raises ``IngestError``.
+square.  The ``TimeSeries`` it returns builds the zone grid that every
+later stage reads; its docstring states the grid's rule.  Values are
+finite, and so must be the time and value ranges: a series whose range
+overflows float64, such as one alternating 1e308 and -1e308, raises
+``IngestError``.
 """
 
 from __future__ import annotations
@@ -70,22 +71,39 @@ class RawSeries:
 class TimeSeries:
     """A normalized series on the unit square plus its zone grid.
 
-    ``xs`` and ``ys`` live in [0, 1].  ``zone_bounds[z]`` is the
-    half-open sample index range of zone z, so slicing a contiguous zone
-    range never rescans the series.
+    ``xs`` and ``ys`` live in [0, 1], ``xs`` ascending.  The series builds
+    its own grid: zone z holds the samples with
+    ``min(floor(x * n_zones), n_zones - 1) == z``, samples
+    ``zone_edges[z]`` up to ``zone_edges[z + 1]``, so slicing a contiguous
+    zone range never rescans the series.  A zone with no sample raises
+    ``EmptyZoneError`` naming the first one.  ``xs``, ``ys`` and
+    ``zone_edges`` are read-only.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     n_zones: int
-    zone_bounds: tuple[tuple[int, int], ...] = field(repr=False)
+    zone_edges: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.n_zones
+        zone_of = np.minimum(np.floor(np.asarray(self.xs) * n).astype(int), n - 1)
+        edges = np.searchsorted(zone_of, np.arange(n + 1))
+        empty = np.flatnonzero(edges[1:] == edges[:-1])
+        if len(empty):
+            raise EmptyZoneError(int(empty[0]), n)
+        # Read-only views, so a caller's own arrays keep their flags.
+        for name, arr in (("xs", self.xs), ("ys", self.ys), ("zone_edges", edges)):
+            view = np.asarray(arr).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __len__(self) -> int:
         return len(self.xs)
 
     def zone_slice(self, i: int, j: int) -> slice:
         """Sample index slice covering zones i..j inclusive."""
-        return slice(self.zone_bounds[i][0], self.zone_bounds[j][1])
+        return slice(int(self.zone_edges[i]), int(self.zone_edges[j + 1]))
 
     def zone_x_range(self, i: int, j: int) -> tuple[float, float]:
         """The x interval [i/n, (j+1)/n] spanned by zones i..j."""
@@ -220,17 +238,17 @@ def load(path: str | Path, format: str = "csv") -> RawSeries:
 
 
 # ----------------------------------------------------------------------
-# normalization and the zone grid
+# normalization
 # ----------------------------------------------------------------------
 
 
 def normalize(raw: RawSeries, levels: int) -> TimeSeries:
-    """Min-max scale a raw series onto [0,1] x [0,1] and build 2**levels zones.
+    """Min-max scale a raw series onto [0,1] x [0,1], as a series of
+    2**levels zones.
 
-    A constant series maps to the flat line y = 0.5.  Every zone must
-    receive at least one sample; otherwise the requested zone count is
-    too fine for the series and the first empty zone is reported.  A
-    time or value range past float64 raises ``IngestError``.
+    A constant series maps to the flat line y = 0.5.  A zone count too
+    fine for the series raises ``EmptyZoneError`` (from ``TimeSeries``).
+    A time or value range past float64 raises ``IngestError``.
 
     Applying normalize to an already normalized series reproduces it
     bit for bit.
@@ -258,25 +276,7 @@ def normalize(raw: RawSeries, levels: int) -> TimeSeries:
     else:
         ys = np.full_like(vs, 0.5)
 
-    zone_of = np.minimum(np.floor(xs * n_zones).astype(int), n_zones - 1)
-
-    bounds = []
-    start = 0
-    for z in range(n_zones):
-        end = int(np.searchsorted(zone_of, z, side="right"))
-        if end == start:
-            raise EmptyZoneError(z, n_zones)
-        bounds.append((start, end))
-        start = end
-
-    for arr in (xs, ys):
-        arr.flags.writeable = False
-    return TimeSeries(
-        xs=xs,
-        ys=ys,
-        n_zones=n_zones,
-        zone_bounds=tuple(bounds),
-    )
+    return TimeSeries(xs, ys, n_zones)
 
 
 def load_series(path: str | Path, format: str, levels: int) -> TimeSeries:

@@ -40,32 +40,10 @@ def make_series(values, levels):
 
 
 def series_exact(ys, levels):
-    """TimeSeries with the given y values taken verbatim (no min-max).
-
-    Rebuilds the zone grid the same way normalize does, so fitting
-    tests can dictate exact sample values.
-    """
+    """TimeSeries with the given y values taken verbatim (no min-max),
+    so fitting tests can dictate exact sample values."""
     ys = np.asarray(ys, dtype=float)
-    n = len(ys)
-    n_zones = 2 ** levels
-    assert n >= n_zones
-    xs = np.arange(n, dtype=float) / (n - 1)
-    zone_of = np.minimum(np.floor(xs * n_zones).astype(int), n_zones - 1)
-    bounds = []
-    start = 0
-    for z in range(n_zones):
-        end = int(np.searchsorted(zone_of, z, side="right"))
-        assert end > start, f"zone {z} empty; pick a finer sampling"
-        bounds.append((start, end))
-        start = end
-    for arr in (xs, ys):
-        arr.flags.writeable = False
-    return TimeSeries(
-        xs=xs,
-        ys=ys,
-        n_zones=n_zones,
-        zone_bounds=tuple(bounds),
-    )
+    return TimeSeries(np.arange(len(ys), dtype=float) / (len(ys) - 1), ys, 2 ** levels)
 
 
 def flat_params(kind, i, j, n_zones):

@@ -79,6 +79,28 @@ def test_artifact_keeps_dotted_stems():
     assert _artifact(cfg, "txt").name == "trend.2024.txt"
 
 
+@pytest.mark.parametrize("out_dir", [None, ".", "sub/.."])
+def test_narrate_refuses_to_overwrite_its_input(sample_csv, tmp_path, monkeypatch, capsys,
+                                                out_dir):
+    """With the default ``--out-dir .`` and ``--emit text``, narrating
+    ``series.txt`` in its own directory would replace it with the text:
+    that exits 6 with one output error line, and writes nothing."""
+    series = tmp_path / "series.txt"
+    series.write_bytes(sample_csv.read_bytes())
+    (tmp_path / "sub").mkdir()
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    argv = ["narrate", "--input", "series.txt", "--levels", "3", "--emit", "text,json"]
+    assert main(argv + (["--out-dir", out_dir] if out_dir else [])) == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert series.read_bytes() == sample_csv.read_bytes()
+    assert sorted(tmp_path.iterdir()) == before
+    assert main(argv + ["--out-dir", "sub"]) == 0  # the same run elsewhere writes
+    assert series.read_bytes() == sample_csv.read_bytes()
+    assert (tmp_path / "sub" / "series.txt").exists()
+
+
 def test_parse_kinds():
     assert _parse_kinds("line,tooth") == (CurveKind.LINE, CurveKind.TOOTH)
     with pytest.raises(IngestError):
@@ -1008,8 +1030,9 @@ def test_parser_rejects_unknown_subcommand(capsys):
 def test_every_option_is_a_flag_that_shows_its_default(monkeypatch):
     """Each ``RunConfig`` field is a ``_CONFIG_KEYS`` key, and each key but
     penalty_eps is a flag of every subcommand whose help names the
-    field's default; emit is none of ``fit`` and ``render``, which fix
-    their outputs."""
+    field's default, but for the fields a subcommand does not read: emit
+    is no flag of ``fit`` and ``render``, which fix their outputs, nor
+    kinds of ``render``, which reads them from the saved pool."""
     monkeypatch.setenv("COLUMNS", "1000")  # one help line per flag
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     assert list(defaults) == list(_CONFIG_KEYS)
@@ -1018,11 +1041,10 @@ def test_every_option_is_a_flag_that_shows_its_default(monkeypatch):
             main([cmd, "--help"])
         helps = {m[1].replace("-", "_"): m[2]
                  for m in re.finditer(r"^  --([\w-]+)(?: \S+)?\s+(.*)$", out.getvalue(), re.M)}
-        assert "penalty_eps" not in helps
-        fixed_outputs = cmd in ("fit", "render")
-        assert ("emit" in helps) != fixed_outputs
+        unread = {"penalty_eps"} | {"fit": {"emit"}, "render": {"emit", "kinds"}}.get(cmd, set())
+        assert not unread & set(helps)
         for key, default in defaults.items():
-            if key == "penalty_eps" or key == "emit" and fixed_outputs:
+            if key in unread:
                 continue
             if default is dataclasses.MISSING:
                 assert "default" not in helps[key], (cmd, key)
@@ -1037,22 +1059,29 @@ def test_fit_and_render_take_no_emit_flag(cmd, sample_csv, tmp_path, capsys):
     """``fit`` writes the pool and ``render`` the charts whatever is asked,
     so neither offers ``--emit``: it is not in their help, and giving it
     is a usage error (exit 2).  A config file's emit is still taken, and
-    overridden."""
+    overridden.  Likewise ``render`` draws the kinds of the saved pool,
+    so it offers no ``--kinds``, and a config file's kinds change nothing."""
+    unread = {"fit": {"emit": "text"}, "render": {"emit": "text", "kinds": "sinusoid"}}[cmd]
     with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as out:
         main([cmd, "--help"])
-    assert "--emit" not in out.getvalue()
-    with pytest.raises(SystemExit) as exc:
-        main([cmd, "--input", str(sample_csv), "--out-dir", str(tmp_path), "--emit", "text"])
-    assert exc.value.code == 2
+    for key, value in unread.items():
+        assert f"--{key}" not in out.getvalue()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            main([cmd, "--input", str(sample_csv), "--out-dir", str(tmp_path),
+                  f"--{key}", value])
+        assert exc.value.code == 2
     conf = tmp_path / "run.conf"
-    conf.write_text("emit = text\n")
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in unread.items()))
+    args = [cmd, "--input", str(sample_csv), "--levels", "3", "--out-dir", str(tmp_path)]
     if cmd == "render":
         assert main(["narrate", "--input", str(sample_csv), "--levels", "3",
                      "--out-dir", str(tmp_path), "--emit", "json,pool"]) == 0
+        assert main(args) == 0
+    charts = {p.name: p.read_bytes() for p in tmp_path.glob("*.svg")}
     capsys.readouterr()
-    assert main([cmd, "--input", str(sample_csv), "--levels", "3", "--config", str(conf),
-                 "--out-dir", str(tmp_path)]) == 0
+    assert main(args + ["--config", str(conf)]) == 0
     assert (tmp_path / ("dipper.pool.jsonl" if cmd == "fit" else "dipper.summary.svg")).exists()
+    assert charts == {p.name: p.read_bytes() for p in tmp_path.glob("*.svg")}
 
 
 def test_main_builds_the_parser_once():

@@ -200,7 +200,7 @@ def test_per_zone_rmse_recomputed_independently():
     pool = build_pool(s, kinds=DEFAULT_KINDS)
     for d in [pool.get(0), pool.get(len(pool) // 2), pool.get(len(pool) - 1)]:
         for z in d.zones:
-            lo, hi = s.zone_bounds[z]
+            lo, hi = s.zone_edges[z], s.zone_edges[z + 1]
             res = s.ys[lo:hi] - evaluate(d.kind, d.params, s.xs[lo:hi])
             want = math.sqrt(float(np.mean(res ** 2)))
             assert d.err(z) == pytest.approx(want, abs=1e-12)
@@ -715,9 +715,7 @@ def _edge_series(ys, n_zones):
     sample lies strictly inside a one-zone range."""
     per = len(ys) // n_zones
     xs = np.repeat(np.arange(n_zones) / n_zones, per)
-    bounds = tuple((z * per, (z + 1) * per) for z in range(n_zones))
-    return TimeSeries(xs=xs, ys=np.asarray(ys, dtype=float)[: len(xs)],
-                      n_zones=n_zones, zone_bounds=bounds)
+    return TimeSeries(xs, np.asarray(ys, dtype=float)[: len(xs)], n_zones)
 
 
 def _oracle_series(rng, count):
@@ -892,8 +890,8 @@ def test_bilinear_bound_sees_only_real_cells(monkeypatch, cells):
     monkeypatch.setattr(fitting, "_bilinear_bound", record)
     for levels in (3, 4, 5):
         s = normalize(load(FIXTURE, "trends_csv"), levels)
-        bounds = np.array(s.zone_bounds)
-        sizes = [bounds[j, 1] - bounds[i, 0] for i in range(s.n_zones)
+        edges = s.zone_edges
+        sizes = [edges[j + 1] - edges[i] for i in range(s.n_zones)
                  for j in range(i, s.n_zones)]
         feasible = [n for n in sizes if n >= PARAM_COUNTS[CurveKind.BILINEAR]]
         seen.clear()
@@ -944,8 +942,8 @@ def test_bilinear_sends_few_cells_to_lapack(monkeypatch):
     rng = np.random.default_rng(7919)
     walks = [make_series(np.cumsum(rng.standard_normal(2048)), 4) for _ in range(2)]
     for s in walks + [make_series(_wave(np.random.default_rng(7919)), 5)]:
-        bounds = np.array(s.zone_bounds)
-        cells = sum(bounds[j, 1] - bounds[i, 0] for i in range(s.n_zones)
+        edges = s.zone_edges
+        cells = sum(edges[j + 1] - edges[i] for i in range(s.n_zones)
                     for j in range(i, s.n_zones))
         solved.clear()
         build_pool(s, (CurveKind.BILINEAR,))
@@ -1144,7 +1142,8 @@ def _reference_pool(series, kinds):
                 res_sq = np.square(y - evaluate(kind, params, x))
                 errs = tuple(
                     float(np.sqrt(res_sq[lo - sl.start : hi - sl.start].mean()))
-                    for lo, hi in series.zone_bounds[i : j + 1]
+                    for lo, hi in zip(series.zone_edges[i : j + 1],
+                                      series.zone_edges[i + 1 : j + 2])
                 )
                 descriptors.append(
                     Descriptor(len(descriptors), kind, params, i, j, errs, n))
@@ -1178,14 +1177,8 @@ def test_pool_matches_per_range_reference(monkeypatch):
 
 def _uneven_series(xs, ys, levels):
     """A series on the given sorted positions in [0, 1], each zone holding
-    one at least, with the zone grid ``normalize`` builds."""
-    xs = np.asarray(xs, dtype=float)
-    n_zones = 2 ** levels
-    zone_of = np.minimum(np.floor(xs * n_zones).astype(int), n_zones - 1)
-    ends = np.searchsorted(zone_of, np.arange(n_zones), side="right")
-    bounds = tuple(zip([0] + ends[:-1].tolist(), ends.tolist()))
-    return TimeSeries(xs=xs, ys=np.asarray(ys, dtype=float), n_zones=n_zones,
-                      zone_bounds=bounds)
+    one at least."""
+    return TimeSeries(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), 2 ** levels)
 
 
 @st.composite
@@ -1394,8 +1387,8 @@ def test_tooth_edges_match_per_range_unique(levels, zones):
     # In width order, one range's last boundary is the next one's first.
     ranges = [(i, i + w) for w in range(n_zones) for i in range(n_zones - w)]
     span_i, span_j = np.array(ranges).T
-    bounds = np.array(s.zone_bounds)
-    first, n = bounds[span_i, 0], bounds[span_j, 1] - bounds[span_i, 0]
+    first = s.zone_edges[span_i]
+    n = s.zone_edges[span_j + 1] - first
     edges, row = fitting._tooth_edges(s.xs, first, n, span_i, span_j, n_zones)
     ends = np.cumsum(np.bincount(row, minlength=len(ranges)))
     for (i, j), got in zip(ranges, np.split(edges, ends[:-1])):

@@ -122,8 +122,8 @@ def _tooth_edge_counts(series):
     """Each tooth range's plateau edge count, by ``_tooth_edges`` over
     every range that holds enough samples for a tooth fit."""
     span_i, span_j = np.triu_indices(series.n_zones)
-    bounds = np.array(series.zone_bounds)
-    first, n = bounds[span_i, 0], bounds[span_j, 1] - bounds[span_i, 0]
+    first = series.zone_edges[span_i]
+    n = series.zone_edges[span_j + 1] - first
     fits = n >= PARAM_COUNTS[CurveKind.TOOTH]
     _, row = fitting._tooth_edges(series.xs, first[fits], n[fits], span_i[fits],
                                   span_j[fits], series.n_zones)

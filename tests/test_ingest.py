@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from serinarr.errors import EmptyZoneError, IngestError
 from serinarr.ingest import (
     FORMATS,
     RawSeries,
+    TimeSeries,
     _parse_value,
     load,
     load_series,
@@ -247,10 +249,11 @@ def test_normalize_constant_series_is_half():
 def test_normalize_zone_bookkeeping():
     s = make_series(list(range(16)), levels=2)
     assert s.n_zones == 4
-    # bounds partition the sample index range in order
-    flat = [k for lo, hi in s.zone_bounds for k in range(lo, hi)]
+    # edges partition the sample index range in order
+    bounds = list(zip(s.zone_edges[:-1].tolist(), s.zone_edges[1:].tolist()))
+    flat = [k for lo, hi in bounds for k in range(lo, hi)]
     assert flat == list(range(len(s)))
-    for z, (lo, hi) in enumerate(s.zone_bounds):
+    for z, (lo, hi) in enumerate(bounds):
         assert np.all(np.minimum(np.floor(s.xs[lo:hi] * s.n_zones), s.n_zones - 1) == z)
     assert s.zone_x_range(1, 2) == (0.25, 0.75)
     assert s.zone_slice(0, 3) == slice(0, 16)
@@ -280,7 +283,7 @@ def test_normalize_is_idempotent_bitwise():
     s2 = normalize(again, levels=2)
     assert s2.xs.tobytes() == s1.xs.tobytes()
     assert s2.ys.tobytes() == s1.ys.tobytes()
-    assert s2.zone_bounds == s1.zone_bounds
+    assert s2.zone_edges.tolist() == s1.zone_edges.tolist()
 
 
 @settings(max_examples=80)
@@ -304,13 +307,37 @@ def test_normalize_is_idempotent_on_its_outputs(levels, data):
     s2 = normalize(RawSeries(tuple(zip(s1.xs.tolist(), s1.ys.tolist()))), levels)
     assert s2.xs.tobytes() == s1.xs.tobytes()
     assert s2.ys.tobytes() == s1.ys.tobytes()
-    assert s2.zone_bounds == s1.zone_bounds
+    assert s2.zone_edges.tolist() == s1.zone_edges.tolist()
 
 
 def test_series_arrays_are_read_only():
     s = make_series([1.0, 2.0, 3.0, 4.0], levels=1)
     with pytest.raises(ValueError):
         s.ys[0] = 9.0
+
+
+def test_built_series_arrays_are_read_only():
+    """A series built by hand builds its zone grid, and its xs, ys and
+    zone_edges are read-only views: the caller's arrays stay writable."""
+    xs, ys = np.array([0.0, 0.2, 0.3, 0.6, 1.0]), np.zeros(5)
+    s = TimeSeries(xs, ys, 2)
+    assert s.zone_edges.tolist() == [0, 3, 5]
+    for arr in (s.xs, s.ys, s.zone_edges):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    xs[1] = 0.1
+    assert s.xs[1] == 0.1 and ys.flags.writeable
+
+
+@pytest.mark.parametrize("xs, zone", [
+    ([0.0, 0.1, 0.9, 1.0], 1),
+    ([0.0, 0.3, 0.8, 1.0], 2),
+    ([0.5, 0.6, 0.7, 1.0], 0),
+])
+def test_built_series_with_an_empty_zone_raises(xs, zone):
+    with pytest.raises(EmptyZoneError) as exc:
+        TimeSeries(np.array(xs), np.zeros(len(xs)), 4)
+    assert (exc.value.zone, exc.value.n_zones) == (zone, 4)
 
 
 def test_load_series_wrapper():
@@ -331,5 +358,58 @@ def test_zone_assignment_matches_formula(levels, seed):
     s = make_series(values, levels)
     for k in range(len(s)):
         z = min(int(math.floor(s.xs[k] * n_zones)), n_zones - 1)
-        lo, hi = s.zone_bounds[z]
-        assert lo <= k < hi
+        assert s.zone_edges[z] <= k < s.zone_edges[z + 1]
+
+
+def _grid_point(n_zones):
+    """A timestamp k / n_zones in [0, 1], or the float next to it on either side."""
+    def near(k, side):
+        x = k / n_zones
+        return min(max(math.nextafter(x, side * math.inf), 0.0), 1.0) if side else x
+    return st.builds(near, st.integers(0, n_zones), st.sampled_from([-1, 0, 1]))
+
+
+@settings(max_examples=150)
+@given(levels=st.integers(1, 4), data=st.data())
+def test_zone_grid_follows_the_floor_rule(levels, data):
+    """Zone z holds exactly the samples with min(floor(x * n), n - 1) == z,
+    on uneven timestamps, on timestamps at zone edges or one ulp either
+    side, and on series too sparse to fill every zone, where the first
+    empty zone is named."""
+    n_zones = 2 ** levels
+    inner = data.draw(st.lists(_grid_point(n_zones) | st.floats(0.0, 1.0),
+                               max_size=4 * n_zones))
+    # Timestamps in [0, 1] from 0 to 1, scaled by a power of two: normalize
+    # maps each back to itself exactly.
+    xs = sorted({0.0, 1.0, *inner})
+    scale = 2.0 ** data.draw(st.integers(0, 10))
+    raw = raw_series(range(len(xs)), [x * scale for x in xs])
+    zone_of = [min(math.floor(x * n_zones), n_zones - 1) for x in xs]
+    if len(xs) < n_zones:
+        with pytest.raises(IngestError, match="at least"):
+            normalize(raw, levels)
+        return
+    empty = [z for z in range(n_zones) if z not in zone_of]
+    if empty:
+        with pytest.raises(EmptyZoneError) as exc:
+            normalize(raw, levels)
+        assert exc.value.zone == empty[0]
+        return
+    s = normalize(raw, levels)
+    assert s.xs.tolist() == xs
+    index = list(range(len(xs)))
+    for z in range(n_zones):
+        assert index[s.zone_slice(z, z)] == [k for k in index if zone_of[k] == z]
+
+
+def test_perfbench_tooth_pairs_on_the_fixture():
+    """perfbench's traced-only ``tooth_pairs`` reads the series' zone slices
+    and x ranges; its counts on the fixture are pinned."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import worker
+
+    counts = [worker.tooth_pairs(load_series(FIXTURE, "trends_csv", levels))
+              for levels in (3, 4, 5)]
+    assert counts == [93_770, 64_036, 89_160]

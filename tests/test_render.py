@@ -199,8 +199,7 @@ def test_enriched_points_match_per_point_formatting_at_odd_values():
     of -0.0, map and format as one point at a time does."""
     ys = [-0.5, 1.5, 0.0, 1.0, -0.0, math.nan, 1e-300, -1e-300, 0.125, 0.995, 0.005, 2.0]
     s = series_exact(ys, levels=2)
-    s = TimeSeries(xs=np.concatenate([[-0.0], s.xs[1:]]), ys=s.ys, n_zones=s.n_zones,
-                   zone_bounds=s.zone_bounds)
+    s = TimeSeries(np.concatenate([[-0.0], s.xs[1:]]), s.ys, s.n_zones)
     flat = make_descriptor(0, 0, 3, [0.1] * 4, 4)
     for spec in (PlotSpec(series=s),
                  PlotSpec(series=s, curves=(flat,), error_bar=(0.1,) * 4, title="odd")):
