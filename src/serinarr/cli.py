@@ -15,10 +15,13 @@ option is one ``_CONFIG_KEYS`` entry: the converter that its flag and
 the flat ``key = value`` config file share, and its flag's help, which
 shows the ``RunConfig`` default.  Config lists use commas, and a key that
 names no option is an error.  ``RunConfig`` checks every value when it
-is built, so a bad value fails before any input is read.  Every artifact
-lands at ``out_dir/<stem>.<suffix>``, written atomically; ``render``
-rebuilds the charts from the ``pool.jsonl`` and ``selection.json`` that
-``narrate --emit json,pool`` saved.
+is built, so a bad value fails before any input is read.  A subcommand
+offers a flag only for a field it reads; ``fit`` and ``render`` fix
+their ``emit`` as a parser default.  Every artifact lands at
+``out_dir/<stem>.<suffix>``, written atomically, never over the input
+or the config file; ``render`` rebuilds the charts from the
+``pool.jsonl`` and ``selection.json`` that ``narrate --emit json,pool``
+saved.
 
 Exit codes, one ``_EXITS`` entry per error class: 0 success, 3 ingest,
 4 fitting, 5 solver, 6 output failure (2 is argparse usage).
@@ -37,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cover import VerbosityLevel, level_error_matrix, solve_cover
+from .cover import VerbosityLevel, solve_cover
 from .details import (
     DEFAULT_MAX_THR,
     DEFAULT_MIN_THR,
@@ -173,12 +176,20 @@ def _artifact(cfg: RunConfig, suffix: str) -> Path:
     return Path(cfg.out_dir) / f"{Path(cfg.input).stem}.{suffix}"
 
 
-def _write_artifact(cfg: RunConfig, suffix: str, text: str) -> str:
-    """Write ``text`` to out_dir/<stem>.<suffix> atomically; returns the path.
-    A path that is the input's, such as ``series.txt``'s text, is refused."""
+def _target(cfg: RunConfig, suffix: str, config: str | None) -> Path:
+    """The artifact path ``_artifact`` gives, refused where it is the input
+    or the config file, such as ``series.txt``'s text."""
     path = _artifact(cfg, suffix)
-    if path.resolve() == Path(cfg.input).resolve():
-        raise OutputError(f"{path} is the input file; choose another --out-dir")
+    where = path.resolve()
+    for role, src in (("input", cfg.input), ("config", config)):
+        if src is not None and where == Path(src).resolve():
+            raise OutputError(f"{path} is the {role} file; choose another --out-dir")
+    return path
+
+
+def _write_artifact(cfg: RunConfig, suffix: str, text: str, config: str | None) -> str:
+    """Write ``text`` to the ``_target`` path atomically; returns the path."""
+    path = _target(cfg, suffix, config)
     write_atomic(path, text)
     return str(path)
 
@@ -287,27 +298,34 @@ def _emit_outputs(
     selection: SelectionResult | None = None,
     units=None,
     text=None,
+    *,
+    config: str | None = None,
 ) -> list[str]:
     """Write every artifact named in ``cfg.emit``; returns the paths.
 
     The one writer for all subcommands: ``fit`` passes only the pool,
-    ``render`` everything but the narration.
+    ``render`` everything but the narration.  No artifact, the pool
+    included, may take the path of the input or of ``config``.
     """
     wrote = []
+
+    def write(suffix: str, body: str) -> None:
+        wrote.append(_write_artifact(cfg, suffix, body, config))
+
     if "text" in cfg.emit:
-        wrote.append(_write_artifact(cfg, "txt", text.full_text + "\n"))
+        write("txt", text.full_text + "\n")
     if "json" in cfg.emit:
-        wrote.append(_write_artifact(cfg, "selection.json", _json(selection.as_dict())))
-        wrote.append(_write_artifact(cfg, "narration.json", _json(narration_structure(units))))
+        write("selection.json", _json(selection.as_dict()))
+        write("narration.json", _json(narration_structure(units)))
     if "pool" in cfg.emit:
-        p = _artifact(cfg, "pool.jsonl")
+        p = _target(cfg, "pool.jsonl", config)
         dump_pool(pool, p)
         wrote.append(str(p))
     if "svg" in cfg.emit:
         for name, svg in _charts(series, pool, levels, selection, cfg.max_thr):
-            wrote.append(_write_artifact(cfg, f"{name}.svg", svg))
+            write(f"{name}.svg", svg)
     if "heatmap" in cfg.emit:
-        wrote.append(_write_artifact(cfg, "heatmap.svg", _heatmap(pool, levels, selection)))
+        write("heatmap.svg", _heatmap(pool, levels, selection))
     return wrote
 
 
@@ -331,16 +349,18 @@ def _charts(series, pool, levels, selection, max_thr):
 
 
 def _heatmap(pool, levels, selection):
-    labels, matrix = level_error_matrix(levels)
-    row_of = {v: r for r, v in enumerate(labels)}
+    """Per-zone errors, one row per feasible level, the shown fits' cells selected."""
+    feasible = [lv for lv in levels if lv.feasible]
+    row_of = {lv.v: r for r, lv in enumerate(feasible)}
     shown = [(i, selection.s) for i in selection.summary] + list(selection.details)
     selected = {(row_of[lv], z) for id_, lv in shown if lv in row_of
                 for z in range(pool.zone_start[id_], pool.zone_end[id_] + 1)}
-    return render_heatmap(matrix, labels, selected)
+    return render_heatmap([lv.zone_errs for lv in feasible], list(row_of), selected)
 
 
-def run(cfg: RunConfig) -> RunReport:
-    """Full pipeline for one series; returns the run report."""
+def run(cfg: RunConfig, config: str | None = None) -> RunReport:
+    """Full pipeline for one series; returns the run report.  ``config``
+    is the config file's path, which no artifact may overwrite."""
     timings, marks = {}, [time.perf_counter()]
 
     def lap(stage: str) -> None:  # the clock is read once at each stage boundary
@@ -363,7 +383,7 @@ def run(cfg: RunConfig) -> RunReport:
     units = build_narration(selection, pool, series)
     text = realize(units, threshold_met=selection.threshold_met)
     lap("narrate")
-    outputs = _emit_outputs(cfg, pool, series, levels, selection, units, text)
+    outputs = _emit_outputs(cfg, pool, series, levels, selection, units, text, config=config)
     lap("emit")
     return RunReport(pool, levels, selection, text, timings, outputs)
 
@@ -430,18 +450,16 @@ def _add_common(p: argparse.ArgumentParser, unread: tuple[str, ...] = ()) -> Non
     p.add_argument("--config", default=None, help="flat key=value config file")
 
 
-def _collect(args: argparse.Namespace, force_emit: tuple[str, ...] | None = None):
+def _collect(args: argparse.Namespace) -> RunConfig:
+    """The run's config; a subcommand's fixed ``emit`` is a parser default,
+    so it beats the config file's."""
     cli_values = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
     file_values = load_config_file(args.config) if args.config else {}
-    cfg = merge_config(cli_values, file_values)
-    if force_emit is not None:
-        cfg = replace(cfg, emit=force_emit)
-    return cfg
+    return merge_config(cli_values, file_values)
 
 
 def _cmd_narrate(args) -> int:
-    cfg = _collect(args)
-    report = run(cfg)
+    report = run(_collect(args), args.config)
     print(report.text.full_text)
     for line in report.lines():
         print(line)
@@ -449,10 +467,10 @@ def _cmd_narrate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    cfg = _collect(args, force_emit=("pool",))
+    cfg = _collect(args)
     series = load_series(cfg.input, cfg.format, cfg.levels)
     pool = build_pool(series, cfg.kinds)
-    (out,) = _emit_outputs(cfg, pool)
+    (out,) = _emit_outputs(cfg, pool, config=args.config)
     print(
         f"pool: {len(pool)} descriptors ({pool.n_infeasible} infeasible), "
         f"wrote {out}"
@@ -466,7 +484,7 @@ def _cmd_sweep(args) -> int:
     print(_format_sweep(rows))
     if "json" in cfg.emit:
         saved = [{k: v for k, v in row.items() if k != "wall_s"} for row in rows]
-        print(f"wrote: {_write_artifact(cfg, 'sweep.json', _json(saved))}")
+        print(f"wrote: {_write_artifact(cfg, 'sweep.json', _json(saved), args.config)}")
     return 0
 
 
@@ -480,7 +498,7 @@ def _read_artifact(path: Path, parse):
 
 
 def _cmd_render(args) -> int:
-    cfg = _collect(args, force_emit=("svg", "heatmap"))
+    cfg = _collect(args)
     pool_path = _artifact(cfg, "pool.jsonl")
     sel_path = _artifact(cfg, "selection.json")
     if not pool_path.exists() or not sel_path.exists():
@@ -518,7 +536,7 @@ def _cmd_render(args) -> int:
     if tuple(selection.summary) != chosen:
         raise OutputError(f"{sel_path.name} summary ids {list(selection.summary)} are not "
                           f"the level {selection.s} tiling {list(chosen)} of {pool_path.name}")
-    wrote = _emit_outputs(cfg, pool, series, levels, selection)
+    wrote = _emit_outputs(cfg, pool, series, levels, selection, config=args.config)
     print("wrote: " + ", ".join(wrote))
     return 0
 
@@ -538,19 +556,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_narrate)
 
     p = sub.add_parser("fit", help="fit the descriptor pool only")
-    _add_common(p, unread=("emit",))
-    p.set_defaults(func=_cmd_fit)
+    _add_common(p, unread=("emit", "verbosity", "max_thr", "min_thr"))
+    p.set_defaults(func=_cmd_fit, emit=("pool",))
 
-    p = sub.add_parser("sweep", help="compare several zone level counts")
-    _add_common(p)
+    # No abbreviations, or --levels would be read as --levels-list.
+    p = sub.add_parser("sweep", help="compare several zone level counts", allow_abbrev=False)
+    _add_common(p, unread=("levels",))
     p.add_argument("--levels-list", default="3,4,5", dest="levels_list",
                    help="comma list of level counts (default %(default)s)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("render", help="re-render charts from saved artifacts")
     # The kinds come from the saved pool's header.
-    _add_common(p, unread=("emit", "kinds"))
-    p.set_defaults(func=_cmd_render)
+    _add_common(p, unread=("emit", "kinds", "min_thr"))
+    p.set_defaults(func=_cmd_render, emit=("svg", "heatmap"))
 
     return parser
 

@@ -112,15 +112,3 @@ def solve_cover(pool: DescriptorPool, v_max: int) -> list[VerbosityLevel]:
                                      feasible=True, zone_errs=tuple(pool.zone_errs(chosen))))
     return levels
 
-
-def level_error_matrix(levels: list[VerbosityLevel]) -> tuple[list[int], np.ndarray]:
-    """Per-zone error of the covering descriptor, one row per feasible level.
-
-    Returns the row labels (verbosity values) and a rectangular matrix
-    of shape (len(labels), n_zones).
-    """
-    feasible = [level for level in levels if level.feasible]
-    if not feasible:
-        raise SolveError("no feasible verbosity level")
-    matrix = np.array([level.zone_errs for level in feasible])
-    return [level.v for level in feasible], matrix

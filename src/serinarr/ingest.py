@@ -67,7 +67,7 @@ class RawSeries:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A normalized series on the unit square plus its zone grid.
 
@@ -77,7 +77,8 @@ class TimeSeries:
     ``zone_edges[z]`` up to ``zone_edges[z + 1]``, so slicing a contiguous
     zone range never rescans the series.  A zone with no sample raises
     ``EmptyZoneError`` naming the first one.  ``xs``, ``ys`` and
-    ``zone_edges`` are read-only.
+    ``zone_edges`` are read-only.  A series compares and hashes by
+    identity, as its arrays have no truth value.
     """
 
     xs: np.ndarray

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -99,6 +100,23 @@ def test_narrate_refuses_to_overwrite_its_input(sample_csv, tmp_path, monkeypatc
     assert main(argv + ["--out-dir", "sub"]) == 0  # the same run elsewhere writes
     assert series.read_bytes() == sample_csv.read_bytes()
     assert (tmp_path / "sub" / "series.txt").exists()
+
+
+@pytest.mark.parametrize("cmd, config", [("narrate", "series.txt"), ("fit", "series.pool.jsonl")])
+def test_no_artifact_overwrites_the_config_file(cmd, config, sample_csv, tmp_path, monkeypatch,
+                                                capsys):
+    """A config file in the out dir named like one of the run's artifacts,
+    ``narrate``'s text or ``fit``'s pool, would be replaced by it: that
+    exits 6 with one output error line and leaves the config as it was."""
+    (tmp_path / "series.csv").write_bytes(sample_csv.read_bytes())
+    conf = tmp_path / config
+    conf.write_text("levels = 3\n")
+    monkeypatch.chdir(tmp_path)
+    assert main([cmd, "--input", "series.csv", "--config", config]) == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert conf.read_text() == "levels = 3\n"
+    assert main([cmd, "--input", "series.csv", "--config", config, "--out-dir", "sub"]) == 0
 
 
 def test_parse_kinds():
@@ -920,6 +938,42 @@ def test_every_config_runs_or_exits_with_a_mapped_code(levels, verbosity, file_v
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
+FIXTURE = Path(__file__).parent / "data" / "concert_weekly.csv"
+HEATMAP_ARGV = ["narrate", "--input", str(FIXTURE), "--format", "trends_csv", "--levels", "2",
+                "--verbosity", "6", "--emit", "heatmap"]
+
+
+def test_fixture_heatmap_at_level_2_is_pinned(tmp_path, capsys):
+    """Four zones cannot hold five or six fits, so the heatmap has rows
+    1-4 only; the shown fits select 10 of its 16 cells."""
+    assert main(HEATMAP_ARGV + ["--out-dir", str(tmp_path)]) == 0
+    svg = (tmp_path / "concert_weekly.heatmap.svg").read_bytes()
+    assert re.findall(rb">(\d+)</text>", svg) == [b"1", b"2", b"3", b"4"]
+    assert svg.count(b"<rect") == 1 + 16
+    assert svg.count(b'fill="#28a848"') == 10
+    assert hashlib.sha256(svg).hexdigest() == (
+        "1a83a6d3d2b7b457d88e5b513b2b4e6f06c1c3733b4609aa65d855d48da0b66f")
+
+
+def test_heatmap_rows_are_the_feasible_levels_zone_errors(tmp_path, monkeypatch):
+    """The heatmap gets one row per feasible level, labelled by its ``v``:
+    that level's ``zone_errs``, each zone's error under its covering fit."""
+    drawn = []
+    monkeypatch.setattr("serinarr.cli.render_heatmap",
+                        lambda matrix, labels, selected: drawn.append((matrix, labels)) or "")
+    report = run(RunConfig(input=str(FIXTURE), format="trends_csv", levels=2, verbosity=6,
+                           emit=("heatmap",), out_dir=str(tmp_path)))
+    ((matrix, labels),) = drawn
+    feasible = [lv for lv in report.levels if lv.feasible]
+    assert labels == [lv.v for lv in feasible] == [1, 2, 3, 4]
+    assert [tuple(row) for row in matrix] == [lv.zone_errs for lv in feasible]
+    for row, level in zip(matrix, feasible):
+        for id_ in level.chosen:
+            d = report.pool.get(id_)
+            for z in d.zones:
+                assert row[z] == d.err(z)
+
+
 @pytest.fixture(scope="module")
 def saved_fixture_run(tmp_path_factory):
     """The bundled fixture narrated at level 3 with ``--emit json,pool``:
@@ -1027,21 +1081,37 @@ def test_parser_rejects_unknown_subcommand(capsys):
     assert exc.value.code == 2
 
 
+# The fields each subcommand does not read, so offers no flag for, each
+# with a config-file value that changes nothing and one that fails the
+# check (None for emit: the subcommand's fixed emit replaces the file's).
+_UNREAD = {
+    "narrate": {},
+    "fit": {"emit": ("text", None), "verbosity": ("2", "0"), "max_thr": ("0.5", "0.01"),
+            "min_thr": ("0.1", "-1")},
+    "sweep": {"levels": ("6", "9")},
+    "render": {"emit": ("text", None), "kinds": ("sinusoid", "spline"), "min_thr": ("0.1", "0.5")},
+}
+
+
+def _helps(cmd):
+    """Each long flag of ``cmd --help``, as a field name, and its help."""
+    with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as out:
+        main([cmd, "--help"])
+    return {m[1].replace("-", "_"): m[2]
+            for m in re.finditer(r"^  --([\w-]+)(?: \S+)?\s+(.*)$", out.getvalue(), re.M)}
+
+
 def test_every_option_is_a_flag_that_shows_its_default(monkeypatch):
     """Each ``RunConfig`` field is a ``_CONFIG_KEYS`` key, and each key but
     penalty_eps is a flag of every subcommand whose help names the
-    field's default, but for the fields a subcommand does not read: emit
-    is no flag of ``fit`` and ``render``, which fix their outputs, nor
-    kinds of ``render``, which reads them from the saved pool."""
+    field's default, but for the fields a subcommand does not read
+    (``_UNREAD``)."""
     monkeypatch.setenv("COLUMNS", "1000")  # one help line per flag
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     assert list(defaults) == list(_CONFIG_KEYS)
-    for cmd in ("narrate", "fit", "sweep", "render"):
-        with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as out:
-            main([cmd, "--help"])
-        helps = {m[1].replace("-", "_"): m[2]
-                 for m in re.finditer(r"^  --([\w-]+)(?: \S+)?\s+(.*)$", out.getvalue(), re.M)}
-        unread = {"penalty_eps"} | {"fit": {"emit"}, "render": {"emit", "kinds"}}.get(cmd, set())
+    for cmd, fixed in _UNREAD.items():
+        helps = _helps(cmd)
+        unread = {"penalty_eps"} | set(fixed)
         assert not unread & set(helps)
         for key, default in defaults.items():
             if key in unread:
@@ -1054,34 +1124,50 @@ def test_every_option_is_a_flag_that_shows_its_default(monkeypatch):
                 assert helps[key].endswith(f"(default {shown})"), (cmd, key, helps[key])
 
 
+def _offers_no_unread_flag(cmd, sample_csv, tmp_path, capsys):
+    """No flag of ``cmd`` for a field in ``_UNREAD[cmd]``: it is missing
+    from the help, and giving it is a usage error (exit 2).  A config
+    file's value for it is still checked, a bad one exiting 3, and
+    changes no output."""
+    unread = _UNREAD[cmd]
+    assert not set(unread) & set(_helps(cmd))
+    out, conf = tmp_path / "out", tmp_path / "run.conf"
+    args = [cmd, "--input", str(sample_csv), "--out-dir", str(out)] + (
+        ["--levels-list", "2,3", "--emit", "json"] if cmd == "sweep" else ["--levels", "3"])
+    for key, (good, bad) in unread.items():
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            main(args + ["--" + key.replace("_", "-"), good])
+        assert exc.value.code == 2
+        if bad is not None:
+            conf.write_text(f"{key} = {bad}\n")
+            assert main(args + ["--config", str(conf)]) == EXIT_INGEST, key
+            assert capsys.readouterr().err.count("\n") == 1
+    if cmd == "render":
+        assert main(["narrate", "--input", str(sample_csv), "--levels", "3",
+                     "--out-dir", str(out), "--emit", "json,pool"]) == 0
+    assert main(args) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    suffix = {"fit": ".pool.jsonl", "render": ".svg", "sweep": ".sweep.json"}[cmd]
+    for name in written:
+        if name.endswith(suffix):
+            (out / name).unlink()
+    conf.write_text("".join(f"{key} = {good}\n" for key, (good, _) in unread.items()))
+    assert main(args + ["--config", str(conf)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
 @pytest.mark.parametrize("cmd", ["fit", "render"])
 def test_fit_and_render_take_no_emit_flag(cmd, sample_csv, tmp_path, capsys):
     """``fit`` writes the pool and ``render`` the charts whatever is asked,
-    so neither offers ``--emit``: it is not in their help, and giving it
-    is a usage error (exit 2).  A config file's emit is still taken, and
-    overridden.  Likewise ``render`` draws the kinds of the saved pool,
-    so it offers no ``--kinds``, and a config file's kinds change nothing."""
-    unread = {"fit": {"emit": "text"}, "render": {"emit": "text", "kinds": "sinusoid"}}[cmd]
-    with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as out:
-        main([cmd, "--help"])
-    for key, value in unread.items():
-        assert f"--{key}" not in out.getvalue()
-        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
-            main([cmd, "--input", str(sample_csv), "--out-dir", str(tmp_path),
-                  f"--{key}", value])
-        assert exc.value.code == 2
-    conf = tmp_path / "run.conf"
-    conf.write_text("".join(f"{key} = {value}\n" for key, value in unread.items()))
-    args = [cmd, "--input", str(sample_csv), "--levels", "3", "--out-dir", str(tmp_path)]
-    if cmd == "render":
-        assert main(["narrate", "--input", str(sample_csv), "--levels", "3",
-                     "--out-dir", str(tmp_path), "--emit", "json,pool"]) == 0
-        assert main(args) == 0
-    charts = {p.name: p.read_bytes() for p in tmp_path.glob("*.svg")}
-    capsys.readouterr()
-    assert main(args + ["--config", str(conf)]) == 0
-    assert (tmp_path / ("dipper.pool.jsonl" if cmd == "fit" else "dipper.summary.svg")).exists()
-    assert charts == {p.name: p.read_bytes() for p in tmp_path.glob("*.svg")}
+    so neither offers ``--emit``.  Nor does ``fit`` offer the verbosity
+    and thresholds, which it does not read, nor ``render`` min_thr, or
+    the kinds, which it takes from the saved pool."""
+    _offers_no_unread_flag(cmd, sample_csv, tmp_path, capsys)
+
+
+def test_sweep_takes_no_levels_flag(sample_csv, tmp_path, capsys):
+    """``sweep`` takes its levels from ``--levels-list`` only."""
+    _offers_no_unread_flag("sweep", sample_csv, tmp_path, capsys)
 
 
 def test_main_builds_the_parser_once():

@@ -16,7 +16,6 @@ from conftest import (
 )
 from serinarr.cover import (
     VerbosityLevel,
-    level_error_matrix,
     min_segment_zones,
     segment_table,
     solve_cover,
@@ -289,27 +288,6 @@ def test_rejects_bad_v_max():
     pool = full_random_pool(rnd, 2)
     with pytest.raises(SolveError):
         solve_cover(pool, 0)
-
-
-def test_level_error_matrix_rows():
-    rnd = random.Random(42)
-    pool = full_random_pool(rnd, 8)
-    levels = solve_cover(pool, 3)
-    labels, matrix = level_error_matrix(levels)
-    assert labels == [1, 2, 3]
-    assert matrix.shape == (3, 8)
-    for row, level in zip(matrix, levels):
-        for id_ in level.chosen:
-            d = pool.get(id_)
-            for z in d.zones:
-                assert row[z] == d.err(z)
-
-
-def test_level_error_matrix_needs_a_feasible_level():
-    levels = [VerbosityLevel(v=1, chosen=(), cost=float("inf"),
-                             feasible=False, zone_errs=())]
-    with pytest.raises(SolveError):
-        level_error_matrix(levels)
 
 
 def test_feasible_level_holds_v_descriptors():

@@ -19,6 +19,7 @@ from serinarr.ingest import (
     load_series,
     normalize,
 )
+from serinarr.render import PlotSpec
 
 FIXTURE = Path(__file__).parent / "data" / "concert_weekly.csv"
 
@@ -344,6 +345,16 @@ def test_load_series_wrapper():
     s = load_series(FIXTURE, "trends_csv", levels=4)
     assert s.n_zones == 16
     assert len(s) == 261
+
+
+def test_series_compare_and_hash_by_identity():
+    """Two loads of the fixture are two series: each equals only itself
+    and hashes, and so does a ``PlotSpec`` holding one."""
+    a, b = (load_series(FIXTURE, "trends_csv", levels=3) for _ in range(2))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert PlotSpec(series=a) == PlotSpec(series=a) != PlotSpec(series=b)
+    assert len({PlotSpec(series=a), PlotSpec(series=a)}) == 1
 
 
 @settings(max_examples=40)
