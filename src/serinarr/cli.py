@@ -16,10 +16,11 @@ the flat ``key = value`` config file share, and its flag's help, which
 shows the ``RunConfig`` default.  Config lists use commas, and a key that
 names no option is an error.  ``RunConfig`` checks every value when it
 is built, so a bad value fails before any input is read.  A subcommand
-offers a flag only for a field it reads; ``fit`` and ``render`` fix
-their ``emit`` as a parser default.  Every artifact lands at
-``out_dir/<stem>.<suffix>``, written atomically, never over the input
-or the config file; ``render`` rebuilds the charts from the
+offers a flag only for a field it reads.  Each subcommand names the
+files it writes, and ``_emit_outputs`` writes them all: every artifact
+lands at ``out_dir/<stem>.<suffix>``, written atomically, and no file
+is written until every path has been checked against the input and
+the config file.  ``render`` rebuilds the charts from the
 ``pool.jsonl`` and ``selection.json`` that ``narrate --emit json,pool``
 saved.
 
@@ -66,7 +67,7 @@ from .fitting import (
     pool_zones,
     write_atomic,
 )
-from .ingest import FORMATS, TimeSeries, load_series
+from .ingest import FORMATS, load_series
 from .narration import build_narration, narration_structure
 from .prototypes import CurveKind
 from .render import PlotSpec, render_enriched, render_heatmap
@@ -176,24 +177,6 @@ def _artifact(cfg: RunConfig, suffix: str) -> Path:
     return Path(cfg.out_dir) / f"{Path(cfg.input).stem}.{suffix}"
 
 
-def _target(cfg: RunConfig, suffix: str, config: str | None) -> Path:
-    """The artifact path ``_artifact`` gives, refused where it is the input
-    or the config file, such as ``series.txt``'s text."""
-    path = _artifact(cfg, suffix)
-    where = path.resolve()
-    for role, src in (("input", cfg.input), ("config", config)):
-        if src is not None and where == Path(src).resolve():
-            raise OutputError(f"{path} is the {role} file; choose another --out-dir")
-    return path
-
-
-def _write_artifact(cfg: RunConfig, suffix: str, text: str, config: str | None) -> str:
-    """Write ``text`` to the ``_target`` path atomically; returns the path."""
-    path = _target(cfg, suffix, config)
-    write_atomic(path, text)
-    return str(path)
-
-
 def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -290,54 +273,39 @@ def merge_config(cli_args: dict, file_values: dict) -> RunConfig:
 # ----------------------------------------------------------------------
 
 
-def _emit_outputs(
-    cfg: RunConfig,
-    pool: DescriptorPool,
-    series: TimeSeries | None = None,
-    levels: list[VerbosityLevel] | None = None,
-    selection: SelectionResult | None = None,
-    units=None,
-    text=None,
-    *,
-    config: str | None = None,
-) -> list[str]:
-    """Write every artifact named in ``cfg.emit``; returns the paths.
+def _emit_outputs(cfg: RunConfig, files: dict, config: str | None = None) -> list[str]:
+    """Write each suffix's body of ``files`` at its ``_artifact`` path, in
+    order; returns the paths.
 
-    The one writer for all subcommands: ``fit`` passes only the pool,
-    ``render`` everything but the narration.  No artifact, the pool
-    included, may take the path of the input or of ``config``.
+    The one writer for every subcommand.  Every path is checked before
+    the first file is written: none may be the input or the ``config``
+    file.  A body is text, or the ``DescriptorPool`` that ``dump_pool``
+    writes.
     """
-    wrote = []
-
-    def write(suffix: str, body: str) -> None:
-        wrote.append(_write_artifact(cfg, suffix, body, config))
-
-    if "text" in cfg.emit:
-        write("txt", text.full_text + "\n")
-    if "json" in cfg.emit:
-        write("selection.json", _json(selection.as_dict()))
-        write("narration.json", _json(narration_structure(units)))
-    if "pool" in cfg.emit:
-        p = _target(cfg, "pool.jsonl", config)
-        dump_pool(pool, p)
-        wrote.append(str(p))
-    if "svg" in cfg.emit:
-        for name, svg in _charts(series, pool, levels, selection, cfg.max_thr):
-            write(f"{name}.svg", svg)
-    if "heatmap" in cfg.emit:
-        write("heatmap.svg", _heatmap(pool, levels, selection))
-    return wrote
+    paths = [_artifact(cfg, suffix) for suffix in files]
+    for path in paths:
+        where = path.resolve()
+        for role, src in (("input", cfg.input), ("config", config)):
+            if src is not None and where == Path(src).resolve():
+                raise OutputError(f"{path} is the {role} file; choose another --out-dir")
+    for path, body in zip(paths, files.values()):
+        if isinstance(body, DescriptorPool):
+            dump_pool(body, path)
+        else:
+            write_atomic(path, body)
+    return [str(p) for p in paths]
 
 
 def _charts(series, pool, levels, selection, max_thr):
-    """Summary and details charts, each with its per-zone error bar."""
+    """(suffix, svg) of the summary and details charts, each with its
+    per-zone error bar."""
     summary = next(lv for lv in levels if lv.v == selection.s)
     detail_ids = [i for i, _ in selection.details]
     for name, ids, errs in (
         ("summary", selection.summary, summary.zone_errs),
         ("details", detail_ids, tuple(pool.zone_errs(selection.selected_ids))),
     ):
-        yield name, render_enriched(
+        yield f"{name}.svg", render_enriched(
             PlotSpec(
                 series=series,
                 curves=tuple(pool.get(i) for i in ids),
@@ -383,7 +351,19 @@ def run(cfg: RunConfig, config: str | None = None) -> RunReport:
     units = build_narration(selection, pool, series)
     text = realize(units, threshold_met=selection.threshold_met)
     lap("narrate")
-    outputs = _emit_outputs(cfg, pool, series, levels, selection, units, text, config=config)
+    files = {}
+    if "text" in cfg.emit:
+        files["txt"] = text.full_text + "\n"
+    if "json" in cfg.emit:
+        files["selection.json"] = _json(selection.as_dict())
+        files["narration.json"] = _json(narration_structure(units))
+    if "pool" in cfg.emit:
+        files["pool.jsonl"] = pool
+    if "svg" in cfg.emit:
+        files.update(_charts(series, pool, levels, selection, cfg.max_thr))
+    if "heatmap" in cfg.emit:
+        files["heatmap.svg"] = _heatmap(pool, levels, selection)
+    outputs = _emit_outputs(cfg, files, config)
     lap("emit")
     return RunReport(pool, levels, selection, text, timings, outputs)
 
@@ -451,8 +431,7 @@ def _add_common(p: argparse.ArgumentParser, unread: tuple[str, ...] = ()) -> Non
 
 
 def _collect(args: argparse.Namespace) -> RunConfig:
-    """The run's config; a subcommand's fixed ``emit`` is a parser default,
-    so it beats the config file's."""
+    """The run's config from the subcommand's flags and its config file."""
     cli_values = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
     file_values = load_config_file(args.config) if args.config else {}
     return merge_config(cli_values, file_values)
@@ -470,7 +449,7 @@ def _cmd_fit(args) -> int:
     cfg = _collect(args)
     series = load_series(cfg.input, cfg.format, cfg.levels)
     pool = build_pool(series, cfg.kinds)
-    (out,) = _emit_outputs(cfg, pool, config=args.config)
+    (out,) = _emit_outputs(cfg, {"pool.jsonl": pool}, args.config)
     print(
         f"pool: {len(pool)} descriptors ({pool.n_infeasible} infeasible), "
         f"wrote {out}"
@@ -484,7 +463,8 @@ def _cmd_sweep(args) -> int:
     print(_format_sweep(rows))
     if "json" in cfg.emit:
         saved = [{k: v for k, v in row.items() if k != "wall_s"} for row in rows]
-        print(f"wrote: {_write_artifact(cfg, 'sweep.json', _json(saved), args.config)}")
+        (out,) = _emit_outputs(cfg, {"sweep.json": _json(saved)}, args.config)
+        print(f"wrote: {out}")
     return 0
 
 
@@ -536,7 +516,9 @@ def _cmd_render(args) -> int:
     if tuple(selection.summary) != chosen:
         raise OutputError(f"{sel_path.name} summary ids {list(selection.summary)} are not "
                           f"the level {selection.s} tiling {list(chosen)} of {pool_path.name}")
-    wrote = _emit_outputs(cfg, pool, series, levels, selection, config=args.config)
+    files = dict(_charts(series, pool, levels, selection, cfg.max_thr))
+    files["heatmap.svg"] = _heatmap(pool, levels, selection)
+    wrote = _emit_outputs(cfg, files, args.config)
     print("wrote: " + ", ".join(wrote))
     return 0
 
@@ -557,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the descriptor pool only")
     _add_common(p, unread=("emit", "verbosity", "max_thr", "min_thr"))
-    p.set_defaults(func=_cmd_fit, emit=("pool",))
+    p.set_defaults(func=_cmd_fit)
 
     # No abbreviations, or --levels would be read as --levels-list.
     p = sub.add_parser("sweep", help="compare several zone level counts", allow_abbrev=False)
@@ -569,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="re-render charts from saved artifacts")
     # The kinds come from the saved pool's header.
     _add_common(p, unread=("emit", "kinds", "min_thr"))
-    p.set_defaults(func=_cmd_render, emit=("svg", "heatmap"))
+    p.set_defaults(func=_cmd_render)
 
     return parser
 

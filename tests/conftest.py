@@ -7,12 +7,16 @@ hand-picked per-zone errors for the optimizer oracles; ``make_pool``
 holds a list of descriptors as a column pool, the k-th one's id k.
 ``POOL_EDITS`` damages or reflows a dumped pool, for the reload oracle
 and the CLI; ``POOL_VALUE_EDITS`` breaks a rule on one saved record's
-values.
+values.  ``load_perfbench`` loads a benchmark module, for the tests
+that reuse its inputs.
 """
 
 import dataclasses
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,16 @@ from serinarr.prototypes import (
     SinusoidParams,
     ToothParams,
 )
+
+
+def load_perfbench(name):
+    """A benchmark module, loaded by path; the benchmark is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def raw_series(values, ts=None):

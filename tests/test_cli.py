@@ -119,6 +119,31 @@ def test_no_artifact_overwrites_the_config_file(cmd, config, sample_csv, tmp_pat
     assert main([cmd, "--input", "series.csv", "--config", config, "--out-dir", "sub"]) == 0
 
 
+@pytest.mark.parametrize("cmd, config, emit", [
+    ("narrate", "series.pool.jsonl", "text,json,pool"),
+    ("narrate", "series.heatmap.svg", "text,json,svg,heatmap,pool"),
+    ("render", "series.heatmap.svg", None),
+])
+def test_a_refused_path_writes_no_file(cmd, config, emit, sample_csv, tmp_path, monkeypatch,
+                                       capsys):
+    """A config file named like a later artifact than the first is refused
+    before any artifact is written: exit 6, one output error line, and
+    the out dir, the config file included, holds the bytes it held."""
+    (tmp_path / "series.csv").write_bytes(sample_csv.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    args = ["--input", "series.csv", "--levels", "3"]
+    if cmd == "render":
+        assert main(["narrate", *args, "--emit", "json,pool"]) == 0
+        capsys.readouterr()
+    (tmp_path / config).write_text("levels = 3\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = [cmd, *args, "--config", config] + (["--emit", emit] if emit else [])
+    assert main(argv) == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_parse_kinds():
     assert _parse_kinds("line,tooth") == (CurveKind.LINE, CurveKind.TOOTH)
     with pytest.raises(IngestError):
@@ -1083,13 +1108,14 @@ def test_parser_rejects_unknown_subcommand(capsys):
 
 # The fields each subcommand does not read, so offers no flag for, each
 # with a config-file value that changes nothing and one that fails the
-# check (None for emit: the subcommand's fixed emit replaces the file's).
+# check.  A bad value exits 3, but a bad emit target is an output error.
 _UNREAD = {
     "narrate": {},
-    "fit": {"emit": ("text", None), "verbosity": ("2", "0"), "max_thr": ("0.5", "0.01"),
+    "fit": {"emit": ("text", "bogus"), "verbosity": ("2", "0"), "max_thr": ("0.5", "0.01"),
             "min_thr": ("0.1", "-1")},
     "sweep": {"levels": ("6", "9")},
-    "render": {"emit": ("text", None), "kinds": ("sinusoid", "spline"), "min_thr": ("0.1", "0.5")},
+    "render": {"emit": ("text", "bogus"), "kinds": ("sinusoid", "spline"),
+               "min_thr": ("0.1", "0.5")},
 }
 
 
@@ -1127,24 +1153,24 @@ def test_every_option_is_a_flag_that_shows_its_default(monkeypatch):
 def _offers_no_unread_flag(cmd, sample_csv, tmp_path, capsys):
     """No flag of ``cmd`` for a field in ``_UNREAD[cmd]``: it is missing
     from the help, and giving it is a usage error (exit 2).  A config
-    file's value for it is still checked, a bad one exiting 3, and
-    changes no output."""
+    file's value for it is still checked, a bad one exiting 3 (6 for
+    emit), and changes no output."""
     unread = _UNREAD[cmd]
     assert not set(unread) & set(_helps(cmd))
     out, conf = tmp_path / "out", tmp_path / "run.conf"
     args = [cmd, "--input", str(sample_csv), "--out-dir", str(out)] + (
         ["--levels-list", "2,3", "--emit", "json"] if cmd == "sweep" else ["--levels", "3"])
+    if cmd == "render":  # the saved files first, so only the bad value can fail
+        assert main(["narrate", "--input", str(sample_csv), "--levels", "3",
+                     "--out-dir", str(out), "--emit", "json,pool"]) == 0
     for key, (good, bad) in unread.items():
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
             main(args + ["--" + key.replace("_", "-"), good])
         assert exc.value.code == 2
-        if bad is not None:
-            conf.write_text(f"{key} = {bad}\n")
-            assert main(args + ["--config", str(conf)]) == EXIT_INGEST, key
-            assert capsys.readouterr().err.count("\n") == 1
-    if cmd == "render":
-        assert main(["narrate", "--input", str(sample_csv), "--levels", "3",
-                     "--out-dir", str(out), "--emit", "json,pool"]) == 0
+        conf.write_text(f"{key} = {bad}\n")
+        code = EXIT_OUTPUT if key == "emit" else EXIT_INGEST
+        assert main(args + ["--config", str(conf)]) == code, key
+        assert capsys.readouterr().err.count("\n") == 1
     assert main(args) == 0
     written = {p.name: p.read_bytes() for p in out.iterdir()}
     suffix = {"fit": ".pool.jsonl", "render": ".svg", "sweep": ".sweep.json"}[cmd]

@@ -20,7 +20,7 @@ wave and on two larger two-sine searches at level 6.
 """
 
 import hashlib
-import importlib.util
+import importlib
 import inspect
 import json
 import sys
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_series
+from conftest import load_perfbench, make_series
 from serinarr import fitting
 from serinarr.cli import main
 from serinarr.cover import solve_cover
@@ -98,20 +98,10 @@ def test_render_from_saved_artifacts_matches_golden(levels, tmp_path, capsys):
         assert got == (GOLDEN / f"L{levels}" / f"{STEM}.{suffix}").read_bytes(), suffix
 
 
-def _load_perfbench(name):
-    """A benchmark module, loaded by path; the benchmark is not a package."""
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_spans_resolve():
     """The functions the benchmark's tracer wraps, and the arguments its
     details counter reads, exist; otherwise ``--trace 1`` runs fail."""
-    tracing = _load_perfbench("tracing")
+    tracing = load_perfbench("tracing")
     for mod, fn, name, _ in tracing.LAYERS:
         assert callable(getattr(importlib.import_module(f"serinarr.{mod}"), fn)), name
     params = list(inspect.signature(solve_details).parameters)
@@ -136,7 +126,7 @@ def test_benchmark_tooth_pairs_follow_the_fitter(monkeypatch):
     edges as ``_tooth_edges`` builds them, the edge rule the fitter
     follows; the fitter scores only the cells its bound leaves open."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the worker prepends
-    worker = _load_perfbench("worker")
+    worker = load_perfbench("worker")
     walk = worker.workloads.random_walk(np.random.default_rng(7919))
     assert len(walk) == 2048
     for series in (load_series(FIXTURE, "trends_csv", 4), make_series(walk, 4)):
@@ -149,7 +139,7 @@ def test_tooth_bound_skips_most_cells(monkeypatch):
     at most half the cells of the ranges' own (start, end) tables: the
     exact bound stays on.  It scores about 25% and 23% of them."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the worker prepends
-    worker = _load_perfbench("worker")
+    worker = load_perfbench("worker")
     rng = np.random.default_rng(7919)
     cells = fitting._tooth_cells
     for _ in range(2):
@@ -165,7 +155,7 @@ def test_tooth_bound_skips_most_cells(monkeypatch):
 def _match_benchmark_goldens(workload, inputs, work):
     """Run the named ops of ``workload``'s seed-7919 pass and check their
     output bytes against the benchmark's digests."""
-    workloads = _load_perfbench("workloads")
+    workloads = load_perfbench("workloads")
     plan = workloads.plan(workload, 7919, work)
     workloads.write_inputs(plan)
     want = json.loads(BENCH_GOLDENS.read_text())[workload]["7919"]
@@ -197,7 +187,7 @@ def test_deep_details_search_is_bounded(tmp_path, monkeypatch, capsys):
         return results[-1]
 
     monkeypatch.setattr("serinarr.cli.solve_details", recorded)
-    workloads = _load_perfbench("workloads")
+    workloads = load_perfbench("workloads")
     plan = workloads.plan("deep-details", 7919, tmp_path)
     workloads.write_inputs(plan)
     ops = {op.input: op for op in plan.ops}
@@ -231,7 +221,7 @@ def test_deep_details_search_work_is_pinned(tmp_path, monkeypatch, capsys):
         return results[-1]
 
     monkeypatch.setattr("serinarr.cli.solve_details", recorded)
-    workloads = _load_perfbench("workloads")
+    workloads = load_perfbench("workloads")
     plan = workloads.plan("deep-details", 7919, tmp_path)
     workloads.write_inputs(plan)
     ops = {op.input: op for op in plan.ops}
@@ -247,7 +237,7 @@ def test_deep_details_search_work_is_pinned(tmp_path, monkeypatch, capsys):
 def test_l6_search_work_is_pinned(shape, v):
     """Sets scored and pruned on a 1,024-point two-sine series at level 6,
     a search some ten times larger than a deep-details wave's."""
-    workloads = _load_perfbench("workloads")
+    workloads = load_perfbench("workloads")
     series = make_series(workloads.two_sine(np.random.default_rng(1), shape, n=1024), 6)
     pool = fitting.build_pool(series)
     levels = solve_cover(pool, v)
@@ -266,7 +256,7 @@ def test_dense_walk_matches_benchmark_goldens(tmp_path, capsys):
 def test_benchmark_pool_matches_digest(workload, name, tmp_path, capsys):
     """The saved pool of one seed-7919 input per fitted benchmark
     workload, with that op's levels, kinds and config."""
-    workloads = _load_perfbench("workloads")
+    workloads = load_perfbench("workloads")
     plan = workloads.plan(workload, 7919, tmp_path)
     workloads.write_inputs(plan)
     op = next(op for op in plan.ops if op.input == name)

@@ -1,9 +1,14 @@
-"""Every file the package writes goes through ``write_atomic``.
+"""Every file the package writes goes through ``write_atomic``, and
+every artifact through ``cli._emit_outputs``.
 
-The check parses the source of ``src/serinarr`` and fails on any call
-that writes a file (``write_text``, ``write_bytes``, or ``open`` /
+The first check parses the source of ``src/serinarr`` and fails on any
+call that writes a file (``write_text``, ``write_bytes``, or ``open`` /
 ``os.fdopen`` in a write mode) outside that one function, so no
-artifact can be left half-written by an interrupted run.
+artifact can be left half-written by an interrupted run.  The second
+fails on any call of ``write_atomic`` or ``dump_pool`` outside
+``cli._emit_outputs`` (and of ``write_atomic`` outside
+``fitting.dump_pool``), so no artifact skips the check of every path
+that comes before the first write.
 """
 
 import ast
@@ -86,3 +91,54 @@ def test_only_write_atomic_writes_files():
         if isinstance(node, ast.FunctionDef) and node.name == WRITER
     ]
     assert writers == ["fitting.py"]
+
+
+# (module, function) -> the writers it may call.
+WRITER_CALLERS = {
+    ("cli.py", "_emit_outputs"): {"write_atomic", "dump_pool"},
+    ("fitting.py", "dump_pool"): {"write_atomic"},
+}
+
+
+def writer_calls(module, source):
+    """Line numbers of the ``write_atomic`` and ``dump_pool`` calls that
+    ``WRITER_CALLERS`` does not allow in their function."""
+    found = []
+
+    def visit(node, allowed):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            allowed = WRITER_CALLERS.get((module, node.name), set())
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("write_atomic", "dump_pool") and name not in allowed:
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, allowed)
+
+    visit(ast.parse(source), set())
+    return found
+
+
+@pytest.mark.parametrize("module, source, lines", [
+    ("cli.py", "def _emit_outputs(cfg, files):\n    write_atomic(p, t)\n"
+     "    dump_pool(pool, p)", []),
+    ("cli.py", "def _emit_outputs(cfg, files):\n    def write():\n"
+     "        write_atomic(p, t)", [3]),
+    ("cli.py", "def _write_artifact(cfg, suffix, text):\n    write_atomic(p, text)", [2]),
+    ("cli.py", "fitting.dump_pool(pool, p)", [1]),
+    ("fitting.py", "def dump_pool(pool, path):\n    write_atomic(Path(path), text)", []),
+    ("fitting.py", "def dump_pool(pool, path):\n    dump_pool(pool, path)", [2]),
+    ("render.py", "def _emit_outputs(cfg, files):\n    write_atomic(p, t)", [2]),
+])
+def test_guard_finds_writer_calls(module, source, lines):
+    assert writer_calls(module, source) == lines
+
+
+def test_only_emit_outputs_writes_artifacts():
+    offenders = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := writer_calls(path.name, path.read_text()))
+    }
+    assert offenders == {}
