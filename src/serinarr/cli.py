@@ -17,10 +17,13 @@ shows the ``RunConfig`` default.  Config lists use commas, and a key that
 names no option is an error.  ``RunConfig`` checks every value when it
 is built, so a bad value fails before any input is read.  A subcommand
 offers a flag only for a field it reads.  Each subcommand names the
-files it writes, and ``_emit_outputs`` writes them all: every artifact
-lands at ``out_dir/<stem>.<suffix>``, written atomically, and no file
-is written until every path has been checked against the input and
-the config file.  ``render`` rebuilds the charts from the
+files it writes (``narrate``'s by emit target, in ``_EMIT_FILES``),
+checks their paths against the config file before it reads its input
+(``_artifacts``) and against the input once it has read it
+(``_read_series``), so a refused path costs no work and writes no file.
+``_emit_outputs`` writes them all: every artifact lands at
+``out_dir/<stem>.<suffix>``, written atomically.
+``render`` rebuilds the charts from the
 ``pool.jsonl`` and ``selection.json`` that ``narrate --emit json,pool``
 saved.
 
@@ -67,7 +70,7 @@ from .fitting import (
     pool_zones,
     write_atomic,
 )
-from .ingest import FORMATS, load_series
+from .ingest import FORMATS, TimeSeries, load_series
 from .narration import build_narration, narration_structure
 from .prototypes import CurveKind
 from .render import PlotSpec, render_enriched, render_heatmap
@@ -82,7 +85,15 @@ _EXITS = {
 }
 EXIT_INGEST, EXIT_FIT, EXIT_SOLVE, EXIT_OUTPUT = (code for _, code in _EXITS.values())
 
-EMIT_CHOICES = ("text", "json", "svg", "heatmap", "pool")
+# Each emit target's artifacts, by suffix, in the order ``run`` writes them.
+_EMIT_FILES = {
+    "text": ("txt",),
+    "json": ("selection.json", "narration.json"),
+    "pool": ("pool.jsonl",),
+    "svg": ("summary.svg", "details.svg"),
+    "heatmap": ("heatmap.svg",),
+}
+EMIT_CHOICES = tuple(_EMIT_FILES)
 
 
 @dataclass(frozen=True)
@@ -273,22 +284,41 @@ def merge_config(cli_args: dict, file_values: dict) -> RunConfig:
 # ----------------------------------------------------------------------
 
 
-def _emit_outputs(cfg: RunConfig, files: dict, config: str | None = None) -> list[str]:
-    """Write each suffix's body of ``files`` at its ``_artifact`` path, in
-    order; returns the paths.
-
-    The one writer for every subcommand.  Every path is checked before
-    the first file is written: none may be the input or the ``config``
-    file.  A body is text, or the ``DescriptorPool`` that ``dump_pool``
-    writes.
-    """
-    paths = [_artifact(cfg, suffix) for suffix in files]
-    for path in paths:
-        where = path.resolve()
-        for role, src in (("input", cfg.input), ("config", config)):
-            if src is not None and where == Path(src).resolve():
+def _refuse(paths: list[Path], role: str, src: str | None) -> None:
+    """``OutputError`` when one of ``paths`` is the ``role`` file ``src``."""
+    if src is not None:
+        where = Path(src).resolve()
+        for path in paths:
+            if path.resolve() == where:
                 raise OutputError(f"{path} is the {role} file; choose another --out-dir")
-    for path, body in zip(paths, files.values()):
+
+
+def _artifacts(cfg: RunConfig, suffixes, config: str | None = None) -> list[Path]:
+    """The ``_artifact`` path of each suffix, none of them the ``config``
+    file.  Every subcommand calls this before it reads its input, so a
+    refused path costs no work."""
+    paths = [_artifact(cfg, suffix) for suffix in suffixes]
+    _refuse(paths, "config", config)
+    return paths
+
+
+def _read_series(cfg: RunConfig, paths: list[Path]) -> TimeSeries:
+    """The input series; then none of ``paths`` may be the input file.  A
+    bad input is reported as such first, and a refused path costs only
+    the read."""
+    series = load_series(cfg.input, cfg.format, cfg.levels)
+    _refuse(paths, "input", cfg.input)
+    return series
+
+
+def _emit_outputs(paths: list[Path], bodies) -> list[str]:
+    """Write each body at its path, in order; returns the paths.
+
+    The one writer for every subcommand.  The paths come from
+    ``_artifacts``, so no file is written until every path has passed.
+    A body is text, or the ``DescriptorPool`` that ``dump_pool`` writes.
+    """
+    for path, body in zip(paths, bodies, strict=True):
         if isinstance(body, DescriptorPool):
             dump_pool(body, path)
         else:
@@ -297,15 +327,15 @@ def _emit_outputs(cfg: RunConfig, files: dict, config: str | None = None) -> lis
 
 
 def _charts(series, pool, levels, selection, max_thr):
-    """(suffix, svg) of the summary and details charts, each with its
-    per-zone error bar."""
+    """The svg of the summary chart, then of the details chart, each with
+    its per-zone error bar, as ``_EMIT_FILES["svg"]`` names them."""
     summary = next(lv for lv in levels if lv.v == selection.s)
     detail_ids = [i for i, _ in selection.details]
     for name, ids, errs in (
         ("summary", selection.summary, summary.zone_errs),
         ("details", detail_ids, tuple(pool.zone_errs(selection.selected_ids))),
     ):
-        yield f"{name}.svg", render_enriched(
+        yield render_enriched(
             PlotSpec(
                 series=series,
                 curves=tuple(pool.get(i) for i in ids),
@@ -329,13 +359,15 @@ def _heatmap(pool, levels, selection):
 def run(cfg: RunConfig, config: str | None = None) -> RunReport:
     """Full pipeline for one series; returns the run report.  ``config``
     is the config file's path, which no artifact may overwrite."""
+    targets = [target for target in _EMIT_FILES if target in cfg.emit]
+    paths = _artifacts(cfg, [s for target in targets for s in _EMIT_FILES[target]], config)
     timings, marks = {}, [time.perf_counter()]
 
     def lap(stage: str) -> None:  # the clock is read once at each stage boundary
         marks.append(time.perf_counter())
         timings[stage] = marks[-1] - marks[-2]
 
-    series = load_series(cfg.input, cfg.format, cfg.levels)
+    series = _read_series(cfg, paths)
     lap("ingest")
     # The penalty bound needs only the zone count: fail before the fit.
     try:
@@ -351,19 +383,14 @@ def run(cfg: RunConfig, config: str | None = None) -> RunReport:
     units = build_narration(selection, pool, series)
     text = realize(units, threshold_met=selection.threshold_met)
     lap("narrate")
-    files = {}
-    if "text" in cfg.emit:
-        files["txt"] = text.full_text + "\n"
-    if "json" in cfg.emit:
-        files["selection.json"] = _json(selection.as_dict())
-        files["narration.json"] = _json(narration_structure(units))
-    if "pool" in cfg.emit:
-        files["pool.jsonl"] = pool
-    if "svg" in cfg.emit:
-        files.update(_charts(series, pool, levels, selection, cfg.max_thr))
-    if "heatmap" in cfg.emit:
-        files["heatmap.svg"] = _heatmap(pool, levels, selection)
-    outputs = _emit_outputs(cfg, files, config)
+    bodies = {  # each target's bodies, in its _EMIT_FILES order
+        "text": lambda: [text.full_text + "\n"],
+        "json": lambda: [_json(selection.as_dict()), _json(narration_structure(units))],
+        "pool": lambda: [pool],
+        "svg": lambda: _charts(series, pool, levels, selection, cfg.max_thr),
+        "heatmap": lambda: [_heatmap(pool, levels, selection)],
+    }
+    outputs = _emit_outputs(paths, [body for target in targets for body in bodies[target]()])
     lap("emit")
     return RunReport(pool, levels, selection, text, timings, outputs)
 
@@ -447,9 +474,10 @@ def _cmd_narrate(args) -> int:
 
 def _cmd_fit(args) -> int:
     cfg = _collect(args)
-    series = load_series(cfg.input, cfg.format, cfg.levels)
+    paths = _artifacts(cfg, _EMIT_FILES["pool"], args.config)
+    series = _read_series(cfg, paths)
     pool = build_pool(series, cfg.kinds)
-    (out,) = _emit_outputs(cfg, {"pool.jsonl": pool}, args.config)
+    (out,) = _emit_outputs(paths, [pool])
     print(
         f"pool: {len(pool)} descriptors ({pool.n_infeasible} infeasible), "
         f"wrote {out}"
@@ -459,11 +487,13 @@ def _cmd_fit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _collect(args)
+    paths = _artifacts(cfg, ["sweep.json"] if "json" in cfg.emit else [], args.config)
+    _refuse(paths, "input", cfg.input)  # each level reads the input on its own
     rows = sweep(cfg, _parse_levels_list(args.levels_list))
     print(_format_sweep(rows))
-    if "json" in cfg.emit:
+    if paths:
         saved = [{k: v for k, v in row.items() if k != "wall_s"} for row in rows]
-        (out,) = _emit_outputs(cfg, {"sweep.json": _json(saved)}, args.config)
+        (out,) = _emit_outputs(paths, [_json(saved)])
         print(f"wrote: {out}")
     return 0
 
@@ -479,6 +509,7 @@ def _read_artifact(path: Path, parse):
 
 def _cmd_render(args) -> int:
     cfg = _collect(args)
+    paths = _artifacts(cfg, _EMIT_FILES["svg"] + _EMIT_FILES["heatmap"], args.config)
     pool_path = _artifact(cfg, "pool.jsonl")
     sel_path = _artifact(cfg, "selection.json")
     if not pool_path.exists() or not sel_path.exists():
@@ -486,7 +517,7 @@ def _cmd_render(args) -> int:
             f"render needs {pool_path.name} and {sel_path.name} in {cfg.out_dir}; "
             f"run narrate with --emit json,pool first"
         )
-    series = load_series(cfg.input, cfg.format, cfg.levels)
+    series = _read_series(cfg, paths)
     n_zones = _read_artifact(pool_path, pool_zones)
     if n_zones != series.n_zones:
         raise OutputError(
@@ -516,9 +547,8 @@ def _cmd_render(args) -> int:
     if tuple(selection.summary) != chosen:
         raise OutputError(f"{sel_path.name} summary ids {list(selection.summary)} are not "
                           f"the level {selection.s} tiling {list(chosen)} of {pool_path.name}")
-    files = dict(_charts(series, pool, levels, selection, cfg.max_thr))
-    files["heatmap.svg"] = _heatmap(pool, levels, selection)
-    wrote = _emit_outputs(cfg, files, args.config)
+    charts = _charts(series, pool, levels, selection, cfg.max_thr)
+    wrote = _emit_outputs(paths, [*charts, _heatmap(pool, levels, selection)])
     print("wrote: " + ", ".join(wrote))
     return 0
 

@@ -51,10 +51,12 @@ A saved pool is a header line and one json line per descriptor, its
 bytes those of ``json.dumps(record, sort_keys=True)`` and fixed by the
 pools' sha256 pins.  ``dump_pool`` fills each line from one template per
 kind, so only float ``repr`` runs per value, a block of records at a
-time, so only the file's text is held whole; ``load_pool`` decodes it
-back line by line with one shared json decoder, and checks each kind's
-params rules (``params_ok``) on whole columns.  ``pool_zones`` reads a
-saved pool's zone count from its header line alone.
+time, so only the file's text is held whole.  ``load_pool`` decodes it
+back a block of lines at a time, each line by the C json scanner mapped
+over the block, and checks the records' fields, and each kind's params
+rules (``params_ok``), on whole columns; only its lines are held whole.
+``pool_zones`` reads a saved pool's zone count from its header line
+alone.
 """
 
 from __future__ import annotations
@@ -66,7 +68,9 @@ import re
 import tempfile
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from itertools import islice
+from itertools import chain, islice, repeat
+from json.scanner import make_scanner
+from operator import itemgetter, le, sub
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -907,15 +911,19 @@ def dump_pool(pool: DescriptorPool, path: str | Path) -> None:
 
 def _pool_header(line: str, path) -> tuple[int, int, tuple[CurveKind, ...]]:
     """A saved pool's zone count, infeasible count and kinds, from its
-    header line; ``ValueError`` when it is missing or its counts are not
-    json ints."""
+    header line; ``ValueError`` when it is missing, when its counts are
+    not json ints or its infeasible count is negative, or when its kinds
+    are not distinct and in ``CurveKind`` order, as ``build_pool`` keeps them."""
     if not line:
         raise ValueError(f"empty pool dump {path}")
     header = json.loads(line)
     n_zones, n_infeasible = header["n_zones"], header.get("n_infeasible", 0)
-    if not (type(n_zones) is type(n_infeasible) is int):
-        raise ValueError(f"pool header counts must be json ints: {line}")
-    return n_zones, n_infeasible, tuple(CurveKind.from_label(k) for k in header["kinds"])
+    if not (type(n_zones) is type(n_infeasible) is int and n_infeasible >= 0):
+        raise ValueError(f"pool header counts must be json ints, none negative: {line}")
+    kinds = tuple(CurveKind.from_label(k) for k in header["kinds"])
+    if list(kinds) != sorted(set(kinds)):
+        raise ValueError(f"pool header kinds must be distinct and in kind order: {line}")
+    return n_zones, n_infeasible, kinds
 
 
 def pool_zones(path: str | Path) -> int:
@@ -925,45 +933,127 @@ def pool_zones(path: str | Path) -> int:
         return _pool_header(fh.readline().rstrip("\n"), path)[0]
 
 
+# A record's kind value by its exact label (others go through from_label),
+# its params in field order, and its other fields.
+_KIND_OF_LABEL = {kind.label: int(kind) for kind in CurveKind}
+_PARAMS_OF = {kind: itemgetter(*PARAM_FIELDS[kind]) for kind in CurveKind}
+_RECORD_FIELDS = itemgetter("params", "zone_errs", "zone_start", "zone_end", "id")
+
+
+def _decode(lines: list[str], scan) -> list:
+    """The json value of each line, by the json scanner ``scan``;
+    ``ValueError`` when a line stripped of json whitespace is not one json
+    value, as ``json.loads`` raises it."""
+    texts = list(map(str.strip, lines, repeat(" \t\n\r", len(lines))))
+    found = list(map(scan, texts, repeat(0, len(texts))))  # StopIteration ends the map
+    if len(found) < len(texts):
+        raise ValueError("a pool line holds no json value")
+    values, ends = zip(*found)
+    if list(ends) != list(map(len, texts)):
+        raise ValueError("a pool line holds more than one json value")
+    return list(values)
+
+
+def _check_records(recs: list, first: int, n_zones: int):
+    """The kind column of decoded pool records, the first one's id
+    ``first``, their zone starts, zone ends and zone error lists, and each
+    kind's rows with their params in field order.  Each rule is checked on
+    whole columns, in the order a loop over the records checks one record,
+    so one record raises what that loop raises."""
+    labels = list(map(itemgetter("kind"), recs))
+    try:
+        kinds = list(map(_KIND_OF_LABEL.__getitem__, labels))
+    except (KeyError, TypeError):  # another spelling, or no label
+        kinds = list(map(CurveKind.from_label, labels))
+    params, errs, starts, ends, ids = zip(*map(_RECORD_FIELDS, recs))
+    if not (set(map(type, ids + starts + ends)) == {int}
+            and ids == tuple(range(first, first + len(ids)))
+            and min(starts) >= 0 and max(ends) < n_zones and all(map(le, starts, ends))
+            and set(map(type, errs)) == {list}
+            and list(map(sub, ends, starts)) == list(map(sub, map(len, errs), repeat(1)))
+            and set(map(type, params)) == {dict}
+            and list(map(len, params)) == list(map(len, map(PARAM_FIELDS.get, kinds)))):
+        raise ValueError(f"record {first} is not one dump_pool writes")
+    kind = np.array(kinds, int)
+    by_kind = []
+    for k in dict.fromkeys(kinds):
+        rows = np.flatnonzero(kind == k)
+        by_kind.append((rows, list(map(_PARAMS_OF[k], map(params.__getitem__, rows.tolist())))))
+    return kind, starts, ends, errs, by_kind
+
+
+def _load_block(lines: list[str], first: int, n_zones: int, scan):
+    """``_check_records`` of the records on ``lines``.  On any fault the
+    lines are taken again one at a time, so the first faulty line raises
+    its own error, as a loader that decodes and checks line by line does."""
+    try:
+        return _check_records(_decode(lines, scan), first, n_zones)
+    except (ValueError, KeyError, TypeError, RecursionError):  # RecursionError: deep nesting
+        if len(lines) == 1:
+            raise
+        for k, line in enumerate(lines):
+            _load_block([line], first + k, n_zones, scan)
+        raise
+
+
+def _block_arrays(kind, starts, ends, errs, by_kind):
+    """The arrays of one block's checked columns: kind, zone start, zone
+    end, the (records, _N_PARAMS) params and the zone errors laid end to
+    end.  ``ValueError`` when a param or zone error is not a json number
+    (bool is not one here) or lies past float64."""
+    errs = list(chain.from_iterable(errs))
+    types = set(map(type, errs)).union(*(map(type, chain.from_iterable(vals))
+                                         for _, vals in by_kind))
+    if not types <= {int, float}:
+        raise ValueError("params and zone errors must be json numbers")
+    params = np.full((len(kind), _N_PARAMS), np.nan)
+    try:
+        for rows, vals in by_kind:
+            params[rows, : len(vals[0])] = np.array(vals, float)
+        return kind, np.array(starts, int), np.array(ends, int), params, np.array(errs, float)
+    except OverflowError:
+        raise ValueError("a number lies out of range") from None
+
+
 def load_pool(path: str | Path) -> DescriptorPool:
-    """Inverse of ``dump_pool``: each line is decoded on its own by one
-    shared json decoder, and blank lines after the header are skipped.
-    An empty file, a line that is not one json value, or a value that
-    ``dump_pool`` would not write raises ``ValueError``: zones and counts
-    must be json ints, the k-th record's id k (``build_pool`` numbers them
-    so), its zone range in the grid with a zone error per zone, params and
-    zone errors json numbers, params that keep their kind's rules, a
-    bilinear's range its zones', and every zone some record's."""
+    """Inverse of ``dump_pool``: blank lines after the header are skipped,
+    and the records are decoded by the json decoder's scanner and checked
+    as columns (``_load_block``), blocks of ``_CHUNK_CELLS // 32`` zone
+    errors' worth of records at a time.  An empty file, a line that is not
+    one json value, or a value that ``dump_pool`` would not write raises
+    ``ValueError``: zones and counts must be json ints, the k-th record's
+    id k (``build_pool`` numbers them so), its kind one of the header's,
+    its zone range in the grid with a zone error per zone, params and zone
+    errors json numbers, params that keep their kind's rules, a
+    bilinear's range its zones', and every zone some record's.  A record
+    that is not a json object, or lacks a field, raises the ``TypeError``
+    or ``KeyError`` that indexing it raises."""
     lines = Path(path).read_text().splitlines()
     n_zones, n_infeasible, kinds = _pool_header(lines[0] if lines else "", path)
-    decode = json.JSONDecoder().decode
-    spans, params, errs = [], [], []  # spans: (kind, zone_start, zone_end) rows
-    for line in lines[1:]:
-        if not line.strip():
+    scan = make_scanner(json.JSONDecoder())
+    size = max(1, _CHUNK_CELLS // 32 // max(n_zones, 1))
+    blocks = [(np.zeros(0, int),) * 3 + (np.zeros((0, _N_PARAMS)), np.zeros(0))]
+    fault, m = None, 0
+    for at in range(1, len(lines), size):
+        block = list(filter(str.strip, lines[at : at + size]))
+        if not block:
             continue
-        rec = decode(line)
-        kind = CurveKind.from_label(rec["kind"])
-        p, e, i, j = rec["params"], rec["zone_errs"], rec["zone_start"], rec["zone_end"]
-        names = PARAM_FIELDS[kind]
-        if not (type(rec["id"]) is type(i) is type(j) is int and rec["id"] == len(spans)
-                and 0 <= i <= j < n_zones and type(e) is list and len(e) == j - i + 1
-                and type(p) is dict and len(p) == len(names)):
-            raise ValueError(f"not a pool record dump_pool writes: {line}")
-        spans.append((kind, i, j))
-        params += [p[name] for name in names] + [math.nan] * (_N_PARAMS - len(names))
-        errs += e
-    if not set(map(type, params)) | set(map(type, errs)) <= {int, float}:  # bool is not
-        raise ValueError(f"params and zone errors of {path} must be json numbers")
-    m = len(spans)
-    try:
-        kind, start, end = np.array(spans, int).reshape(m, 3).T
-        params, errs = np.array(params, float).reshape(m, _N_PARAMS), np.array(errs, float)
-    except OverflowError:
-        raise ValueError(f"{path} holds a number out of range") from None
+        columns = _load_block(block, m, n_zones, scan)
+        m += len(block)
+        try:
+            if fault is None:
+                blocks.append(_block_arrays(*columns))
+        except ValueError as exc:  # raised once every record has passed its own checks
+            fault = exc
+    if fault is not None:
+        raise ValueError(f"{path}: {fault}")
+    kind, start, end, params, errs = map(np.concatenate, zip(*blocks))
+    if not np.isin(kind, kinds).all():
+        raise ValueError(f"{path} holds records of kinds its header does not name")
     _, row, zone = _ravel(start, end - start + 1)
     # Every zone holds some record's error, as the whole range's do in a
     # built pool, so the (m, n_zones) matrix is no wider than the file's.
-    if spans and (n_zones > len(errs) or not np.bincount(zone, minlength=n_zones).all()):
+    if m and (n_zones > len(errs) or not np.bincount(zone, minlength=n_zones).all()):
         raise ValueError(f"{path} holds zones that no record holds")
     for k in CurveKind:
         at = kind == k

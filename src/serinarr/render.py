@@ -9,13 +9,16 @@ summary threshold).  The heatmap shows per-level zone errors on a
 black/red/yellow ramp with the selected cells painted green.
 
 A polyline's points are mapped onto the plot area as whole arrays, by
-the float operations one point at a time would take, so only their
-two-decimal formatting runs per value.
+the float operations one point at a time would take, and formatted by
+one ``%`` call, as are the error bar and each heatmap row.  Cell colours
+come from one array ramp (``_ramp``); ``"%.2f"`` and ``"{:.2f}"`` give
+the same bytes, ``inf``, ``nan`` and ``-0.00`` included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -51,31 +54,45 @@ class PlotSpec:
             )
 
 
-def _hex(rgb: tuple[int, int, int]) -> str:
-    r, g, b = (max(0, min(255, int(round(c)))) for c in rgb)
-    return f"#{r:02x}{g:02x}{b:02x}"
-
-
-def _lerp(a: tuple[int, int, int], b: tuple[int, int, int], t: float) -> str:
-    t = max(0.0, min(1.0, t))
-    return _hex(tuple(a[i] + (b[i] - a[i]) * t for i in range(3)))
+def _ramp(a, b, t) -> list[str]:
+    """The hex colour ``a + (b - a) * t``, per channel, of each ``t`` of a
+    1-d array, ``a`` and ``b`` being RGB triples or a row of one per
+    ``t``.  ``t`` is clamped to [0, 1] as ``max(0.0, min(1.0, t))`` clamps
+    it, NaN to 1, and each channel rounded half to even, as ``round``
+    rounds, into 0..255."""
+    t = np.fmax(np.fmin(np.asarray(t, dtype=float), 1.0), 0.0)[:, None]
+    a, b = np.asarray(a), np.asarray(b)
+    rgb = np.clip(np.rint(a + (b - a) * t), 0, 255).astype(int)
+    return ("#%02x%02x%02x " * len(rgb) % tuple(rgb.ravel().tolist())).split()
 
 
 def error_color(err: float, max_thr: float) -> str:
     """Green at zero error, red at max_thr and beyond."""
+    return _error_colors([err], max_thr)[0]
+
+
+def _error_colors(errs, max_thr: float) -> list[str]:
+    """``error_color`` of each of ``errs``."""
     if max_thr <= 0:
         raise ValueError("max_thr must be > 0")
-    return _lerp(_GREEN, _RED, err / max_thr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _ramp(_GREEN, _RED, np.asarray(errs, dtype=float) / max_thr)
 
 
 def heat_color(value: float, max_value: float) -> str:
     """Black at 0 through red at half scale to yellow at full scale."""
-    if max_value <= 0:
-        return _hex((0, 0, 0))
-    t = max(0.0, min(1.0, value / max_value))
-    if t <= 0.5:
-        return _lerp((0, 0, 0), (255, 0, 0), t * 2.0)
-    return _lerp((255, 0, 0), (255, 255, 0), (t - 0.5) * 2.0)
+    return _heat_colors(np.array([value], dtype=float), max_value)[0]
+
+
+def _heat_colors(values: np.ndarray, max_value: float) -> list[str]:
+    """``heat_color`` of each of the 1-d ``values``: all black when
+    ``max_value <= 0``.  ``_ramp`` clamps each half's ``t``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.zeros(len(values)) if max_value <= 0 else values / max_value
+        low = t <= 0.5
+        return _ramp(np.where(low[:, None], (0, 0, 0), (255, 0, 0)),
+                     np.where(low[:, None], (255, 0, 0), (255, 255, 0)),
+                     np.where(low, t * 2.0, (t - 0.5) * 2.0))
 
 
 def _f(v: float) -> str:
@@ -108,10 +125,12 @@ def render_enriched(spec: PlotSpec) -> str:
         )
 
     def points(x: np.ndarray, y: np.ndarray) -> str:
-        # Unit-square points onto the plot area, y clipped to [0, 1].
-        sx = px + x * pw
-        sy = py + (1.0 - np.clip(y, 0.0, 1.0)) * ph
-        return " ".join(map("{:.2f},{:.2f}".format, sx.tolist(), sy.tolist()))
+        # Unit-square points onto the plot area, y clipped to [0, 1],
+        # interleaved and formatted in one call.
+        xy = np.empty((len(x), 2))
+        xy[:, 0] = px + x * pw
+        xy[:, 1] = py + (1.0 - np.clip(y, 0.0, 1.0)) * ph
+        return ("%.2f,%.2f " * len(xy) % tuple(xy.ravel().tolist()))[:-1]
 
     series = spec.series
     pts = points(series.xs, series.ys)
@@ -134,13 +153,11 @@ def render_enriched(spec: PlotSpec) -> str:
         n = series.n_zones
         cell_w = pw / n
         y0 = py + ph + bar_gap
-        for z, err in enumerate(spec.error_bar):
-            color = error_color(err, spec.max_thr)
-            parts.append(
-                f'<rect x="{_f(px + z * cell_w)}" y="{_f(y0)}" '
-                f'width="{_f(cell_w)}" height="{_f(bar_h)}" fill="{color}" '
-                f'stroke="#ffffff" stroke-width="0.5"/>'
-            )
+        cells = zip((px + np.arange(n) * cell_w).tolist(),
+                    _error_colors(spec.error_bar, spec.max_thr))
+        rect = (f'<rect x="%.2f" y="{_f(y0)}" width="{_f(cell_w)}" height="{_f(bar_h)}" '
+                'fill="%s" stroke="#ffffff" stroke-width="0.5"/>')
+        parts.append("\n".join([rect] * n) % tuple(chain.from_iterable(cells)))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -173,22 +190,20 @@ def render_heatmap(
         f'viewBox="0 0 {w} {h}">',
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="#ffffff"/>',
     ]
+    colors = _heat_colors(matrix.ravel(), peak)
+    for r, c in selected:
+        if r in range(rows) and c in range(cols):
+            colors[int(r) * cols + int(c)] = "#%02x%02x%02x" % _SELECTED
+    # A row is its label, then its cells, each at x, y with its colour.
+    row = ('<text x="%d" y="%.2f" text-anchor="end" font-family="sans-serif" '
+           'font-size="12" fill="#333333">%s</text>'
+           + f'\n<rect x="%d" y="%d" width="{cell}" height="{cell}" fill="%s" '
+           'stroke="#ffffff" stroke-width="1"/>' * cols)
+    xs = range(margin + label_w, margin + label_w + cols * cell, cell)
     for r in range(rows):
-        parts.append(
-            f'<text x="{margin + label_w - 8}" '
-            f'y="{margin + r * cell + cell * 0.68:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12" fill="#333333">'
-            f"{row_labels[r]}</text>"
-        )
-        for c in range(cols):
-            if (r, c) in selected:
-                color = _hex(_SELECTED)
-            else:
-                color = heat_color(float(matrix[r, c]), peak)
-            parts.append(
-                f'<rect x="{margin + label_w + c * cell}" '
-                f'y="{margin + r * cell}" width="{cell}" height="{cell}" '
-                f'fill="{color}" stroke="#ffffff" stroke-width="1"/>'
-            )
+        y = margin + r * cell
+        cells = zip(xs, repeat(y), colors[r * cols : (r + 1) * cols])
+        parts.append(row % (margin + label_w - 8, y + cell * 0.68, row_labels[r],
+                            *chain.from_iterable(cells)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -160,6 +160,10 @@ POOL_EDITS = [
     ("crlf", lambda t: t.replace("\n", "\r\n"), True),
     ("trailing-spaces", lambda t: t.replace("\n", " \t \n"), True),
     ("header-only", lambda t: t.split("\n")[0] + "\n", True),
+    ("kind-in-capitals", _on_line(1, lambda s: s.replace('"kind": "line"', '"kind": "LINE"', 1)),
+     True),
+    ("kind-padded", _on_line(1, lambda s: s.replace('"kind": "line"', '"kind": " line "', 1)),
+     True),
     ("two-records-on-a-line", _join_lines(1), False),
     ("record-over-two-lines", _on_line(2, lambda s: s.replace(", ", ",\n", 1)), False),
     ("kind-not-a-string", _on_line(1, lambda s: s.replace('"kind": "', '"kind": 5, "k": "', 1)),

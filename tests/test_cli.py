@@ -144,6 +144,36 @@ def test_a_refused_path_writes_no_file(cmd, config, emit, sample_csv, tmp_path, 
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("cmd, config, text", [
+    ("narrate", "series.txt", "levels = 3\n"),
+    ("fit", "series.pool.jsonl", "levels = 3\n"),
+    ("sweep", "series.sweep.json", "emit = json\n"),
+    ("render", "series.heatmap.svg", "levels = 3\n"),
+])
+def test_a_refused_path_costs_no_work(cmd, config, text, sample_csv, tmp_path, monkeypatch,
+                                      capsys):
+    """Every subcommand checks its artifact paths against the config file
+    before it reads its input: a colliding config exits 6 with one output
+    error line, prints nothing, and never reads the series."""
+    (tmp_path / "series.csv").write_bytes(sample_csv.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    args = ["--input", "series.csv"]
+    if cmd == "render":
+        assert main(["narrate", *args, "--levels", "3", "--emit", "json,pool"]) == 0
+    (tmp_path / config).write_text(text)
+    capsys.readouterr()
+
+    def read(*a, **k):
+        pytest.fail("the input was read before the artifact paths were checked")
+
+    monkeypatch.setattr("serinarr.cli.load_series", read)
+    assert main([cmd, *args, "--config", config]) == EXIT_OUTPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("output error: ") and "config file" in err and err.count("\n") == 1
+    assert (tmp_path / config).read_text() == text
+
+
 def test_parse_kinds():
     assert _parse_kinds("line,tooth") == (CurveKind.LINE, CurveKind.TOOTH)
     with pytest.raises(IngestError):
@@ -635,6 +665,12 @@ _WRONG_TYPES = [
     ("zone-errs-dict", "pool.jsonl", "zone_errs",
      lambda errs: {str(k): e for k, e in enumerate(errs)}),
     ("zone-start-float", "pool.jsonl", "zone_start", float),
+    ("zone-err-true", "pool.jsonl", "zone_errs", lambda errs: [True, *errs[1:]]),
+    ("zone-err-401-digits", "pool.jsonl", "zone_errs", lambda errs: [10 ** 400, *errs[1:]]),
+    ("param-true", "pool.jsonl", "params", lambda p: {**p, min(p): True}),
+    ("param-string", "pool.jsonl", "params", lambda p: {**p, min(p): "0.5"}),
+    ("id-float", "pool.jsonl", "id", float),
+    ("kind-unknown", "pool.jsonl", "kind", lambda _: "spline"),
     ("gain-null", "selection.json", "per_zone_gain", lambda _: None),
     ("gain-string", "selection.json", "per_zone_gain", lambda _: "x"),
     ("gain-list", "selection.json", "per_zone_gain", lambda _: [1]),

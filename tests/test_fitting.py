@@ -347,6 +347,24 @@ def test_load_pool_rejects_ids_out_of_order_and_moved_bilinear_ranges(edit, tmp_
         load_pool(path)
 
 
+@pytest.mark.parametrize("header", [
+    {"kinds": ["line"]},
+    {"kinds": ["line", "line", "bilinear", "tooth"]},
+    {"n_infeasible": -1},
+], ids=["kinds-omit-a-record-kind", "kind-repeated", "infeasible-negative"])
+def test_load_pool_rejects_a_header_dump_pool_would_not_write(header, tmp_path):
+    """A header whose kinds are not distinct, in kind order and every
+    record's, or whose infeasible count is negative, would give a wrong
+    ``kinds`` and ``expected_size``: it raises ``ValueError``."""
+    s = make_series([0.1, 0.9, 0.4, 0.7, 0.2, 0.8, 0.3, 0.6, 0.5, 1.0, 0.2, 0.4], levels=2)
+    path = tmp_path / "pool.jsonl"
+    dump_pool(build_pool(s), path)
+    first, rest = path.read_text().split("\n", 1)
+    path.write_text(json.dumps({**json.loads(first), **header}, sort_keys=True) + "\n" + rest)
+    with pytest.raises(ValueError):
+        load_pool(path)
+
+
 @pytest.mark.parametrize("kind, edit", [case[1:] for case in POOL_VALUE_EDITS],
                          ids=[case[0] for case in POOL_VALUE_EDITS])
 def test_load_pool_rejects_values_that_break_a_rule(kind, edit, tmp_path):
@@ -1460,6 +1478,22 @@ def test_dump_pool_memory_is_bounded(tmp_path):
     tracemalloc.start()
     try:
         dump_pool(pool, tmp_path / "pool.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20
+
+
+def test_load_pool_memory_is_bounded(tmp_path):
+    """Reloading the fixture's level-5 pool, 0.65 MiB of text, holds its
+    lines whole and its decoded records only a block at a time: the
+    traced peak is about 2 MiB.  Decoding every record at once peaked at
+    4.5 MiB."""
+    path = tmp_path / "pool.jsonl"
+    dump_pool(build_pool(normalize(load(FIXTURE, "trends_csv"), 5)), path)
+    tracemalloc.start()
+    try:
+        load_pool(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import make_descriptor, make_series, series_exact
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serinarr.fitting import build_pool
 from serinarr.ingest import TimeSeries
@@ -13,6 +15,7 @@ from serinarr.render import (
     CURVE_COLOR,
     CURVE_SAMPLES,
     CURVE_STROKE_WIDTH,
+    HEATMAP_CELL,
     PlotSpec,
     error_color,
     heat_color,
@@ -112,6 +115,72 @@ def _f(v: float) -> str:
     return f"{v:.2f}"
 
 
+# The colour rule as it was, one value at a time, independent of the code
+# under test: ``_render_enriched_reference`` and ``_render_heatmap_reference``
+# colour their cells with these.
+
+
+def _hex_reference(rgb) -> str:
+    r, g, b = (max(0, min(255, int(round(c)))) for c in rgb)
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def _lerp_reference(a, b, t: float) -> str:
+    t = max(0.0, min(1.0, t))
+    return _hex_reference(tuple(a[i] + (b[i] - a[i]) * t for i in range(3)))
+
+
+def _error_color_reference(err: float, max_thr: float) -> str:
+    if max_thr <= 0:
+        raise ValueError("max_thr must be > 0")
+    return _lerp_reference((0, 150, 0), (208, 28, 28), err / max_thr)
+
+
+def _heat_color_reference(value: float, max_value: float) -> str:
+    if max_value <= 0:
+        return _hex_reference((0, 0, 0))
+    t = max(0.0, min(1.0, value / max_value))
+    if t <= 0.5:
+        return _lerp_reference((0, 0, 0), (255, 0, 0), t * 2.0)
+    return _lerp_reference((255, 0, 0), (255, 255, 0), (t - 0.5) * 2.0)
+
+
+def _render_heatmap_reference(matrix, row_labels, selected=frozenset()) -> str:
+    """``render_heatmap`` as it was, colouring and formatting one cell at a time."""
+    matrix = np.asarray(matrix, dtype=float)
+    rows, cols = matrix.shape
+    cell = HEATMAP_CELL
+    label_w = 28
+    margin = 8
+    w = label_w + cols * cell + 2 * margin
+    h = rows * cell + 2 * margin
+    peak = float(matrix.max()) if matrix.size else 0.0
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        f'<rect x="0" y="0" width="{w}" height="{h}" fill="#ffffff"/>',
+    ]
+    for r in range(rows):
+        parts.append(
+            f'<text x="{margin + label_w - 8}" '
+            f'y="{margin + r * cell + cell * 0.68:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="12" fill="#333333">'
+            f"{row_labels[r]}</text>"
+        )
+        for c in range(cols):
+            if (r, c) in selected:
+                color = _hex_reference((40, 168, 72))
+            else:
+                color = _heat_color_reference(float(matrix[r, c]), peak)
+            parts.append(
+                f'<rect x="{margin + label_w + c * cell}" '
+                f'y="{margin + r * cell}" width="{cell}" height="{cell}" '
+                f'fill="{color}" stroke="#ffffff" stroke-width="1"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 def _render_enriched_reference(spec: PlotSpec) -> str:
     """``render_enriched`` as it was, mapping and formatting one point at
     a time through ``sx``, ``sy`` and ``_f``."""
@@ -166,7 +235,7 @@ def _render_enriched_reference(spec: PlotSpec) -> str:
         cell_w = pw / n
         y0 = py + ph + bar_gap
         for z, err in enumerate(spec.error_bar):
-            color = error_color(err, spec.max_thr)
+            color = _error_color_reference(err, spec.max_thr)
             parts.append(
                 f'<rect x="{_f(px + z * cell_w)}" y="{_f(y0)}" '
                 f'width="{_f(cell_w)}" height="{_f(bar_h)}" fill="{color}" '
@@ -206,6 +275,43 @@ def test_enriched_points_match_per_point_formatting_at_odd_values():
         svg = render_enriched(spec)
         assert svg == _render_enriched_reference(spec)
         assert "nan" in svg
+
+
+def _odd_values(peak):
+    """0, the peak, half of it, subnormals, inf, nan and values between."""
+    specials = [0.0, peak, peak / 2, 5e-324, 1e-310, math.inf, math.nan, -0.0]
+    return st.sampled_from(specials) | st.floats(0.0, peak)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_heatmap_and_error_bar_match_per_cell_colours(data):
+    """Heatmaps of 0-8 rows and 0-64 columns, with selected cells inside
+    and outside the matrix, and error bars of any zone errors, render to
+    the bytes of colouring and formatting one cell at a time."""
+    rows, cols = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 64))
+    peak = data.draw(st.sampled_from([1.0, 0.15, 1e-300, 1e300]) | st.floats(1e-3, 10.0))
+    values = data.draw(st.lists(_odd_values(peak), min_size=rows * cols,
+                                max_size=rows * cols))
+    matrix = np.array(values, float).reshape(rows, cols)
+    cells = st.tuples(st.integers(-2, rows + 1), st.integers(-2, cols + 1))
+    selected = data.draw(st.sets(cells, max_size=12))
+    labels = list(range(1, rows + 1))
+    for m in (matrix, np.zeros((rows, cols))):
+        assert render_heatmap(m, labels, selected) == _render_heatmap_reference(m, labels,
+                                                                                selected)
+
+    levels = data.draw(st.integers(1, 3))
+    max_thr = data.draw(st.sampled_from([0.15, 1e-300, 2.0]) | st.floats(1e-3, 1.0))
+    bar = data.draw(st.lists(_odd_values(max_thr) | st.floats(max_thr, 1e308),
+                             min_size=2 ** levels, max_size=2 ** levels))
+    s = make_series([0.1, 0.9, 0.4, 0.7, 0.2, 0.8, 0.3, 0.6, 0.5, 1.0, 0.2, 0.4, 0.6, 0.1,
+                     0.3, 0.9, 0.5], levels)
+    spec = PlotSpec(series=s, error_bar=tuple(bar), max_thr=max_thr, title="bar")
+    assert render_enriched(spec) == _render_enriched_reference(spec)
+    for err in bar:
+        assert error_color(err, max_thr) == _error_color_reference(err, max_thr)
+        assert heat_color(err, peak) == _heat_color_reference(err, peak)
 
 
 def test_enriched_clips_a_curve_that_overflows():
