@@ -499,11 +499,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _read_artifact(path: Path, parse):
-    """``parse(path)``, reporting an unreadable or damaged file as an
-    output error."""
+    """``parse(path)``, reporting an unreadable or damaged file, json
+    nested past the recursion limit included, as an output error."""
     try:
         return parse(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise OutputError(f"cannot load {path}: {exc}") from None
 
 

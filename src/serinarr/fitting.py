@@ -8,7 +8,8 @@ the kind's parameter count are skipped and only counted.
 One fitter per kind, in ``_FITTERS``: line (closed-form least squares),
 bilinear (a continuous polyline, each sample a breakpoint candidate),
 tooth (three segment means, the plateau edges on zone boundaries and,
-in narrow ranges, samples) and sinusoid (a frequency grid refined by
+in narrow ranges, samples, found by an exact branch and bound over
+blocks of edge pairs) and sinusoid (a frequency grid refined by
 golden section).  Each fitter's docstring gives its design.  All take
 ``(xs, ys, first, n, span_i, span_j, nz)``: the series' samples, and
 each range's first sample, sample count and zones, and the zone count.
@@ -30,10 +31,10 @@ zone) segment evaluated with its range's params, are summed by
 sums are taken once, over its longest range (``_start_prefix``): their
 first n + 1 entries are exactly those of each range of n samples from
 there.  One budget of ``_CHUNK_CELLS`` floats bounds memory on dense
-input: bilinear candidates, summed samples, tooth cells and the plateau
-edges of a tooth run are taken ``_CHUNK_CELLS // 32`` at a time, a
-candidate peaking at some 32 floats and a sample, a cell or an edge at
-fewer.
+input: bilinear candidates, summed samples, tooth cells, the columns of
+a tooth run's block pairs and the plateau edges of a tooth run are
+taken ``_CHUNK_CELLS // 32`` at a time, a candidate peaking at some 32
+floats and a sample, a cell, a column or an edge at fewer.
 
 The pool holds its descriptors as columns: kind, zone range, params
 (the kind's fields in field order, NaN after them) and an (m, n_zones)
@@ -94,6 +95,7 @@ DEFAULT_KINDS = (CurveKind.LINE, CurveKind.BILINEAR, CurveKind.TOOTH)
 _SIN_GRID = np.geomspace(0.5, 8.0, 32)  # cycles per range width
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _CHUNK_CELLS = 1 << 18  # floats of a batch's temporaries, or samples summed, at once
+_TOOTH_BLOCK = 16  # edges a side of a tooth table's blocks, and its sampled rows' stride
 _COND_MAX = 2.0 ** 32  # bilinear systems past this tr^3 / det bound go to LAPACK
 _N_PARAMS = max(map(len, PARAM_FIELDS.values()))  # columns of a pool's params
 
@@ -480,14 +482,18 @@ def _tooth_cells(t, row, col):
     return sse
 
 
-def _tooth_columns(t, col, r0, r1):
+def _tooth_columns(t, col, r0, r1, step=1):
     """The cells of the table columns ``col``, end edges of the per-edge
-    arrays ``t``, each over the start rows [r0, r1), in chunks of about
-    ``_CHUNK_CELLS // 32`` cells, a cell peaking at some 10 values.  Yields
-    each chunk's slice of the columns, the offset of each column's cells
-    and each cell's column and row, and the cells' ``_tooth_cells``."""
-    for k in _chunks(r1 - r0, _CHUNK_CELLS // 32):
-        at, c, row = _ravel(r0[k], r1[k] - r0[k])
+    arrays ``t``, each over the start rows r0, r0 + step, ... below r1, in
+    chunks of about ``_CHUNK_CELLS // 32`` cells, a cell peaking at some 10
+    values.  Yields each chunk's slice of the columns, the offset of each
+    column's cells and each cell's column and row, and the cells'
+    ``_tooth_cells``."""
+    rows = (r1 - r0 + step - 1) // step
+    for k in _chunks(rows, _CHUNK_CELLS // 32):
+        at, c, row = _ravel(r0[k], rows[k])
+        if step > 1:
+            row += (step - 1) * (row - r0[k][c])
         yield k, at, c, row, _tooth_cells(t, row, col[k][c])
 
 
@@ -536,12 +542,54 @@ def _fit_tooth_groups(xs, ys, first, n, span_i, span_j, nz, lead):
     samples, not one on the next zone's left boundary, so that column is
     scored per range, with the range's own sample count.
 
-    Every term is >= 0, so a cell is at least its row's ``left``: a row
-    whose ``left`` is above every range's incumbent (its least cell over
-    row 0 and its last column) holds no least cell nor a tie of one, and
-    only the rows up to a group's last other row are scored.  Ties prefer
-    the wider plateau, then the earlier start: they are rescored on the
-    tied columns only, where the first tied row is the widest."""
+    The table is searched by branch and bound (Land & Doig 1960) over
+    square blocks, edges [s0, s1) as starts by [e0, e1) as ends, cut
+    ``_TOOTH_BLOCK`` edges at a time from each group's first.  The first row
+    of every block is scored first, and range r's incumbent ``inc[r]`` is
+    its least cell over those rows and its own last column.  A cell c in
+    column e is range r's least, or ties it, only if ``fl(c + right[e]) <=
+    inc[r]``, so the column needs cells up to ``need[e]``, the largest
+    ``fl(inc[r] - right[e])`` of the ranges using it.  The SSE of the
+    samples between two edges never falls as the start moves left or the
+    end right, so a block's cells are at least ``beta = fl(min
+    left[s0:s1] + plateau(s1 - 1, e0))``, the plateau term 0 for a block
+    on the diagonal.  A block's other rows are scored unless ``fl(beta -
+    max need[e0:e1]) > margin``; the column minima are then exact wherever
+    a least cell or a tie of one lies, so every range picks as if the
+    whole table were scored.  A run whose tables all have at most 6 blocks
+    a side, as the fixture's of up to 69 edges at levels 4 and 5 do, is
+    scored whole, as there the bound's passes cost more than the cells it
+    skips.
+
+    The margin is ``2^-48 (w + 1)^2 (Z + 2^-1000)``, w being the group's
+    widest range's sample count and Z its ``fl(sum y^2)``, which bounds
+    every prefix sum a cell reads.  Below, the y are floats taken as
+    exact, Q and T are the sums of y^2 and |y| over those w samples, P is
+    the SSE of a plateau's samples and P^ the one ``_tooth_cells``
+    computes, u = 2^-53 and gamma_k = ku / (1 - ku) (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3 and 4):
+
+    * prefix sums: ``np.cumsum`` adds in sequence, so a y sum is off by at
+      most gamma_w T and a y^2 sum by gamma_w Q;
+    * plateau: of c >= 1 samples, its y sum B is off by at most 3 gamma_w T
+      and its y^2 sum by 3 gamma_w Q.  With T^2 <= w Q and B^2 / c <= Q,
+      |P^ - P| <= E = (7w + 5) gamma_w Q, as w >= 5 in a tooth range; the
+      clamp at 0 only brings P^ nearer P >= 0, and an empty plateau's
+      bound term is 0 = P;
+    * block: P is monotone, so a cell's ``left + P^`` is at least beta (1 -
+      u) - 2E.  Each of c, ``c + right`` and ``inc - right`` takes one
+      rounding, their terms are at most 3Z, so ``fl(c + right) - inc`` is
+      at least ``fl(beta - need) / (1 + u) - 2E - 11 u Z``;
+    * so a skipped block holds no cell at or below an incumbent: for w <=
+      2^25, 2E + 11 u Z <= 16 (w + 1)^2 u Z, half the margin; past 2^25
+      samples the margin exceeds 4Z > beta - need and nothing is skipped.
+      The 2^-1000 covers underflow in y^2 and B^2 / c, at most (2w + 4)
+      2^-1075 in all.  Sums that overflow make the margin inf, and a NaN
+      fails the test: either keeps every block.
+
+    Ties prefer the wider plateau, then the earlier start: they are
+    rescored on the tied columns only, where the first tied row is the
+    widest."""
     m = len(n)
     group = np.repeat(np.arange(len(lead)), np.diff(np.r_[lead, m]))
     top = np.r_[lead[1:], m] - 1  # each group's widest range
@@ -580,20 +628,55 @@ def _fit_tooth_groups(xs, ys, first, n, span_i, span_j, nz, lead):
     right = _seg_sse((n[rr] - hi[e]).astype(float), py_n[rr] - s_hi[e], pyy_n[rr] - ss_hi[e])
     own = _tooth_cells(t, e, n_edges + rr)
     own_least = np.minimum.reduceat(own, seg)
-    colmin = _tooth_cells(t, gbase[geid], np.arange(n_edges))  # row 0
-    colmin[gbase] = np.inf  # no plateau from an edge to itself
-    inc = np.minimum(np.minimum.reduceat(colmin[e] + right, seg), own_least)
 
-    # Each column's rows [r0, r1): from row 1 to the column, or past the
-    # group's last row whose left is at most an incumbent.  A group's
-    # widest range's last column is its own.
+    # The table's columns: from 1, as column 0 has no row before it, up to
+    # the group's last edge but one, as that edge ends its widest range.
     local = np.arange(n_edges) - gbase[geid]
-    rows = np.where(left <= np.maximum.reduceat(inc, lead)[geid], local, 0)
-    r0 = gbase[geid] + 1
-    r1 = np.minimum(np.arange(n_edges), r0 + np.maximum.reduceat(rows, gbase)[geid])
-    col = np.flatnonzero((r1 > r0) & (local < size[geid] - 1))
-    for k, at, _, _, sse in _tooth_columns(t, col, r0[col], r1[col]):
-        colmin[col[k]] = np.minimum(colmin[col[k]], np.minimum.reduceat(sse, at))
+    table = (local > 0) & (local < size[geid] - 1)
+    colmin = np.full(n_edges, np.inf)
+
+    def fold(col, r0, r1, step=1):
+        for k, at, _, _, sse in _tooth_columns(t, col, r0, r1, step):
+            np.minimum.at(colmin, col[k], np.minimum.reduceat(sse, at))
+
+    # A run of tables of at most 6 blocks a side is scored whole: there the
+    # bound's own passes cost more than the cells it skips.
+    step = _TOOTH_BLOCK if size.max() > 6 * _TOOTH_BLOCK else 1
+    col = np.flatnonzero(table)
+    fold(col, gbase[geid[col]], col, step)  # every step-th row, from row 0
+    if step > 1:
+        inc = np.minimum(np.minimum.reduceat(colmin[e] + right, seg), own_least)
+        need = np.full(n_edges, -np.inf)
+        np.maximum.at(need, e, inc[rr] - right)
+        # The blocks, edges [b0, b1) of a group ``step`` at a time, pair up
+        # as columns and rows: a column block with each row block of its
+        # group up to itself.
+        b0 = np.flatnonzero(local % step == 0)
+        b1 = np.r_[b0[1:], n_edges]
+        low, high = np.minimum.reduceat(left, b0), np.maximum.reduceat(need, b0)
+        w = n[top] + 1.0
+        margin = (2.0 ** -48 * w * w * (pyy_n[top] + 2.0 ** -1000))[geid[b0]]
+        g0 = np.flatnonzero(local[b0] == 0)[geid[b0]]  # each block's group's first
+        upto = np.arange(len(b0)) + 1 - g0
+        for k in _chunks(upto * step, _CHUNK_CELLS // 32):
+            _, cb, rb = _ravel(g0[k], upto[k])
+            cb += k.start
+            row, e0 = b1[rb] - 1, b0[cb]
+            plateau = _seg_sse((hi[e0] - lo[row]).astype(float), s_hi[e0] - s_lo[row],
+                               ss_hi[e0] - ss_lo[row])
+            bound = low[rb] + np.where(cb > rb, plateau, 0.0)
+            keep = ~(bound - high[cb] > margin[rb])
+            # A run of kept row blocks in one column block is scored as one,
+            # from its first block's second row: the others' sampled rows
+            # are scored again, in far fewer pieces.
+            joined = keep[1:] & keep[:-1] & (cb[1:] == cb[:-1])
+            head = np.flatnonzero(keep & ~np.r_[False, joined])
+            tail = np.flatnonzero(keep & ~np.r_[joined, False])
+            cb, r_lo, r_hi = cb[head], b0[rb[head]] + 1, b1[rb[tail]]
+            _, run, c = _ravel(b0[cb], (b1 - b0)[cb])
+            r0, r1 = r_lo[run], np.minimum(r_hi[run], c)
+            ok = (r1 > r0) & table[c]
+            fold(c[ok], r0[ok], r1[ok])
     cell = colmin[e] + right
     least = np.minimum(np.minimum.reduceat(cell, seg), own_least)[rr]
 
@@ -602,7 +685,7 @@ def _fit_tooth_groups(xs, ys, first, n, span_i, span_j, nz, lead):
     hit = np.flatnonzero(own == least)
     tied = [(rr[hit], e[hit], n_edges + rr[hit])]
     tc = np.flatnonzero(cell == least)
-    for k, _, c, row, sse in _tooth_columns(t, e[tc], r0[e[tc]] - 1, r1[e[tc]]):
+    for k, _, c, row, sse in _tooth_columns(t, e[tc], gbase[geid[e[tc]]], e[tc]):
         hit = np.flatnonzero(sse + right[tc[k]][c] == least[tc[k]][c])
         hit = hit[np.diff(c[hit], prepend=-1) != 0]
         tied.append((rr[tc[k]][c[hit]], row[hit], e[tc[k]][c[hit]]))

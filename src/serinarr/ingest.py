@@ -194,7 +194,7 @@ def _json_number(value) -> float:
 def _load_json(text: str) -> RawSeries:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested past the recursion limit
         raise IngestError(f"invalid json: {exc}") from None
     if isinstance(doc, dict) and "points" in doc:
         if not isinstance(doc["points"], list):

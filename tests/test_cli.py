@@ -706,6 +706,51 @@ def test_main_render_rejects_wrong_value_types(sample_csv, tmp_path, capsys,
     assert not (out / "dipper.summary.svg").exists()
 
 
+_TOO_DEEP = "[" * 100_000  # json nested past the interpreter's recursion limit
+
+
+@pytest.mark.parametrize("artifact, line", [
+    ("pool.jsonl", 0), ("pool.jsonl", 1), ("selection.json", 0)],
+    ids=["pool-header", "pool-record", "selection"])
+def test_main_render_rejects_json_nested_too_deep(sample_csv, tmp_path, capsys,
+                                                   artifact, line):
+    """A saved line of json nested past the recursion limit exits 6 with
+    one ``output error: cannot load`` line, not a ``RecursionError``
+    traceback, and writes no chart."""
+    out = tmp_path / "render_out"
+    assert main([
+        "narrate", "--input", str(sample_csv), "--levels", "3",
+        "--verbosity", "4", "--out-dir", str(out), "--emit", "json,pool",
+    ]) == 0
+    path = out / f"dipper.{artifact}"
+    lines = path.read_text().splitlines()
+    lines[line] = _TOO_DEEP
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["render", "--input", str(sample_csv), "--levels", "3",
+                 "--verbosity", "4", "--out-dir", str(out)])
+    assert code == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot load {path}")
+    assert len(err.splitlines()) == 1
+    assert not list(out.glob("*.svg"))
+
+
+def test_main_narrate_rejects_json_input_nested_too_deep(tmp_path, capsys):
+    """A json input nested past the recursion limit exits 3 with one
+    ``ingest error: invalid json`` line and writes nothing."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"values": ' + _TOO_DEEP + "]" * len(_TOO_DEEP) + "}")
+    out = tmp_path / "out"
+    code = main(["narrate", "--input", str(path), "--format", "json", "--levels", "2",
+                 "--out-dir", str(out)])
+    assert code == EXIT_INGEST
+    err = capsys.readouterr().err
+    assert err.startswith("ingest error: invalid json:")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_main_narrate_pool_into_new_dir(sample_csv, tmp_path, capsys):
     out = tmp_path / "fresh" / "dir"
     code = main(["narrate", "--input", str(sample_csv), "--levels", "3",

@@ -602,6 +602,44 @@ def test_tooth_bound_matches_pair_lexsort(monkeypatch, cells):
             assert p == want, (cells, i, j)
 
 
+_ADVERSARIAL_YS = {  # n values from a generator, many of them tied
+    "constant": lambda rng, n: np.full(n, 0.375),
+    "integers": lambda rng, n: rng.integers(0, 3, n).astype(float),
+    "rounded-walk": lambda rng, n: np.round(np.cumsum(rng.standard_normal(n))),
+    "walk": lambda rng, n: np.cumsum(rng.standard_normal(n)),
+    "constant-runs": lambda rng, n: np.repeat(rng.normal(0.5, 0.2, n // 10 + 1), 10)[:n],
+    "offset-noise": lambda rng, n: 1.0 + 1e-9 * rng.standard_normal(n),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(sorted(_ADVERSARIAL_YS)),
+       scale=st.sampled_from([1.0, 1e-150, 1e150]), levels=st.integers(1, 2),
+       block=st.sampled_from([1, 2, 7, 10 ** 6]),
+       cells=st.sampled_from([64, _CHUNK_CELLS]) | st.integers(64, _CHUNK_CELLS))
+@example(seed=0, shape="walk", scale=1e150, levels=1, block=7, cells=64)
+@example(seed=1, shape="offset-noise", scale=1e-150, levels=2, block=2, cells=_CHUNK_CELLS)
+def test_tooth_block_bound_matches_pair_lexsort(seed, shape, scale, levels, block, cells):
+    """On series of 150..400 points at levels 1..2, whose tables hold 64
+    edges or more (``_bound_series``' shapes), with ties, constant runs,
+    integer-rounded values, walks and a tiny spread on a large offset,
+    scaled near 1e+-150, each range's tooth params equal the full pair
+    lexsort's, whatever the block edge (1, 2, 7 or past every table) and
+    the chunk budget: the block bound skips no least cell nor a tie."""
+    rng = np.random.default_rng(seed)
+    s = series_exact(_ADVERSARIAL_YS[shape](rng, int(rng.integers(150, 401))) * scale, levels)
+    ranges = [(i, j) for i in range(s.n_zones) for j in range(i, s.n_zones)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_TOOTH_BLOCK", block)
+        mp.setattr(fitting, "_CHUNK_CELLS", cells)
+        fits = fitted_params(s, CurveKind.TOOTH, ranges)
+    for (i, j), p in zip(ranges, fits):
+        sl = s.zone_slice(i, j)
+        boundaries = np.arange(i, j + 2, dtype=float) / s.n_zones
+        assert p == _pair_lexsort_tooth(s.xs[sl], s.ys[sl], *s.zone_x_range(i, j),
+                                        boundaries, True), (i, j)
+
+
 def test_sinusoid_grid_matches_per_frequency_solve():
     """One (frequency, sample) pass gives bit-identical grid rows: the
     same a, b and SSE as the one-frequency solve."""
@@ -1347,6 +1385,23 @@ def test_tooth_tables_are_scored_in_few_runs(monkeypatch):
     assert any(len(c) > 1 for c in tables)
 
 
+def test_tooth_block_bound_scores_few_cells(monkeypatch):
+    """On the benchmark's 2048-point seed-7919 walk at level 4, the tooth
+    fitter scores under 20% of its tables' (start, end) cells, counting
+    every cell ``_tooth_cells`` scores: the sampled rows, the kept
+    blocks, the ranges' own last columns and the rescored ties.  It
+    scores about 14% of them; the row bound it replaced scored 91%."""
+    tables = _counted_tooth_tables(monkeypatch)
+    scored, cells = [], fitting._tooth_cells
+    monkeypatch.setattr(fitting, "_tooth_cells",
+                        lambda t, row, col: scored.append(len(row)) or cells(t, row, col))
+    walk = np.cumsum(np.random.default_rng(7919).standard_normal(2048))
+    build_pool(make_series(walk, 4), (CurveKind.TOOTH,))
+    table = sum(max(c) * (max(c) - 1) // 2 for c in tables)  # a table's widest range's edges
+    assert table == 1_849_882
+    assert sum(scored) < table // 5
+
+
 @pytest.mark.parametrize("cells", [7, 64, _CHUNK_CELLS])
 def test_tooth_pool_matches_reference_when_runs_mix_edge_counts(monkeypatch, cells):
     """A start's ranges share one table, of its widest range's edges, so
@@ -1446,8 +1501,9 @@ def test_near_edge_breakpoint_builds_without_warnings(tmp_path):
     (2048, 1, CurveKind.TOOTH, 37),
     (16384, 2, CurveKind.SINUSOID, 18),
     (16384, 6, CurveKind.LINE, 8),
+    (2048, 4, CurveKind.TOOTH, 3),
 ], ids=["bilinear-16384-points-L4", "tooth-2048-points-L1", "sinusoid-16384-points-L2",
-        "line-16384-points-L6"])
+        "line-16384-points-L6", "tooth-2048-points-L4"])
 def test_build_pool_memory_is_bounded(points, levels, kind, limit_mib):
     """Dense input: bilinear candidates and tooth tables are processed in
     chunks, so a pool build's traced peak stays small.  Solving every
@@ -1456,7 +1512,9 @@ def test_build_pool_memory_is_bounded(points, levels, kind, limit_mib):
     about 128 MiB.  Residuals and zone errors are taken a run of ranges
     at a time, so the peak does not grow with zones squared: holding all
     the L6 line residuals of the 16,384-point walk at once took about
-    104 MiB, and the build now peaks near 6 MiB."""
+    104 MiB, and the build now peaks near 6 MiB.  The tooth tables' sampled
+    rows and blocks are scored in the same chunks, so the L4 walk's build
+    peaks near 1.5 MiB, as it did when a row bound pruned its tables."""
     walk = np.cumsum(np.random.default_rng(7919).standard_normal(points))
     s = make_series(walk, levels)
     tracemalloc.start()
