@@ -10,7 +10,8 @@ bilinear (a continuous polyline, each sample a breakpoint candidate),
 tooth (three segment means, the plateau edges on zone boundaries and,
 in narrow ranges, samples, found by an exact branch and bound over
 blocks of edge pairs) and sinusoid (a frequency grid refined by
-golden section).  Each fitter's docstring gives its design.  All take
+golden section, the sections of many ranges run in lockstep).  Each
+fitter's docstring gives its design.  All take
 ``(xs, ys, first, n, span_i, span_j, nz)``: the series' samples, and
 each range's first sample, sample count and zones, and the zone count.
 They return the params as columns in field order, with a mask of the
@@ -27,14 +28,17 @@ batched freely, over ranges of any length.  A pairwise sum (``sum``,
 reduced on its own, so it rounds as the range's own sum would: the line
 sums, the bilinear ``syy`` and the per-zone errors, a row per (range,
 zone) segment evaluated with its range's params, are summed by
-``_row_sums``.  ``np.cumsum`` adds in sequence, so each start's prefix
-sums are taken once, over its longest range (``_start_prefix``): their
-first n + 1 entries are exactly those of each range of n samples from
-there.  One budget of ``_CHUNK_CELLS`` floats bounds memory on dense
-input: bilinear candidates, summed samples, tooth cells, the columns of
-a tooth run's block pairs and the plateau edges of a tooth run are
-taken ``_CHUNK_CELLS // 32`` at a time, a candidate peaking at some 32
-floats and a sample, a cell, a column or an edge at fewer.
+``_row_sums``, and the sinusoid's golden-section products a run of
+ranges of one sample count at a time (``_sin_rows``).  ``np.cumsum``
+adds in sequence, so each start's prefix sums are taken once, over its
+longest range (``_start_prefix``): their first n + 1 entries are exactly
+those of each range of n samples from there.  One budget of
+``_CHUNK_CELLS`` floats bounds memory on dense input: bilinear
+candidates, summed samples, tooth cells, the columns of a tooth run's
+block pairs, the plateau edges of a tooth run and the samples of a
+chunk of sinusoid golden sections are taken ``_CHUNK_CELLS // 32`` at a
+time, a candidate peaking at some 32 floats and a sample, a cell, a
+column or an edge at fewer.
 
 The pool holds its descriptors as columns: kind, zone range, params
 (the kind's fields in field order, NaN after them) and an (m, n_zones)
@@ -545,21 +549,25 @@ def _fit_tooth_groups(xs, ys, first, n, span_i, span_j, nz, lead):
     The table is searched by branch and bound (Land & Doig 1960) over
     square blocks, edges [s0, s1) as starts by [e0, e1) as ends, cut
     ``_TOOTH_BLOCK`` edges at a time from each group's first.  The first row
-    of every block is scored first, and range r's incumbent ``inc[r]`` is
-    its least cell over those rows and its own last column.  A cell c in
-    column e is range r's least, or ties it, only if ``fl(c + right[e]) <=
-    inc[r]``, so the column needs cells up to ``need[e]``, the largest
-    ``fl(inc[r] - right[e])`` of the ranges using it.  The SSE of the
-    samples between two edges never falls as the start moves left or the
-    end right, so a block's cells are at least ``beta = fl(min
-    left[s0:s1] + plateau(s1 - 1, e0))``, the plateau term 0 for a block
-    on the diagonal.  A block's other rows are scored unless ``fl(beta -
-    max need[e0:e1]) > margin``; the column minima are then exact wherever
-    a least cell or a tie of one lies, so every range picks as if the
-    whole table were scored.  A run whose tables all have at most 6 blocks
-    a side, as the fixture's of up to 69 edges at levels 4 and 5 do, is
-    scored whole, as there the bound's passes cost more than the cells it
-    skips.
+    of every block is sampled: those rows are scored first, in the last
+    column of each block only (a table's last block, which holds the
+    group's last edge, has none), and range r's incumbent ``inc[r]`` is
+    its least cell among those and in its own last column.  The incumbent
+    is one of the range's real cells, so its least cell is at most
+    ``inc[r]``.  A cell c in column e is range r's least, or ties it, only
+    if ``fl(c + right[e]) <= inc[r]``, so the column needs cells up to
+    ``need[e]``, the largest ``fl(inc[r] - right[e])`` of the ranges using
+    it.  The SSE of the samples between two edges never falls as the start
+    moves left or the end right, so a block's cells are at least ``beta =
+    fl(min left[s0:s1] + plateau(s1 - 1, e0))``, the plateau term 0 for a
+    block on the diagonal.  A block is scored, from its first row, unless
+    ``fl(beta - max need[e0:e1]) > margin``, so of a kept block's cells
+    only its one sampled cell, if any, is scored twice.  The column minima
+    are then exact wherever a least cell or a tie of one lies, so every
+    range picks as if the whole table were scored.  A run whose tables all
+    have at most 6 blocks a side, as the fixture's of up to 69 edges at
+    levels 4 and 5 do, is scored whole, as there the bound's passes cost
+    more than the cells it skips.
 
     The margin is ``2^-48 (w + 1)^2 (Z + 2^-1000)``, w being the group's
     widest range's sample count and Z its ``fl(sum y^2)``, which bounds
@@ -642,7 +650,7 @@ def _fit_tooth_groups(xs, ys, first, n, span_i, span_j, nz, lead):
     # A run of tables of at most 6 blocks a side is scored whole: there the
     # bound's own passes cost more than the cells it skips.
     step = _TOOTH_BLOCK if size.max() > 6 * _TOOTH_BLOCK else 1
-    col = np.flatnonzero(table)
+    col = np.flatnonzero(table & (local % step == step - 1))  # each block's last column
     fold(col, gbase[geid[col]], col, step)  # every step-th row, from row 0
     if step > 1:
         inc = np.minimum(np.minimum.reduceat(colmin[e] + right, seg), own_least)
@@ -666,13 +674,11 @@ def _fit_tooth_groups(xs, ys, first, n, span_i, span_j, nz, lead):
                                ss_hi[e0] - ss_lo[row])
             bound = low[rb] + np.where(cb > rb, plateau, 0.0)
             keep = ~(bound - high[cb] > margin[rb])
-            # A run of kept row blocks in one column block is scored as one,
-            # from its first block's second row: the others' sampled rows
-            # are scored again, in far fewer pieces.
+            # A run of kept row blocks in one column block is scored as one.
             joined = keep[1:] & keep[:-1] & (cb[1:] == cb[:-1])
             head = np.flatnonzero(keep & ~np.r_[False, joined])
             tail = np.flatnonzero(keep & ~np.r_[joined, False])
-            cb, r_lo, r_hi = cb[head], b0[rb[head]] + 1, b1[rb[tail]]
+            cb, r_lo, r_hi = cb[head], b0[rb[head]], b1[rb[tail]]
             _, run, c = _ravel(b0[cb], (b1 - b0)[cb])
             r0, r1 = r_lo[run], np.minimum(r_hi[run], c)
             ok = (r1 > r0) & table[c]
@@ -702,113 +708,139 @@ def _fit_tooth_groups(xs, ys, first, n, span_i, span_j, nz, lead):
     return y_out_l, y_out_r, pos[s], pos[end], y_in
 
 
-def _sin_solve(x, r, freq, rr):
-    """Least squares of r against sin/cos at one frequency, ``rr`` being
-    ``float((r * r).sum())``: (a, b, sse), sse inf where it is degenerate."""
-    arg = 2 * math.pi * freq * x
-    s = np.sin(arg)
-    co = np.cos(arg)
-    m00 = float((s * s).sum())
-    m01 = float((s * co).sum())
-    m11 = float((co * co).sum())
-    b0 = float((s * r).sum())
-    b1 = float((co * r).sum())
-    det = m00 * m11 - m01 * m01
-    if abs(det) < 1e-14:
-        return math.nan, math.nan, math.inf
-    a = (m11 * b0 - m01 * b1) / det
-    b = (m00 * b1 - m01 * b0) / det
-    return a, b, max(rr - (a * b0 + b * b1), 0.0)
-
-
 def _sin_basis(x: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sin and cos of 2 pi f x at every (frequency, sample)."""
     arg = (2 * math.pi * freqs)[:, None] * x
     return np.sin(arg), np.cos(arg, out=arg)
 
 
-def _sin_grid(s: np.ndarray, co: np.ndarray, r: np.ndarray, rr: float):
-    """``_sin_solve``'s (a, b, sse) at each frequency row of the basis
-    ``s``, ``co``, as three arrays; each row is reduced on its own, in the
-    one-frequency solve's order."""
-    m00 = (s * s).sum(axis=1)
-    m01 = (s * co).sum(axis=1)
-    m11 = (co * co).sum(axis=1)
-    b0 = (s * r).sum(axis=1)
-    b1 = (co * r).sum(axis=1)
+def _sin_lsq(sums, rr):
+    """Least squares of residuals r against sin/cos from the sums
+    (s.s, s.co, co.co, s.r, co.r) and ``rr`` = r.r, elementwise: (a, b,
+    sse), sse inf where the system is degenerate."""
+    m00, m01, m11, b0, b1 = sums
     det = m00 * m11 - m01 * m01
     with np.errstate(invalid="ignore", divide="ignore"):
         a = (m11 * b0 - m01 * b1) / det
         b = (m00 * b1 - m01 * b0) / det
-    sse = np.maximum(rr - (a * b0 + b * b1), 0.0)
+        sse = np.maximum(rr - (a * b0 + b * b1), 0.0)
     return a, b, np.where(np.abs(det) < 1e-14, np.inf, sse)
 
 
-def _fit_sinusoid(x: np.ndarray, y: np.ndarray, width: float, basis):
-    """(amp, freq, phase, mean) of the range's sinusoid fit, or None."""
-    mean = float(y.mean())
-    r = y - mean
-    rr = float((r * r).sum())  # fixed per range: one sum for every solve
+def _sin_grid(s: np.ndarray, co: np.ndarray, r: np.ndarray, rr: float):
+    """``_sin_lsq`` of one range's residuals ``r`` at each frequency row
+    of the basis ``s``, ``co``, as three arrays; each product is reduced
+    row by row, as a one-frequency solve reduces it."""
+    return _sin_lsq([(u * v).sum(axis=1) for u, v in ((s, s), (s, co), (co, co), (s, r), (co, r))],
+                    rr)
 
-    a, b, sse = _sin_grid(*basis, r, rr)
-    k = int(np.argmin(sse))
-    if not np.isfinite(sse[k]):
-        return None
-    a, b, sse = a[k], b[k], sse[k]
-    freq = _SIN_GRID[k] / width
 
-    lo = _SIN_GRID[max(k - 1, 0)]
-    hi = _SIN_GRID[min(k + 1, len(_SIN_GRID) - 1)]
-    # golden section on the bracket around the best grid frequency
-    c1 = hi - _GOLDEN * (hi - lo)
-    c2 = lo + _GOLDEN * (hi - lo)
+def _sin_rows(x: np.ndarray, r: np.ndarray, rr: np.ndarray, n: np.ndarray, freq: np.ndarray):
+    """``_sin_lsq`` of rows of ``n`` samples ``x`` and residuals ``r``,
+    laid end to end with rows of one length together, each at its own
+    ``freq``: the basis and the five products of every row are taken as
+    one vector each, and the products of each run of one length are
+    reduced by one sum, each row on its own."""
+    arg = np.repeat(2 * math.pi * freq, n) * x
+    s = np.sin(arg)
+    co = np.cos(arg, out=arg)
+    prod = np.empty((5, len(x)))
+    for out, (u, v) in zip(prod, ((s, s), (s, co), (co, co), (s, r), (co, r))):
+        np.multiply(u, v, out=out)
+    sums = np.empty((5, len(n)))
+    at = [0] + (np.flatnonzero(np.diff(n)) + 1).tolist() + [len(n)]
+    cell = 0
+    for i, j in zip(at, at[1:]):
+        k = int(n[i])
+        sums[:, i:j] = prod[:, cell : cell + (j - i) * k].reshape(5, j - i, k).sum(axis=2)
+        cell += (j - i) * k
+    return _sin_lsq(sums, rr)
 
-    def sse_at(f_range):
-        return _sin_solve(x, r, f_range / width, rr)[2]
 
-    f1, f2 = sse_at(c1), sse_at(c2)
-    while (hi - lo) > 1e-3 * (0.5 * (hi + lo)):
-        if f1 <= f2:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - _GOLDEN * (hi - lo)
-            f1 = sse_at(c1)
-        else:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + _GOLDEN * (hi - lo)
-            f2 = sse_at(c2)
-
-    # The refined frequency replaces the grid winner only if strictly better.
-    mid = 0.5 * (lo + hi) / width
-    a_mid, b_mid, sse_mid = _sin_solve(x, r, mid, rr)
-    if sse_mid < sse:
-        a, b, freq = a_mid, b_mid, mid
-    amp = math.hypot(a, b)
-    phase = math.atan2(b, a) % (2 * math.pi)
-    if phase >= 2 * math.pi:
-        phase = 0.0
-    return amp, freq, phase, mean
+def _sin_golden(x, r, rr, n, width, lo, hi):
+    """Golden section search (Kiefer 1953) of each row's SSE over its
+    frequency bracket [lo, hi], in cycles per range ``width``, in lockstep
+    over the rows ``_sin_rows`` takes: a step solves every searching row
+    at its one new point.  A row keeps its own bracket and branch, and
+    stops once its bracket is within relative tolerance 1e-3; the rows
+    still searching are gathered only when some stop.  Returns each row's
+    final (lo, hi)."""
+    d = _GOLDEN * (hi - lo)
+    c1, c2 = hi - d, lo + d
+    f1 = _sin_rows(x, r, rr, n, c1 / width)[2]
+    f2 = _sin_rows(x, r, rr, n, c2 / width)[2]
+    rows, end = np.arange(len(lo)), np.empty((2, len(lo)))
+    while True:
+        go = (hi - lo) > 1e-3 * (0.5 * (hi + lo))
+        if not go.all():
+            end[:, rows[~go]] = lo[~go], hi[~go]
+            if not go.any():
+                return end
+            cells = np.repeat(go, n)
+            x, r = x[cells], r[cells]
+            rows, rr, n, width, lo, hi, c1, c2, f1, f2 = (
+                v[go] for v in (rows, rr, n, width, lo, hi, c1, c2, f1, f2))
+        left = f1 <= f2  # the least lies in [lo, c2], and c1 becomes c2
+        lo, hi = np.where(left, lo, c1), np.where(left, c2, hi)
+        d = _GOLDEN * (hi - lo)
+        c = np.where(left, hi - d, lo + d)
+        f = _sin_rows(x, r, rr, n, c / width)[2]
+        c1, c2 = np.where(left, c, c2), np.where(left, c1, c)
+        f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
 
 
 def _fit_sinusoids(xs, ys, first, n, span_i, span_j, nz):
-    """Sinusoid fits, one range at a time (``_fit_sinusoid``): the offset
-    is pinned to the range's sample mean, the frequency is scanned over a
-    geometric grid of 0.5..8 cycles per range width (32 steps), with
-    amplitude and phase by a linear solve in the sin/cos basis, and the
-    best grid frequency is refined by golden section search to relative
-    tolerance 1e-3.  Ranges of one zone count have bit-equal widths, so
-    they share a grid and one basis over the whole series, each range
-    reading its own columns.  A basis over only some of the series would
-    not lower the peak: the widest range needs the whole series'."""
+    """Sinusoid fits: the offset is pinned to the range's sample mean, the
+    frequency is scanned over a geometric grid of 0.5..8 cycles per range
+    width (32 steps), with amplitude and phase by a linear solve in the
+    sin/cos basis, and the best grid frequency is refined by golden
+    section search to relative tolerance 1e-3 on the bracket of its grid
+    neighbours.  The refined frequency replaces the grid winner only if
+    its SSE is strictly lower; a range with no finite grid SSE has no fit.
+
+    The grid is solved range by range (``_sin_grid``).  Ranges of one
+    zone count have bit-equal widths, so they share a grid and one basis
+    over the whole series, each range reading its own columns.  A basis
+    over only some of the series would not lower the peak: the widest
+    range needs the whole series'.  The golden sections then run in
+    lockstep (``_sin_golden``) over the ranges in order of sample count,
+    in chunks of about ``_CHUNK_CELLS // 32`` samples, a sample peaking
+    at some 10 floats; a sum runs over rows of one length only, so none
+    is padded.  Amplitude and phase are taken per range by ``math``."""
     width = (span_j + 1 - span_i) / nz
-    fits = [None] * len(first)
+    mean, rr = np.empty(len(n)), np.empty(len(n))
+    a, b, sse, k = np.empty((4, len(n)))  # the grid winner's a, b, sse and index
     for w in np.unique(width):
         basis = _sin_basis(xs, _SIN_GRID / w)
-        for k in np.flatnonzero(width == w):
-            f, e = first[k], first[k] + n[k]
-            fits[k] = _fit_sinusoid(xs[f:e], ys[f:e], float(w), [b[:, f:e] for b in basis])
+        for row in np.flatnonzero(width == w):
+            f, e = first[row], first[row] + n[row]
+            mean[row] = float(ys[f:e].mean())
+            r = ys[f:e] - mean[row]
+            rr[row] = float((r * r).sum())  # fixed per range: one sum for every solve
+            grid_a, grid_b, grid_sse = _sin_grid(*[v[:, f:e] for v in basis], r, rr[row])
+            at = int(np.argmin(grid_sse))
+            a[row], b[row], sse[row], k[row] = grid_a[at], grid_b[at], grid_sse[at], at
         del basis  # freed before the next width's is built
-    cols = [p or (math.nan,) * 4 for p in fits]
-    return np.array(cols).T, np.array([p is not None for p in fits])
+    ok = np.isfinite(sse)
+    k = k.astype(int)
+    freq = _SIN_GRID[k] / width
+    lo = _SIN_GRID[np.maximum(k - 1, 0)]
+    hi = _SIN_GRID[np.minimum(k + 1, len(_SIN_GRID) - 1)]
+    rows = np.flatnonzero(ok)
+    rows = rows[np.argsort(n[rows], kind="stable")]
+    for sel in (rows[c] for c in _chunks(n[rows], _CHUNK_CELLS // 32)):
+        _, _, idx = _ravel(first[sel], n[sel])
+        x, r = xs[idx], ys[idx] - np.repeat(mean[sel], n[sel])
+        lo_end, hi_end = _sin_golden(x, r, rr[sel], n[sel], width[sel], lo[sel], hi[sel])
+        mid = 0.5 * (lo_end + hi_end) / width[sel]
+        a_mid, b_mid, sse_mid = _sin_rows(x, r, rr[sel], n[sel], mid)
+        better = sse_mid < sse[sel]
+        win = sel[better]
+        a[win], b[win], freq[win] = a_mid[better], b_mid[better], mid[better]
+    amp = list(map(math.hypot, a.tolist(), b.tolist()))
+    phase = [p % (2 * math.pi) for p in map(math.atan2, b.tolist(), a.tolist())]
+    phase = [0.0 if p >= 2 * math.pi else p for p in phase]
+    return np.array([amp, freq, phase, mean]), ok
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,6 @@ from serinarr.fitting import (
     _fit_ranges,
     _sin_basis,
     _sin_grid,
-    _sin_solve,
     build_pool,
     dump_pool,
     fit_one,
@@ -642,7 +641,8 @@ def test_tooth_block_bound_matches_pair_lexsort(seed, shape, scale, levels, bloc
 
 def test_sinusoid_grid_matches_per_frequency_solve():
     """One (frequency, sample) pass gives bit-identical grid rows: the
-    same a, b and SSE as the one-frequency solve."""
+    same a, b and SSE as the reference one-frequency solve, inf where
+    that solve is degenerate."""
     rnd = random.Random(6200)
     grid = _SIN_GRID
     for s, i, j in _random_ranges(rnd, 120):
@@ -654,8 +654,8 @@ def test_sinusoid_grid_matches_per_frequency_solve():
         width = x_hi - x_lo
         rows = zip(*_sin_grid(*_sin_basis(x, grid / width), r, rr))
         for f, (a, b, sse) in zip(grid, rows):
-            sol = _sin_solve(x, r, f / width, rr)
-            assert sse == sol[2], (i, j, f)
+            sol = _reference_sin_solve(x, r, f / width)
+            assert sse == (np.inf if sol is None else sol[2]), (i, j, f)
             assert sse == np.inf or (a, b) == sol[:2], (i, j, f)
 
 
@@ -695,6 +695,100 @@ def test_sinusoid_basis_slices_match_per_range_grid(monkeypatch):
                 sl = s.zone_slice(i, j)
                 want = _reference_sinusoid(s.xs[sl], s.ys[sl], *s.zone_x_range(i, j))
                 assert p == want, (levels, cells, i, j)
+
+
+def _sinusoid_series(seed, levels, even, shape, scale):
+    """A series at the given level whose values are one of
+    ``_ADVERSARIAL_YS``' shapes times ``scale``: 3 to 8 evenly spaced
+    samples a zone, or 1 to 8 a zone at offsets on a 1/1000 grid or, in
+    one zone of four, below 1e-150.  Such offsets leave zone 0's samples
+    all within 1e-150 of 0, where no grid frequency has a finite SSE."""
+    rng = np.random.default_rng(seed)
+    n_zones = 2 ** levels
+    if even:
+        n = int(rng.integers(3 * n_zones, 8 * n_zones + 1))
+        return series_exact(_ADVERSARIAL_YS[shape](rng, n) * scale, levels)
+    xs = set()
+    for z in range(n_zones):
+        count = int(rng.integers(1, 9))
+        tiny = rng.random() < 0.25
+        offsets = rng.random(count) * 1e-151 if tiny else rng.integers(0, 1000, count) / 1000
+        xs.update(((z + offsets) / n_zones).tolist())
+    xs = sorted(xs)
+    xs[0], xs[-1] = 0.0, 1.0
+    return _uneven_series(xs, _ADVERSARIAL_YS[shape](rng, len(xs)) * scale, levels)
+
+
+def _reference_grid_index(x, y, x_lo, x_hi):
+    """The index of ``_reference_sinusoid``'s grid winner, None when no
+    grid frequency has a finite SSE."""
+    r = y - float(y.mean())
+    sses = [np.inf if sol is None else sol[2]
+            for sol in (_reference_sin_solve(x, r, f / (x_hi - x_lo)) for f in _SIN_GRID)]
+    return int(np.argmin(sses)) if np.isfinite(sses).any() else None
+
+
+def test_sinusoid_lockstep_matches_reference():
+    """The golden sections run in lockstep over chunks of ranges, each
+    range with its own bracket and branch, and give every range the
+    params of the one-range reference fit, on even and uneven series at
+    levels 1..5, with chunk budgets that cut a sample count's ranges into
+    several chunks.  Values scaled by 1e-160 have subnormal squares, so
+    SSEs are a few subnormal steps and golden-section points tie.  The
+    inputs reach a sample count whose ranges leave the search at different
+    steps (a grid winner at an edge of the grid, k = 0 or 31, has half the
+    bracket), a range with no finite grid SSE, and a range whose refined
+    frequency loses to its grid winner."""
+    seen = set()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), levels=st.integers(1, 5), even=st.booleans(),
+           shape=st.sampled_from(sorted(_ADVERSARIAL_YS)), scale=st.sampled_from([1.0, 1e-160]),
+           cells=st.sampled_from([_CHUNK_CELLS]) | st.integers(3, 200).map(lambda k: 32 * k))
+    @example(seed=0, levels=3, even=True, shape="constant-runs", scale=1.0, cells=32 * 40)
+    @example(seed=3, levels=2, even=False, shape="walk", scale=1e-160, cells=32 * 9)
+    @example(seed=2, levels=4, even=True, shape="integers", scale=1.0, cells=_CHUNK_CELLS)
+    def check(seed, levels, even, shape, scale, cells):
+        s = _sinusoid_series(seed, levels, even, shape, scale)
+        ranges = [(i, j) for i in range(s.n_zones) for j in range(i, s.n_zones)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitting, "_CHUNK_CELLS", cells)
+            fits = fitted_params(s, CurveKind.SINUSOID, ranges)
+        edges = {}  # sample count -> whether its grid winners lie at an edge
+        for (i, j), p in zip(ranges, fits):
+            sl = s.zone_slice(i, j)
+            x, y = s.xs[sl], s.ys[sl]
+            if len(x) < PARAM_COUNTS[CurveKind.SINUSOID]:
+                assert p is None, (i, j)
+                continue
+            x_lo, x_hi = s.zone_x_range(i, j)
+            assert p == _reference_sinusoid(x, y, x_lo, x_hi), (i, j)
+            k = _reference_grid_index(x, y, x_lo, x_hi)
+            if k is None:
+                seen.add("no finite grid SSE")
+                continue
+            edges.setdefault(len(x), set()).add(k in (0, len(_SIN_GRID) - 1))
+            if p.freq == _SIN_GRID[k] / (x_hi - x_lo):
+                seen.add("grid winner kept")
+        if any(len(e) == 2 for e in edges.values()):
+            seen.add("steps differ")
+
+    check()
+    assert seen == {"steps differ", "no finite grid SSE", "grid winner kept"}
+
+
+def test_sinusoid_golden_sections_take_few_solves(monkeypatch):
+    """On the benchmark's 2048-point seed-7919 walk at level 4, the golden
+    sections and final midpoints of the 136 ranges take 182 batched solves
+    (``_sin_rows``) of 1,888 rows in all: 13 chunks of about
+    ``_CHUNK_CELLS // 32`` samples, 14 steps each.  Solving one range at a
+    time took 1,888 solves."""
+    calls, rows = [], fitting._sin_rows
+    monkeypatch.setattr(fitting, "_sin_rows",
+                        lambda x, r, rr, n, freq: calls.append(len(n)) or rows(x, r, rr, n, freq))
+    walk = np.cumsum(np.random.default_rng(7919).standard_normal(2048))
+    build_pool(make_series(walk, 4), (CurveKind.SINUSOID,))
+    assert (len(calls), sum(calls)) == (182, 1888)
 
 
 def _reference_bilinear(x, y, x_lo, x_hi, seen):
@@ -1402,6 +1496,19 @@ def test_tooth_block_bound_scores_few_cells(monkeypatch):
     assert sum(scored) < table // 5
 
 
+def test_tooth_block_bound_scores_few_cells_on_a_long_walk(monkeypatch):
+    """On a 16,384-point seed-7919 walk at level 4, the tooth fitter
+    scores under 1.5 M cells, counting every cell ``_tooth_cells`` scores.
+    It scores 957,243: the sampled rows are scored in each block's last
+    column only.  Scoring them in every column took 7,793,776."""
+    scored, cells = [], fitting._tooth_cells
+    monkeypatch.setattr(fitting, "_tooth_cells",
+                        lambda t, row, col: scored.append(len(row)) or cells(t, row, col))
+    walk = np.cumsum(np.random.default_rng(7919).standard_normal(16384))
+    build_pool(make_series(walk, 4), (CurveKind.TOOTH,))
+    assert sum(scored) < 1_500_000
+
+
 @pytest.mark.parametrize("cells", [7, 64, _CHUNK_CELLS])
 def test_tooth_pool_matches_reference_when_runs_mix_edge_counts(monkeypatch, cells):
     """A start's ranges share one table, of its widest range's edges, so
@@ -1502,8 +1609,9 @@ def test_near_edge_breakpoint_builds_without_warnings(tmp_path):
     (16384, 2, CurveKind.SINUSOID, 18),
     (16384, 6, CurveKind.LINE, 8),
     (2048, 4, CurveKind.TOOTH, 3),
+    (16384, 4, CurveKind.SINUSOID, 18),
 ], ids=["bilinear-16384-points-L4", "tooth-2048-points-L1", "sinusoid-16384-points-L2",
-        "line-16384-points-L6", "tooth-2048-points-L4"])
+        "line-16384-points-L6", "tooth-2048-points-L4", "sinusoid-16384-points-L4"])
 def test_build_pool_memory_is_bounded(points, levels, kind, limit_mib):
     """Dense input: bilinear candidates and tooth tables are processed in
     chunks, so a pool build's traced peak stays small.  Solving every
@@ -1514,7 +1622,11 @@ def test_build_pool_memory_is_bounded(points, levels, kind, limit_mib):
     the L6 line residuals of the 16,384-point walk at once took about
     104 MiB, and the build now peaks near 6 MiB.  The tooth tables' sampled
     rows and blocks are scored in the same chunks, so the L4 walk's build
-    peaks near 1.5 MiB, as it did when a row bound pruned its tables."""
+    peaks near 1.3 MiB, below the 1.5 MiB of the row bound that once
+    pruned its tables.  The sinusoid's golden sections run a chunk of
+    ranges at a time, so its L4 build peaks near 12 MiB, in the grid's
+    basis, as its L2 build does: running all 136 ranges of the
+    16,384-point walk at once peaked at 78 MiB."""
     walk = np.cumsum(np.random.default_rng(7919).standard_normal(points))
     s = make_series(walk, levels)
     tracemalloc.start()
