@@ -57,11 +57,12 @@ bytes those of ``json.dumps(record, sort_keys=True)`` and fixed by the
 pools' sha256 pins.  ``dump_pool`` fills each line from one template per
 kind, so only float ``repr`` runs per value, a block of records at a
 time, so only the file's text is held whole.  ``load_pool`` decodes it
-back a block of lines at a time, each line by the C json scanner mapped
-over the block, and checks the records' fields, and each kind's params
-rules (``params_ok``), on whole columns; only its lines are held whole.
-``pool_zones`` reads a saved pool's zone count from its header line
-alone.
+back in one pass over its lines, each line by the C json scanner, and
+checks each record's fields as it is read; the number types, each
+kind's params rules (``params_ok``) and the zone coverage are then
+checked on whole columns.  Only its lines, and the values read from
+them, are held whole.  ``pool_zones`` reads a saved pool's zone count
+from its header line alone.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ import re
 import tempfile
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from itertools import chain, islice, repeat
+from itertools import islice
 from json.scanner import make_scanner
-from operator import itemgetter, le, sub
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -1049,93 +1050,16 @@ def pool_zones(path: str | Path) -> int:
 
 
 # A record's kind value by its exact label (others go through from_label),
-# its params in field order, and its other fields.
+# and its params in field order.
 _KIND_OF_LABEL = {kind.label: int(kind) for kind in CurveKind}
 _PARAMS_OF = {kind: itemgetter(*PARAM_FIELDS[kind]) for kind in CurveKind}
-_RECORD_FIELDS = itemgetter("params", "zone_errs", "zone_start", "zone_end", "id")
-
-
-def _decode(lines: list[str], scan) -> list:
-    """The json value of each line, by the json scanner ``scan``;
-    ``ValueError`` when a line stripped of json whitespace is not one json
-    value, as ``json.loads`` raises it."""
-    texts = list(map(str.strip, lines, repeat(" \t\n\r", len(lines))))
-    found = list(map(scan, texts, repeat(0, len(texts))))  # StopIteration ends the map
-    if len(found) < len(texts):
-        raise ValueError("a pool line holds no json value")
-    values, ends = zip(*found)
-    if list(ends) != list(map(len, texts)):
-        raise ValueError("a pool line holds more than one json value")
-    return list(values)
-
-
-def _check_records(recs: list, first: int, n_zones: int):
-    """The kind column of decoded pool records, the first one's id
-    ``first``, their zone starts, zone ends and zone error lists, and each
-    kind's rows with their params in field order.  Each rule is checked on
-    whole columns, in the order a loop over the records checks one record,
-    so one record raises what that loop raises."""
-    labels = list(map(itemgetter("kind"), recs))
-    try:
-        kinds = list(map(_KIND_OF_LABEL.__getitem__, labels))
-    except (KeyError, TypeError):  # another spelling, or no label
-        kinds = list(map(CurveKind.from_label, labels))
-    params, errs, starts, ends, ids = zip(*map(_RECORD_FIELDS, recs))
-    if not (set(map(type, ids + starts + ends)) == {int}
-            and ids == tuple(range(first, first + len(ids)))
-            and min(starts) >= 0 and max(ends) < n_zones and all(map(le, starts, ends))
-            and set(map(type, errs)) == {list}
-            and list(map(sub, ends, starts)) == list(map(sub, map(len, errs), repeat(1)))
-            and set(map(type, params)) == {dict}
-            and list(map(len, params)) == list(map(len, map(PARAM_FIELDS.get, kinds)))):
-        raise ValueError(f"record {first} is not one dump_pool writes")
-    kind = np.array(kinds, int)
-    by_kind = []
-    for k in dict.fromkeys(kinds):
-        rows = np.flatnonzero(kind == k)
-        by_kind.append((rows, list(map(_PARAMS_OF[k], map(params.__getitem__, rows.tolist())))))
-    return kind, starts, ends, errs, by_kind
-
-
-def _load_block(lines: list[str], first: int, n_zones: int, scan):
-    """``_check_records`` of the records on ``lines``.  On any fault the
-    lines are taken again one at a time, so the first faulty line raises
-    its own error, as a loader that decodes and checks line by line does."""
-    try:
-        return _check_records(_decode(lines, scan), first, n_zones)
-    except (ValueError, KeyError, TypeError, RecursionError):  # RecursionError: deep nesting
-        if len(lines) == 1:
-            raise
-        for k, line in enumerate(lines):
-            _load_block([line], first + k, n_zones, scan)
-        raise
-
-
-def _block_arrays(kind, starts, ends, errs, by_kind):
-    """The arrays of one block's checked columns: kind, zone start, zone
-    end, the (records, _N_PARAMS) params and the zone errors laid end to
-    end.  ``ValueError`` when a param or zone error is not a json number
-    (bool is not one here) or lies past float64."""
-    errs = list(chain.from_iterable(errs))
-    types = set(map(type, errs)).union(*(map(type, chain.from_iterable(vals))
-                                         for _, vals in by_kind))
-    if not types <= {int, float}:
-        raise ValueError("params and zone errors must be json numbers")
-    params = np.full((len(kind), _N_PARAMS), np.nan)
-    try:
-        for rows, vals in by_kind:
-            params[rows, : len(vals[0])] = np.array(vals, float)
-        return kind, np.array(starts, int), np.array(ends, int), params, np.array(errs, float)
-    except OverflowError:
-        raise ValueError("a number lies out of range") from None
 
 
 def load_pool(path: str | Path) -> DescriptorPool:
     """Inverse of ``dump_pool``: blank lines after the header are skipped,
-    and the records are decoded by the json decoder's scanner and checked
-    as columns (``_load_block``), blocks of ``_CHUNK_CELLS // 32`` zone
-    errors' worth of records at a time.  An empty file, a line that is not
-    one json value, or a value that ``dump_pool`` would not write raises
+    and each other line is decoded on its own by one json scanner and
+    checked as it is read.  An empty file, a line that is not one json
+    value, or a value that ``dump_pool`` would not write raises
     ``ValueError``: zones and counts must be json ints, the k-th record's
     id k (``build_pool`` numbers them so), its kind one of the header's,
     its zone range in the grid with a zone error per zone, params and zone
@@ -1146,23 +1070,41 @@ def load_pool(path: str | Path) -> DescriptorPool:
     lines = Path(path).read_text().splitlines()
     n_zones, n_infeasible, kinds = _pool_header(lines[0] if lines else "", path)
     scan = make_scanner(json.JSONDecoder())
-    size = max(1, _CHUNK_CELLS // 32 // max(n_zones, 1))
-    blocks = [(np.zeros(0, int),) * 3 + (np.zeros((0, _N_PARAMS)), np.zeros(0))]
-    fault, m = None, 0
-    for at in range(1, len(lines), size):
-        block = list(filter(str.strip, lines[at : at + size]))
-        if not block:
+    spans, vals, errs = [], {k: [] for k in CurveKind}, []  # spans: (kind, start, end)
+    for line in lines[1:]:
+        if not line.strip():
             continue
-        columns = _load_block(block, m, n_zones, scan)
-        m += len(block)
+        text = line.strip(" \t\n\r")  # json whitespace, as json.loads strips it
         try:
-            if fault is None:
-                blocks.append(_block_arrays(*columns))
-        except ValueError as exc:  # raised once every record has passed its own checks
-            fault = exc
-    if fault is not None:
-        raise ValueError(f"{path}: {fault}")
-    kind, start, end, params, errs = map(np.concatenate, zip(*blocks))
+            rec, stop = scan(text, 0)
+        except StopIteration:
+            raise ValueError("a pool line holds no json value") from None
+        if stop != len(text):
+            raise ValueError("a pool line holds more than one json value")
+        label = rec["kind"]
+        kind = _KIND_OF_LABEL.get(label) if type(label) is str else None
+        if kind is None:  # another spelling, or not a str
+            kind = int(CurveKind.from_label(label))
+        p, e, i, j = rec["params"], rec["zone_errs"], rec["zone_start"], rec["zone_end"]
+        if not (type(rec["id"]) is type(i) is type(j) is int and rec["id"] == len(spans)
+                and 0 <= i <= j < n_zones and type(e) is list and len(e) == j - i + 1
+                and type(p) is dict and len(p) == len(PARAM_FIELDS[kind])):
+            raise ValueError(f"record {len(spans)} is not one dump_pool writes")
+        spans.append((kind, i, j))
+        vals[kind] += _PARAMS_OF[kind](p)
+        errs += e
+    if not set().union(*(map(type, v) for v in (errs, *vals.values()))) <= {int, float}:
+        raise ValueError(f"{path}: params and zone errors must be json numbers")
+    m = len(spans)
+    kind, start, end = np.array(spans, int).reshape(m, 3).T
+    params = np.full((m, _N_PARAMS), np.nan)
+    try:
+        errs = np.array(errs, float)
+        for k, v in vals.items():
+            params[kind == k, : len(PARAM_FIELDS[k])] = np.array(v, float).reshape(
+                -1, len(PARAM_FIELDS[k]))
+    except OverflowError:
+        raise ValueError(f"{path}: a number lies out of range") from None
     if not np.isin(kind, kinds).all():
         raise ValueError(f"{path} holds records of kinds its header does not name")
     _, row, zone = _ravel(start, end - start + 1)

@@ -159,6 +159,8 @@ POOL_EDITS = [
     ("blank-lines", lambda t: t.replace("\n", "\n\n \t\n"), True),
     ("crlf", lambda t: t.replace("\n", "\r\n"), True),
     ("trailing-spaces", lambda t: t.replace("\n", " \t \n"), True),
+    ("blank-line-of-unit-separator", lambda t: t.replace("\n", "\n\x1f\n", 1), True),
+    ("blank-line-of-ideographic-space", lambda t: t.replace("\n", "\n\u3000\n", 1), True),
     ("header-only", lambda t: t.split("\n")[0] + "\n", True),
     ("kind-in-capitals", _on_line(1, lambda s: s.replace('"kind": "line"', '"kind": "LINE"', 1)),
      True),
@@ -168,7 +170,10 @@ POOL_EDITS = [
     ("record-over-two-lines", _on_line(2, lambda s: s.replace(", ", ",\n", 1)), False),
     ("kind-not-a-string", _on_line(1, lambda s: s.replace('"kind": "', '"kind": 5, "k": "', 1)),
      False),
+    ("kind-a-list", _on_line(1, lambda s: s.replace('"kind": "line"', '"kind": ["line"]', 1)),
+     False),
     ("garbage-after-a-record", _on_line(1, lambda s: s + " x"), False),
+    ("ideographic-space-after-a-record", _on_line(1, lambda s: s + "\u3000"), False),
     ("trailing-garbage", lambda t: t + "]\n", False),
     ("truncated-last-line", lambda t: t.rstrip("\n")[:-20], False),
     ("empty-file", lambda t: "", False),

@@ -1656,9 +1656,9 @@ def test_dump_pool_memory_is_bounded(tmp_path):
 
 def test_load_pool_memory_is_bounded(tmp_path):
     """Reloading the fixture's level-5 pool, 0.65 MiB of text, holds its
-    lines whole and its decoded records only a block at a time: the
-    traced peak is about 2 MiB.  Decoding every record at once peaked at
-    4.5 MiB."""
+    lines and the values read from them whole, decoding one line at a
+    time: the traced peak is about 1.9 MiB.  Decoding every record at
+    once peaked at 4.5 MiB."""
     path = tmp_path / "pool.jsonl"
     dump_pool(build_pool(normalize(load(FIXTURE, "trends_csv"), 5)), path)
     tracemalloc.start()
