@@ -35,18 +35,22 @@ class VerbosityLevel:
 
     ``zone_errs`` holds each zone's error under the tiling, computed
     once by ``solve_cover``; the summary choice, the detail search and
-    the heatmap all read it.  An infeasible level has none.
+    the heatmap all read it.  An infeasible level chooses none and has none.
     """
 
     v: int
     chosen: tuple[int, ...]  # descriptor ids ordered by zone_start
     cost: float
-    feasible: bool
     zone_errs: tuple[float, ...]  # per-zone error of the covering fit
 
     def __post_init__(self):
-        if self.feasible and len(self.chosen) != self.v:
+        if self.chosen and len(self.chosen) != self.v:
             raise ValueError(f"level v={self.v} holds {len(self.chosen)} descriptors")
+
+    @property
+    def feasible(self) -> bool:
+        """Whether some tiling exists, so the level chose descriptors."""
+        return bool(self.chosen)
 
     @property
     def max_zone_err(self) -> float:
@@ -78,8 +82,8 @@ def solve_cover(pool: DescriptorPool, v_max: int) -> list[VerbosityLevel]:
     """Optimal tilings for every verbosity 1..v_max.
 
     A verbosity whose segment count or minimum length cannot be met by
-    any partition is returned with ``feasible=False`` and an empty
-    choice, and later stages skip it.
+    any partition is returned with an empty choice, so not ``feasible``,
+    and later stages skip it.
     """
     if v_max < 1:
         raise SolveError(f"verbosity bound must be >= 1, got {v_max}")
@@ -101,14 +105,13 @@ def solve_cover(pool: DescriptorPool, v_max: int) -> list[VerbosityLevel]:
             best = total.min(axis=0)
 
         if best[n] == _INF:
-            levels.append(VerbosityLevel(v=v, chosen=(), cost=_INF, feasible=False,
-                                         zone_errs=()))
+            levels.append(VerbosityLevel(v=v, chosen=(), cost=_INF, zone_errs=()))
             continue
         chosen, k = [], n
         for cut in reversed(cuts):
             chosen.insert(0, int(ids[cut[k], k]))
             k = cut[k]
         levels.append(VerbosityLevel(v=v, chosen=tuple(chosen), cost=float(best[n]),
-                                     feasible=True, zone_errs=tuple(pool.zone_errs(chosen))))
+                                     zone_errs=tuple(pool.zone_errs(chosen))))
     return levels
 

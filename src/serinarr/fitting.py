@@ -110,7 +110,6 @@ class Descriptor:
     """One fitted curve over zones [zone_start, zone_end] inclusive."""
 
     id: int
-    kind: CurveKind
     params: CurveParams
     zone_start: int
     zone_end: int
@@ -125,6 +124,11 @@ class Descriptor:
             )
         if len(self.zone_errs) != self.zone_end - self.zone_start + 1:
             raise ValueError("zone_errs length does not match the zone range")
+
+    @property
+    def kind(self) -> CurveKind:
+        """The params' kind."""
+        return self.params.kind
 
     @property
     def zones(self) -> range:
@@ -157,12 +161,16 @@ class DescriptorPool:
     zone_end: np.ndarray  # (m,)
     params: np.ndarray  # (m, _N_PARAMS)
     errs: np.ndarray  # (m, n_zones)
-    n_zones: int
     kinds: tuple[CurveKind, ...]
     n_infeasible: int = 0
 
     def __len__(self) -> int:
         return len(self.kind)
+
+    @property
+    def n_zones(self) -> int:
+        """The series' zone count, the zone-error matrix's width."""
+        return self.errs.shape[1]
 
     def __iter__(self) -> Iterator[Descriptor]:
         return map(self.get, range(len(self)))
@@ -174,8 +182,7 @@ class DescriptorPool:
         kind = CurveKind(int(self.kind[id]))
         i, j = int(self.zone_start[id]), int(self.zone_end[id])
         params = PARAMS_CLASS[kind](*self.params[id, : len(PARAM_FIELDS[kind])].tolist())
-        return Descriptor(id, kind, params, i, j, tuple(self.errs[id, i : j + 1].tolist()),
-                          self.n_zones)
+        return Descriptor(id, params, i, j, tuple(self.errs[id, i : j + 1].tolist()), self.n_zones)
 
     @cached_property
     def total(self) -> np.ndarray:
@@ -884,8 +891,9 @@ def _fit_ranges(series: TimeSeries, kind: CurveKind, ranges: Sequence[tuple[int,
     cols = vals[:, fit]
 
     def res_sq(idx, segs):
-        params = {name: v[seg[segs], None] for name, v in zip(names, cols)}
-        return [np.square(ys[idx] - evaluate(kind, params, xs[idx]))]
+        params = SimpleNamespace(kind=kind, **{name: v[seg[segs], None]
+                                               for name, v in zip(names, cols)})
+        return [np.square(ys[idx] - evaluate(params, xs[idx]))]
 
     errs = np.zeros((len(fit), nz))
     errs[seg, zone] = np.sqrt(_row_sums(lo, size, res_sq)[0] / size)
@@ -899,7 +907,7 @@ def _fit_pool(series: TimeSeries, kinds: tuple[CurveKind, ...], ranges: np.ndarr
         fit, params, errs = _fit_ranges(series, kind, ranges)
         parts.append((np.full(len(fit), int(kind)), ranges[fit], params, errs))
     kind, spans, params, errs = map(np.concatenate, zip(*parts))
-    return DescriptorPool(kind, spans[:, 0], spans[:, 1], params, errs, series.n_zones, kinds,
+    return DescriptorPool(kind, spans[:, 0], spans[:, 1], params, errs, kinds,
                           n_infeasible=len(kinds) * len(ranges) - len(kind))
 
 
@@ -1114,12 +1122,12 @@ def load_pool(path: str | Path) -> DescriptorPool:
         raise ValueError(f"{path} holds zones that no record holds")
     for k in CurveKind:
         at = kind == k
-        p = SimpleNamespace(**dict(zip(PARAM_FIELDS[k], params[at].T)))
-        ok = params_ok(k, p)
+        p = SimpleNamespace(kind=k, **dict(zip(PARAM_FIELDS[k], params[at].T)))
+        ok = params_ok(p)
         if k is CurveKind.BILINEAR:
             ok &= (p.x_lo == start[at] / n_zones) & (p.x_hi == (end[at] + 1) / n_zones)
         if not np.all(ok):
             raise ValueError(f"{k.label} params of {path} break their rules or range")
     matrix = np.zeros((m, n_zones))
     matrix[row, zone] = errs
-    return DescriptorPool(kind, start, end, params, matrix, n_zones, kinds, n_infeasible)
+    return DescriptorPool(kind, start, end, params, matrix, kinds, n_infeasible)

@@ -25,14 +25,7 @@ from typing import Sequence
 from .details import SelectionResult
 from .fitting import Descriptor, DescriptorPool
 from .ingest import TimeSeries
-from .prototypes import (
-    BilinearParams,
-    CurveKind,
-    LineParams,
-    SinusoidParams,
-    ToothParams,
-    evaluate,
-)
+from .prototypes import BilinearParams, CurveKind, evaluate
 
 SHARPNESS = ("very_smooth", "smooth", "rather_smooth", "rather_sharp", "sharp", "very_sharp")
 STEEPNESS = ("very_mild", "mild", "steep", "very_steep")
@@ -209,13 +202,11 @@ def classify(d: Descriptor, series: TimeSeries) -> ShapeClass:
     p = d.params
 
     if d.kind is CurveKind.LINE:
-        assert isinstance(p, LineParams)
         dy = p.b * (x_hi - x_lo)
-        y_end = evaluate(CurveKind.LINE, p, x_hi)
+        y_end = evaluate(p, x_hi)
         return _line_shape(d, series_avg, dy, y_end, x_hi, "increase", "decrease")
 
     if d.kind is CurveKind.BILINEAR:
-        assert isinstance(p, BilinearParams)
         width = x_hi - x_lo
         left = p.x_b - x_lo
         right = x_hi - p.x_b
@@ -235,7 +226,6 @@ def classify(d: Descriptor, series: TimeSeries) -> ShapeClass:
         return _point_shape(category, strength, p.y_r, x_hi, category)
 
     if d.kind is CurveKind.TOOTH:
-        assert isinstance(p, ToothParams)
         baseline = 0.5 * (p.y_out_l + p.y_out_r)
         depth = abs(p.y_in - baseline)
         low = p.y_in < baseline
@@ -263,7 +253,6 @@ def classify(d: Descriptor, series: TimeSeries) -> ShapeClass:
         )
 
     if d.kind is CurveKind.SINUSOID:
-        assert isinstance(p, SinusoidParams)
         cycles = max(1, round(p.freq * (x_hi - x_lo)))
         return ShapeClass(
             category="oscillation",

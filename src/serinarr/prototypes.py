@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
@@ -54,9 +53,11 @@ PARAM_COUNTS = {
 _EPS = 1e-9
 
 
-def params_ok(kind: CurveKind, p):
-    """Where ``p``'s values keep the kind's rules, ``p`` holding its fields
-    as floats or arrays.  Each rule is a positive condition, which NaN breaks."""
+def params_ok(p):
+    """Where ``p``'s values keep the rules of its ``kind``, ``p`` holding
+    its fields as floats or arrays.  Each rule is a positive condition,
+    which NaN breaks."""
+    kind = p.kind
     if kind is CurveKind.BILINEAR:  # the breakpoint lies strictly inside
         return (p.x_lo < p.x_b) & (p.x_b < p.x_hi)
     if kind is CurveKind.TOOTH:  # the plateau is ordered
@@ -70,7 +71,7 @@ class _Params:
     """Frozen params whose values keep the rules of their class's ``kind``."""
 
     def __post_init__(self):
-        if not params_ok(self.kind, self):
+        if not params_ok(self):
             raise ValueError(f"{self.kind.label} params break their rules: {self}")
 
 
@@ -135,21 +136,16 @@ PARAMS_CLASS = {
 PARAM_FIELDS = {kind: tuple(f.name for f in fields(cls)) for kind, cls in PARAMS_CLASS.items()}
 
 
-def evaluate(kind: CurveKind, params, x):
-    """Model value(s) at ``x`` (scalar or ndarray).
+def evaluate(params, x):
+    """Model value(s) at ``x`` (scalar or ndarray) of ``params``' kind.
 
-    ``params`` is the kind's params, or a dict of its field names to
-    arrays that broadcast against ``x``, such as (rows, 1) columns against
-    (rows, k) samples: each sample is evaluated with its row's values, by
-    the same elementwise formula.  Bilinear curves are only defined on
-    their fitted range.
+    ``params`` is a kind's params, or any object with its ``kind`` and its
+    field names as arrays that broadcast against ``x``, such as (rows, 1)
+    columns against (rows, k) samples: each sample is evaluated with its
+    row's values, by the same elementwise formula.  Bilinear curves are
+    only defined on their fitted range.
     """
-    if isinstance(params, dict):
-        params = SimpleNamespace(**params)
-    elif not isinstance(params, PARAMS_CLASS[kind]):
-        raise TypeError(
-            f"params of type {type(params).__name__} do not match kind {kind.label}"
-        )
+    kind = params.kind
     x = np.asarray(x, dtype=float)
 
     if kind is CurveKind.LINE:

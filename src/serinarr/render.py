@@ -143,7 +143,7 @@ def render_enriched(spec: PlotSpec) -> str:
         # A reloaded pool's params may be any floats: a branch that
         # np.where drops, or a point clipped below, may overflow.
         with np.errstate(over="ignore", invalid="ignore"):
-            cpts = points(xs, np.asarray(evaluate(d.kind, d.params, xs), dtype=float))
+            cpts = points(xs, np.asarray(evaluate(d.params, xs), dtype=float))
         parts.append(
             f'<polyline points="{cpts}" fill="none" stroke="{CURVE_COLOR}" '
             f'stroke-width="{_f(CURVE_STROKE_WIDTH)}"/>'

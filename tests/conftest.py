@@ -72,12 +72,15 @@ def flat_params(kind, i, j, n_zones):
     return LineParams(a=0.0, b=0.0)
 
 
-def make_descriptor(id_, i, j, errs, n_zones, kind=CurveKind.LINE, params=None):
+def make_descriptor(id_, i, j, errs, n_zones, kind=None, params=None):
+    """A descriptor over zones [i, j] of ``params``, or else of ``kind``'s
+    flat params (a line's by default); its kind is always its params'."""
     if params is None:
-        params = flat_params(kind, i, j, n_zones)
+        params = flat_params(kind or CurveKind.LINE, i, j, n_zones)
+    elif kind is not None:
+        raise TypeError("give kind or params, not both")
     return Descriptor(
         id=id_,
-        kind=kind,
         params=params,
         zone_start=i,
         zone_end=j,
@@ -98,7 +101,7 @@ def make_pool(descriptors, n_zones, kinds=(CurveKind.LINE,), n_infeasible=0):
         errs[k, d.zone_start : d.zone_end + 1] = d.zone_errs
     columns = [np.array([getattr(d, name) for d in descriptors], int)
                for name in ("kind", "zone_start", "zone_end")]
-    return DescriptorPool(*columns, params, errs, n_zones, tuple(kinds), n_infeasible)
+    return DescriptorPool(*columns, params, errs, tuple(kinds), n_infeasible)
 
 
 def pool_key(pool):

@@ -63,7 +63,7 @@ def test_criterion_02_fitting_exactness(capsys):
     with criterion(capsys, 2, "noise-free prototype recovery"):
         def rmse(s, d, i, j):
             sl = s.zone_slice(i, j)
-            res = s.ys[sl] - evaluate(d.kind, d.params, s.xs[sl])
+            res = s.ys[sl] - evaluate(d.params, s.xs[sl])
             return float(np.sqrt(np.mean(res ** 2)))
 
         x = np.arange(129) / 128.0
@@ -74,13 +74,13 @@ def test_criterion_02_fitting_exactness(capsys):
 
         truth = BilinearParams(x_b=0.5, y_l=1.0, y_b=0.0, y_r=1.0,
                                x_lo=0.0, x_hi=1.0)
-        s = series_exact(evaluate(CurveKind.BILINEAR, truth, x), levels=2)
+        s = series_exact(evaluate(truth, x), levels=2)
         d = fit_one(s, CurveKind.BILINEAR, 0, 3)
         assert rmse(s, d, 0, 3) < 1e-3 and abs(d.params.x_b - 0.5) < 1e-2
 
         truth = ToothParams(y_out_l=0.8, y_out_r=0.8, x_s=0.25, x_e=0.5,
                             y_in=0.2)
-        s = series_exact(evaluate(CurveKind.TOOTH, truth, x), levels=2)
+        s = series_exact(evaluate(truth, x), levels=2)
         d = fit_one(s, CurveKind.TOOTH, 0, 3)
         assert rmse(s, d, 0, 3) < 1e-3
         assert abs(d.params.x_s - 0.25) < 1e-2 and abs(d.params.x_e - 0.5) < 1e-2

@@ -123,7 +123,7 @@ def _reference_cover(pool, v_max):
 
         if dp[v][n] == _INF:
             levels.append(
-                VerbosityLevel(v=v, chosen=(), cost=_INF, feasible=False,
+                VerbosityLevel(v=v, chosen=(), cost=_INF,
                                zone_errs=())
             )
             continue
@@ -138,7 +138,7 @@ def _reference_cover(pool, v_max):
         ids = tuple(table[seg][1] for seg in segments)
         levels.append(
             VerbosityLevel(
-                v=v, chosen=ids, cost=dp[v][n], feasible=True,
+                v=v, chosen=ids, cost=dp[v][n],
                 zone_errs=tuple(reference_zone_errs(pool, ids)),
             )
         )
@@ -254,7 +254,7 @@ def test_column_pool_matches_the_descriptor_loops(n, drop, quantum, permute, rnd
 def test_v_shape_never_narrated_as_line():
     truth = BilinearParams(x_b=0.5, y_l=1.0, y_b=0.0, y_r=1.0, x_lo=0.0, x_hi=1.0)
     x = np.arange(129) / 128.0
-    s = series_exact(evaluate(CurveKind.BILINEAR, truth, x), levels=2)
+    s = series_exact(evaluate(truth, x), levels=2)
     pool = build_pool(
         s, kinds=(CurveKind.LINE, CurveKind.BILINEAR, CurveKind.TOOTH))
     level = solve_cover(pool, 1)[0]
@@ -292,7 +292,7 @@ def test_rejects_bad_v_max():
 
 def test_feasible_level_holds_v_descriptors():
     with pytest.raises(ValueError, match="holds 1 descriptors"):
-        VerbosityLevel(v=2, chosen=(0,), cost=0.0, feasible=True, zone_errs=(0.0,))
+        VerbosityLevel(v=2, chosen=(0,), cost=0.0, zone_errs=(0.0,))
 
 
 def test_max_zone_err_matches_chosen():

@@ -26,7 +26,7 @@ def level_of(v, ids, pool):
     ds = [pool.get(i) for i in ids]
     cost = sum(e for d in ds for e in d.zone_errs)
     return VerbosityLevel(
-        v=v, chosen=tuple(ids), cost=cost, feasible=True,
+        v=v, chosen=tuple(ids), cost=cost,
         zone_errs=tuple(e for d in ds for e in d.zone_errs),
     )
 
@@ -234,7 +234,7 @@ def _reference_solve_details(
 def fake_levels(maxima):
     return [
         VerbosityLevel(v=k + 1, chosen=tuple(range(k + 1)), cost=1.0,
-                       feasible=True, zone_errs=(m,))
+                       zone_errs=(m,))
         for k, m in enumerate(maxima)
     ]
 
@@ -262,7 +262,7 @@ def test_pick_summary_fallback_flags_miss():
 def test_pick_summary_skips_infeasible():
     levels = fake_levels([0.2, 0.1])
     levels.insert(0, VerbosityLevel(
-        v=0, chosen=(), cost=float("inf"), feasible=False,
+        v=0, chosen=(), cost=float("inf"),
         zone_errs=()))
     with pytest.raises(SolveError):
         pick_summary([levels[0]], 0.15)

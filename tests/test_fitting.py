@@ -25,6 +25,7 @@ from conftest import (
     series_exact,
 )
 from serinarr import fitting
+from serinarr.cover import VerbosityLevel, solve_cover
 from serinarr.errors import FitError
 from serinarr.fitting import (
     _CHUNK_CELLS,
@@ -69,7 +70,7 @@ def fitted_params(series, kind, ranges):
 
 def overall_rmse(series, d):
     sl = series.zone_slice(d.zone_start, d.zone_end)
-    res = series.ys[sl] - evaluate(d.kind, d.params, series.xs[sl])
+    res = series.ys[sl] - evaluate(d.params, series.xs[sl])
     return float(np.sqrt(np.mean(res ** 2)))
 
 
@@ -90,7 +91,7 @@ def test_line_exact_recovery():
 def test_bilinear_v_recovery():
     truth = BilinearParams(x_b=0.5, y_l=1.0, y_b=0.0, y_r=1.0, x_lo=0.0, x_hi=1.0)
     x = np.arange(129) / 128.0
-    s = series_exact(evaluate(CurveKind.BILINEAR, truth, x), levels=2)
+    s = series_exact(evaluate(truth, x), levels=2)
     d = fit_one(s, CurveKind.BILINEAR, 0, 3)
     assert d is not None
     assert abs(d.params.x_b - 0.5) < 1e-2
@@ -101,7 +102,7 @@ def test_bilinear_v_recovery():
 def test_tooth_exact_recovery():
     truth = ToothParams(y_out_l=0.8, y_out_r=0.8, x_s=0.25, x_e=0.5, y_in=0.2)
     x = np.arange(129) / 128.0
-    s = series_exact(evaluate(CurveKind.TOOTH, truth, x), levels=2)
+    s = series_exact(evaluate(truth, x), levels=2)
     d = fit_one(s, CurveKind.TOOTH, 0, 3)
     assert d is not None
     assert d.params.x_s == pytest.approx(0.25)
@@ -200,7 +201,7 @@ def test_per_zone_rmse_recomputed_independently():
     for d in [pool.get(0), pool.get(len(pool) // 2), pool.get(len(pool) - 1)]:
         for z in d.zones:
             lo, hi = s.zone_edges[z], s.zone_edges[z + 1]
-            res = s.ys[lo:hi] - evaluate(d.kind, d.params, s.xs[lo:hi])
+            res = s.ys[lo:hi] - evaluate(d.params, s.xs[lo:hi])
             want = math.sqrt(float(np.mean(res ** 2)))
             assert d.err(z) == pytest.approx(want, abs=1e-12)
 
@@ -251,7 +252,6 @@ def _load_pool_reference(path) -> DescriptorPool:
         descriptors.append(
             Descriptor(
                 id=rec["id"],
-                kind=kind,
                 params=PARAMS_CLASS[kind](**rec["params"]),
                 zone_start=rec["zone_start"],
                 zone_end=rec["zone_end"],
@@ -406,14 +406,55 @@ def test_zone_errs_takes_best_covering_descriptor():
 def test_descriptor_rejects_bad_ranges():
     with pytest.raises(ValueError):
         Descriptor(
-            id=0, kind=CurveKind.LINE, params=LineParams(0.0, 0.0),
+            id=0, params=LineParams(0.0, 0.0),
             zone_start=3, zone_end=2, zone_errs=(), n_zones=4,
         )
     with pytest.raises(ValueError):
         Descriptor(
-            id=0, kind=CurveKind.LINE, params=LineParams(0.0, 0.0),
+            id=0, params=LineParams(0.0, 0.0),
             zone_start=0, zone_end=1, zone_errs=(0.1,), n_zones=4,
         )
+
+
+@pytest.mark.parametrize("fact", ["kind", "n_zones", "feasible"])
+def test_records_derive_the_facts_they_would_repeat(fact, tmp_path):
+    """A descriptor's kind is its params', a pool's zone count its error
+    matrix's width and a level's feasibility whether it chose any
+    descriptor, on built and reloaded pools alike; none is a field, so a
+    record that holds two answers cannot be built."""
+    if fact == "feasible":
+        levels = [lv for n in (2, 5)
+                  for lv in solve_cover(build_pool(normalize(load(FIXTURE, "trends_csv"), n)), 8)]
+        for lv in levels:
+            assert lv.feasible == bool(lv.chosen)
+            if not lv.feasible:
+                assert lv.cost == math.inf and lv.zone_errs == ()
+        assert {lv.feasible for lv in levels} == {True, False}
+        with pytest.raises(TypeError):
+            VerbosityLevel(v=2, chosen=(0, 1), cost=0.1, feasible=False, zone_errs=(0.1,))
+        return
+    series = normalize(load(FIXTURE, "trends_csv"), 3)
+    pool = build_pool(series, tuple(CurveKind))
+    path = tmp_path / "pool.jsonl"
+    dump_pool(pool, path)
+    pools = [pool, load_pool(path)]
+    if fact == "kind":
+        for p in pools:
+            for i in range(len(p)):
+                d = p.get(i)
+                assert d.kind is CurveKind(int(p.kind[i]))
+                assert type(d.params) is PARAMS_CLASS[d.kind]
+        assert {d.kind for d in pools[1]} == set(CurveKind)
+        with pytest.raises(TypeError):
+            Descriptor(0, CurveKind.TOOTH, LineParams(a=0.5, b=0.0), 0, 1, (0.1, 0.2), 4)
+    else:
+        path.write_text(path.read_text().splitlines(keepends=True)[0])  # the header alone
+        pools.append(load_pool(path))
+        assert len(pools[-1]) == 0
+        assert [p.n_zones for p in pools] == [series.n_zones] * 3
+        with pytest.raises(TypeError):
+            DescriptorPool(pool.kind, pool.zone_start, pool.zone_end, pool.params, pool.errs,
+                           pool.kinds, n_zones=2 * series.n_zones)
 
 
 # ------------------------------------------------- local optimality smoke
@@ -448,7 +489,7 @@ def _perturb(rnd, kind, p, scale=0.08):
 
 
 def _sse(series, kind, params, sl):
-    res = series.ys[sl] - evaluate(kind, params, series.xs[sl])
+    res = series.ys[sl] - evaluate(params, series.xs[sl])
     return float(np.sum(res ** 2))
 
 
@@ -458,12 +499,10 @@ def test_fit_beats_64_random_perturbations(kind):
     sources = {
         CurveKind.LINE: 0.2 + 0.6 * x,
         CurveKind.BILINEAR: evaluate(
-            CurveKind.BILINEAR,
             BilinearParams(x_b=0.5, y_l=0.9, y_b=0.1, y_r=0.8, x_lo=0.0, x_hi=1.0),
             x,
         ),
         CurveKind.TOOTH: evaluate(
-            CurveKind.TOOTH,
             ToothParams(y_out_l=0.7, y_out_r=0.7, x_s=0.25, x_e=0.75, y_in=0.2),
             x,
         ),
@@ -1289,14 +1328,14 @@ def _reference_pool(series, kinds):
                 if params is None:
                     n_infeasible += 1
                     continue
-                res_sq = np.square(y - evaluate(kind, params, x))
+                res_sq = np.square(y - evaluate(params, x))
                 errs = tuple(
                     float(np.sqrt(res_sq[lo - sl.start : hi - sl.start].mean()))
                     for lo, hi in zip(series.zone_edges[i : j + 1],
                                       series.zone_edges[i + 1 : j + 2])
                 )
                 descriptors.append(
-                    Descriptor(len(descriptors), kind, params, i, j, errs, n))
+                    Descriptor(len(descriptors), params, i, j, errs, n))
     return make_pool(descriptors, n, kinds, n_infeasible)
 
 

@@ -180,10 +180,9 @@ def test_vertical_flip_swaps_valley_and_peak(x_b, y_l, y_b, y_r):
 
 def tooth_series_and_descriptor(params, levels=2, n_pts=129):
     x = np.arange(n_pts) / (n_pts - 1)
-    s = series_exact(evaluate(CurveKind.TOOTH, params, x), levels)
+    s = series_exact(evaluate(params, x), levels)
     d = make_descriptor(
-        0, 0, s.n_zones - 1, [0.0] * s.n_zones, s.n_zones,
-        kind=CurveKind.TOOTH, params=params)
+        0, 0, s.n_zones - 1, [0.0] * s.n_zones, s.n_zones, params=params)
     return s, d
 
 
@@ -233,8 +232,7 @@ def test_tooth_flip_keeps_strength_index():
 def test_line_classify_rise_and_flat():
     x = np.arange(65) / 64.0
     s = series_exact(0.005 + 0.99 * x, levels=2)
-    d = make_descriptor(0, 0, 3, [0.0] * 4, 4, kind=CurveKind.LINE,
-                        params=LineParams(a=0.005, b=0.99))
+    d = make_descriptor(0, 0, 3, [0.0] * 4, 4, params=LineParams(a=0.005, b=0.99))
     shape = classify(d, s)
     assert shape.category == "rise"
     assert shape.surface == "increase"
@@ -243,8 +241,7 @@ def test_line_classify_rise_and_flat():
     assert shape.anchors["value"] == pytest.approx(0.995)
     assert shape.anchors["x"] == 1.0
 
-    flat = make_descriptor(0, 0, 3, [0.0] * 4, 4, kind=CurveKind.LINE,
-                           params=LineParams(a=0.5, b=0.004))
+    flat = make_descriptor(0, 0, 3, [0.0] * 4, 4, params=LineParams(a=0.5, b=0.004))
     s2 = series_exact(0.5 + 0.004 * x, levels=2)
     shape2 = classify(flat, s2)
     assert shape2.category == "constant"
@@ -256,8 +253,7 @@ def test_line_classify_rise_and_flat():
 def test_line_decrease_noun():
     x = np.arange(65) / 64.0
     s = series_exact(0.9 - 0.5 * x, levels=2)
-    d = make_descriptor(0, 0, 3, [0.0] * 4, 4, kind=CurveKind.LINE,
-                        params=LineParams(a=0.9, b=-0.5))
+    d = make_descriptor(0, 0, 3, [0.0] * 4, 4, params=LineParams(a=0.9, b=-0.5))
     shape = classify(d, s)
     assert shape.category == "drop"
     assert shape.surface == "decrease"
@@ -267,9 +263,8 @@ def test_line_decrease_noun():
 def test_bilinear_classify_valley_point():
     p = BilinearParams(x_b=0.5, y_l=0.9, y_b=0.1, y_r=0.9, x_lo=0.0, x_hi=1.0)
     x = np.arange(129) / 128.0
-    s = series_exact(evaluate(CurveKind.BILINEAR, p, x), levels=2)
-    d = make_descriptor(0, 0, 3, [0.0] * 4, 4, kind=CurveKind.BILINEAR,
-                        params=p)
+    s = series_exact(evaluate(p, x), levels=2)
+    d = make_descriptor(0, 0, 3, [0.0] * 4, 4, params=p)
     shape = classify(d, s)
     assert shape.category == "valley"
     assert shape.extent == "point"
@@ -280,9 +275,8 @@ def test_bilinear_minor_segment_reads_as_main_line():
     # tiny right-hand tail: the left climb is the story
     p = BilinearParams(x_b=0.9, y_l=0.1, y_b=0.9, y_r=0.88, x_lo=0.0, x_hi=1.0)
     x = np.arange(129) / 128.0
-    s = series_exact(evaluate(CurveKind.BILINEAR, p, x), levels=2)
-    d = make_descriptor(0, 0, 3, [0.0] * 4, 4, kind=CurveKind.BILINEAR,
-                        params=p)
+    s = series_exact(evaluate(p, x), levels=2)
+    d = make_descriptor(0, 0, 3, [0.0] * 4, 4, params=p)
     shape = classify(d, s)
     assert shape.category == "rise"
     assert shape.surface == "rise"
@@ -294,9 +288,8 @@ def test_bilinear_minor_segment_reads_as_main_line():
 def test_sinusoid_classify():
     p = SinusoidParams(amp=0.3, freq=3.0, phase=0.0, mean=0.5)
     x = np.arange(257) / 256.0
-    s = series_exact(evaluate(CurveKind.SINUSOID, p, x), levels=2)
-    d = make_descriptor(0, 0, 3, [0.0] * 4, 4, kind=CurveKind.SINUSOID,
-                        params=p)
+    s = series_exact(evaluate(p, x), levels=2)
+    d = make_descriptor(0, 0, 3, [0.0] * 4, 4, params=p)
     shape = classify(d, s)
     assert shape.category == "oscillation"
     assert shape.strength == OSCILLATION[1]

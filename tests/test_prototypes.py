@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,38 +21,38 @@ from serinarr.prototypes import (
 
 
 def test_line_example():
-    assert evaluate(CurveKind.LINE, LineParams(0.2, 0.5), 0.4) == pytest.approx(0.4)
+    assert evaluate(LineParams(0.2, 0.5), 0.4) == pytest.approx(0.4)
 
 
 def test_bilinear_example():
     p = BilinearParams(x_b=0.5, y_l=1.0, y_b=0.0, y_r=1.0, x_lo=0.0, x_hi=1.0)
-    assert evaluate(CurveKind.BILINEAR, p, 0.25) == pytest.approx(0.5)
-    assert evaluate(CurveKind.BILINEAR, p, 0.5) == pytest.approx(0.0)
-    assert evaluate(CurveKind.BILINEAR, p, 1.0) == pytest.approx(1.0)
+    assert evaluate(p, 0.25) == pytest.approx(0.5)
+    assert evaluate(p, 0.5) == pytest.approx(0.0)
+    assert evaluate(p, 1.0) == pytest.approx(1.0)
 
 
 def test_tooth_example():
     p = ToothParams(y_out_l=0.4, y_out_r=0.4, x_s=0.42, x_e=0.69, y_in=0.09)
-    assert evaluate(CurveKind.TOOTH, p, 0.5) == pytest.approx(0.09)
+    assert evaluate(p, 0.5) == pytest.approx(0.09)
     # plateau edges belong to the plateau
-    assert evaluate(CurveKind.TOOTH, p, 0.42) == pytest.approx(0.09)
-    assert evaluate(CurveKind.TOOTH, p, 0.69) == pytest.approx(0.09)
-    assert evaluate(CurveKind.TOOTH, p, 0.41) == pytest.approx(0.4)
-    assert evaluate(CurveKind.TOOTH, p, 0.70) == pytest.approx(0.4)
+    assert evaluate(p, 0.42) == pytest.approx(0.09)
+    assert evaluate(p, 0.69) == pytest.approx(0.09)
+    assert evaluate(p, 0.41) == pytest.approx(0.4)
+    assert evaluate(p, 0.70) == pytest.approx(0.4)
 
 
 def test_sinusoid_value():
     p = SinusoidParams(amp=0.3, freq=3.0, phase=0.0, mean=0.5)
-    assert evaluate(CurveKind.SINUSOID, p, 0.25) == pytest.approx(0.2)
-    assert evaluate(CurveKind.SINUSOID, p, 0.0) == pytest.approx(0.5)
+    assert evaluate(p, 0.25) == pytest.approx(0.2)
+    assert evaluate(p, 0.0) == pytest.approx(0.5)
 
 
 def test_evaluate_vectorized_matches_scalar():
     p = SinusoidParams(amp=0.2, freq=2.0, phase=1.0, mean=0.4)
     xs = np.linspace(0.0, 1.0, 17)
-    ys = evaluate(CurveKind.SINUSOID, p, xs)
+    ys = evaluate(p, xs)
     for x, y in zip(xs, ys):
-        assert y == pytest.approx(evaluate(CurveKind.SINUSOID, p, float(x)))
+        assert y == pytest.approx(evaluate(p, float(x)))
 
 
 def test_evaluate_columns_match_rows():
@@ -76,21 +77,21 @@ def test_evaluate_columns_match_rows():
     for kind, ps in rows.items():
         cols = {f: np.array([[getattr(p, f)] for p in ps])
                 for f in dataclasses.asdict(ps[0])}
-        got = evaluate(kind, cols, np.stack([x] * len(ps)))
+        got = evaluate(SimpleNamespace(kind=kind, **cols), np.stack([x] * len(ps)))
         for k, p in enumerate(ps):
-            assert got[k].tolist() == evaluate(kind, p, x).tolist(), kind
+            assert got[k].tolist() == evaluate(p, x).tolist(), kind
 
 
 def test_bilinear_degenerate_constant():
     p = BilinearParams(x_b=0.3, y_l=0.7, y_b=0.7, y_r=0.7, x_lo=0.0, x_hi=1.0)
     xs = np.linspace(0.0, 1.0, 11)
-    assert np.allclose(evaluate(CurveKind.BILINEAR, p, xs), 0.7)
+    assert np.allclose(evaluate(p, xs), 0.7)
 
 
 def test_bilinear_outside_range_rejected():
     p = BilinearParams(x_b=0.5, y_l=1.0, y_b=0.0, y_r=1.0, x_lo=0.2, x_hi=0.8)
     with pytest.raises(ValueError):
-        evaluate(CurveKind.BILINEAR, p, 0.1)
+        evaluate(p, 0.1)
 
 
 def test_bilinear_breakpoint_strictly_inside():
@@ -138,8 +139,8 @@ def test_params_dict_round_trip(tmp_path):
         (CurveKind.SINUSOID,
          SinusoidParams(amp=0.25, freq=2.5, phase=1.5, mean=0.5)),
     ]
-    descriptors = [make_descriptor(k, 0, 0, [0.5], 1, kind=kind, params=p)
-                   for k, (kind, p) in enumerate(cases)]
+    descriptors = [make_descriptor(k, 0, 0, [0.5], 1, params=p)
+                   for k, (_, p) in enumerate(cases)]
     path = tmp_path / "pool.jsonl"
     dump_pool(make_pool(descriptors, 1, kinds=tuple(CurveKind)), path)
     assert [d.params for d in load_pool(path)] == [p for _, p in cases]
@@ -155,9 +156,9 @@ def test_params_dict_round_trip(tmp_path):
 def test_bilinear_continuous_at_breakpoint(x_b, y_l, y_b, y_r):
     p = BilinearParams(x_b=x_b, y_l=y_l, y_b=y_b, y_r=y_r, x_lo=0.0, x_hi=1.0)
     eps = 1e-9
-    left = evaluate(CurveKind.BILINEAR, p, max(x_b - eps, 0.0))
-    right = evaluate(CurveKind.BILINEAR, p, min(x_b + eps, 1.0))
-    at = evaluate(CurveKind.BILINEAR, p, x_b)
+    left = evaluate(p, max(x_b - eps, 0.0))
+    right = evaluate(p, min(x_b + eps, 1.0))
+    at = evaluate(p, x_b)
     assert abs(left - at) < 1e-6
     assert abs(right - at) < 1e-6
 
@@ -172,5 +173,5 @@ def test_bilinear_continuous_at_breakpoint(x_b, y_l, y_b, y_r):
 )
 def test_sinusoid_bounded_by_amplitude(amp, freq, phase, mean, x):
     p = SinusoidParams(amp=amp, freq=freq, phase=phase, mean=mean)
-    y = evaluate(CurveKind.SINUSOID, p, x)
+    y = evaluate(p, x)
     assert mean - amp - 1e-12 <= y <= mean + amp + 1e-12

@@ -223,7 +223,7 @@ def _render_enriched_reference(spec: PlotSpec) -> str:
 
     for d in spec.curves:
         xs = np.linspace(d.x_lo, d.x_hi, CURVE_SAMPLES)
-        ys = np.asarray(evaluate(d.kind, d.params, xs), dtype=float)
+        ys = np.asarray(evaluate(d.params, xs), dtype=float)
         cpts = " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in zip(xs.tolist(), ys.tolist()))
         parts.append(
             f'<polyline points="{cpts}" fill="none" stroke="{CURVE_COLOR}" '
@@ -320,7 +320,7 @@ def test_enriched_clips_a_curve_that_overflows():
     with no RuntimeWarning, and its points stay on the plot area."""
     params = BilinearParams(x_b=0.9, y_l=0.2, y_b=0.5, y_r=1.7976931348623157e308,
                             x_lo=0.0, x_hi=1.0)
-    curve = make_descriptor(0, 0, 3, [0.1] * 4, 4, kind=CurveKind.BILINEAR, params=params)
+    curve = make_descriptor(0, 0, 3, [0.1] * 4, 4, params=params)
     svg = render_enriched(base_spec(curves=(curve,)))
     assert "nan" not in svg and "inf" not in svg
 
